@@ -20,7 +20,7 @@ from .container import (
     split_header,
     strip_header,
 )
-from .core import ContentUnit, ProtectedStreams, ProtectionKey, protect, recover
+from .core import ProtectedStreams, ProtectionKey, protect, recover
 from .dispersion import (
     Backend,
     BlobRef,
@@ -76,7 +76,6 @@ __all__ = [
     "BlobRef",
     "BlobServer",
     "ByteHistogram",
-    "ContentUnit",
     "CorruptBlob",
     "Decision",
     "DirectoryBackend",

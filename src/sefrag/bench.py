@@ -14,20 +14,11 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from cryptography.hazmat.primitives import padding
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
 from . import core
+from .container import _encrypt_private_stream
 from .core import ProtectionKey
 
 MIB = 1 << 20
-
-
-def _aes_cbc(data: bytes, key: ProtectionKey, iv: bytes) -> bytes:
-    padder = padding.PKCS7(128).padder()
-    padded = padder.update(data) + padder.finalize()
-    enc = Cipher(algorithms.AES(key.bytes), modes.CBC(iv)).encryptor()
-    return enc.update(padded) + enc.finalize()
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,6 @@ def run_bench(
     size_mb: int,
     iterations: int = 3,
     key: ProtectionKey | None = None,
-    workers: int = 1,
 ) -> BenchReport:
     """Protect a random ``size_mb`` MiB buffer both ways, ``iterations`` times."""
     if size_mb < 1:
@@ -83,17 +73,16 @@ def run_bench(
     aes_times: list[float] = []
     aes_bytes_se = 0
     aes_bytes_baseline = 0
-    counters = core.expected_counters(len(buf))
 
     for _ in range(iterations):
         start = time.perf_counter()
-        streams = core.protect(buf, key, workers=workers)
-        private_ct = _aes_cbc(streams.prf_plain, key, iv)
+        streams = core.protect(buf, key)
+        private_ct = _encrypt_private_stream(streams.prf_plain, key, iv)
         se_times.append(time.perf_counter() - start)
         aes_bytes_se = len(private_ct)
 
         start = time.perf_counter()
-        baseline_ct = _aes_cbc(buf, key, iv)
+        baseline_ct = _encrypt_private_stream(buf, key, iv)
         aes_times.append(time.perf_counter() - start)
         aes_bytes_baseline = len(baseline_ct)
 
@@ -104,8 +93,8 @@ def run_bench(
         aes_baseline_elapsed=tuple(aes_times),
         aes_bytes_se=aes_bytes_se,
         aes_bytes_baseline=aes_bytes_baseline,
-        hash_invocations_se=counters.hash_invocations,
-        selected_bytes=core.SUB_LEN * counters.protection_hashes,
+        hash_invocations_se=streams.counters.hash_invocations,
+        selected_bytes=core.SUB_LEN * streams.counters.protection_hashes,
     )
 
 

@@ -133,7 +133,7 @@ def _atomic_write(path: Path, data: bytes):
 def cmd_protect(args) -> int:
     data = Path(args.input).read_bytes()
     key, salt = _key_for_protect(args)
-    puf, prf = container.seal(data, key, mode=args.mode, kdf_salt=salt, workers=args.workers)
+    puf, prf = container.seal(data, key, mode=args.mode, kdf_salt=salt)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem or Path(args.input).name
@@ -175,7 +175,7 @@ def cmd_pdf(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    report = bench.run_bench(args.size_mb, iterations=args.iterations, workers=args.workers)
+    report = bench.run_bench(args.size_mb, iterations=args.iterations)
     print(bench.format_table(report))
     if args.csv:
         Path(args.csv).write_text(bench.format_csv(report), encoding="utf-8")
@@ -291,7 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--mode", default="raw", help="header split: raw, dicom, or fixed:<n>")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_protect)
 
     p = sub.add_parser("recover", parents=[key_flags], help="rebuild the original file")
@@ -313,7 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size-mb", type=int, default=1)
     p.add_argument("--iterations", type=int, default=3)
     p.add_argument("--csv", help="also write per-iteration timings to this file")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("serve", help="run a blob server")

@@ -203,7 +203,6 @@ def seal(
     key: ProtectionKey,
     mode: str = "raw",
     kdf_salt: bytes = ZERO_SALT,
-    workers: int = 1,
 ) -> tuple[PufContainer, PrfContainer]:
     """Protect a file into a public/private container pair.
 
@@ -211,7 +210,7 @@ def seal(
     can repeat the derivation; all zeros means a raw key was supplied.
     """
     split = split_header(data, mode)
-    streams = core.protect(split.content, key, workers=workers)
+    streams = core.protect(split.content, key)
     file_id = os.urandom(FILE_ID_LEN)
     iv = os.urandom(16)
     puf = PufContainer(

@@ -9,16 +9,25 @@ sub-fragments, the sub-unit tail, and a content digest form the private
 stream.  Without the private stream the keystreams cannot be recomputed,
 so holding the public payload plus the key still unlocks nothing.
 
+``protect`` and ``recover`` run one pipeline over chunks of at most
+``CHUNK_UNITS`` units: ``gather`` splits the units into their picked
+sub-fragments and 28-byte remainders, ``keystream`` joins the units'
+28-byte digests, one whole-chunk XOR applies it, and on the way back
+``scatter``, the exact inverse of ``gather``, rebuilds the units.
+gather and scatter move 4-byte words with strided memoryview copies and
+choose between them with big-integer masks, so the keystream hash is the
+only per-unit Python work.  A chunk's working buffers, about 1 MiB at
+4,096 units, do not grow with the content length.
+
 All functions are pure; keys and streams are plain immutable bytes, so
-concurrent use is safe.  ``protect`` accepts a worker count because unit
-protection is order-independent once the selector stream is known.
+concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ThreadPoolExecutor
+import struct
 from dataclasses import dataclass
 
 from .errors import IntegrityFailure, LengthMismatch
@@ -34,13 +43,56 @@ DIGEST_LEN = 32
 _SELECTOR_DOMAIN = b"FRAG-SEL"
 SELECTORS_PER_BLOCK = 32
 
+# Units per pipeline pass: 128 KiB of content.
+CHUNK_UNITS = 4096
 
-def _sha256(data: bytes) -> bytes:
-    return hashlib.sha256(data).digest()
+# A hash byte reduces to a selector mod 8, without bias since 256 % 8 == 0.
+_MOD8 = bytes(b % SUBS_PER_UNIT for b in range(256))
+# _AFTER[k] maps a selector to 0xff when it picks a word after word k.
+_AFTER = [bytes(0xFF if s > k else 0 for s in range(256)) for k in range(SUBS_PER_UNIT - 1)]
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def _words(buf) -> memoryview:
+    """``buf`` as a view of 4-byte words (sub-fragments); a C unsigned int
+    is 4 bytes on every platform CPython supports."""
+    return memoryview(buf).cast("I")
+
+
+def _columns(buf, width: int) -> list[memoryview]:
+    """Word k of every ``width``-word row of ``buf``, for each k."""
+    words = _words(buf)
+    return [words[k::width] for k in range(width)]
+
+
+def _rows(columns: list[memoryview]) -> bytes:
+    """Inverse of ``_columns``: rows made of one word from each column."""
+    out = bytearray(SUB_LEN * len(columns) * len(columns[0]))
+    words = _words(out)
+    for k, column in enumerate(columns):
+        words[k::len(columns)] = column
+    return bytes(out)
+
+
+def _int(buf) -> int:
+    return int.from_bytes(buf, "little")
+
+
+def _column(value: int, count: int) -> memoryview:
+    return _words(value.to_bytes(SUB_LEN * count, "little"))
+
+
+def _after_masks(selectors: bytes) -> list[int]:
+    """For k in 0..6, a word mask set in each unit whose selector is above k."""
+    if selectors and max(selectors) >= SUBS_PER_UNIT:
+        raise ValueError(f"selectors must be in [0, {SUBS_PER_UNIT - 1}]")
+    wide = bytearray(SUB_LEN * len(selectors))
+    for b in range(SUB_LEN):
+        wide[b::SUB_LEN] = selectors
+    return [_int(wide.translate(table)) for table in _AFTER]
 
 
 @dataclass(frozen=True)
@@ -60,36 +112,6 @@ class ProtectionKey:
     @classmethod
     def random(cls) -> "ProtectionKey":
         return cls(os.urandom(KEY_LEN))
-
-
-@dataclass(frozen=True)
-class ContentUnit:
-    """One 32-byte unit of content plus its 0-based position."""
-
-    bytes: bytes
-    index: int
-
-    def __post_init__(self):
-        if len(self.bytes) != UNIT_LEN:
-            raise ValueError(f"content unit must be {UNIT_LEN} bytes, got {len(self.bytes)}")
-        if self.index < 0:
-            raise ValueError("unit index must be non-negative")
-
-
-@dataclass(frozen=True)
-class FragmentSelection:
-    """A unit split into its selected sub-fragment and the remainder.
-
-    ``remainder`` keeps the seven non-selected sub-fragments in their
-    original order, so ``unit()`` is an exact inverse of the split.
-    """
-
-    selector: int
-    selected: bytes
-    remainder: bytes
-
-    def unit(self) -> bytes:
-        return reinsert(self.remainder, self.selected, self.selector)
 
 
 @dataclass(frozen=True)
@@ -130,148 +152,119 @@ def selector_stream(key: ProtectionKey, unit_count: int) -> bytes:
     Block t of 32 selectors is SHA-256(key || "FRAG-SEL" || LE64(t)); each
     byte reduces mod 8 without bias (256 % 8 == 0).  Deterministic, so the
     recovering side regenerates the identical sequence, and bulk-generable
-    so units can be protected in parallel.
+    so every chunk of units can be processed independently.
     """
     if unit_count < 0:
         raise ValueError("unit_count must be non-negative")
-    blocks = []
-    prefix = key.bytes + _SELECTOR_DOMAIN
-    for t in range((unit_count + SELECTORS_PER_BLOCK - 1) // SELECTORS_PER_BLOCK):
-        block = _sha256(prefix + t.to_bytes(8, "little"))
-        blocks.append(bytes(b % 8 for b in block))
-    return b"".join(blocks)[:unit_count]
-
-
-def split_unit(unit: bytes, selector: int) -> FragmentSelection:
-    """Cut a 32-byte unit into the selected 4-byte sub-fragment and the
-    28-byte remainder (non-selected sub-fragments, original order)."""
-    if len(unit) != UNIT_LEN:
-        raise ValueError(f"unit must be {UNIT_LEN} bytes, got {len(unit)}")
-    if not 0 <= selector < SUBS_PER_UNIT:
-        raise ValueError(f"selector must be in [0, {SUBS_PER_UNIT - 1}], got {selector}")
-    off = SUB_LEN * selector
-    return FragmentSelection(
-        selector=selector,
-        selected=unit[off:off + SUB_LEN],
-        remainder=unit[:off] + unit[off + SUB_LEN:],
-    )
-
-
-def reinsert(remainder: bytes, selected: bytes, selector: int) -> bytes:
-    """Inverse of ``split_unit``."""
-    if len(remainder) != REMAINDER_LEN or len(selected) != SUB_LEN:
-        raise ValueError("remainder must be 28 bytes and selected 4 bytes")
-    if not 0 <= selector < SUBS_PER_UNIT:
-        raise ValueError(f"selector must be in [0, {SUBS_PER_UNIT - 1}], got {selector}")
-    off = SUB_LEN * selector
-    return remainder[:off] + selected + remainder[off:]
-
-
-def unit_keystream(selected: bytes, key: ProtectionKey, index: int) -> bytes:
-    """28-byte keystream for one unit: SHA-256(selected || key || LE64(index))
-    truncated to match the seven remaining sub-fragments.
-
-    The index term forces distinct keystreams even for identical units.
-    """
-    if len(selected) != SUB_LEN:
-        raise ValueError(f"selected sub-fragment must be {SUB_LEN} bytes")
-    return _sha256(selected + key.bytes + index.to_bytes(8, "little"))[:REMAINDER_LEN]
-
-
-def protect_unit(unit: ContentUnit, key: ProtectionKey, selector: int | None = None) -> tuple[bytes, bytes]:
-    """Protect one unit; returns (public 28 bytes, selected 4 bytes).
-
-    When ``selector`` is omitted it is recomputed from the selector stream
-    at the unit's index (convenient but one extra hash per call; bulk
-    callers should pass it in).
-    """
-    if selector is None:
-        selector = selector_stream(key, unit.index + 1)[unit.index]
-    sel = split_unit(unit.bytes, selector)
-    keystream = unit_keystream(sel.selected, key, unit.index)
-    return _xor(sel.remainder, keystream), sel.selected
-
-
-def _protect_range(content: bytes, selectors: bytes, key_bytes: bytes, start: int, stop: int) -> tuple[bytes, bytes]:
-    """Protect units [start, stop); returns (puf part, selected part)."""
     sha = hashlib.sha256
-    puf = bytearray(REMAINDER_LEN * (stop - start))
-    picked = bytearray(SUB_LEN * (stop - start))
-    for i in range(start, stop):
-        base = UNIT_LEN * i
-        off = base + SUB_LEN * selectors[i]
-        selected = content[off:off + SUB_LEN]
-        keystream = sha(selected + key_bytes + i.to_bytes(8, "little")).digest()[:REMAINDER_LEN]
-        remainder = content[base:off] + content[off + SUB_LEN:base + UNIT_LEN]
-        j = i - start
-        puf[REMAINDER_LEN * j:REMAINDER_LEN * (j + 1)] = _xor(remainder, keystream)
-        picked[SUB_LEN * j:SUB_LEN * (j + 1)] = selected
-    return bytes(puf), bytes(picked)
+    prefix = key.bytes + _SELECTOR_DOMAIN
+    blocks = b"".join([
+        sha(prefix + t.to_bytes(8, "little")).digest()
+        for t in range(-(-unit_count // SELECTORS_PER_BLOCK))
+    ])
+    return blocks[:unit_count].translate(_MOD8)
 
 
-def protect(content: bytes, key: ProtectionKey, workers: int = 1) -> ProtectedStreams:
+def gather(units: bytes, selectors: bytes) -> tuple[bytes, bytes]:
+    """Split whole units into ``(picked, remainders)``.
+
+    ``picked`` holds the 4-byte sub-fragment each unit's selector names;
+    ``remainders`` the other seven of each unit in their original order,
+    28 bytes per unit.
+    """
+    count = len(selectors)
+    if len(units) != UNIT_LEN * count:
+        raise ValueError(f"units must be {UNIT_LEN} bytes per selector")
+    after = _after_masks(selectors)
+    w = [_int(column) for column in _columns(units, SUBS_PER_UNIT)]
+    # Remainder word k is unit word k before the pick and word k + 1 from it on.
+    remainders = [w[k + 1] ^ ((w[k] ^ w[k + 1]) & after[k]) for k in range(SUBS_PER_UNIT - 1)]
+    picked = w[-1]
+    for k in reversed(range(SUBS_PER_UNIT - 1)):
+        picked = w[k] ^ ((picked ^ w[k]) & after[k])
+    return picked.to_bytes(SUB_LEN * count, "little"), _rows([_column(r, count) for r in remainders])
+
+
+def scatter(picked: bytes, remainders: bytes, selectors: bytes) -> bytes:
+    """Inverse of ``gather``: put each picked sub-fragment back in its unit."""
+    count = len(selectors)
+    if len(picked) != SUB_LEN * count or len(remainders) != REMAINDER_LEN * count:
+        raise ValueError(f"need {SUB_LEN} picked and {REMAINDER_LEN} remainder bytes per selector")
+    after = _after_masks(selectors)
+    p = _int(picked)
+    r = [_int(column) for column in _columns(remainders, SUBS_PER_UNIT - 1)]
+    units = []
+    for k in range(SUBS_PER_UNIT):
+        # Unit word k is remainder word k before the pick, the pick itself,
+        # then remainder word k - 1.
+        word = p if k == 0 else r[k - 1] ^ ((p ^ r[k - 1]) & after[k - 1])
+        if k < SUBS_PER_UNIT - 1:
+            word ^= (r[k] ^ word) & after[k]
+        units.append(_column(word, count))
+    return _rows(units)
+
+
+def keystream(picked: bytes, key: ProtectionKey, first: int = 0) -> bytes:
+    """Joined 28-byte keystreams of units ``first``, ``first + 1``, ...
+    whose selected sub-fragments are ``picked``.
+
+    Unit i's keystream is SHA-256(selected || key || LE64(i)) truncated to
+    match its seven remaining sub-fragments.  The index term forces
+    distinct keystreams even for identical units.
+    """
+    if len(picked) % SUB_LEN:
+        raise ValueError(f"picked sub-fragments must be a multiple of {SUB_LEN} bytes")
+    if first < 0:
+        raise ValueError("first unit index must be non-negative")
+    count = len(picked) // SUB_LEN
+    indices = struct.pack(f"<{count}Q", *range(first, first + count))
+    messages = _rows([
+        _words(picked), *_columns(key.bytes * count, KEY_LEN // SUB_LEN), *_columns(indices, 2),
+    ])
+    message_len = SUB_LEN + KEY_LEN + 8
+    sha = hashlib.sha256
+    digests = b"".join([sha(m).digest() for m in struct.unpack(f"{message_len}s" * count, messages)])
+    return _rows(_columns(digests, SUBS_PER_UNIT)[:-1])
+
+
+def _chunks(unit_count: int):
+    for start in range(0, unit_count, CHUNK_UNITS):
+        yield start, min(start + CHUNK_UNITS, unit_count)
+
+
+def protect(content: bytes, key: ProtectionKey) -> ProtectedStreams:
     """Split content into protected public and private streams.
 
     Full 32-byte units are protected in index order; the tail (content
     length mod 32) goes verbatim into the private stream, never keystream
     protected, so sub-unit files end up fully cipher-protected.  The
     private stream ends with SHA-256(content) as an integrity digest.
-
-    ``workers`` > 1 protects unit ranges on a thread pool; output is
-    byte-identical to the sequential path.
+    ``counters`` tallies the hashes the pass made.
     """
     unit_count = len(content) // UNIT_LEN
-    tail = content[UNIT_LEN * unit_count:]
     selectors = selector_stream(key, unit_count)
-
-    if workers > 1 and unit_count >= workers:
-        step = -(-unit_count // workers)
-        ranges = [(s, min(s + step, unit_count)) for s in range(0, unit_count, step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda r: _protect_range(content, selectors, key.bytes, r[0], r[1]), ranges))
-        puf_payload = b"".join(p for p, _ in parts)
-        picked = b"".join(s for _, s in parts)
-    else:
-        puf_payload, picked = _protect_range(content, selectors, key.bytes, 0, unit_count)
-
-    digest = _sha256(content)
-    counters = PrimitiveCounters(
-        protection_hashes=unit_count,
-        selector_hashes=-(-unit_count // SELECTORS_PER_BLOCK),
-        digest_passes=1,
-    )
+    units = memoryview(content)
+    public, private = [], []
+    protection_hashes = 0
+    for start, stop in _chunks(unit_count):
+        picked, remainders = gather(units[UNIT_LEN * start:UNIT_LEN * stop], selectors[start:stop])
+        stream = keystream(picked, key, start)
+        protection_hashes += len(stream) // REMAINDER_LEN
+        public.append(_xor(remainders, stream))
+        private.append(picked)
+    tail = content[UNIT_LEN * unit_count:]
+    private += [tail, hashlib.sha256(content).digest()]
     return ProtectedStreams(
-        puf_payload=puf_payload,
-        prf_plain=picked + tail + digest,
+        puf_payload=b"".join(public),
+        prf_plain=b"".join(private),
         unit_count=unit_count,
         tail_len=len(tail),
-        counters=counters,
+        counters=PrimitiveCounters(
+            protection_hashes=protection_hashes,
+            selector_hashes=-(-len(selectors) // SELECTORS_PER_BLOCK),
+            digest_passes=1,
+        ),
     )
-
-
-def unprotect_remainders(puf_payload: bytes, selected_stream: bytes, key: ProtectionKey) -> bytes:
-    """XOR each public 28-byte block with the keystream implied by the
-    given selected sub-fragments.
-
-    This is exactly the computation available to a holder of the public
-    payload: with the true selected stream it yields the original
-    remainders, with guessed material it yields keystream noise.
-    """
-    if len(puf_payload) % REMAINDER_LEN:
-        raise LengthMismatch("public payload length is not a multiple of 28")
-    unit_count = len(puf_payload) // REMAINDER_LEN
-    if len(selected_stream) != SUB_LEN * unit_count:
-        raise LengthMismatch("selected stream does not cover every unit")
-    sha = hashlib.sha256
-    key_bytes = key.bytes
-    out = bytearray(len(puf_payload))
-    for i in range(unit_count):
-        selected = selected_stream[SUB_LEN * i:SUB_LEN * (i + 1)]
-        keystream = sha(selected + key_bytes + i.to_bytes(8, "little")).digest()[:REMAINDER_LEN]
-        off = REMAINDER_LEN * i
-        out[off:off + REMAINDER_LEN] = _xor(puf_payload[off:off + REMAINDER_LEN], keystream)
-    return bytes(out)
 
 
 def recover(puf_payload: bytes, prf_plain: bytes, key: ProtectionKey) -> bytes:
@@ -291,20 +284,17 @@ def recover(puf_payload: bytes, prf_plain: bytes, key: ProtectionKey) -> bytes:
     if tail_len >= UNIT_LEN:
         raise LengthMismatch("private stream tail exceeds one unit")
 
-    selected_stream = prf_plain[:SUB_LEN * unit_count]
-    tail = prf_plain[SUB_LEN * unit_count:SUB_LEN * unit_count + tail_len]
-    digest = prf_plain[-DIGEST_LEN:]
-
-    remainders = unprotect_remainders(puf_payload, selected_stream, key)
     selectors = selector_stream(key, unit_count)
-    units = []
-    for i in range(unit_count):
-        remainder = remainders[REMAINDER_LEN * i:REMAINDER_LEN * (i + 1)]
-        selected = selected_stream[SUB_LEN * i:SUB_LEN * (i + 1)]
-        units.append(reinsert(remainder, selected, selectors[i]))
-    content = b"".join(units) + tail
+    parts = []
+    for start, stop in _chunks(unit_count):
+        picked = prf_plain[SUB_LEN * start:SUB_LEN * stop]
+        stream = keystream(picked, key, start)
+        remainders = _xor(puf_payload[REMAINDER_LEN * start:REMAINDER_LEN * stop], stream)
+        parts.append(scatter(picked, remainders, selectors[start:stop]))
+    parts.append(prf_plain[SUB_LEN * unit_count:SUB_LEN * unit_count + tail_len])
+    content = b"".join(parts)
 
-    if _sha256(content) != digest:
+    if hashlib.sha256(content).digest() != prf_plain[-DIGEST_LEN:]:
         raise IntegrityFailure("content digest mismatch", attempted=content)
     return content
 

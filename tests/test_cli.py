@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import sefrag
 from sefrag.cli import main
 
 KEY = "000102030405060708090a0b0c0d0e0f"
@@ -15,6 +16,13 @@ OTHER_KEY = "ffeeddccbbaa99887766554433221100"
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def _package_env() -> dict:
+    """Environment whose PYTHONPATH starts with this sefrag's package root,
+    so a child interpreter imports the same sources from any directory."""
+    root = str(Path(sefrag.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
 
 
 @pytest.fixture
@@ -266,6 +274,7 @@ class TestServeCommand:
     def test_serve_put_get_and_clean_shutdown(self, sample, tmp_path):
         proc = subprocess.Popen(
             [sys.executable, "-m", "sefrag", "serve", "--bind", "127.0.0.1:0", "--root", str(tmp_path / "srv")],
+            env=_package_env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,

@@ -9,16 +9,14 @@ from hypothesis import strategies as st
 
 from sefrag import core
 from sefrag.core import (
-    ContentUnit,
+    CHUNK_UNITS,
     ProtectionKey,
+    gather,
+    keystream,
     protect,
-    protect_unit,
     recover,
-    reinsert,
+    scatter,
     selector_stream,
-    split_unit,
-    unit_keystream,
-    unprotect_remainders,
 )
 from sefrag.errors import IntegrityFailure, LengthMismatch
 
@@ -41,6 +39,31 @@ KEYSTREAM_ZERO_VECTOR = bytes.fromhex(
 EMPTY_DIGEST = bytes.fromhex(
     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 )
+
+
+def reference_protect(content: bytes, key: ProtectionKey) -> tuple[bytes, bytes]:
+    """The construction written out unit by unit, independent of the kernel.
+
+    Unit i's public part is SHA-256(selected || key || LE64(i))[:28] XOR its
+    remainder; the private stream is the selected sub-fragments, the tail
+    and SHA-256(content).
+    """
+    unit_count = len(content) // 32
+    selectors = [
+        b % 8
+        for t in range(-(-unit_count // 32))
+        for b in hashlib.sha256(key.bytes + b"FRAG-SEL" + t.to_bytes(8, "little")).digest()
+    ]
+    public, private = [], []
+    for i in range(unit_count):
+        unit = content[32 * i:32 * (i + 1)]
+        off = 4 * selectors[i]
+        selected, remainder = unit[off:off + 4], unit[:off] + unit[off + 4:]
+        pad = hashlib.sha256(selected + key.bytes + i.to_bytes(8, "little")).digest()[:28]
+        public.append(bytes(a ^ b for a, b in zip(remainder, pad)))
+        private.append(selected)
+    tail = content[32 * unit_count:]
+    return b"".join(public), b"".join(private) + tail + hashlib.sha256(content).digest()
 
 
 class TestProtectionKey:
@@ -88,66 +111,107 @@ class TestSelectorStream:
 
 
 class TestSplitUnit:
+    """``gather`` splits units and ``scatter`` puts them back together."""
+
     UNIT = bytes(range(32))
 
     def test_selector_0(self):
-        sel = split_unit(self.UNIT, 0)
-        assert sel.selected == bytes.fromhex("00010203")
-        assert sel.remainder == self.UNIT[4:]
+        picked, remainders = gather(self.UNIT, b"\x00")
+        assert picked == bytes.fromhex("00010203")
+        assert remainders == self.UNIT[4:]
 
     def test_selector_7(self):
-        sel = split_unit(self.UNIT, 7)
-        assert sel.selected == self.UNIT[28:]
-        assert sel.remainder == self.UNIT[:28]
+        picked, remainders = gather(self.UNIT, b"\x07")
+        assert picked == self.UNIT[28:]
+        assert remainders == self.UNIT[:28]
 
     @pytest.mark.parametrize("selector", range(8))
     def test_reinsert_inverse(self, selector):
-        sel = split_unit(self.UNIT, selector)
-        assert sel.unit() == self.UNIT
-        assert reinsert(sel.remainder, sel.selected, selector) == self.UNIT
+        sel = bytes([selector])
+        picked, remainders = gather(self.UNIT, sel)
+        off = 4 * selector
+        assert picked == self.UNIT[off:off + 4]
+        assert remainders == self.UNIT[:off] + self.UNIT[off + 4:]
+        assert scatter(picked, remainders, sel) == self.UNIT
+
+    def test_mixed_selectors_match_unit_by_unit_split(self):
+        rng = random.Random(11)
+        count = 1000
+        units = rng.randbytes(32 * count)
+        selectors = bytes(rng.randrange(8) for _ in range(count))
+        picked, remainders = gather(units, selectors)
+        for i, s in enumerate(selectors):
+            unit = units[32 * i:32 * (i + 1)]
+            assert picked[4 * i:4 * (i + 1)] == unit[4 * s:4 * s + 4]
+            assert remainders[28 * i:28 * (i + 1)] == unit[:4 * s] + unit[4 * s + 4:]
+        assert scatter(picked, remainders, selectors) == units
+
+    def test_empty(self):
+        assert gather(b"", b"") == (b"", b"")
+        assert scatter(b"", b"", b"") == b""
 
     def test_selector_out_of_range(self):
-        with pytest.raises(ValueError):
-            split_unit(self.UNIT, 8)
-        with pytest.raises(ValueError):
-            split_unit(self.UNIT, -1)
+        for bad in (b"\x08", b"\xff"):
+            with pytest.raises(ValueError):
+                gather(self.UNIT, bad)
+            with pytest.raises(ValueError):
+                scatter(bytes(4), bytes(28), bad)
 
     def test_bad_unit_length(self):
         with pytest.raises(ValueError):
-            split_unit(b"\x00" * 31, 0)
+            gather(b"\x00" * 31, b"\x00")
+        with pytest.raises(ValueError):
+            gather(self.UNIT, b"\x00\x00")
 
 
 class TestUnitKeystream:
     def test_zero_vector_known_answer(self):
-        ks = unit_keystream(bytes(4), ZERO_KEY, 0)
+        ks = keystream(bytes(4), ZERO_KEY, 0)
         assert ks == KEYSTREAM_ZERO_VECTOR
         assert len(ks) == 28
 
     def test_deterministic(self):
         key = ProtectionKey.random()
-        assert unit_keystream(b"abcd", key, 7) == unit_keystream(b"abcd", key, 7)
+        assert keystream(b"abcd", key, 7) == keystream(b"abcd", key, 7)
 
     def test_index_forces_distinct_streams(self):
-        assert unit_keystream(bytes(4), ZERO_KEY, 0) != unit_keystream(bytes(4), ZERO_KEY, 1)
+        assert keystream(bytes(4), ZERO_KEY, 0) != keystream(bytes(4), ZERO_KEY, 1)
+        both = keystream(bytes(8), ZERO_KEY)
+        assert both[:28] != both[28:]
+
+    def test_batch_matches_unit_by_unit(self):
+        rng = random.Random(12)
+        key = ProtectionKey(rng.randbytes(16))
+        picked = rng.randbytes(4 * 300)
+        first = 2 ** 40 + 5
+        want = b"".join(keystream(picked[4 * i:4 * (i + 1)], key, first + i) for i in range(300))
+        assert keystream(picked, key, first) == want
+
+    def test_length_and_index_checks(self):
+        assert keystream(b"", ZERO_KEY) == b""
+        with pytest.raises(ValueError):
+            keystream(bytes(5), ZERO_KEY)
+        with pytest.raises(ValueError):
+            keystream(bytes(4), ZERO_KEY, -1)
 
     def test_avalanche_statistical(self):
         # Single-bit input flips should change roughly half the output bits.
         rng = random.Random(0x5EFA)
         base_sel, base_key, base_idx = b"\x11\x22\x33\x44", ProtectionKey(bytes(range(16))), 5
-        base = unit_keystream(base_sel, base_key, base_idx)
+        base = keystream(base_sel, base_key, base_idx)
         distances = []
         for _ in range(200):
             field = rng.randrange(3)
             if field == 0:
                 buf = bytearray(base_sel)
                 buf[rng.randrange(4)] ^= 1 << rng.randrange(8)
-                ks = unit_keystream(bytes(buf), base_key, base_idx)
+                ks = keystream(bytes(buf), base_key, base_idx)
             elif field == 1:
                 buf = bytearray(base_key.bytes)
                 buf[rng.randrange(16)] ^= 1 << rng.randrange(8)
-                ks = unit_keystream(base_sel, ProtectionKey(bytes(buf)), base_idx)
+                ks = keystream(base_sel, ProtectionKey(bytes(buf)), base_idx)
             else:
-                ks = unit_keystream(base_sel, base_key, base_idx ^ (1 << rng.randrange(60)))
+                ks = keystream(base_sel, base_key, base_idx ^ (1 << rng.randrange(60)))
             assert ks != base
             distances.append(bin(int.from_bytes(ks, "big") ^ int.from_bytes(base, "big")).count("1"))
         mean = sum(distances) / len(distances)
@@ -155,29 +219,32 @@ class TestUnitKeystream:
 
 
 class TestProtectUnit:
+    """One unit through the pipeline: gather, keystream, XOR, scatter."""
+
     def test_xor_involution(self):
         key = ProtectionKey.random()
-        unit = ContentUnit(bytes(range(32)), 3)
-        puf_unit, selected = protect_unit(unit, key)
-        selector = selector_stream(key, 4)[3]
-        keystream = unit_keystream(selected, key, 3)
-        remainder = core._xor(puf_unit, keystream)
-        assert reinsert(remainder, selected, selector) == unit.bytes
+        unit = bytes(range(32))
+        selector = selector_stream(key, 4)[3:4]
+        picked, remainder = gather(unit, selector)
+        puf_unit = core._xor(remainder, keystream(picked, key, 3))
+        assert puf_unit != remainder
+        assert scatter(picked, core._xor(puf_unit, keystream(picked, key, 3)), selector) == unit
 
     def test_zero_unit_exposes_keystream(self):
         # XOR with an all-zero remainder is the keystream itself.
-        key = ZERO_KEY
-        unit = ContentUnit(bytes(32), 0)
-        selector = selector_stream(key, 1)[0]
-        puf_unit, selected = protect_unit(unit, key, selector)
-        assert selected == bytes(4)
-        assert puf_unit == unit_keystream(bytes(4), key, 0) == KEYSTREAM_ZERO_VECTOR
+        streams = protect(bytes(32), ZERO_KEY)
+        assert streams.prf_plain[:4] == bytes(4)
+        assert streams.puf_payload == keystream(bytes(4), ZERO_KEY, 0) == KEYSTREAM_ZERO_VECTOR
 
     def test_explicit_selector_matches_derived(self):
-        key = ProtectionKey.random()
-        unit = ContentUnit(b"\xab" * 32, 9)
-        selector = selector_stream(key, 10)[9]
-        assert protect_unit(unit, key) == protect_unit(unit, key, selector)
+        # The pipeline spelled out with an explicit selector stream is protect.
+        rng = random.Random(9)
+        key = ProtectionKey(rng.randbytes(16))
+        content = rng.randbytes(32 * 10)
+        picked, remainders = gather(content, selector_stream(key, 10))
+        streams = protect(content, key)
+        assert streams.puf_payload == core._xor(remainders, keystream(picked, key))
+        assert streams.prf_plain[:40] == picked
 
 
 class TestProtect:
@@ -218,14 +285,29 @@ class TestProtect:
         streams = protect(bytes(length), ZERO_KEY)
         assert streams.selected_bytes == length // 8
 
-    def test_parallel_matches_sequential(self):
+    def test_matches_reference_across_chunk_boundaries(self):
+        c = 32 * CHUNK_UNITS
         rng = random.Random(7)
-        content = rng.randbytes(32 * 257 + 13)
         key = ProtectionKey(rng.randbytes(16))
-        seq = protect(content, key)
-        par = protect(content, key, workers=4)
-        assert par.puf_payload == seq.puf_payload
-        assert par.prf_plain == seq.prf_plain
+        for length in (0, 31, 32, 33, c - 1, c, c + 1, 2 * c + 7):
+            content = rng.randbytes(length)
+            streams = protect(content, key)
+            assert (streams.puf_payload, streams.prf_plain) == reference_protect(content, key), length
+            assert recover(streams.puf_payload, streams.prf_plain, key) == content, length
+
+    def test_last_chunk_bit_flips_fail_integrity(self):
+        units = 2 * CHUNK_UNITS
+        rng = random.Random(8)
+        key = ProtectionKey(rng.randbytes(16))
+        streams = protect(rng.randbytes(32 * units + 7), key)
+        puf = bytearray(streams.puf_payload)
+        puf[28 * (units - 1) + 5] ^= 0x01
+        with pytest.raises(IntegrityFailure):
+            recover(bytes(puf), streams.prf_plain, key)
+        prf = bytearray(streams.prf_plain)
+        prf[4 * (units - 1) + 2] ^= 0x80
+        with pytest.raises(IntegrityFailure):
+            recover(streams.puf_payload, bytes(prf), key)
 
 
 class TestRecover:
@@ -288,21 +370,23 @@ class TestRecover:
 
 
 class TestUnprotectRemainders:
+    """XOR of the public payload with the keystream the selected bytes imply."""
+
     def test_true_stream_recovers_remainders(self):
         rng = random.Random(3)
         content = rng.randbytes(32 * 8)
         key = ProtectionKey(rng.randbytes(16))
         streams = protect(content, key)
-        remainders = unprotect_remainders(streams.puf_payload, streams.prf_plain[:32], key)
+        picked = streams.prf_plain[:32]
+        remainders = core._xor(streams.puf_payload, keystream(picked, key))
         selectors = selector_stream(key, 8)
-        rebuilt = b"".join(
-            reinsert(remainders[28 * i:28 * (i + 1)], streams.prf_plain[4 * i:4 * (i + 1)], selectors[i])
-            for i in range(8)
-        )
-        assert rebuilt == content
+        assert remainders == gather(content, selectors)[1]
+        assert scatter(picked, remainders, selectors) == content
 
     def test_length_checks(self):
-        with pytest.raises(LengthMismatch):
-            unprotect_remainders(bytes(27), bytes(4), ZERO_KEY)
-        with pytest.raises(LengthMismatch):
-            unprotect_remainders(bytes(28), bytes(3), ZERO_KEY)
+        with pytest.raises(ValueError):
+            keystream(bytes(3), ZERO_KEY)
+        with pytest.raises(ValueError):
+            scatter(bytes(4), bytes(27), b"\x00")
+        with pytest.raises(ValueError):
+            scatter(bytes(3), bytes(28), b"\x00")
