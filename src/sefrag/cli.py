@@ -251,11 +251,14 @@ def cmd_request(args) -> int:
     store = _policy_store(store_dir)
     party = Party(args.caller, args.role)
     record_id = _record_id(args.record)
-    index = _placement_index(store_dir) if args.out_dir else None
-    decision = sharing.request_access(store, party, record_id, index=index)
+    placement = None
+    if args.out_dir:
+        placement = _placement_index(store_dir).lookup(record_id)
+        if placement is None:
+            raise UnknownRecord(f"no placement for record {record_id.hex()}")
+    decision = sharing.request_access(store, party, record_id)
     print(decision.value)
-    if args.out_dir and decision != Decision.DENIED:
-        placement = index.lookup(record_id)
+    if placement is not None and decision != Decision.DENIED:
         backends = {
             "device": _device_backend(store_dir),
             "cloud": _cloud_backend(args, store_dir),

@@ -6,8 +6,10 @@ per unit as private material, and the remaining 28 bytes are XORed with
 a keystream hashed from (selected sub-fragment, key, unit index).  The
 concatenated protected remainders form the public payload; the selected
 sub-fragments, the sub-unit tail, and a content digest form the private
-stream.  Without the private stream the keystreams cannot be recomputed,
-so holding the public payload plus the key still unlocks nothing.
+stream.  Without the private stream the keystreams cannot be recomputed
+directly.  The public payload plus the key is still not safe: an
+attacker can recover each unit by trying the 2^32 values of its
+selected sub-fragment and keeping the one whose unit looks plausible.
 
 ``protect`` and ``recover`` run one pipeline over chunks of at most
 ``CHUNK_UNITS`` units: ``gather`` splits the units into their picked

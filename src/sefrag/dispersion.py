@@ -16,12 +16,24 @@ Wire protocol, one TCP connection carrying any number of requests::
     status:  0x00 OK, 0x01 NOT_FOUND, 0x02 ERROR
 
 The server re-verifies that a PUT id matches the payload hash and
-answers ERROR otherwise.  Payloads are capped at 1 GiB.
+answers ERROR otherwise.  Payloads are capped at 1 GiB.  An unknown
+opcode gets ERROR and a closed connection: its frame length is unknown.
 
 ``disperse`` enforces the placement rule: the public fragment goes to
 the untrusted (cloud) backend, the private fragment to the device
-backend, and the two must never share a backend; holding either store,
-even together with the key, is then insufficient to reconstruct data.
+backend, and the two must never share a backend.  Neither store alone
+opens a record, but the cloud store plus the key is not safe: an
+attacker can recover each 32-byte unit by trying the 2^32 values of its
+selected 4-byte sub-fragment.
+
+``PlacementIndex`` is an append-only JSONL file, one placement per
+line, where the last line for a record wins.  ``lookup`` reads the file
+as bytes and searches it from the end for the record id's hex, parsing
+only the line it lands in; a hit inside another line's blob id is
+skipped by checking that line's ``record_id``.  A line counts only once
+its newline is written: a torn final fragment is ignored, ``record``
+starts a new line after one, and a line that is not JSON (such a
+fragment, once terminated) is skipped.
 """
 
 from __future__ import annotations
@@ -143,8 +155,12 @@ class DirectoryBackend(Backend):
     def put(self, payload: bytes) -> BlobRef:
         ref = BlobRef.for_payload(payload)
         path = self._path(ref)
-        if path.exists():
-            return ref
+        try:
+            if path.read_bytes() == payload:
+                return ref
+        except FileNotFoundError:
+            pass
+        # Absent, or present but corrupted: (re)write it.
         path.parent.mkdir(exist_ok=True)
         # Temp file + rename so readers never observe a partial blob.
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
@@ -256,8 +272,9 @@ class _BlobRequestHandler(socketserver.BaseRequestHandler):
                 return
             opcode = op_raw[0]
             if opcode not in (OP_PUT, OP_GET, OP_DELETE, OP_STAT):
+                # Frame sync is lost: hang up.
                 sock.sendall(bytes([ST_ERROR]))
-                continue
+                return
             try:
                 ref = BlobRef(_recv_exact(sock, 32))
                 if opcode == OP_PUT:
@@ -372,24 +389,53 @@ class PlacementIndex:
         self.path = Path(path)
 
     def record(self, placement: Placement):
+        line = json.dumps(placement.to_json()).encode() + b"\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fp:
-            fp.write(json.dumps(placement.to_json()) + "\n")
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            end = os.lseek(fd, 0, os.SEEK_END)
+            if end and os.pread(fd, 1, end - 1) != b"\n":
+                line = b"\n" + line  # close a torn append first
+            if os.write(fd, line) != len(line):
+                raise OSError(f"short write to {self.path}")
+        finally:
+            os.close(fd)
+
+    def _complete_lines(self) -> bytes:
+        """The file's bytes up to and including its last newline."""
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            return b""
+        return data[: data.rfind(b"\n") + 1]
+
+    @staticmethod
+    def _parse(line: bytes) -> Placement | None:
+        try:
+            obj = json.loads(line)
+        except ValueError:
+            return None  # the remains of a torn append
+        return Placement.from_json(obj)
 
     def records(self) -> dict[bytes, Placement]:
         out: dict[bytes, Placement] = {}
-        if not self.path.exists():
-            return out
-        with self.path.open(encoding="utf-8") as fp:
-            for line in fp:
-                line = line.strip()
-                if line:
-                    placement = Placement.from_json(json.loads(line))
-                    out[placement.record_id] = placement
+        for line in self._complete_lines().splitlines():
+            placement = self._parse(line)
+            if placement is not None:
+                out[placement.record_id] = placement
         return out
 
     def lookup(self, record_id: bytes) -> Placement | None:
-        return self.records().get(record_id)
+        data = self._complete_lines()
+        needle = record_id.hex().encode()
+        hit = data.rfind(needle)
+        while hit >= 0:
+            start = data.rfind(b"\n", 0, hit) + 1
+            placement = self._parse(data[start : data.index(b"\n", hit)])
+            if placement is not None and placement.record_id == record_id:
+                return placement
+            hit = data.rfind(needle, 0, start)
+        return None
 
     def __contains__(self, record_id: bytes) -> bool:
         return self.lookup(record_id) is not None
@@ -406,14 +452,25 @@ def disperse(
 
     The public fragment goes to the cloud first; the private fragment is
     stored only after that succeeds, so a cloud failure leaves no partial
-    placement behind.
+    placement behind.  If the device then fails, the cloud blob is
+    deleted again (best effort) unless the index already records it for
+    this record, and the device's error propagates.
     """
     if device_backend is cloud_backend or device_backend.name == cloud_backend.name:
         raise SameBackend(
             f"public and private fragments must not share backend {cloud_backend.name!r}"
         )
     puf_ref = cloud_backend.put(puf.to_bytes())
-    prf_ref = device_backend.put(prf.to_bytes())
+    try:
+        prf_ref = device_backend.put(prf.to_bytes())
+    except Exception:
+        prior = index.lookup(puf.file_id) if index is not None else None
+        if prior is None or prior.puf_ref != puf_ref:
+            try:
+                cloud_backend.delete(puf_ref)
+            except (BackendUnavailable, OSError):
+                pass
+        raise
     placement = Placement(
         record_id=puf.file_id,
         puf_ref=puf_ref,

@@ -9,6 +9,7 @@ import pytest
 
 import sefrag
 from sefrag.cli import main
+from sefrag.dispersion import PlacementIndex
 
 KEY = "000102030405060708090a0b0c0d0e0f"
 OTHER_KEY = "ffeeddccbbaa99887766554433221100"
@@ -259,11 +260,44 @@ class TestStoreCommands:
         assert (out / f"{record}.puf").exists()
         assert not (out / f"{record}.prf").exists()
 
-    def test_request_out_dir_for_unplaced_record_exits_5(self, tmp_path):
+    def test_request_out_dir_for_unplaced_record_exits_5(self, sealed, tmp_path, capsys):
         code = run_cli(
             "request", "11" * 16, "--as", "p", "--store", tmp_path / "s", "--out-dir", tmp_path / "o"
         )
         assert code == 5
+        # Also with an index that holds other records, and a trusted role.
+        _, puf, prf = sealed
+        run_cli("put", puf, prf, "--store", tmp_path / "s")
+        capsys.readouterr()
+        code = run_cli(
+            "request", "11" * 16, "--as", "dr", "--role", "doctor",
+            "--store", tmp_path / "s", "--out-dir", tmp_path / "o",
+        )
+        assert code == 5
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "o").exists()
+
+    def test_request_out_dir_reads_index_once(self, sealed, tmp_path, capsys, monkeypatch):
+        record, puf, prf = sealed
+        store = tmp_path / "store"
+        run_cli("put", puf, prf, "--store", store)
+        capsys.readouterr()
+        reads = []
+        for name in ("lookup", "records"):
+            method = getattr(PlacementIndex, name)
+
+            def counted(self, *args, _method=method, _name=name):
+                reads.append(_name)
+                return _method(self, *args)
+
+            monkeypatch.setattr(PlacementIndex, name, counted)
+        out = tmp_path / "released"
+        code = run_cli("request", record, "--as", "dr", "--role", "doctor", "--store", store, "--out-dir", out)
+        assert code == 0
+        assert capsys.readouterr().out.strip() == "Full"
+        assert reads == ["lookup"]
+        assert (out / f"{record}.puf").read_bytes() == puf.read_bytes()
+        assert (out / f"{record}.prf").read_bytes() == prf.read_bytes()
 
     def test_bad_record_id_exits_2(self, tmp_path):
         assert run_cli("request", "not-hex", "--as", "p", "--store", tmp_path / "s") == 2

@@ -1,5 +1,7 @@
 """Backend, wire-protocol, and placement tests."""
 
+import json
+import random
 import socket
 import struct
 
@@ -9,6 +11,8 @@ from sefrag import container, core
 from sefrag.container import seal
 from sefrag.core import ProtectionKey
 from sefrag.dispersion import (
+    OP_GET,
+    OP_STAT,
     BlobRef,
     BlobServer,
     DirectoryBackend,
@@ -92,6 +96,17 @@ class TestLocalBackends:
         with pytest.raises(CorruptBlob):
             backend.get(ref)
 
+    def test_put_heals_corrupted_blob(self, tmp_path):
+        backend = DirectoryBackend(tmp_path)
+        payload = b"precious bytes"
+        ref = backend.put(payload)
+        path = tmp_path / ref.hex[:2] / ref.hex
+        path.write_bytes(b"rotten" + payload[6:])
+        with pytest.raises(CorruptBlob):
+            backend.get(ref)
+        assert backend.put(payload) == ref
+        assert backend.get(ref) == payload
+
     def test_delete(self, tmp_path):
         backend = DirectoryBackend(tmp_path)
         ref = backend.put(b"gone soon")
@@ -120,15 +135,23 @@ class TestWireProtocol:
         with pytest.raises(NotFound):
             remote.get(BlobRef(bytes(32)))
 
-    def test_malformed_opcode_keeps_connection_usable(self, served):
+    def test_unknown_opcode_closes_connection(self, served):
         server, remote = served
-        ref = remote.put(b"still here")
+        payload = b"still here"
+        ref = remote.put(payload)
+        # 0x09 + id: the id's first byte (0x04) must not be read as a STAT.
+        for frame in (b"\x09" + bytes([OP_STAT]) + bytes(31), b"\xff"):
+            with socket.create_connection(server.address, timeout=5) as sock:
+                sock.sendall(frame)
+                assert sock.recv(1) == b"\x02"  # ERROR
+                assert sock.recv(1) == b""  # then EOF
+        # A fresh connection is served as usual.
         with socket.create_connection(server.address, timeout=5) as sock:
-            sock.sendall(b"\xff")
-            assert sock.recv(1) == b"\x02"  # ERROR
-            # Same connection, valid STAT afterwards.
-            sock.sendall(b"\x04" + ref.id)
-            assert sock.recv(1) == b"\x00"  # OK
+            sock.sendall(bytes([OP_GET]) + ref.id)
+            assert sock.recv(1) == b"\x00"
+            (length,) = struct.unpack("<Q", sock.recv(8))
+            assert length == len(payload)
+        assert remote.get(ref) == payload
 
     def test_put_with_lying_id_rejected(self, served):
         server, _ = served
@@ -160,6 +183,11 @@ class TestWireProtocol:
             _, port = server.address
             with pytest.raises(BindError):
                 BlobServer("127.0.0.1", port, tmp_path / "b")
+
+
+class _FailingBackend(MemoryBackend):
+    def put(self, payload: bytes) -> BlobRef:
+        raise BackendUnavailable(f"{self.name}: disk full")
 
 
 class TestDisperse:
@@ -197,8 +225,30 @@ class TestDisperse:
         assert len(device) == 0
         assert index.lookup(puf.file_id) is None
 
+    def test_device_failure_deletes_cloud_blob(self, tmp_path):
+        device = _FailingBackend("device")
+        cloud = DirectoryBackend(tmp_path / "cloud", name="cloud")
+        index = PlacementIndex(tmp_path / "placements.jsonl")
+        puf, prf = seal(b"half placed" * 30, KEY)
+        with pytest.raises(BackendUnavailable):
+            disperse(puf, prf, device, cloud, index)
+        assert [p for p in (tmp_path / "cloud").rglob("*") if p.is_file()] == []
+        assert index.lookup(puf.file_id) is None
+        assert index.records() == {}
+
+    def test_device_failure_keeps_an_already_recorded_cloud_blob(self, tmp_path):
+        cloud = MemoryBackend("cloud")
+        index = PlacementIndex(tmp_path / "placements.jsonl")
+        puf, prf = seal(b"placed twice" * 30, KEY)
+        placement = disperse(puf, prf, MemoryBackend("device"), cloud, index)
+        with pytest.raises(BackendUnavailable):
+            disperse(puf, prf, _FailingBackend("device"), cloud, index)
+        assert cloud.get(placement.puf_ref) == puf.to_bytes()
+        assert index.lookup(puf.file_id) == placement
+
     def test_cloud_alone_plus_key_recovers_nothing(self, tmp_path):
-        # Composite claim: the cloud store plus the key cannot rebuild content.
+        # The cloud store plus the key does not open directly; a unit-by-unit
+        # search over the 2^32 selected values is not attempted here.
         device = MemoryBackend("device")
         cloud = MemoryBackend("cloud")
         data = bytes(1024)
@@ -215,6 +265,10 @@ class TestPlacementIndex:
         index = PlacementIndex(tmp_path / "none.jsonl")
         assert index.lookup(bytes(16)) is None
         assert bytes(16) not in index
+        assert index.records() == {}
+        index.path.write_bytes(b"")
+        assert index.lookup(bytes(16)) is None
+        assert index.records() == {}
 
     def test_last_write_wins(self, tmp_path):
         index = PlacementIndex(tmp_path / "p.jsonl")
@@ -229,3 +283,53 @@ class TestPlacementIndex:
     def test_json_round_trip(self, tmp_path):
         placement = Placement(bytes(16), BlobRef(bytes(32)), "a", BlobRef(b"\xff" * 32), "b")
         assert Placement.from_json(placement.to_json()) == placement
+
+    def test_record_writes_one_json_line(self, tmp_path):
+        index = PlacementIndex(tmp_path / "p.jsonl")
+        placement = Placement(bytes(range(16)), BlobRef(bytes(32)), "a", BlobRef(b"\xff" * 32), "b")
+        index.record(placement)
+        index.record(placement)
+        line = json.dumps(placement.to_json()) + "\n"
+        assert index.path.read_text(encoding="ascii") == line * 2
+
+    def test_lookup_matches_records(self, tmp_path):
+        rng = random.Random(4)
+        index = PlacementIndex(tmp_path / "p.jsonl")
+        rids = [rng.randbytes(16) for _ in range(60)]
+        hidden, absent_hidden = rng.randbytes(16), rng.randbytes(16)
+
+        def placement(rid, blob=None):
+            blob = blob or rng.randbytes(32)
+            return Placement(rid, BlobRef(blob), "cloud", BlobRef(rng.randbytes(32)), "device")
+
+        index.record(placement(hidden))
+        for rid in rids + [rng.choice(rids) for _ in range(140)]:
+            index.record(placement(rid))
+        # Later lines whose blob ids contain the hex of a present record id
+        # and of an absent one.
+        index.record(placement(rids[0], hidden + rng.randbytes(16)))
+        index.record(placement(rids[1], rng.randbytes(8) + absent_hidden + rng.randbytes(8)))
+
+        listing = index.records()
+        assert len(listing) == len(set(rids)) + 1
+        for rid in [*rids, hidden, absent_hidden, bytes(16)]:
+            assert index.lookup(rid) == listing.get(rid)
+            assert (rid in index) == (rid in listing)
+        assert index.lookup(hidden).record_id == hidden
+        assert index.lookup(absent_hidden) is None
+
+    def test_torn_append_is_ignored_then_closed(self, tmp_path):
+        index = PlacementIndex(tmp_path / "p.jsonl")
+        old = Placement(bytes(range(16)), BlobRef(bytes(32)), "cloud", BlobRef(bytes(32)), "device")
+        torn = Placement(b"\x07" * 16, BlobRef(b"\x01" * 32), "cloud", BlobRef(bytes(32)), "device")
+        new = Placement(b"\x09" * 16, BlobRef(b"\x02" * 32), "cloud", BlobRef(bytes(32)), "device")
+        index.record(old)
+        with index.path.open("ab") as fp:  # a crash partway through an append
+            fp.write(json.dumps(torn.to_json()).encode()[:60])
+        assert index.records() == {old.record_id: old}
+        assert index.lookup(torn.record_id) is None
+        index.record(new)
+        assert index.lookup(old.record_id) == old
+        assert index.lookup(new.record_id) == new
+        assert index.lookup(torn.record_id) is None
+        assert index.records() == {old.record_id: old, new.record_id: new}
