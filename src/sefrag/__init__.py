@@ -7,121 +7,47 @@ from the selected bytes, the key, and the unit index. The private
 stream (selected bytes, tail, integrity digest) is AES-protected and
 stays on trusted storage; the public fragment is safe to hand to an
 untrusted backend, which learns nothing even if it also knows the key.
+
+Public names are imported from their module on first use (PEP 562), so
+``python -m sefrag protect`` does not load storage, sharing, analysis
+or bench code it never calls.
 """
 
-from .analysis import ByteHistogram, entropy, entropy_of, histogram, pdf_csv
-from .bench import BenchReport, run_bench
-from .container import (
-    PrfContainer,
-    PufContainer,
-    derive_key,
-    open,
-    seal,
-    split_header,
-    strip_header,
-)
-from .core import ProtectedStreams, ProtectionKey, protect, recover
-from .dispersion import (
-    Backend,
-    BlobRef,
-    BlobServer,
-    DirectoryBackend,
-    MemoryBackend,
-    Placement,
-    PlacementIndex,
-    RemoteBackend,
-    disperse,
-    serve,
-)
-from .errors import (
-    BackendUnavailable,
-    BadPadding,
-    BindError,
-    CorruptBlob,
-    EmptyInput,
-    EmptyPassphrase,
-    FormatError,
-    IntegrityFailure,
-    LengthMismatch,
-    NotDicom,
-    NotFound,
-    NotOwner,
-    PairMismatch,
-    SameBackend,
-    SefragError,
-    TooShort,
-    UnknownRecord,
-)
-from .sharing import (
-    Decision,
-    Party,
-    PolicyStore,
-    Release,
-    Role,
-    SharePolicy,
-    grant,
-    release,
-    request_access,
-    revoke,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Backend",
-    "BackendUnavailable",
-    "BadPadding",
-    "BenchReport",
-    "BindError",
-    "BlobRef",
-    "BlobServer",
-    "ByteHistogram",
-    "CorruptBlob",
-    "Decision",
-    "DirectoryBackend",
-    "EmptyInput",
-    "EmptyPassphrase",
-    "FormatError",
-    "IntegrityFailure",
-    "LengthMismatch",
-    "MemoryBackend",
-    "NotDicom",
-    "NotFound",
-    "NotOwner",
-    "PairMismatch",
-    "Party",
-    "Placement",
-    "PlacementIndex",
-    "PolicyStore",
-    "PrfContainer",
-    "ProtectedStreams",
-    "ProtectionKey",
-    "PufContainer",
-    "Release",
-    "RemoteBackend",
-    "Role",
-    "SameBackend",
-    "SefragError",
-    "SharePolicy",
-    "TooShort",
-    "UnknownRecord",
-    "derive_key",
-    "disperse",
-    "entropy",
-    "entropy_of",
-    "grant",
-    "histogram",
-    "open",
-    "pdf_csv",
-    "protect",
-    "recover",
-    "release",
-    "request_access",
-    "revoke",
-    "run_bench",
-    "seal",
-    "serve",
-    "split_header",
-    "strip_header",
-    "__version__",
-]
+# Each submodule and the public names it defines.
+_HOMES = {
+    "analysis": "ByteHistogram entropy entropy_of histogram pdf_csv",
+    "bench": "BenchReport run_bench",
+    "container": "PrfContainer PufContainer derive_key open seal split_header strip_header",
+    "core": "ProtectedStreams ProtectionKey protect recover",
+    "dispersion": "Backend BlobRef BlobServer DirectoryBackend MemoryBackend Placement "
+    "PlacementIndex RemoteBackend disperse",
+    "errors": "BackendUnavailable BadPadding BindError CorruptBlob EmptyInput EmptyPassphrase "
+    "FormatError IntegrityFailure LengthMismatch NotDicom NotFound NotOwner PairMismatch "
+    "SameBackend SefragError TooShort UnknownRecord",
+    "sharing": "Decision Party PolicyStore Release Role SharePolicy grant release "
+    "request_access revoke",
+}
+# Public name -> the submodule that defines it.
+_EXPORTS = {name: module for module, names in _HOMES.items() for name in names.split()}
+_SUBMODULES = frozenset(_HOMES)
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = getattr(importlib.import_module("." + _EXPORTS[name], __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module("." + name, __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -17,38 +17,25 @@ tokens, entropy values); diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import getpass
 import os
-import signal
 import sys
-import tempfile
-import threading
 from pathlib import Path
 
-from . import analysis, bench, container, dispersion, sharing
-from .container import PrfContainer, PufContainer
+# Only what protect and recover use is imported here; every other
+# command imports its modules when it runs, so a short-lived
+# ``python -m sefrag protect`` does not pay for storage or sharing code.
+# Calls go through module and class attributes (``dispersion.disperse``),
+# which is where the layer tracer hooks in.
+from . import container
+from .container import PrfContainer, PufContainer, atomic_write
 from .core import ProtectionKey
-from .dispersion import Backend, BlobRef, DirectoryBackend, PlacementIndex, RemoteBackend
-from .errors import (
-    BackendUnavailable,
-    BadPadding,
-    BindError,
-    CorruptBlob,
-    EmptyInput,
-    EmptyPassphrase,
-    FormatError,
-    IntegrityFailure,
-    NotFound,
-    NotOwner,
-    PairMismatch,
-    SameBackend,
-    UnknownRecord,
-)
-from .sharing import Decision, Party, PolicyStore
+from .errors import NotFound, PairMismatch, SefragError, UnknownRecord
 
 
 class _Usage(Exception):
     """Command invoked with unusable arguments."""
+
+    exit_code = 2
 
 
 def _parse_hostport(text: str) -> tuple[str, int]:
@@ -64,6 +51,8 @@ def _parse_hostport(text: str) -> tuple[str, int]:
 def _read_passphrase(args) -> bytes:
     if args.passphrase_file:
         return Path(args.passphrase_file).read_bytes().rstrip(b"\r\n")
+    import getpass
+
     return getpass.getpass("passphrase: ").encode()
 
 
@@ -95,39 +84,31 @@ def _record_id(text: str) -> bytes:
     return rid
 
 
-def _device_backend(store: Path) -> DirectoryBackend:
+def _device_backend(store: Path):
+    from .dispersion import DirectoryBackend
+
     return DirectoryBackend(store / "device", name="device")
 
 
-def _cloud_backend(args, store: Path) -> Backend:
+def _cloud_backend(args, store: Path):
+    from .dispersion import DirectoryBackend, RemoteBackend
+
     if args.remote:
         host, port = _parse_hostport(args.remote)
         return RemoteBackend(host, port, name="cloud")
     return DirectoryBackend(store / "cloud", name="cloud")
 
 
-def _placement_index(store: Path) -> PlacementIndex:
+def _placement_index(store: Path):
+    from .dispersion import PlacementIndex
+
     return PlacementIndex(store / "placements.jsonl")
 
 
-def _policy_store(store: Path) -> PolicyStore:
+def _policy_store(store: Path):
+    from .sharing import PolicyStore
+
     return PolicyStore.load(store / "policy.json")
-
-
-def _atomic_write(path: Path, data: bytes):
-    """Write via a sibling temp file so failures leave no partial output."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".")
-    try:
-        with os.fdopen(fd, "wb") as fp:
-            fp.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def cmd_protect(args) -> int:
@@ -135,10 +116,9 @@ def cmd_protect(args) -> int:
     key, salt = _key_for_protect(args)
     puf, prf = container.seal(data, key, mode=args.mode, kdf_salt=salt)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = Path(args.input).stem or Path(args.input).name
-    (out_dir / (stem + ".puf")).write_bytes(puf.to_bytes())
-    (out_dir / (stem + ".prf")).write_bytes(prf.to_bytes())
+    atomic_write(out_dir / (stem + ".puf"), puf.to_bytes())
+    atomic_write(out_dir / (stem + ".prf"), prf.to_bytes())
     print(puf.file_id.hex())
     return 0
 
@@ -148,7 +128,7 @@ def cmd_recover(args) -> int:
     prf = PrfContainer.from_bytes(Path(args.prf).read_bytes())
     key = _key_for_recover(args, prf)
     data = container.open(puf, prf, key)
-    _atomic_write(Path(args.out), data)
+    atomic_write(args.out, data)
     return 0
 
 
@@ -162,12 +142,16 @@ def _analysis_bytes(raw: bytes) -> bytes:
 
 
 def cmd_entropy(args) -> int:
+    from . import analysis
+
     data = _analysis_bytes(Path(args.path).read_bytes())
     print("%.4f" % analysis.entropy(data))
     return 0
 
 
 def cmd_pdf(args) -> int:
+    from . import analysis
+
     data = _analysis_bytes(Path(args.path).read_bytes())
     hist = analysis.histogram(data)
     Path(args.out).write_text(analysis.pdf_csv(hist), encoding="utf-8")
@@ -175,6 +159,8 @@ def cmd_pdf(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from . import bench
+
     report = bench.run_bench(args.size_mb, iterations=args.iterations)
     print(bench.format_table(report))
     if args.csv:
@@ -183,8 +169,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    import signal
+    import threading
+
+    from .dispersion import BlobServer
+
     host, port = _parse_hostport(args.bind)
-    server = dispersion.serve((host, port), args.root)
+    server = BlobServer(host, port, args.root)
     stop = threading.Event()
 
     def _on_signal(_signum, _frame):
@@ -200,6 +191,8 @@ def cmd_serve(args) -> int:
 
 
 def cmd_put(args) -> int:
+    from . import dispersion
+
     puf = PufContainer.from_bytes(Path(args.puf).read_bytes())
     prf = PrfContainer.from_bytes(Path(args.prf).read_bytes())
     if puf.file_id != prf.file_id:
@@ -219,6 +212,8 @@ def cmd_put(args) -> int:
 
 
 def cmd_get(args) -> int:
+    from .dispersion import BlobRef
+
     ref = BlobRef.from_hex(args.id)
     store = Path(args.store)
     payload = None
@@ -230,26 +225,32 @@ def cmd_get(args) -> int:
             continue
     if payload is None:
         raise NotFound(f"no blob {args.id} on any configured backend")
-    _atomic_write(Path(args.out), payload)
+    atomic_write(args.out, payload)
     return 0
 
 
 def cmd_grant(args) -> int:
+    from . import sharing
+
     store = _policy_store(Path(args.store))
-    sharing.grant(store, Party(args.caller, "owner"), args.party, _record_id(args.record))
+    sharing.grant(store, sharing.Party(args.caller, "owner"), args.party, _record_id(args.record))
     return 0
 
 
 def cmd_revoke(args) -> int:
+    from . import sharing
+
     store = _policy_store(Path(args.store))
-    sharing.revoke(store, Party(args.caller, "owner"), args.party, _record_id(args.record))
+    sharing.revoke(store, sharing.Party(args.caller, "owner"), args.party, _record_id(args.record))
     return 0
 
 
 def cmd_request(args) -> int:
+    from . import sharing
+
     store_dir = Path(args.store)
     store = _policy_store(store_dir)
-    party = Party(args.caller, args.role)
+    party = sharing.Party(args.caller, args.role)
     record_id = _record_id(args.record)
     placement = None
     if args.out_dir:
@@ -258,18 +259,17 @@ def cmd_request(args) -> int:
             raise UnknownRecord(f"no placement for record {record_id.hex()}")
     decision = sharing.request_access(store, party, record_id)
     print(decision.value)
-    if placement is not None and decision != Decision.DENIED:
+    if placement is not None and decision != sharing.Decision.DENIED:
         backends = {
             "device": _device_backend(store_dir),
             "cloud": _cloud_backend(args, store_dir),
         }
         released = sharing.release(decision, placement, backends, anonymize=args.anonymize)
         out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if released.puf_bytes is not None:
-            (out_dir / (args.record + ".puf")).write_bytes(released.puf_bytes)
+            atomic_write(out_dir / (args.record + ".puf"), released.puf_bytes)
         if released.prf_bytes is not None:
-            (out_dir / (args.record + ".prf")).write_bytes(released.prf_bytes)
+            atomic_write(out_dir / (args.record + ".prf"), released.prf_bytes)
     return 0
 
 
@@ -359,30 +359,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Usage as exc:
+    except (_Usage, SefragError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EmptyPassphrase as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (IntegrityFailure, BadPadding, PairMismatch, NotOwner, SameBackend, CorruptBlob) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (EmptyInput, NotFound, UnknownRecord) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (BackendUnavailable, BindError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # Each error class carries its exit code; ValueError and OSError
+        # are usage problems (bad values, unreadable or unwritable paths).
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -251,6 +252,33 @@ def open(puf: PufContainer, prf: PrfContainer, key: ProtectionKey) -> bytes:
 def strip_header(puf: PufContainer) -> PufContainer:
     """Copy of the container with its plaintext head removed (anonymized)."""
     return dataclasses.replace(puf, head=b"", flags=puf.flags | FLAG_HEADER_STRIPPED)
+
+
+def atomic_write(path: str | Path, data: bytes):
+    """Write ``data`` to ``path`` through a sibling temp file and a rename,
+    so a failed or interrupted write leaves ``path`` absent or as it was.
+
+    The temp file is created mode 0600 and removed on failure. No fsync:
+    this guards against process crashes and full disks, not power loss.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    try:
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def derive_key(passphrase: bytes, salt: bytes) -> ProtectionKey:

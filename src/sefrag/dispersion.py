@@ -44,12 +44,11 @@ import os
 import socket
 import socketserver
 import struct
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .container import PrfContainer, PufContainer
+from .container import PrfContainer, PufContainer, atomic_write
 from .errors import (
     BackendUnavailable,
     BindError,
@@ -160,15 +159,9 @@ class DirectoryBackend(Backend):
                 return ref
         except FileNotFoundError:
             pass
-        # Absent, or present but corrupted: (re)write it.
-        path.parent.mkdir(exist_ok=True)
-        # Temp file + rename so readers never observe a partial blob.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            os.write(fd, payload)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
+        # Absent, or present but corrupted: (re)write it. Readers never
+        # observe a partial blob.
+        atomic_write(path, payload)
         return ref
 
     def get(self, ref: BlobRef) -> bytes:
@@ -347,11 +340,6 @@ class BlobServer:
 
     def __exit__(self, *exc_info):
         self.stop()
-
-
-def serve(bind: tuple[str, int], root: str | Path) -> BlobServer:
-    """Bind a blob server on ``bind`` over ``root``; caller runs/stops it."""
-    return BlobServer(bind[0], bind[1], root)
 
 
 @dataclass(frozen=True)

@@ -103,12 +103,11 @@ class PolicyStore:
     def save(self):
         if self.path is None:
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         obj = {
             "owner": self.owner_id,
             "policies": [p.to_json() for p in self._policies.values()],
         }
-        self.path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+        container.atomic_write(self.path, (json.dumps(obj, indent=2) + "\n").encode("utf-8"))
 
     def policy_for(self, record_id: bytes) -> SharePolicy:
         if record_id not in self._policies:

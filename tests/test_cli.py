@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import sefrag
+from sefrag import cli, errors
 from sefrag.cli import main
 from sefrag.dispersion import PlacementIndex
 
@@ -24,6 +25,22 @@ def _package_env() -> dict:
     so a child interpreter imports the same sources from any directory."""
     root = str(Path(sefrag.__file__).parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+
+
+def run_with_file_size_limit(limit: int, *argv) -> subprocess.CompletedProcess:
+    """``python -m sefrag argv`` in a child that may write at most ``limit``
+    bytes to any one file: a longer write stops partway with EFBIG, as on
+    a disk that fills up mid-write."""
+    resource = pytest.importorskip("resource")
+
+    def limit_file_size():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+    return subprocess.run(
+        [sys.executable, "-m", "sefrag", *map(str, argv)],
+        env=_package_env(), capture_output=True, text=True, preexec_fn=limit_file_size, timeout=60,
+    )
 
 
 @pytest.fixture
@@ -152,6 +169,72 @@ class TestProtectRecover:
             tmp_path / "x.bin",
         )
         assert code == 4
+
+    def test_output_cut_short_leaves_nothing(self, sample, tmp_path):
+        out = tmp_path / "w"
+        proc = run_with_file_size_limit(32 << 10, "protect", sample, "--key-hex", KEY, "--out-dir", out)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+        assert os.listdir(out) == []
+
+    def test_output_cut_short_keeps_existing_pair(self, sample, tmp_path):
+        out = tmp_path / "w"
+        assert run_cli("protect", sample, "--key-hex", KEY, "--out-dir", out) == 0
+        before = {name: (out / name).read_bytes() for name in ("sample.puf", "sample.prf")}
+        proc = run_with_file_size_limit(32 << 10, "protect", sample, "--key-hex", OTHER_KEY, "--out-dir", out)
+        assert proc.returncode == 2
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
+
+
+class TestExitCodes:
+    # The documented code for every error class the commands raise,
+    # written out here rather than read from the classes.
+    DOCUMENTED = [
+        (cli._Usage, 2),
+        (errors.EmptyPassphrase, 2),
+        (ValueError, 2),
+        (OSError, 2),
+        (FileNotFoundError, 2),
+        (errors.FormatError, 3),
+        (errors.NotDicom, 3),
+        (errors.TooShort, 3),
+        (errors.LengthMismatch, 3),
+        (errors.IntegrityFailure, 4),
+        (errors.BadPadding, 4),
+        (errors.PairMismatch, 4),
+        (errors.NotOwner, 4),
+        (errors.SameBackend, 4),
+        (errors.CorruptBlob, 4),
+        (errors.EmptyInput, 5),
+        (errors.NotFound, 5),
+        (errors.UnknownRecord, 5),
+        (errors.BackendUnavailable, 6),
+        (errors.BindError, 6),
+    ]
+
+    def test_every_error_class_is_listed(self):
+        raised = {cls for cls in vars(errors).values()
+                  if isinstance(cls, type) and issubclass(cls, errors.SefragError)}
+        assert raised - {errors.SefragError} <= {cls for cls, _ in self.DOCUMENTED}
+
+    @pytest.mark.parametrize("exc_type, code", DOCUMENTED, ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_error_maps_to_documented_code(self, exc_type, code, tmp_path, monkeypatch, capsys):
+        def failing(args):
+            raise exc_type("simulated failure")
+
+        monkeypatch.setattr(cli, "cmd_entropy", failing)
+        assert run_cli("entropy", tmp_path / "any") == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: simulated failure\n"
+
+    def test_other_exceptions_propagate(self, tmp_path, monkeypatch):
+        def failing(args):
+            raise KeyError("not a documented failure")
+
+        monkeypatch.setattr(cli, "cmd_entropy", failing)
+        with pytest.raises(KeyError):
+            run_cli("entropy", tmp_path / "any")
 
 
 class TestAnalysisCommands:
@@ -298,6 +381,22 @@ class TestStoreCommands:
         assert reads == ["lookup"]
         assert (out / f"{record}.puf").read_bytes() == puf.read_bytes()
         assert (out / f"{record}.prf").read_bytes() == prf.read_bytes()
+
+    def test_out_dir_write_cut_short_keeps_existing_files(self, sealed, tmp_path, capsys):
+        record, puf, prf = sealed
+        store = tmp_path / "store"
+        run_cli("put", puf, prf, "--store", store)
+        capsys.readouterr()
+        out = tmp_path / "released"
+        out.mkdir()
+        (out / f"{record}.puf").write_bytes(b"older release")
+        proc = run_with_file_size_limit(
+            32 << 10, "request", record, "--as", "dr", "--role", "doctor", "--store", store, "--out-dir", out
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == "Full\n"
+        assert os.listdir(out) == [f"{record}.puf"]
+        assert (out / f"{record}.puf").read_bytes() == b"older release"
 
     def test_bad_record_id_exits_2(self, tmp_path):
         assert run_cli("request", "not-hex", "--as", "p", "--store", tmp_path / "s") == 2

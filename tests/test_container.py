@@ -1,7 +1,9 @@
 """Container format, seal/open pipeline, and key derivation tests."""
 
 import dataclasses
+import errno
 import hashlib
+import os
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from sefrag.container import (
     FLAG_HEADER_STRIPPED,
     PrfContainer,
     PufContainer,
+    atomic_write,
     derive_key,
     seal,
     split_header,
@@ -232,3 +235,39 @@ class TestDeriveKey:
         for _ in range(100_000):
             x = hashlib.sha256(x + passphrase + salt).digest()
         assert derive_key(passphrase, salt).bytes == x[:16]
+
+
+def full_disk_after_half(monkeypatch):
+    """Make the next file write store half its bytes, then fail with ENOSPC."""
+    real_write = os.write
+
+    def write(fd, data):
+        real_write(fd, bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", write)
+
+
+class TestAtomicWrite:
+    def test_writes_and_replaces(self, tmp_path):
+        path = tmp_path / "new" / "out.bin"
+        atomic_write(path, b"first")
+        atomic_write(path, b"second, longer")
+        assert path.read_bytes() == b"second, longer"
+        assert os.listdir(path.parent) == ["out.bin"]
+
+    def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
+        full_disk_after_half(monkeypatch)
+        with pytest.raises(OSError) as info:
+            atomic_write(tmp_path / "out.bin", b"x" * 4096)
+        assert info.value.errno == errno.ENOSPC
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents")
+        full_disk_after_half(monkeypatch)
+        with pytest.raises(OSError):
+            atomic_write(path, b"y" * 4096)
+        assert path.read_bytes() == b"old contents"
+        assert os.listdir(tmp_path) == ["out.bin"]

@@ -1,0 +1,127 @@
+"""What the package loads: the protect/recover start path stays narrow,
+and every public name still resolves from the package root."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sefrag
+
+KEY = "000102030405060708090a0b0c0d0e0f"
+
+# Modules only the storage, sharing, analysis and bench commands use.
+OFF_PATH = ["sefrag.analysis", "sefrag.bench", "sefrag.dispersion", "sefrag.sharing"]
+
+# The package's public names; none may go missing.
+PUBLIC = """
+    Backend BackendUnavailable BadPadding BenchReport BindError BlobRef BlobServer
+    ByteHistogram CorruptBlob Decision DirectoryBackend EmptyInput EmptyPassphrase
+    FormatError IntegrityFailure LengthMismatch MemoryBackend NotDicom NotFound NotOwner
+    PairMismatch Party Placement PlacementIndex PolicyStore PrfContainer ProtectedStreams
+    ProtectionKey PufContainer Release RemoteBackend Role SameBackend SefragError
+    SharePolicy TooShort UnknownRecord derive_key disperse entropy entropy_of grant
+    histogram open pdf_csv protect recover release request_access revoke run_bench seal
+    split_header strip_header __version__
+""".split()
+
+# Runs ``python -m sefrag ARGV`` the way the interpreter does, then reports
+# the exit status and the sefrag modules that were loaded.
+PROBE = """
+import runpy, sys
+sys.argv = ["sefrag", *sys.argv[1:]]
+try:
+    runpy.run_module("sefrag", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print("exit", code, *sorted(m for m in sys.modules if m.startswith("sefrag")))
+"""
+
+
+def _package_env() -> dict:
+    root = str(Path(sefrag.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+
+
+def _fresh(*argv, cwd) -> tuple[int, list[str]]:
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=_package_env(), capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    word, code, *modules = proc.stdout.splitlines()[-1].split()
+    assert word == "exit"
+    return int(code), modules
+
+
+class TestStartPath:
+    def test_import_cli(self, tmp_path):
+        code, modules = _fresh(
+            "-c", "import sys, sefrag.cli; print('exit 0', *sorted(sys.modules))", cwd=tmp_path
+        )
+        assert "sefrag.cli" in modules
+        assert not set(OFF_PATH) & set(modules)
+
+    def test_protect_then_recover_with_passphrase_file(self, tmp_path):
+        src = tmp_path / "scan.bin"
+        src.write_bytes(bytes(128) + b"DICM" + os.urandom(5000))
+        pw = tmp_path / "pw.txt"
+        pw.write_bytes(b"correct horse\n")
+        code, modules = _fresh(
+            "-c", PROBE, "protect", src, "--mode", "dicom", "--passphrase-file", pw,
+            "--out-dir", tmp_path / "w", cwd=tmp_path,
+        )
+        assert code == 0
+        assert "sefrag.container" in modules
+        assert not set(OFF_PATH) & set(modules)
+        code, modules = _fresh(
+            "-c", PROBE, "recover", tmp_path / "w" / "scan.puf", tmp_path / "w" / "scan.prf",
+            "--passphrase-file", pw, "--out", tmp_path / "back.bin", cwd=tmp_path,
+        )
+        assert code == 0
+        assert not set(OFF_PATH) & set(modules)
+        assert (tmp_path / "back.bin").read_bytes() == src.read_bytes()
+
+    def test_store_command_loads_its_modules(self, tmp_path):
+        code, modules = _fresh("-c", PROBE, "get", "00" * 32, "--store", tmp_path / "s",
+                               "--out", tmp_path / "x", cwd=tmp_path)
+        assert code == 5
+        assert "sefrag.dispersion" in modules
+
+
+class TestPublicNames:
+    def test_all_lists_the_public_names(self):
+        assert sorted(sefrag.__all__) == sorted(PUBLIC)
+
+    @pytest.mark.parametrize("name", [n for n in PUBLIC if n != "__version__"])
+    def test_name_is_its_home_modules_object(self, name):
+        value = getattr(sefrag, name)
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("sefrag.")
+        assert getattr(home, name) is value
+
+    def test_star_import_matches_getattr(self):
+        namespace = {}
+        exec("from sefrag import *", namespace)
+        assert set(PUBLIC) <= set(namespace)
+        for name in PUBLIC:
+            assert namespace[name] is getattr(sefrag, name)
+
+    def test_from_imports(self):
+        from sefrag import PlacementIndex, dispersion, seal
+
+        assert seal is importlib.import_module("sefrag.container").seal
+        assert PlacementIndex is dispersion.PlacementIndex
+        assert sefrag.PlacementIndex is PlacementIndex
+
+    def test_dir_lists_public_names(self):
+        assert set(PUBLIC) <= set(dir(sefrag))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sefrag.no_such_name
+        with pytest.raises(ImportError):
+            exec("from sefrag import no_such_name", {})
+        assert not hasattr(sefrag, "serve")

@@ -1,6 +1,8 @@
 """Policy semantics, persistence, and release behavior."""
 
+import errno
 import json
+import os
 import random
 
 import pytest
@@ -146,6 +148,25 @@ class TestPersistence:
         assert reloaded.owner_id == "alice"
         assert request_access(reloaded, Party("x", "requester"), RID) == Decision.FULL
         assert request_access(reloaded, Party("z", "requester"), RID) == Decision.PUF_ONLY
+
+    def test_failed_save_keeps_old_policy_loadable(self, store, monkeypatch):
+        grant(store, OWNER, "x", RID)
+        before = store.path.read_bytes()
+        real_write = os.write
+
+        def full_disk_after_half(fd, data):
+            real_write(fd, bytes(data[: len(data) // 2]))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "write", full_disk_after_half)
+        with pytest.raises(OSError):
+            grant(store, OWNER, "y", RID)
+        monkeypatch.undo()
+        assert store.path.read_bytes() == before
+        reloaded = PolicyStore.load(store.path)
+        assert request_access(reloaded, Party("x", "requester"), RID) == Decision.FULL
+        assert request_access(reloaded, Party("y", "requester"), RID) == Decision.PUF_ONLY
+        assert sorted(os.listdir(store.path.parent)) == ["policy.json"]
 
     def test_load_missing_file_is_empty(self, tmp_path):
         store = PolicyStore.load(tmp_path / "absent.json")
