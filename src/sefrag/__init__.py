@@ -5,8 +5,11 @@ Content is processed in 32-byte units: a keyed selector picks one
 bytes travel in a public fragment XORed with a hash keystream derived
 from the selected bytes, the key, and the unit index. The private
 stream (selected bytes, tail, integrity digest) is AES-protected and
-stays on trusted storage; the public fragment is safe to hand to an
-untrusted backend, which learns nothing even if it also knows the key.
+stays on trusted storage; the public fragment goes to an untrusted
+backend.  Without the private stream its keystreams cannot be recomputed
+directly, but whoever also holds the key recovers each unit by trying
+the 2^32 values of its selected sub-fragment, so the key is as secret
+as the private stream.
 
 Public names are imported from their module on first use (PEP 562), so
 ``python -m sefrag protect`` does not load storage, sharing, analysis
@@ -19,7 +22,7 @@ __version__ = "0.1.0"
 
 # Each submodule and the public names it defines.
 _HOMES = {
-    "analysis": "ByteHistogram entropy entropy_of histogram pdf_csv",
+    "analysis": "ByteHistogram entropy histogram pdf_csv",
     "bench": "BenchReport run_bench",
     "container": "PrfContainer PufContainer derive_key open seal split_header strip_header",
     "core": "ProtectedStreams ProtectionKey protect recover",

@@ -25,22 +25,13 @@ class ByteHistogram:
     def total(self) -> int:
         return sum(self.counts)
 
-    def max_min_ratio(self) -> float:
-        """Ratio of the most to the least probable byte value; a quick
-        uniformity gauge (inf when some value never occurs)."""
-        low = min(self.counts)
-        high = max(self.counts)
-        if high == 0:
-            return 1.0
-        return math.inf if low == 0 else high / low
-
 
 def histogram(data: bytes) -> ByteHistogram:
     counted = Counter(data)
     return ByteHistogram(tuple(counted.get(v, 0) for v in range(256)))
 
 
-def entropy_of(hist: ByteHistogram) -> float:
+def _entropy_of(hist: ByteHistogram) -> float:
     total = hist.total
     if total == 0:
         raise EmptyInput("entropy is undefined for empty input")
@@ -55,7 +46,7 @@ def entropy_of(hist: ByteHistogram) -> float:
 
 def entropy(data: bytes) -> float:
     """Shannon entropy of the byte-value distribution, in [0, 8]."""
-    return entropy_of(histogram(data))
+    return _entropy_of(histogram(data))
 
 
 def pdf_csv(hist: ByteHistogram) -> str:

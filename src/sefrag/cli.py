@@ -5,7 +5,7 @@ Exit codes are stable so scripts can branch on them:
 
     0  success
     2  usage problem (bad flags, unreadable input, empty passphrase)
-    3  malformed container or wrong file type
+    3  malformed container, malformed policy file, or wrong file type
     4  integrity or authorization failure
     5  missing or unusable content (empty input, unknown record or blob)
     6  network trouble (unreachable backend, bind failure)
@@ -153,8 +153,7 @@ def cmd_pdf(args) -> int:
     from . import analysis
 
     data = _analysis_bytes(Path(args.path).read_bytes())
-    hist = analysis.histogram(data)
-    Path(args.out).write_text(analysis.pdf_csv(hist), encoding="utf-8")
+    atomic_write(args.out, analysis.pdf_csv(analysis.histogram(data)).encode())
     return 0
 
 
@@ -164,7 +163,7 @@ def cmd_bench(args) -> int:
     report = bench.run_bench(args.size_mb, iterations=args.iterations)
     print(bench.format_table(report))
     if args.csv:
-        Path(args.csv).write_text(bench.format_csv(report), encoding="utf-8")
+        atomic_write(args.csv, bench.format_csv(report).encode())
     return 0
 
 

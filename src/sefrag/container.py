@@ -58,27 +58,19 @@ KDF_ITERATIONS = 100_000
 ZERO_SALT = bytes(16)  # marks a raw (non-derived) key
 
 
-@dataclass(frozen=True)
-class HeaderSplit:
-    """Lossless head/content split of an input file."""
-
-    head: bytes
-    content: bytes
-    mode: str
-
-
-def split_header(data: bytes, mode: str = "raw") -> HeaderSplit:
-    """Split input into plaintext head and protectable content.
+def split_header(data: bytes, mode: str = "raw") -> tuple[bytes, bytes]:
+    """Split input losslessly into ``(head, content)``: a plaintext head
+    and the protectable content.
 
     Modes: ``raw`` (no head), ``fixed:<n>`` (first n bytes), ``dicom``
     (132-byte preamble ending in "DICM").
     """
     if mode == "raw":
-        return HeaderSplit(b"", data, mode)
+        return b"", data
     if mode == "dicom":
         if len(data) < DICOM_PREAMBLE_LEN or data[128:132] != b"DICM":
             raise NotDicom("no DICM marker at offset 128")
-        return HeaderSplit(data[:DICOM_PREAMBLE_LEN], data[DICOM_PREAMBLE_LEN:], mode)
+        return data[:DICOM_PREAMBLE_LEN], data[DICOM_PREAMBLE_LEN:]
     if mode.startswith("fixed:"):
         try:
             n = int(mode.split(":", 1)[1])
@@ -88,7 +80,7 @@ def split_header(data: bytes, mode: str = "raw") -> HeaderSplit:
             raise FormatError("fixed header length must be non-negative")
         if n > len(data):
             raise TooShort(f"input is {len(data)} bytes, fixed header wants {n}")
-        return HeaderSplit(data[:n], data[n:], mode)
+        return data[:n], data[n:]
     raise FormatError(f"unknown header mode {mode!r}")
 
 
@@ -210,15 +202,15 @@ def seal(
     ``kdf_salt`` records how the key was derived so the recovering side
     can repeat the derivation; all zeros means a raw key was supplied.
     """
-    split = split_header(data, mode)
-    streams = core.protect(split.content, key)
+    head, content = split_header(data, mode)
+    streams = core.protect(content, key)
     file_id = os.urandom(FILE_ID_LEN)
     iv = os.urandom(16)
     puf = PufContainer(
         file_id=file_id,
-        original_content_len=len(split.content),
+        original_content_len=len(content),
         puf_payload=streams.puf_payload,
-        head=split.head,
+        head=head,
     )
     prf = PrfContainer(
         file_id=file_id,

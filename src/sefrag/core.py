@@ -143,10 +143,6 @@ class ProtectedStreams:
     tail_len: int
     counters: PrimitiveCounters
 
-    @property
-    def selected_bytes(self) -> int:
-        return SUB_LEN * self.unit_count
-
 
 def selector_stream(key: ProtectionKey, unit_count: int) -> bytes:
     """Return one selector in [0, 7] per unit, derived from the key alone.
@@ -299,13 +295,3 @@ def recover(puf_payload: bytes, prf_plain: bytes, key: ProtectionKey) -> bytes:
     if hashlib.sha256(content).digest() != prf_plain[-DIGEST_LEN:]:
         raise IntegrityFailure("content digest mismatch", attempted=content)
     return content
-
-
-def expected_counters(content_len: int) -> PrimitiveCounters:
-    """Primitive counts a protection pass over ``content_len`` bytes performs."""
-    unit_count = content_len // UNIT_LEN
-    return PrimitiveCounters(
-        protection_hashes=unit_count,
-        selector_hashes=-(-unit_count // SELECTORS_PER_BLOCK),
-        digest_passes=1,
-    )

@@ -32,8 +32,8 @@ as bytes and searches it from the end for the record id's hex, parsing
 only the line it lands in; a hit inside another line's blob id is
 skipped by checking that line's ``record_id``.  A line counts only once
 its newline is written: a torn final fragment is ignored, ``record``
-starts a new line after one, and a line that is not JSON (such a
-fragment, once terminated) is skipped.
+starts a new line after one, and a line that does not parse as a
+placement (such a fragment, once terminated) is skipped.
 """
 
 from __future__ import annotations
@@ -219,8 +219,6 @@ class RemoteBackend(Backend):
                         raise FormatError("server announced an oversized payload")
                     body = _recv_exact(sock, length)
                 return status, body
-        except (ConnectionError, socket.timeout, socket.gaierror) as exc:
-            raise BackendUnavailable(f"{self.name}: {exc}") from exc
         except OSError as exc:
             raise BackendUnavailable(f"{self.name}: {exc}") from exc
 
@@ -400,10 +398,9 @@ class PlacementIndex:
     @staticmethod
     def _parse(line: bytes) -> Placement | None:
         try:
-            obj = json.loads(line)
-        except ValueError:
-            return None  # the remains of a torn append
-        return Placement.from_json(obj)
+            return Placement.from_json(json.loads(line))
+        except (ValueError, KeyError, TypeError, RecursionError):
+            return None
 
     def records(self) -> dict[bytes, Placement]:
         out: dict[bytes, Placement] = {}
@@ -424,9 +421,6 @@ class PlacementIndex:
                 return placement
             hit = data.rfind(needle, 0, start)
         return None
-
-    def __contains__(self, record_id: bytes) -> bool:
-        return self.lookup(record_id) is not None
 
 
 def disperse(

@@ -25,8 +25,8 @@ from pathlib import Path
 from typing import Mapping
 
 from . import container
-from .dispersion import Backend, Placement, PlacementIndex
-from .errors import NotOwner, UnknownRecord
+from .dispersion import Backend, Placement
+from .errors import FormatError, NotOwner
 
 
 class Role(str, enum.Enum):
@@ -93,11 +93,14 @@ class PolicyStore:
         store = cls(path)
         p = Path(path)
         if p.exists():
-            obj = json.loads(p.read_text(encoding="utf-8"))
-            store.owner_id = obj.get("owner")
-            for entry in obj.get("policies", []):
-                policy = SharePolicy.from_json(entry)
-                store._policies[policy.record_id] = policy
+            try:
+                obj = json.loads(p.read_text(encoding="utf-8"))
+                store.owner_id = obj.get("owner")
+                for entry in obj.get("policies", []):
+                    policy = SharePolicy.from_json(entry)
+                    store._policies[policy.record_id] = policy
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
+                raise FormatError(f"{p} is not a policy file ({type(exc).__name__}: {exc})") from None
         return store
 
     def save(self):
@@ -144,20 +147,13 @@ def revoke(store: PolicyStore, caller: Party, grantee_id: str, record_id: bytes)
     return policy
 
 
-def request_access(
-    store: PolicyStore,
-    party: Party,
-    record_id: bytes,
-    index: PlacementIndex | None = None,
-) -> Decision:
+def request_access(store: PolicyStore, party: Party, record_id: bytes) -> Decision:
     """Decide what a party may see of one record.
 
     Trusted roles get everything; a requester needs an active grant to
     go beyond the public fragment; unrecognized roles (and owner
     impostors) get nothing.
     """
-    if index is not None and record_id not in index:
-        raise UnknownRecord(f"no placement for record {record_id.hex()}")
     try:
         role = Role(party.role)
     except ValueError:

@@ -268,6 +268,14 @@ class TestAnalysisCommands:
         assert run_cli("pdf", sample, "--out", out) == 0
         assert len(out.read_text().strip().splitlines()) == 256
 
+    def test_pdf_cut_short_leaves_nothing(self, sample, tmp_path):
+        out = tmp_path / "w"
+        out.mkdir()
+        proc = run_with_file_size_limit(1 << 10, "pdf", sample, "--out", out / "pdf.csv")
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.startswith("error: ")
+        assert os.listdir(out) == []
+
 
 class TestBenchCommand:
     def test_bench_reports_counters(self, tmp_path, capsys):
@@ -359,6 +367,31 @@ class TestStoreCommands:
         assert code == 5
         assert capsys.readouterr().out == ""
         assert not (tmp_path / "o").exists()
+
+    def test_request_out_dir_skips_index_lines_that_are_not_placements(self, sealed, tmp_path, capsys):
+        record, puf, prf = sealed
+        store = tmp_path / "s"
+        run_cli("put", puf, prf, "--store", store)
+        capsys.readouterr()
+        stray = "11" * 16
+        with (store / "placements.jsonl").open("a") as fp:
+            fp.write('{"record_id": "%s"}\n[1]\n' % stray)
+        out = tmp_path / "o"
+        assert run_cli("request", stray, "--as", "dr", "--role", "doctor", "--store", store, "--out-dir", out) == 5
+        assert capsys.readouterr().out == ""
+        assert run_cli("request", record, "--as", "dr", "--role", "doctor", "--store", store, "--out-dir", out) == 0
+        assert (out / f"{record}.prf").read_bytes() == prf.read_bytes()
+
+    @pytest.mark.parametrize("text", ['{"policies": [{"grants": []}]}', "[]"])
+    def test_malformed_policy_file_exits_3(self, tmp_path, capsys, text):
+        store = tmp_path / "s"
+        store.mkdir()
+        (store / "policy.json").write_text(text)
+        for argv in (("request", "11" * 16, "--as", "p"), ("grant", "11" * 16, "p", "--as", "owner")):
+            assert run_cli(*argv, "--store", store) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_request_out_dir_reads_index_once(self, sealed, tmp_path, capsys, monkeypatch):
         record, puf, prf = sealed

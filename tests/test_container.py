@@ -41,14 +41,13 @@ def make_dicom(body: bytes) -> bytes:
 
 class TestSplitHeader:
     def test_raw_is_identity(self):
-        split = split_header(b"hello", "raw")
-        assert split.head == b"" and split.content == b"hello"
+        assert split_header(b"hello", "raw") == (b"", b"hello")
 
     def test_fixed(self):
         data = bytes(range(100))
-        split = split_header(data, "fixed:10")
-        assert split.head == data[:10] and split.content == data[10:]
-        assert split.head + split.content == data
+        head, content = split_header(data, "fixed:10")
+        assert head == data[:10] and content == data[10:]
+        assert head + content == data
 
     def test_fixed_too_short(self):
         with pytest.raises(TooShort):
@@ -62,8 +61,7 @@ class TestSplitHeader:
 
     def test_dicom(self):
         data = make_dicom(b"pixels")
-        split = split_header(data, "dicom")
-        assert split.head == data[:132] and split.content == b"pixels"
+        assert split_header(data, "dicom") == (data[:132], b"pixels")
 
     def test_dicom_missing_marker(self):
         with pytest.raises(NotDicom):

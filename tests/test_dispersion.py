@@ -6,6 +6,8 @@ import socket
 import struct
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sefrag import container, core
 from sefrag.container import seal
@@ -32,6 +34,21 @@ from sefrag.errors import (
 )
 
 KEY = ProtectionKey.from_hex("0f0e0d0c0b0a09080706050403020100")
+
+# Arbitrary JSON, and objects shaped partly like a placement of FUZZ_RID.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+FUZZ_RID = bytes(range(16, 32))
+_BLOB_SIDE = JSON | st.fixed_dictionaries(
+    {}, optional={"id": JSON | st.sampled_from(["00" * 32, "ab" * 31, "zz" * 32]), "backend": JSON}
+)
+PLACEMENT_LIKE = st.fixed_dictionaries(
+    {"record_id": st.sampled_from([FUZZ_RID.hex(), FUZZ_RID.hex()[:-1]]) | JSON},
+    optional={"puf": _BLOB_SIDE, "prf": _BLOB_SIDE},
+)
 
 
 @pytest.fixture
@@ -264,7 +281,6 @@ class TestPlacementIndex:
     def test_empty_index(self, tmp_path):
         index = PlacementIndex(tmp_path / "none.jsonl")
         assert index.lookup(bytes(16)) is None
-        assert bytes(16) not in index
         assert index.records() == {}
         index.path.write_bytes(b"")
         assert index.lookup(bytes(16)) is None
@@ -278,7 +294,7 @@ class TestPlacementIndex:
         index.record(first)
         index.record(second)
         assert index.lookup(rid) == second
-        assert rid in index
+        assert index.records() == {rid: second}
 
     def test_json_round_trip(self, tmp_path):
         placement = Placement(bytes(16), BlobRef(bytes(32)), "a", BlobRef(b"\xff" * 32), "b")
@@ -314,7 +330,6 @@ class TestPlacementIndex:
         assert len(listing) == len(set(rids)) + 1
         for rid in [*rids, hidden, absent_hidden, bytes(16)]:
             assert index.lookup(rid) == listing.get(rid)
-            assert (rid in index) == (rid in listing)
         assert index.lookup(hidden).record_id == hidden
         assert index.lookup(absent_hidden) is None
 
@@ -333,3 +348,34 @@ class TestPlacementIndex:
         assert index.lookup(new.record_id) == new
         assert index.lookup(torn.record_id) is None
         assert index.records() == {old.record_id: old, new.record_id: new}
+
+    def test_json_lines_that_are_not_placements_are_skipped(self, tmp_path):
+        index = PlacementIndex(tmp_path / "p.jsonl")
+        good = Placement(bytes(range(16)), BlobRef(bytes(32)), "cloud", BlobRef(bytes(32)), "device")
+        rid = b"\x05" * 16
+        index.record(good)
+        strays = [
+            {"record_id": rid.hex()},
+            [1],
+            7,
+            None,
+            {"record_id": rid.hex(), "puf": "x", "prf": []},
+            {"record_id": rid.hex(), "puf": {"id": "zz", "backend": "c"}, "prf": {}},
+            {"record_id": 5},
+        ]
+        with index.path.open("ab") as fp:
+            for obj in strays:
+                fp.write(json.dumps(obj).encode() + b"\n")
+            fp.write(b"[" * 100_000 + b"\n")
+        assert index.records() == {good.record_id: good}
+        assert index.lookup(rid) is None
+        assert index.lookup(good.record_id) == good
+
+    @given(st.lists(st.one_of(JSON.map(json.dumps), PLACEMENT_LIKE.map(json.dumps), st.text(max_size=40)), max_size=6))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_readers_return_only_placements(self, tmp_path, lines):
+        index = PlacementIndex(tmp_path / "fuzz.jsonl")
+        index.path.write_bytes("".join(line + "\n" for line in lines).encode())
+        assert all(isinstance(p, Placement) for p in index.records().values())
+        found = index.lookup(FUZZ_RID)
+        assert found is None or isinstance(found, Placement)

@@ -23,7 +23,7 @@ PUBLIC = """
     FormatError IntegrityFailure LengthMismatch MemoryBackend NotDicom NotFound NotOwner
     PairMismatch Party Placement PlacementIndex PolicyStore PrfContainer ProtectedStreams
     ProtectionKey PufContainer Release RemoteBackend Role SameBackend SefragError
-    SharePolicy TooShort UnknownRecord derive_key disperse entropy entropy_of grant
+    SharePolicy TooShort UnknownRecord derive_key disperse entropy grant
     histogram open pdf_csv protect recover release request_access revoke run_bench seal
     split_header strip_header __version__
 """.split()

@@ -6,12 +6,14 @@ import os
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sefrag import container, core
 from sefrag.container import FLAG_HEADER_STRIPPED, PufContainer, seal
 from sefrag.core import ProtectionKey
-from sefrag.dispersion import MemoryBackend, PlacementIndex, disperse
-from sefrag.errors import IntegrityFailure, NotOwner, PairMismatch, UnknownRecord
+from sefrag.dispersion import MemoryBackend, disperse
+from sefrag.errors import FormatError, IntegrityFailure, NotOwner, PairMismatch, SefragError
 from sefrag.sharing import (
     Decision,
     Party,
@@ -31,6 +33,21 @@ AUTHORITY = Party("cdc", "authority")
 REQUESTER = Party("carol", "requester")
 
 RID = bytes(range(16))
+
+# Arbitrary JSON, and objects shaped partly like one record's policy.
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+POLICY_LIKE = st.fixed_dictionaries(
+    {},
+    optional={
+        "record_id": st.sampled_from([RID.hex(), "0", "zz"]) | JSON,
+        "grants": st.lists(st.fixed_dictionaries({}, optional={"party": JSON, "ts": JSON}) | JSON, max_size=3),
+        "revoked": JSON,
+    },
+)
 
 
 @pytest.fixture
@@ -62,11 +79,6 @@ class TestRequestAccess:
         other = bytes(16)
         grant(store, OWNER, REQUESTER.id, RID)
         assert request_access(store, REQUESTER, other) == Decision.PUF_ONLY
-
-    def test_unknown_record_with_index(self, store, tmp_path):
-        index = PlacementIndex(tmp_path / "placements.jsonl")
-        with pytest.raises(UnknownRecord):
-            request_access(store, REQUESTER, RID, index)
 
 
 class TestGrantRevoke:
@@ -171,6 +183,31 @@ class TestPersistence:
     def test_load_missing_file_is_empty(self, tmp_path):
         store = PolicyStore.load(tmp_path / "absent.json")
         assert store.owner_id is None
+
+    @pytest.mark.parametrize("text", [
+        '{"policies": [{"grants": []}]}',
+        "[]",
+        '{"policies": [{"record_id": "zz"}]}',
+        '{"policies": [{"record_id": "00", "grants": [{"ts": 1}]}]}',
+        '{"policies": 5}',
+        "not json",
+        pytest.param("[" * 100_000, id="deep-nesting"),
+    ])
+    def test_malformed_file_raises_format_error(self, tmp_path, text):
+        path = tmp_path / "policy.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError):
+            PolicyStore.load(path)
+
+    @given(JSON | st.fixed_dictionaries({}, optional={"owner": JSON, "policies": st.lists(POLICY_LIKE | JSON)}))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_only_sefrag_errors_escape_load(self, tmp_path, obj):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        try:
+            PolicyStore.load(path)
+        except SefragError:
+            pass
 
 
 @pytest.fixture
