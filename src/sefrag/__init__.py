@@ -26,8 +26,8 @@ _HOMES = {
     "bench": "BenchReport run_bench",
     "container": "PrfContainer PufContainer derive_key open seal split_header strip_header",
     "core": "ProtectedStreams ProtectionKey protect recover",
-    "dispersion": "Backend BlobRef BlobServer DirectoryBackend MemoryBackend Placement "
-    "PlacementIndex RemoteBackend disperse",
+    "dispersion": "BlobRef BlobServer DirectoryBackend Placement PlacementIndex RemoteBackend "
+    "disperse",
     "errors": "BackendUnavailable BadPadding BindError CorruptBlob EmptyInput EmptyPassphrase "
     "FormatError IntegrityFailure LengthMismatch NotDicom NotFound NotOwner PairMismatch "
     "SameBackend SefragError TooShort UnknownRecord",

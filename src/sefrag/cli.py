@@ -198,11 +198,7 @@ def cmd_put(args) -> int:
         raise PairMismatch("public and private containers carry different file ids")
     store = Path(args.store)
     placement = dispersion.disperse(
-        puf,
-        prf,
-        _device_backend(store),
-        _cloud_backend(args, store),
-        index=_placement_index(store),
+        puf, prf, _device_backend(store), _cloud_backend(args, store), _placement_index(store)
     )
     print(placement.record_id.hex())
     print("puf %s %s" % (placement.puf_ref.hex, placement.puf_backend))
@@ -256,13 +252,16 @@ def cmd_request(args) -> int:
         placement = _placement_index(store_dir).lookup(record_id)
         if placement is None:
             raise UnknownRecord(f"no placement for record {record_id.hex()}")
-    decision = sharing.request_access(store, party, record_id)
-    print(decision.value)
-    if placement is not None and decision != sharing.Decision.DENIED:
         backends = {
             "device": _device_backend(store_dir),
             "cloud": _cloud_backend(args, store_dir),
         }
+        for name in (placement.puf_backend, placement.prf_backend):
+            if name not in backends:
+                raise NotFound(f"record {record_id.hex()} is placed on unknown backend {name!r}")
+    decision = sharing.request_access(store, party, record_id)
+    print(decision.value)
+    if placement is not None and decision != sharing.Decision.DENIED:
         released = sharing.release(decision, placement, backends, anonymize=args.anonymize)
         out_dir = Path(args.out_dir)
         if released.puf_bytes is not None:

@@ -2,17 +2,17 @@
 
 Blobs are content addressed: the id of a blob is SHA-256 of its bytes,
 recomputed and checked on every read, so silent corruption on any
-backend surfaces as ``CorruptBlob``.  Three interchangeable backends:
-in-memory, local directory (two-level fan-out by the first two hex
-chars of the id, atomic write via temp file + rename), and a remote
-client speaking the wire protocol below.
+backend surfaces as ``CorruptBlob``.  Two interchangeable backends: a
+local directory (two-level fan-out by the first two hex chars of the
+id, atomic write via temp file + rename), and a remote client speaking
+the wire protocol below.
 
 Wire protocol, one TCP connection carrying any number of requests::
 
     request:  opcode u8 | id 32B | (PUT only: length u64 LE | payload)
     response: status u8 | (GET, status OK only: length u64 LE | payload)
 
-    opcodes: 0x01 PUT, 0x02 GET, 0x03 DELETE, 0x04 STAT
+    opcodes: 0x01 PUT, 0x02 GET, 0x03 DELETE
     status:  0x00 OK, 0x01 NOT_FOUND, 0x02 ERROR
 
 The server re-verifies that a PUT id matches the payload hash and
@@ -63,13 +63,15 @@ MAX_PAYLOAD = 1 << 30
 OP_PUT = 0x01
 OP_GET = 0x02
 OP_DELETE = 0x03
-OP_STAT = 0x04
 
 ST_OK = 0x00
 ST_NOT_FOUND = 0x01
 ST_ERROR = 0x02
 
 _LEN = struct.Struct("<Q")
+
+# Seconds each socket operation of a remote call may block.
+REMOTE_TIMEOUT = 10.0
 
 
 @dataclass(frozen=True)
@@ -95,54 +97,7 @@ class BlobRef:
         return self.id.hex()
 
 
-class Backend:
-    """Blob store interface; see the concrete backends below."""
-
-    name: str
-
-    def put(self, payload: bytes) -> BlobRef:
-        raise NotImplementedError
-
-    def get(self, ref: BlobRef) -> bytes:
-        raise NotImplementedError
-
-    def delete(self, ref: BlobRef) -> bool:
-        raise NotImplementedError
-
-    def stat(self, ref: BlobRef) -> bool:
-        raise NotImplementedError
-
-
-class MemoryBackend(Backend):
-    def __init__(self, name: str = "memory"):
-        self.name = name
-        self._blobs: dict[bytes, bytes] = {}
-
-    def __len__(self) -> int:
-        return len(self._blobs)
-
-    def put(self, payload: bytes) -> BlobRef:
-        ref = BlobRef.for_payload(payload)
-        self._blobs[ref.id] = payload
-        return ref
-
-    def get(self, ref: BlobRef) -> bytes:
-        try:
-            payload = self._blobs[ref.id]
-        except KeyError:
-            raise NotFound(f"no blob {ref.hex}") from None
-        if BlobRef.for_payload(payload) != ref:
-            raise CorruptBlob(f"blob {ref.hex} fails its hash check")
-        return payload
-
-    def delete(self, ref: BlobRef) -> bool:
-        return self._blobs.pop(ref.id, None) is not None
-
-    def stat(self, ref: BlobRef) -> bool:
-        return ref.id in self._blobs
-
-
-class DirectoryBackend(Backend):
+class DirectoryBackend:
     def __init__(self, root: str | Path, name: str | None = None):
         self.root = Path(root)
         self.name = name if name is not None else str(self.root)
@@ -181,9 +136,6 @@ class DirectoryBackend(Backend):
         except FileNotFoundError:
             return False
 
-    def stat(self, ref: BlobRef) -> bool:
-        return self._path(ref).exists()
-
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:
     buf = bytearray()
@@ -195,13 +147,12 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return bytes(buf)
 
 
-class RemoteBackend(Backend):
+class RemoteBackend:
     """Client for a blob server; one connection per call."""
 
-    def __init__(self, host: str, port: int, name: str | None = None, timeout: float = 10.0):
+    def __init__(self, host: str, port: int, name: str | None = None):
         self.host = host
         self.port = port
-        self.timeout = timeout
         self.name = name if name is not None else f"remote:{host}:{port}"
 
     def _request(self, opcode: int, ref: BlobRef, payload: bytes | None = None) -> tuple[int, bytes]:
@@ -209,7 +160,7 @@ class RemoteBackend(Backend):
         if payload is not None:
             frame += _LEN.pack(len(payload)) + payload
         try:
-            with socket.create_connection((self.host, self.port), timeout=self.timeout) as sock:
+            with socket.create_connection((self.host, self.port), timeout=REMOTE_TIMEOUT) as sock:
                 sock.sendall(frame)
                 status = _recv_exact(sock, 1)[0]
                 body = b""
@@ -245,10 +196,6 @@ class RemoteBackend(Backend):
         status, _ = self._request(OP_DELETE, ref)
         return status == ST_OK
 
-    def stat(self, ref: BlobRef) -> bool:
-        status, _ = self._request(OP_STAT, ref)
-        return status == ST_OK
-
 
 class _BlobRequestHandler(socketserver.BaseRequestHandler):
     def handle(self):
@@ -262,7 +209,7 @@ class _BlobRequestHandler(socketserver.BaseRequestHandler):
             if not op_raw:
                 return
             opcode = op_raw[0]
-            if opcode not in (OP_PUT, OP_GET, OP_DELETE, OP_STAT):
+            if opcode not in (OP_PUT, OP_GET, OP_DELETE):
                 # Frame sync is lost: hang up.
                 sock.sendall(bytes([ST_ERROR]))
                 return
@@ -289,10 +236,8 @@ class _BlobRequestHandler(socketserver.BaseRequestHandler):
                         sock.sendall(bytes([ST_ERROR]))
                     else:
                         sock.sendall(bytes([ST_OK]) + _LEN.pack(len(payload)) + payload)
-                elif opcode == OP_DELETE:
-                    sock.sendall(bytes([ST_OK if backend.delete(ref) else ST_NOT_FOUND]))
                 else:
-                    sock.sendall(bytes([ST_OK if backend.stat(ref) else ST_NOT_FOUND]))
+                    sock.sendall(bytes([ST_OK if backend.delete(ref) else ST_NOT_FOUND]))
             except (ConnectionError, OSError):
                 return
 
@@ -317,12 +262,10 @@ class BlobServer:
     def address(self) -> tuple[str, int]:
         return self._server.server_address[:2]
 
-    def run(self):
-        """Serve until ``stop`` (blocking)."""
-        self._server.serve_forever(poll_interval=0.1)
-
     def start(self):
-        self._thread = threading.Thread(target=self.run, daemon=True)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True
+        )
         self._thread.start()
 
     def stop(self):
@@ -426,9 +369,9 @@ class PlacementIndex:
 def disperse(
     puf: PufContainer,
     prf: PrfContainer,
-    device_backend: Backend,
-    cloud_backend: Backend,
-    index: PlacementIndex | None = None,
+    device_backend: DirectoryBackend | RemoteBackend,
+    cloud_backend: DirectoryBackend | RemoteBackend,
+    index: PlacementIndex,
 ) -> Placement:
     """Store the pair per the dispersion rule and record the placement.
 
@@ -446,7 +389,7 @@ def disperse(
     try:
         prf_ref = device_backend.put(prf.to_bytes())
     except Exception:
-        prior = index.lookup(puf.file_id) if index is not None else None
+        prior = index.lookup(puf.file_id)
         if prior is None or prior.puf_ref != puf_ref:
             try:
                 cloud_backend.delete(puf_ref)
@@ -460,6 +403,5 @@ def disperse(
         prf_ref=prf_ref,
         prf_backend=device_backend.name,
     )
-    if index is not None:
-        index.record(placement)
+    index.record(placement)
     return placement

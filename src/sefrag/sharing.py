@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Mapping
 
 from . import container
-from .dispersion import Backend, Placement
+from .dispersion import DirectoryBackend, Placement, RemoteBackend
 from .errors import FormatError, NotOwner
 
 
@@ -83,29 +83,26 @@ class PolicyStore:
     action claims the slot, afterwards the id must match.
     """
 
-    def __init__(self, path: str | Path | None = None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
         self.owner_id: str | None = None
         self._policies: dict[bytes, SharePolicy] = {}
 
     @classmethod
     def load(cls, path: str | Path) -> "PolicyStore":
         store = cls(path)
-        p = Path(path)
-        if p.exists():
+        if store.path.exists():
             try:
-                obj = json.loads(p.read_text(encoding="utf-8"))
+                obj = json.loads(store.path.read_text(encoding="utf-8"))
                 store.owner_id = obj.get("owner")
                 for entry in obj.get("policies", []):
                     policy = SharePolicy.from_json(entry)
                     store._policies[policy.record_id] = policy
             except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-                raise FormatError(f"{p} is not a policy file ({type(exc).__name__}: {exc})") from None
+                raise FormatError(f"{store.path} is not a policy file ({type(exc).__name__}: {exc})") from None
         return store
 
     def save(self):
-        if self.path is None:
-            return
         obj = {
             "owner": self.owner_id,
             "policies": [p.to_json() for p in self._policies.values()],
@@ -182,7 +179,7 @@ class Release:
 def release(
     decision: Decision,
     placement: Placement,
-    backends: Mapping[str, Backend],
+    backends: Mapping[str, DirectoryBackend | RemoteBackend],
     anonymize: bool = False,
 ) -> Release:
     """Fetch and deliver the fragments a decision allows.

@@ -20,7 +20,7 @@ import pytest
 import sefrag
 from sefrag import analysis, bench, container, core, dispersion
 from sefrag.core import ProtectionKey
-from sefrag.dispersion import BlobServer, DirectoryBackend, MemoryBackend, RemoteBackend
+from sefrag.dispersion import BlobServer, DirectoryBackend, PlacementIndex, RemoteBackend
 from sefrag.errors import CorruptBlob, IntegrityFailure, SameBackend
 
 MIB = 1 << 20
@@ -155,16 +155,19 @@ def test_dispersion_rule(tmp_path):
         key = ProtectionKey(rng.randbytes(16))
         puf, prf = container.seal(data, key)
 
-        same = MemoryBackend("device")
+        index = PlacementIndex(tmp_path / "placements.jsonl")
+        device = DirectoryBackend(tmp_path / "device", name="device")
         with pytest.raises(SameBackend):
-            dispersion.disperse(puf, prf, same, same)
+            dispersion.disperse(puf, prf, device, device, index)
         with pytest.raises(SameBackend):
-            dispersion.disperse(puf, prf, MemoryBackend("store"), MemoryBackend("store"))
+            dispersion.disperse(
+                puf, prf, DirectoryBackend(tmp_path / "a", name="store"),
+                DirectoryBackend(tmp_path / "b", name="store"), index,
+            )
 
         with BlobServer("127.0.0.1", 0, tmp_path / "srv") as server:
             cloud = RemoteBackend(*server.address, name="cloud")
-            device = DirectoryBackend(tmp_path / "device", name="device")
-            placement = dispersion.disperse(puf, prf, device, cloud)
+            placement = dispersion.disperse(puf, prf, device, cloud, index)
 
             got_puf = container.PufContainer.from_bytes(cloud.get(placement.puf_ref))
             got_prf = container.PrfContainer.from_bytes(device.get(placement.prf_ref))

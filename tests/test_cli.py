@@ -382,6 +382,22 @@ class TestStoreCommands:
         assert run_cli("request", record, "--as", "dr", "--role", "doctor", "--store", store, "--out-dir", out) == 0
         assert (out / f"{record}.prf").read_bytes() == prf.read_bytes()
 
+    @pytest.mark.parametrize("backend", ["cloud", "device"])
+    def test_request_out_dir_for_unknown_backend_exits_5(self, sealed, tmp_path, capsys, backend):
+        record, puf, prf = sealed
+        store = tmp_path / "s"
+        run_cli("put", puf, prf, "--store", store)
+        capsys.readouterr()
+        index = store / "placements.jsonl"
+        index.write_text(index.read_text().replace(f'"backend": "{backend}"', '"backend": "nowhere"'))
+        out = tmp_path / "o"
+        out.mkdir()
+        assert run_cli("request", record, "--as", "dr", "--role", "doctor", "--store", store, "--out-dir", out) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("text", ['{"policies": [{"grants": []}]}', "[]"])
     def test_malformed_policy_file_exits_3(self, tmp_path, capsys, text):
         store = tmp_path / "s"

@@ -29,6 +29,7 @@ from sefrag.errors import (
     IntegrityFailure,
     NotDicom,
     PairMismatch,
+    SefragError,
     TooShort,
 )
 
@@ -37,6 +38,38 @@ KEY = ProtectionKey.from_hex("000102030405060708090a0b0c0d0e0f")
 
 def make_dicom(body: bytes) -> bytes:
     return bytes(128) + b"DICM" + body
+
+
+def _flip(raw: bytes, flips: list[tuple[int, int]]) -> bytes:
+    out = bytearray(raw)
+    for pos, mask in flips:
+        out[pos] ^= mask
+    return bytes(out)
+
+
+def _mutations(raw: bytes):
+    """``raw`` truncated, with a few bytes flipped, or extended."""
+    return (
+        st.integers(0, len(raw) - 1).map(lambda n: raw[:n])
+        | st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)), min_size=1, max_size=4).map(
+            lambda flips: _flip(raw, flips)
+        )
+        | st.binary(min_size=1, max_size=64).map(lambda extra: raw + extra)
+    )
+
+
+# Arbitrary bytes, bytes behind a container magic, a private header whose
+# length field matches a body of any length, and a real sealed pair mutated.
+_SEALED = [c.to_bytes() for c in seal(make_dicom(bytes(range(256)) + b"tail"), KEY, mode="dicom")]
+CONTAINER_BYTES = (
+    st.binary(max_size=200)
+    | st.tuples(st.sampled_from([b"PUF1", b"PRF1"]), st.binary(max_size=200)).map(b"".join)
+    | st.binary(max_size=80).map(
+        lambda body: container._PRF_HEADER.pack(b"PRF1", 1, bytes(16), bytes(16), bytes(16), len(body)) + body
+    )
+    | _mutations(_SEALED[0])
+    | _mutations(_SEALED[1])
+)
 
 
 class TestSplitHeader:
@@ -133,6 +166,15 @@ class TestSerialization:
         raw[34] ^= 1  # unit_count field
         with pytest.raises(FormatError):
             PufContainer.from_bytes(bytes(raw))
+
+    @given(CONTAINER_BYTES)
+    @settings(max_examples=300, deadline=None)
+    def test_only_sefrag_errors_escape_parsers(self, raw):
+        for parse in (PufContainer.from_bytes, PrfContainer.from_bytes):
+            try:
+                parse(raw)
+            except SefragError:
+                pass
 
 
 class TestSealOpen:

@@ -14,11 +14,9 @@ from sefrag.container import seal
 from sefrag.core import ProtectionKey
 from sefrag.dispersion import (
     OP_GET,
-    OP_STAT,
     BlobRef,
     BlobServer,
     DirectoryBackend,
-    MemoryBackend,
     Placement,
     PlacementIndex,
     RemoteBackend,
@@ -58,39 +56,40 @@ def served(tmp_path):
         yield server, RemoteBackend(host, port)
 
 
-def backend_cases(tmp_path):
-    return [MemoryBackend(), DirectoryBackend(tmp_path / "dir")]
+def stored_files(root):
+    return [p for p in root.rglob("*") if p.is_file()]
+
+
+@pytest.fixture(params=["directory", "remote"])
+def blob_store(request, tmp_path):
+    """A backend the CLI uses, and the directory that holds its blobs."""
+    if request.param == "directory":
+        yield DirectoryBackend(tmp_path / "blobs"), tmp_path / "blobs"
+    else:
+        with BlobServer("127.0.0.1", 0, tmp_path / "served") as server:
+            yield RemoteBackend(*server.address), tmp_path / "served"
 
 
 class TestLocalBackends:
-    @pytest.mark.parametrize("kind", ["memory", "directory"])
-    def test_put_get_round_trip(self, tmp_path, kind):
-        backend = MemoryBackend() if kind == "memory" else DirectoryBackend(tmp_path)
+    def test_put_get_round_trip(self, blob_store):
+        backend, _ = blob_store
         payload = b"some payload" * 100
         ref = backend.put(payload)
         assert ref == BlobRef.for_payload(payload)
         assert backend.get(ref) == payload
-        assert backend.stat(ref)
 
-    @pytest.mark.parametrize("kind", ["memory", "directory"])
-    def test_put_idempotent(self, tmp_path, kind):
-        backend = MemoryBackend() if kind == "memory" else DirectoryBackend(tmp_path)
+    def test_put_idempotent(self, blob_store):
+        backend, root = blob_store
         ref1 = backend.put(b"x")
         ref2 = backend.put(b"x")
         assert ref1 == ref2
-
-    def test_memory_idempotent_size(self):
-        backend = MemoryBackend()
-        backend.put(b"x")
-        backend.put(b"x")
-        assert len(backend) == 1
+        assert stored_files(root) == [root / ref1.hex[:2] / ref1.hex]
 
     def test_directory_idempotent_file_count(self, tmp_path):
         backend = DirectoryBackend(tmp_path)
         backend.put(b"x")
         backend.put(b"x")
-        files = [p for p in tmp_path.rglob("*") if p.is_file()]
-        assert len(files) == 1
+        assert len(stored_files(tmp_path)) == 1
 
     def test_empty_payload(self, tmp_path):
         backend = DirectoryBackend(tmp_path)
@@ -99,9 +98,8 @@ class TestLocalBackends:
         assert backend.get(ref) == b""
 
     def test_get_unknown(self, tmp_path):
-        for backend in backend_cases(tmp_path):
-            with pytest.raises(NotFound):
-                backend.get(BlobRef(bytes(32)))
+        with pytest.raises(NotFound):
+            DirectoryBackend(tmp_path).get(BlobRef(bytes(32)))
 
     def test_tampered_file_corrupt_blob(self, tmp_path):
         backend = DirectoryBackend(tmp_path)
@@ -129,7 +127,8 @@ class TestLocalBackends:
         ref = backend.put(b"gone soon")
         assert backend.delete(ref)
         assert not backend.delete(ref)
-        assert not backend.stat(ref)
+        with pytest.raises(NotFound):
+            backend.get(ref)
 
     def test_fanout_layout(self, tmp_path):
         backend = DirectoryBackend(tmp_path)
@@ -143,9 +142,10 @@ class TestWireProtocol:
         payload = b"over the wire" * 1000
         ref = remote.put(payload)
         assert remote.get(ref) == payload
-        assert remote.stat(ref)
         assert remote.delete(ref)
-        assert not remote.stat(ref)
+        assert not remote.delete(ref)
+        with pytest.raises(NotFound):
+            remote.get(ref)
 
     def test_get_absent_not_found(self, served):
         _, remote = served
@@ -156,8 +156,9 @@ class TestWireProtocol:
         server, remote = served
         payload = b"still here"
         ref = remote.put(payload)
-        # 0x09 + id: the id's first byte (0x04) must not be read as a STAT.
-        for frame in (b"\x09" + bytes([OP_STAT]) + bytes(31), b"\xff"):
+        # 0x09 + id: the id's first byte (0x02) must not be read as a GET.
+        # 0x04 + a stored id: an unknown opcode, however well formed the rest.
+        for frame in (b"\x09" + bytes([OP_GET]) + bytes(31), b"\xff", b"\x04" + ref.id):
             with socket.create_connection(server.address, timeout=5) as sock:
                 sock.sendall(frame)
                 assert sock.recv(1) == b"\x02"  # ERROR
@@ -177,8 +178,8 @@ class TestWireProtocol:
         with socket.create_connection(server.address, timeout=5) as sock:
             sock.sendall(b"\x01" + wrong_id + struct.pack("<Q", len(payload)) + payload)
             assert sock.recv(1) == b"\x02"  # ERROR
-        remote = RemoteBackend(*server.address)
-        assert not remote.stat(BlobRef(wrong_id))
+        with pytest.raises(NotFound):
+            RemoteBackend(*server.address).get(BlobRef(wrong_id))
 
     def test_server_verifies_true_id(self, served):
         server, remote = served
@@ -191,7 +192,7 @@ class TestWireProtocol:
             assert length == len(payload)
 
     def test_unreachable_server(self):
-        remote = RemoteBackend("127.0.0.1", 1, timeout=0.5)
+        remote = RemoteBackend("127.0.0.1", 1)
         with pytest.raises(BackendUnavailable):
             remote.put(b"nobody listens")
 
@@ -202,23 +203,25 @@ class TestWireProtocol:
                 BlobServer("127.0.0.1", port, tmp_path / "b")
 
 
-class _FailingBackend(MemoryBackend):
+class _FailingBackend(DirectoryBackend):
     def put(self, payload: bytes) -> BlobRef:
         raise BackendUnavailable(f"{self.name}: disk full")
 
 
 class TestDisperse:
     def test_same_backend_rejected(self, tmp_path):
-        backend = MemoryBackend("only")
+        backend = DirectoryBackend(tmp_path / "a", name="only")
+        index = PlacementIndex(tmp_path / "placements.jsonl")
         puf, prf = seal(b"data" * 50, KEY)
         with pytest.raises(SameBackend):
-            disperse(puf, prf, backend, backend)
-        same_name = MemoryBackend("only")
+            disperse(puf, prf, backend, backend, index)
+        same_name = DirectoryBackend(tmp_path / "b", name="only")
         with pytest.raises(SameBackend):
-            disperse(puf, prf, backend, same_name)
+            disperse(puf, prf, backend, same_name, index)
+        assert stored_files(tmp_path) == []
 
     def test_round_trip_through_backends(self, tmp_path):
-        device = MemoryBackend("device")
+        device = DirectoryBackend(tmp_path / "device", name="device")
         cloud = DirectoryBackend(tmp_path / "cloud", name="cloud")
         index = PlacementIndex(tmp_path / "placements.jsonl")
         data = b"\x07\x08" * 500
@@ -233,44 +236,45 @@ class TestDisperse:
         assert index.lookup(puf.file_id) == placement
 
     def test_offline_cloud_leaves_no_partial_placement(self, tmp_path):
-        device = MemoryBackend("device")
-        cloud = RemoteBackend("127.0.0.1", 1, name="cloud", timeout=0.5)
+        device = DirectoryBackend(tmp_path / "device", name="device")
+        cloud = RemoteBackend("127.0.0.1", 1, name="cloud")
         index = PlacementIndex(tmp_path / "placements.jsonl")
         puf, prf = seal(b"unlucky" * 30, KEY)
         with pytest.raises(BackendUnavailable):
             disperse(puf, prf, device, cloud, index)
-        assert len(device) == 0
+        assert stored_files(tmp_path / "device") == []
         assert index.lookup(puf.file_id) is None
 
     def test_device_failure_deletes_cloud_blob(self, tmp_path):
-        device = _FailingBackend("device")
+        device = _FailingBackend(tmp_path / "device", name="device")
         cloud = DirectoryBackend(tmp_path / "cloud", name="cloud")
         index = PlacementIndex(tmp_path / "placements.jsonl")
         puf, prf = seal(b"half placed" * 30, KEY)
         with pytest.raises(BackendUnavailable):
             disperse(puf, prf, device, cloud, index)
-        assert [p for p in (tmp_path / "cloud").rglob("*") if p.is_file()] == []
+        assert stored_files(tmp_path / "cloud") == []
         assert index.lookup(puf.file_id) is None
         assert index.records() == {}
 
     def test_device_failure_keeps_an_already_recorded_cloud_blob(self, tmp_path):
-        cloud = MemoryBackend("cloud")
+        cloud = DirectoryBackend(tmp_path / "cloud", name="cloud")
         index = PlacementIndex(tmp_path / "placements.jsonl")
         puf, prf = seal(b"placed twice" * 30, KEY)
-        placement = disperse(puf, prf, MemoryBackend("device"), cloud, index)
+        placement = disperse(puf, prf, DirectoryBackend(tmp_path / "device", name="device"), cloud, index)
+        failing = _FailingBackend(tmp_path / "device", name="device")
         with pytest.raises(BackendUnavailable):
-            disperse(puf, prf, _FailingBackend("device"), cloud, index)
+            disperse(puf, prf, failing, cloud, index)
         assert cloud.get(placement.puf_ref) == puf.to_bytes()
         assert index.lookup(puf.file_id) == placement
 
     def test_cloud_alone_plus_key_recovers_nothing(self, tmp_path):
         # The cloud store plus the key does not open directly; a unit-by-unit
         # search over the 2^32 selected values is not attempted here.
-        device = MemoryBackend("device")
-        cloud = MemoryBackend("cloud")
+        device = DirectoryBackend(tmp_path / "device", name="device")
+        cloud = DirectoryBackend(tmp_path / "cloud", name="cloud")
         data = bytes(1024)
         puf, prf = seal(data, KEY)
-        placement = disperse(puf, prf, device, cloud)
+        placement = disperse(puf, prf, device, cloud, PlacementIndex(tmp_path / "placements.jsonl"))
         stolen = container.PufContainer.from_bytes(cloud.get(placement.puf_ref))
         zero_prf_plain = bytes(4 * stolen.unit_count + stolen.tail_len + 32)
         with pytest.raises(IntegrityFailure):

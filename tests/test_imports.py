@@ -18,9 +18,9 @@ OFF_PATH = ["sefrag.analysis", "sefrag.bench", "sefrag.dispersion", "sefrag.shar
 
 # The package's public names; none may go missing.
 PUBLIC = """
-    Backend BackendUnavailable BadPadding BenchReport BindError BlobRef BlobServer
+    BackendUnavailable BadPadding BenchReport BindError BlobRef BlobServer
     ByteHistogram CorruptBlob Decision DirectoryBackend EmptyInput EmptyPassphrase
-    FormatError IntegrityFailure LengthMismatch MemoryBackend NotDicom NotFound NotOwner
+    FormatError IntegrityFailure LengthMismatch NotDicom NotFound NotOwner
     PairMismatch Party Placement PlacementIndex PolicyStore PrfContainer ProtectedStreams
     ProtectionKey PufContainer Release RemoteBackend Role SameBackend SefragError
     SharePolicy TooShort UnknownRecord derive_key disperse entropy grant

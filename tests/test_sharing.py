@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sefrag import container, core
 from sefrag.container import FLAG_HEADER_STRIPPED, PufContainer, seal
 from sefrag.core import ProtectionKey
-from sefrag.dispersion import MemoryBackend, disperse
+from sefrag.dispersion import DirectoryBackend, PlacementIndex, disperse
 from sefrag.errors import FormatError, IntegrityFailure, NotOwner, PairMismatch, SefragError
 from sefrag.sharing import (
     Decision,
@@ -212,11 +212,11 @@ class TestPersistence:
 
 @pytest.fixture
 def placed(tmp_path):
-    device = MemoryBackend("device")
-    cloud = MemoryBackend("cloud")
+    device = DirectoryBackend(tmp_path / "device", name="device")
+    cloud = DirectoryBackend(tmp_path / "cloud", name="cloud")
     data = bytes(128) + b"DICM" + b"\x42" * 600
     puf, prf = seal(data, KEY, mode="dicom")
-    placement = disperse(puf, prf, device, cloud)
+    placement = disperse(puf, prf, device, cloud, PlacementIndex(tmp_path / "placements.jsonl"))
     backends = {"device": device, "cloud": cloud}
     return data, placement, backends
 
