@@ -66,11 +66,11 @@ def _key_for_protect(args) -> tuple[ProtectionKey, bytes]:
     raise _Usage("provide --key-hex, --passphrase, or --passphrase-file")
 
 
-def _key_for_recover(args, prf: PrfContainer) -> ProtectionKey:
+def _key_for_recover(args, kdf_salt: bytes) -> ProtectionKey:
     if args.key_hex:
         return ProtectionKey.from_hex(args.key_hex)
     if args.passphrase or args.passphrase_file:
-        return container.derive_key(_read_passphrase(args), prf.kdf_salt)
+        return container.derive_key(_read_passphrase(args), kdf_salt)
     raise _Usage("provide --key-hex, --passphrase, or --passphrase-file")
 
 
@@ -112,23 +112,25 @@ def _policy_store(store: Path):
 
 
 def cmd_protect(args) -> int:
-    data = Path(args.input).read_bytes()
-    key, salt = _key_for_protect(args)
-    puf, prf = container.seal(data, key, mode=args.mode, kdf_salt=salt)
     out_dir = Path(args.out_dir)
     stem = Path(args.input).stem or Path(args.input).name
-    atomic_write(out_dir / (stem + ".puf"), puf.to_bytes())
-    atomic_write(out_dir / (stem + ".prf"), prf.to_bytes())
-    print(puf.file_id.hex())
+    with Path(args.input).open("rb") as src:
+        key, salt = _key_for_protect(args)
+        file_id, pieces = container.seal_stream(src, key, mode=args.mode, kdf_salt=salt)
+        with atomic_write(out_dir / (stem + ".puf")) as puf, atomic_write(out_dir / (stem + ".prf")) as prf:
+            for puf_piece, prf_piece in pieces:
+                puf(puf_piece)
+                prf(prf_piece)
+    print(file_id.hex())
     return 0
 
 
 def cmd_recover(args) -> int:
-    puf = PufContainer.from_bytes(Path(args.puf).read_bytes())
-    prf = PrfContainer.from_bytes(Path(args.prf).read_bytes())
-    key = _key_for_recover(args, prf)
-    data = container.open(puf, prf, key)
-    atomic_write(args.out, data)
+    with Path(args.puf).open("rb") as puf, Path(args.prf).open("rb") as prf:
+        pieces = container.open_stream(puf, prf, lambda kdf_salt: _key_for_recover(args, kdf_salt))
+        with atomic_write(args.out) as write:
+            for piece in pieces:
+                write(piece)
     return 0
 
 
@@ -153,7 +155,8 @@ def cmd_pdf(args) -> int:
     from . import analysis
 
     data = _analysis_bytes(Path(args.path).read_bytes())
-    atomic_write(args.out, analysis.pdf_csv(analysis.histogram(data)).encode())
+    with atomic_write(args.out) as write:
+        write(analysis.pdf_csv(analysis.histogram(data)).encode())
     return 0
 
 
@@ -163,7 +166,8 @@ def cmd_bench(args) -> int:
     report = bench.run_bench(args.size_mb, iterations=args.iterations)
     print(bench.format_table(report))
     if args.csv:
-        atomic_write(args.csv, bench.format_csv(report).encode())
+        with atomic_write(args.csv) as write:
+            write(bench.format_csv(report).encode())
     return 0
 
 
@@ -220,23 +224,25 @@ def cmd_get(args) -> int:
             continue
     if payload is None:
         raise NotFound(f"no blob {args.id} on any configured backend")
-    atomic_write(args.out, payload)
+    with atomic_write(args.out) as write:
+        write(payload)
     return 0
 
 
-def cmd_grant(args) -> int:
+def cmd_grant_or_revoke(args) -> int:
+    """One load-modify-save of the policy file, under an exclusive lock on
+    a sibling ``policy.json.lock`` so that concurrent edits all land."""
+    import fcntl
+
     from . import sharing
 
-    store = _policy_store(Path(args.store))
-    sharing.grant(store, sharing.Party(args.caller, "owner"), args.party, _record_id(args.record))
-    return 0
-
-
-def cmd_revoke(args) -> int:
-    from . import sharing
-
-    store = _policy_store(Path(args.store))
-    sharing.revoke(store, sharing.Party(args.caller, "owner"), args.party, _record_id(args.record))
+    record_id = _record_id(args.record)
+    store_dir = Path(args.store)
+    store_dir.mkdir(parents=True, exist_ok=True)
+    with (store_dir / "policy.json.lock").open("ab") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        change = getattr(sharing, args.command)  # sharing.grant or sharing.revoke
+        change(_policy_store(store_dir), sharing.Party(args.caller, "owner"), args.party, record_id)
     return 0
 
 
@@ -264,10 +270,10 @@ def cmd_request(args) -> int:
     if placement is not None and decision != sharing.Decision.DENIED:
         released = sharing.release(decision, placement, backends, anonymize=args.anonymize)
         out_dir = Path(args.out_dir)
-        if released.puf_bytes is not None:
-            atomic_write(out_dir / (args.record + ".puf"), released.puf_bytes)
-        if released.prf_bytes is not None:
-            atomic_write(out_dir / (args.record + ".prf"), released.prf_bytes)
+        for suffix, data in ((".puf", released.puf_bytes), (".prf", released.prf_bytes)):
+            if data is not None:
+                with atomic_write(out_dir / (args.record + suffix)) as write:
+                    write(data)
     return 0
 
 
@@ -334,13 +340,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("record")
     p.add_argument("party")
     p.add_argument("--as", dest="caller", required=True, help="acting owner id")
-    p.set_defaults(func=cmd_grant)
+    p.set_defaults(func=cmd_grant_or_revoke)
 
     p = sub.add_parser("revoke", parents=[store_flags], help="withdraw a grant")
     p.add_argument("record")
     p.add_argument("party")
     p.add_argument("--as", dest="caller", required=True, help="acting owner id")
-    p.set_defaults(func=cmd_revoke)
+    p.set_defaults(func=cmd_grant_or_revoke)
 
     p = sub.add_parser("request", parents=[store_flags], help="ask what a party may see")
     p.add_argument("record")

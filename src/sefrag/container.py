@@ -17,12 +17,30 @@ fresh random IV; authenticity comes from the digest inside the stream,
 so no MAC is layered on top.  ``file_id`` is random per seal and shared
 by the pair.  The file header (stored plaintext by design) lives in the
 public container; flag bit 0 marks it stripped for anonymized release.
+
+``seal_stream`` and ``open_stream`` are one pass over binary files,
+``core.CHUNK_UNITS`` units at a time, so their memory does not grow with
+the file.  The headers go out first: the ``.puf`` header needs only the
+head and the content length, which the input's size gives, and the
+``.prf`` header's ``ct_len`` follows from the content length, because
+the private stream is 4 bytes per unit, the tail and a 32-byte digest,
+PKCS#7-padded: 16 * ((4 * units + tail + 32) // 16 + 1).  AES-CBC and
+the padding run incrementally over each chunk's picked bytes.
+``open_stream`` first decrypts the last cipher block alone, so a wrong
+key fails on its padding before any work; it then decrypts the private
+stream in lockstep with the public payload (the picks of chunk k start
+at plaintext offset 4 * CHUNK_UNITS * k) and checks the content digest
+after the last piece.  Its pieces written through ``atomic_write`` are
+therefore renamed into place only once verified.  ``seal`` and ``open``
+run the same pass over bytes in memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -58,19 +76,30 @@ KDF_ITERATIONS = 100_000
 ZERO_SALT = bytes(16)  # marks a raw (non-derived) key
 
 
-def split_header(data: bytes, mode: str = "raw") -> tuple[bytes, bytes]:
-    """Split input losslessly into ``(head, content)``: a plaintext head
-    and the protectable content.
+def _read_exact(src, n: int) -> bytes:
+    data = src.read(n)
+    if len(data) != n:
+        raise FormatError(f"input ended {n - len(data)} bytes early")
+    return data
 
-    Modes: ``raw`` (no head), ``fixed:<n>`` (first n bytes), ``dicom``
-    (132-byte preamble ending in "DICM").
-    """
+
+def _size(src) -> int:
+    """Length of a seekable binary file; leaves it at its start."""
+    size = src.seek(0, os.SEEK_END)
+    src.seek(0)
+    return size
+
+
+def _read_head(src, size: int, mode: str) -> bytes:
+    """Read the plaintext head ``mode`` names from the start of ``src``,
+    a file of ``size`` bytes; see ``split_header``."""
     if mode == "raw":
-        return b"", data
+        return b""
     if mode == "dicom":
-        if len(data) < DICOM_PREAMBLE_LEN or data[128:132] != b"DICM":
+        head = src.read(DICOM_PREAMBLE_LEN)
+        if len(head) < DICOM_PREAMBLE_LEN or head[128:132] != b"DICM":
             raise NotDicom("no DICM marker at offset 128")
-        return data[:DICOM_PREAMBLE_LEN], data[DICOM_PREAMBLE_LEN:]
+        return head
     if mode.startswith("fixed:"):
         try:
             n = int(mode.split(":", 1)[1])
@@ -78,10 +107,68 @@ def split_header(data: bytes, mode: str = "raw") -> tuple[bytes, bytes]:
             raise FormatError(f"bad fixed header length in mode {mode!r}") from None
         if n < 0:
             raise FormatError("fixed header length must be non-negative")
-        if n > len(data):
-            raise TooShort(f"input is {len(data)} bytes, fixed header wants {n}")
-        return data[:n], data[n:]
+        if n > size:
+            raise TooShort(f"input is {size} bytes, fixed header wants {n}")
+        return _read_exact(src, n)
     raise FormatError(f"unknown header mode {mode!r}")
+
+
+def split_header(data: bytes, mode: str = "raw") -> tuple[bytes, bytes]:
+    """Split input losslessly into ``(head, content)``: a plaintext head
+    and the protectable content.
+
+    Modes: ``raw`` (no head), ``fixed:<n>`` (first n bytes), ``dicom``
+    (132-byte preamble ending in "DICM").
+    """
+    head = _read_head(io.BytesIO(data), len(data), mode)
+    return head, data[len(head):]
+
+
+def _puf_header(file_id: bytes, head: bytes, content_len: int, flags: int = 0) -> bytes:
+    return _PUF_HEADER.pack(
+        PUF_MAGIC, VERSION, flags, file_id, len(head), content_len, content_len // core.UNIT_LEN,
+    ) + head
+
+
+def _read_puf_header(src, size: int) -> tuple[int, bytes, bytes, int]:
+    """Parse the header and head of a ``.puf`` file of ``size`` bytes from
+    its start; returns ``(flags, file_id, head, content_len)`` and leaves
+    ``src`` at the payload."""
+    if size < _PUF_HEADER.size:
+        raise FormatError("public container truncated")
+    magic, version, flags, file_id, header_len, content_len, unit_count = \
+        _PUF_HEADER.unpack(_read_exact(src, _PUF_HEADER.size))
+    if magic != PUF_MAGIC:
+        raise FormatError(f"bad public container magic {magic!r}")
+    if version != VERSION:
+        raise FormatError(f"unsupported public container version {version}")
+    if unit_count != content_len // core.UNIT_LEN:
+        raise FormatError("unit count inconsistent with content length")
+    if size - _PUF_HEADER.size != header_len + core.REMAINDER_LEN * unit_count:
+        raise FormatError("public container body length mismatch")
+    return flags, file_id, _read_exact(src, header_len), content_len
+
+
+def _prf_header(file_id: bytes, kdf_salt: bytes, iv: bytes, ct_len: int) -> bytes:
+    return _PRF_HEADER.pack(PRF_MAGIC, VERSION, file_id, kdf_salt, iv, ct_len)
+
+
+def _read_prf_header(src, size: int) -> tuple[bytes, bytes, bytes, int]:
+    """Parse the header of a ``.prf`` file of ``size`` bytes from its
+    start; returns ``(file_id, kdf_salt, iv, ct_len)`` and leaves ``src``
+    at the ciphertext."""
+    if size < _PRF_HEADER.size:
+        raise FormatError("private container truncated")
+    magic, version, file_id, kdf_salt, iv, ct_len = _PRF_HEADER.unpack(_read_exact(src, _PRF_HEADER.size))
+    if magic != PRF_MAGIC:
+        raise FormatError(f"bad private container magic {magic!r}")
+    if version != VERSION:
+        raise FormatError(f"unsupported private container version {version}")
+    if size - _PRF_HEADER.size != ct_len:
+        raise FormatError("private container body length mismatch")
+    if ct_len % 16 or ct_len == 0:
+        raise FormatError("ciphertext length must be a non-empty multiple of 16")
+    return file_id, kdf_salt, iv, ct_len
 
 
 @dataclass(frozen=True)
@@ -102,36 +189,18 @@ class PufContainer:
     def unit_count(self) -> int:
         return self.original_content_len // core.UNIT_LEN
 
-    @property
-    def tail_len(self) -> int:
-        return self.original_content_len % core.UNIT_LEN
-
     def to_bytes(self) -> bytes:
-        return _PUF_HEADER.pack(
-            PUF_MAGIC, VERSION, self.flags, self.file_id,
-            len(self.head), self.original_content_len, self.unit_count,
-        ) + self.head + self.puf_payload
+        return _puf_header(self.file_id, self.head, self.original_content_len, self.flags) + self.puf_payload
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PufContainer":
-        if len(raw) < _PUF_HEADER.size:
-            raise FormatError("public container truncated")
-        magic, version, flags, file_id, header_len, content_len, unit_count = \
-            _PUF_HEADER.unpack_from(raw)
-        if magic != PUF_MAGIC:
-            raise FormatError(f"bad public container magic {magic!r}")
-        if version != VERSION:
-            raise FormatError(f"unsupported public container version {version}")
-        if unit_count != content_len // core.UNIT_LEN:
-            raise FormatError("unit count inconsistent with content length")
-        body = raw[_PUF_HEADER.size:]
-        if len(body) != header_len + core.REMAINDER_LEN * unit_count:
-            raise FormatError("public container body length mismatch")
+        src = io.BytesIO(raw)
+        flags, file_id, head, content_len = _read_puf_header(src, len(raw))
         return cls(
             file_id=file_id,
             original_content_len=content_len,
-            puf_payload=body[header_len:],
-            head=body[:header_len],
+            puf_payload=src.read(),
+            head=head,
             flags=flags,
         )
 
@@ -152,43 +221,110 @@ class PrfContainer:
             raise ValueError("ciphertext must be a non-empty multiple of 16 bytes")
 
     def to_bytes(self) -> bytes:
-        return _PRF_HEADER.pack(
-            PRF_MAGIC, VERSION, self.file_id, self.kdf_salt, self.iv,
-            len(self.ciphertext),
-        ) + self.ciphertext
+        return _prf_header(self.file_id, self.kdf_salt, self.iv, len(self.ciphertext)) + self.ciphertext
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PrfContainer":
-        if len(raw) < _PRF_HEADER.size:
-            raise FormatError("private container truncated")
-        magic, version, file_id, kdf_salt, iv, ct_len = _PRF_HEADER.unpack_from(raw)
-        if magic != PRF_MAGIC:
-            raise FormatError(f"bad private container magic {magic!r}")
-        if version != VERSION:
-            raise FormatError(f"unsupported private container version {version}")
-        ciphertext = raw[_PRF_HEADER.size:]
-        if len(ciphertext) != ct_len:
-            raise FormatError("private container body length mismatch")
-        if ct_len % 16 or ct_len == 0:
-            raise FormatError("ciphertext length must be a non-empty multiple of 16")
-        return cls(file_id=file_id, kdf_salt=kdf_salt, iv=iv, ciphertext=ciphertext)
+        src = io.BytesIO(raw)
+        file_id, kdf_salt, iv, _ = _read_prf_header(src, len(raw))
+        return cls(file_id=file_id, kdf_salt=kdf_salt, iv=iv, ciphertext=src.read())
+
+
+def _private_len(content_len: int) -> int:
+    """Private stream length: 4 picked bytes per unit, the tail, the digest."""
+    units, tail = divmod(content_len, core.UNIT_LEN)
+    return core.SUB_LEN * units + tail + core.DIGEST_LEN
+
+
+def _aes(key: ProtectionKey, iv: bytes) -> Cipher:
+    return Cipher(algorithms.AES(key.bytes), modes.CBC(iv))
 
 
 def _encrypt_private_stream(prf_plain: bytes, key: ProtectionKey, iv: bytes) -> bytes:
+    """PKCS#7-pad and AES-CBC-encrypt a whole buffer."""
     padder = padding.PKCS7(128).padder()
-    padded = padder.update(prf_plain) + padder.finalize()
-    enc = Cipher(algorithms.AES(key.bytes), modes.CBC(iv)).encryptor()
-    return enc.update(padded) + enc.finalize()
+    enc = _aes(key, iv).encryptor()
+    return enc.update(padder.update(prf_plain) + padder.finalize()) + enc.finalize()
 
 
-def _decrypt_private_stream(ciphertext: bytes, key: ProtectionKey, iv: bytes) -> bytes:
-    dec = Cipher(algorithms.AES(key.bytes), modes.CBC(iv)).decryptor()
-    padded = dec.update(ciphertext) + dec.finalize()
+def seal_stream(src, key: ProtectionKey, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
+    """Seal the seekable binary file ``src`` in one streaming pass.
+
+    Returns the new pair's file id and an iterator of ``(puf, prf)``
+    byte pieces: the two headers, then one piece each per chunk, which
+    written in order make the two containers.  The head is read and
+    checked before this returns.  ``kdf_salt`` records how the key was
+    derived so the recovering side can repeat the derivation; all zeros
+    means a raw key was supplied.
+    """
+    size = _size(src)
+    head = _read_head(src, size, mode)
+    content_len = size - len(head)
+    ct_len = 16 * (_private_len(content_len) // 16 + 1)  # PKCS#7 adds 1-16 bytes
+    file_id = os.urandom(FILE_ID_LEN)
+    iv = os.urandom(16)
+
+    def pieces():
+        yield _puf_header(file_id, head, content_len), _prf_header(file_id, kdf_salt, iv, ct_len)
+        padder = padding.PKCS7(128).padder()
+        enc = _aes(key, iv).encryptor()
+        for public, private in core.protect_chunks(lambda n: _read_exact(src, n), content_len, key):
+            yield public, enc.update(padder.update(private))
+        yield b"", enc.update(padder.finalize()) + enc.finalize()
+
+    return file_id, pieces()
+
+
+def open_stream(puf_src, prf_src, key_for):
+    """Open the pair of seekable ``.puf``/``.prf`` binary files in one
+    streaming pass; ``key_for(kdf_salt)`` gives the key.
+
+    Both headers, the pairing and the private stream's padding and
+    length are checked before this returns an iterator of the plaintext
+    pieces: the head, then the content chunk by chunk.  PairMismatch for
+    foreign pairs, BadPadding for a wrong key caught by the cipher layer;
+    the iterator raises IntegrityFailure after its last piece for
+    anything that slips past them.
+    """
+    _, file_id, head, content_len = _read_puf_header(puf_src, _size(puf_src))
+    prf_id, kdf_salt, iv, ct_len = _read_prf_header(prf_src, _size(prf_src))
+    key = key_for(kdf_salt)
+    if file_id != prf_id:
+        raise PairMismatch(
+            f"public fragment {file_id.hex()} does not pair with private fragment {prf_id.hex()}"
+        )
+    # The last cipher block, decrypted with the one before it as its IV,
+    # holds the padding: a wrong key fails here, before any work.
+    body = prf_src.tell()
+    prf_src.seek(body + ct_len - 32 if ct_len > 16 else body)
+    prev = _read_exact(prf_src, 16) if ct_len > 16 else iv
     unpadder = padding.PKCS7(128).unpadder()
     try:
-        return unpadder.update(padded) + unpadder.finalize()
+        last = unpadder.update(_aes(key, prev).decryptor().update(_read_exact(prf_src, 16)))
+        last += unpadder.finalize()
     except ValueError as exc:
         raise BadPadding("private stream padding invalid (wrong key?)") from exc
+    plain_len, expected = ct_len - 16 + len(last), _private_len(content_len)
+    if plain_len != expected:
+        raise IntegrityFailure(f"private stream is {plain_len} bytes, pair expects {expected}")
+    prf_src.seek(body)
+    dec = _aes(key, iv).decryptor()
+    pending = bytearray()
+
+    def read_private(n: int) -> bytes:
+        # Decrypt whole blocks, as many as the next n plaintext bytes need.
+        need = n - len(pending)
+        if need > 0:
+            pending.extend(dec.update(_read_exact(prf_src, -(-need // 16) * 16)))
+        piece = bytes(pending[:n])
+        del pending[:n]
+        return piece
+
+    def pieces():
+        yield head
+        yield from core.recover_chunks(lambda n: _read_exact(puf_src, n), read_private, content_len, key)
+
+    return pieces()
 
 
 def seal(
@@ -197,48 +333,16 @@ def seal(
     mode: str = "raw",
     kdf_salt: bytes = ZERO_SALT,
 ) -> tuple[PufContainer, PrfContainer]:
-    """Protect a file into a public/private container pair.
-
-    ``kdf_salt`` records how the key was derived so the recovering side
-    can repeat the derivation; all zeros means a raw key was supplied.
-    """
-    head, content = split_header(data, mode)
-    streams = core.protect(content, key)
-    file_id = os.urandom(FILE_ID_LEN)
-    iv = os.urandom(16)
-    puf = PufContainer(
-        file_id=file_id,
-        original_content_len=len(content),
-        puf_payload=streams.puf_payload,
-        head=head,
-    )
-    prf = PrfContainer(
-        file_id=file_id,
-        kdf_salt=kdf_salt,
-        iv=iv,
-        ciphertext=_encrypt_private_stream(streams.prf_plain, key, iv),
-    )
-    return puf, prf
+    """``seal_stream`` over bytes in memory: a public/private container pair."""
+    _, pieces = seal_stream(io.BytesIO(data), key, mode, kdf_salt)
+    puf, prf = zip(*pieces)
+    return PufContainer.from_bytes(b"".join(puf)), PrfContainer.from_bytes(b"".join(prf))
 
 
 def open(puf: PufContainer, prf: PrfContainer, key: ProtectionKey) -> bytes:
-    """Inverse of ``seal``: returns head + content, or raises.
-
-    PairMismatch for foreign pairs, BadPadding for a wrong key caught by
-    the cipher layer, IntegrityFailure for anything that slips past it.
-    """
-    if puf.file_id != prf.file_id:
-        raise PairMismatch(
-            f"public fragment {puf.file_id.hex()} does not pair with private fragment {prf.file_id.hex()}"
-        )
-    prf_plain = _decrypt_private_stream(prf.ciphertext, key, prf.iv)
-    expected = core.SUB_LEN * puf.unit_count + puf.tail_len + core.DIGEST_LEN
-    if len(prf_plain) != expected:
-        raise IntegrityFailure(
-            f"private stream is {len(prf_plain)} bytes, pair expects {expected}"
-        )
-    content = core.recover(puf.puf_payload, prf_plain, key)
-    return puf.head + content
+    """Inverse of ``seal``: ``open_stream`` over the pair in memory;
+    returns head + content, or raises as ``open_stream`` does."""
+    return b"".join(open_stream(io.BytesIO(puf.to_bytes()), io.BytesIO(prf.to_bytes()), lambda _salt: key))
 
 
 def strip_header(puf: PufContainer) -> PufContainer:
@@ -246,22 +350,29 @@ def strip_header(puf: PufContainer) -> PufContainer:
     return dataclasses.replace(puf, head=b"", flags=puf.flags | FLAG_HEADER_STRIPPED)
 
 
-def atomic_write(path: str | Path, data: bytes):
-    """Write ``data`` to ``path`` through a sibling temp file and a rename,
-    so a failed or interrupted write leaves ``path`` absent or as it was.
+@contextlib.contextmanager
+def atomic_write(path: str | Path):
+    """Context manager yielding ``write(data)``, which appends to a sibling
+    temp file that is renamed to ``path`` when the block ends cleanly, so
+    a failed or interrupted write leaves ``path`` absent or as it was.
 
-    The temp file is created mode 0600 and removed on failure. No fsync:
-    this guards against process crashes and full disks, not power loss.
+    The temp file is created mode 0600 and removed on failure; every
+    write is complete or raises. No fsync: this guards against process
+    crashes and full disks, not power loss.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+
+    def write(data: bytes):
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+
     try:
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
+            yield write
         finally:
             os.close(fd)
         os.replace(tmp, path)

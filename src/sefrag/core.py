@@ -11,23 +11,30 @@ directly.  The public payload plus the key is still not safe: an
 attacker can recover each unit by trying the 2^32 values of its
 selected sub-fragment and keeping the one whose unit looks plausible.
 
-``protect`` and ``recover`` run one pipeline over chunks of at most
-``CHUNK_UNITS`` units: ``gather`` splits the units into their picked
-sub-fragments and 28-byte remainders, ``keystream`` joins the units'
-28-byte digests, one whole-chunk XOR applies it, and on the way back
-``scatter``, the exact inverse of ``gather``, rebuilds the units.
-gather and scatter move 4-byte words with strided memoryview copies and
-choose between them with big-integer masks, so the keystream hash is the
-only per-unit Python work.  A chunk's working buffers, about 1 MiB at
-4,096 units, do not grow with the content length.
+``protect_chunks`` and ``recover_chunks`` are the one streaming pass:
+they read the content (or the two streams) through ``read(n)``
+callables and yield their output chunk by chunk, at most
+``CHUNK_UNITS`` units at a time, while the selectors and the SHA-256
+content digest advance with them.  Per chunk, ``gather`` splits the
+units into their picked sub-fragments and 28-byte remainders,
+``keystream`` joins the units' 28-byte digests, one whole-chunk XOR
+applies it, and on the way back ``scatter``, the exact inverse of
+``gather``, rebuilds the units.  gather and scatter move 4-byte words
+with strided memoryview copies and choose between them with big-integer
+masks, so the keystream hash is the only per-unit Python work.  A
+chunk's working buffers, about 1 MiB at 4,096 units, do not grow with
+the content length.  ``protect`` and ``recover`` run the same pass over
+bytes held in memory.
 
-All functions are pure; keys and streams are plain immutable bytes, so
+Apart from the ``read`` callables the streaming pass consumes, all
+functions are pure; keys and streams are plain immutable bytes, so
 concurrent use is safe.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import struct
 from dataclasses import dataclass
@@ -154,13 +161,19 @@ def selector_stream(key: ProtectionKey, unit_count: int) -> bytes:
     """
     if unit_count < 0:
         raise ValueError("unit_count must be non-negative")
+    return _selectors(key, 0, unit_count)
+
+
+def _selectors(key: ProtectionKey, start: int, stop: int) -> bytes:
+    """Selectors of units ``start`` to ``stop - 1``; ``start`` is a whole
+    number of blocks."""
     sha = hashlib.sha256
     prefix = key.bytes + _SELECTOR_DOMAIN
     blocks = b"".join([
         sha(prefix + t.to_bytes(8, "little")).digest()
-        for t in range(-(-unit_count // SELECTORS_PER_BLOCK))
+        for t in range(start // SELECTORS_PER_BLOCK, -(-stop // SELECTORS_PER_BLOCK))
     ])
-    return blocks[:unit_count].translate(_MOD8)
+    return blocks[:stop - start].translate(_MOD8)
 
 
 def gather(units: bytes, selectors: bytes) -> tuple[bytes, bytes]:
@@ -230,48 +243,80 @@ def _chunks(unit_count: int):
         yield start, min(start + CHUNK_UNITS, unit_count)
 
 
-def protect(content: bytes, key: ProtectionKey) -> ProtectedStreams:
-    """Split content into protected public and private streams.
+def protect_chunks(read, content_len: int, key: ProtectionKey):
+    """Protect ``content_len`` bytes of content that ``read(n)`` hands
+    over in order, one chunk at a time.
 
-    Full 32-byte units are protected in index order; the tail (content
-    length mod 32) goes verbatim into the private stream, never keystream
-    protected, so sub-unit files end up fully cipher-protected.  The
-    private stream ends with SHA-256(content) as an integrity digest.
+    Yields ``(public, private)`` per chunk of units: the chunk's
+    protected remainders and its selected sub-fragments.  Then one last
+    pair ``(b"", tail + SHA-256(content))``: the tail (content length
+    mod 32) goes verbatim into the private stream, never keystream
+    protected, so sub-unit files end up fully cipher-protected.
+    """
+    unit_count, tail_len = divmod(content_len, UNIT_LEN)
+    digest = hashlib.sha256()
+    for start, stop in _chunks(unit_count):
+        units = read(UNIT_LEN * (stop - start))
+        digest.update(units)
+        picked, remainders = gather(units, _selectors(key, start, stop))
+        yield _xor(remainders, keystream(picked, key, start)), picked
+    tail = read(tail_len)
+    digest.update(tail)
+    yield b"", tail + digest.digest()
+
+
+def recover_chunks(read_public, read_private, content_len: int, key: ProtectionKey):
+    """Inverse of ``protect_chunks``: yield the content chunk by chunk,
+    reading each chunk's public remainders and selected sub-fragments
+    in lockstep, then the tail.
+
+    Raises IntegrityFailure after the last piece when the content does
+    not match the digest that ends the private stream: wrong key,
+    corrupted fragment, or a mismatched pair.
+    """
+    unit_count, tail_len = divmod(content_len, UNIT_LEN)
+    digest = hashlib.sha256()
+    for start, stop in _chunks(unit_count):
+        picked = read_private(SUB_LEN * (stop - start))
+        remainders = _xor(read_public(REMAINDER_LEN * (stop - start)), keystream(picked, key, start))
+        units = scatter(picked, remainders, _selectors(key, start, stop))
+        digest.update(units)
+        yield units
+    tail = read_private(tail_len)
+    digest.update(tail)
+    yield tail
+    if digest.digest() != read_private(DIGEST_LEN):
+        raise IntegrityFailure("content digest mismatch")
+
+
+def protect(content: bytes, key: ProtectionKey) -> ProtectedStreams:
+    """Split content into protected public and private streams: the
+    chunks of ``protect_chunks`` joined in memory.
+
     ``counters`` tallies the hashes the pass made.
     """
-    unit_count = len(content) // UNIT_LEN
-    selectors = selector_stream(key, unit_count)
-    units = memoryview(content)
-    public, private = [], []
-    protection_hashes = 0
-    for start, stop in _chunks(unit_count):
-        picked, remainders = gather(units[UNIT_LEN * start:UNIT_LEN * stop], selectors[start:stop])
-        stream = keystream(picked, key, start)
-        protection_hashes += len(stream) // REMAINDER_LEN
-        public.append(_xor(remainders, stream))
-        private.append(picked)
-    tail = content[UNIT_LEN * unit_count:]
-    private += [tail, hashlib.sha256(content).digest()]
+    unit_count, tail_len = divmod(len(content), UNIT_LEN)
+    pieces = list(protect_chunks(io.BytesIO(content).read, len(content), key))
+    puf_payload = b"".join(public for public, _ in pieces)
     return ProtectedStreams(
-        puf_payload=b"".join(public),
-        prf_plain=b"".join(private),
+        puf_payload=puf_payload,
+        prf_plain=b"".join(private for _, private in pieces),
         unit_count=unit_count,
-        tail_len=len(tail),
+        tail_len=tail_len,
         counters=PrimitiveCounters(
-            protection_hashes=protection_hashes,
-            selector_hashes=-(-len(selectors) // SELECTORS_PER_BLOCK),
+            protection_hashes=len(puf_payload) // REMAINDER_LEN,
+            selector_hashes=-(-unit_count // SELECTORS_PER_BLOCK),
             digest_passes=1,
         ),
     )
 
 
 def recover(puf_payload: bytes, prf_plain: bytes, key: ProtectionKey) -> bytes:
-    """Rebuild content from the two streams and verify its digest.
+    """Rebuild content from the two streams in memory and verify its digest.
 
     Raises LengthMismatch when the stream lengths cannot belong to one
     protection pass, and IntegrityFailure (carrying the attempted
-    reconstruction) when the digest check fails: wrong key, corrupted
-    fragment, or a mismatched pair.
+    reconstruction) when the digest check fails.
     """
     if len(puf_payload) % REMAINDER_LEN:
         raise LengthMismatch("public payload length is not a multiple of 28")
@@ -282,16 +327,12 @@ def recover(puf_payload: bytes, prf_plain: bytes, key: ProtectionKey) -> bytes:
     if tail_len >= UNIT_LEN:
         raise LengthMismatch("private stream tail exceeds one unit")
 
-    selectors = selector_stream(key, unit_count)
-    parts = []
-    for start, stop in _chunks(unit_count):
-        picked = prf_plain[SUB_LEN * start:SUB_LEN * stop]
-        stream = keystream(picked, key, start)
-        remainders = _xor(puf_payload[REMAINDER_LEN * start:REMAINDER_LEN * stop], stream)
-        parts.append(scatter(picked, remainders, selectors[start:stop]))
-    parts.append(prf_plain[SUB_LEN * unit_count:SUB_LEN * unit_count + tail_len])
-    content = b"".join(parts)
-
-    if hashlib.sha256(content).digest() != prf_plain[-DIGEST_LEN:]:
-        raise IntegrityFailure("content digest mismatch", attempted=content)
-    return content
+    content_len = UNIT_LEN * unit_count + tail_len
+    pieces = []
+    try:
+        for piece in recover_chunks(io.BytesIO(puf_payload).read, io.BytesIO(prf_plain).read, content_len, key):
+            pieces.append(piece)
+    except IntegrityFailure as exc:
+        exc.attempted = b"".join(pieces)
+        raise
+    return b"".join(pieces)

@@ -28,9 +28,11 @@ selected 4-byte sub-fragment.
 
 ``PlacementIndex`` is an append-only JSONL file, one placement per
 line, where the last line for a record wins.  ``lookup`` reads the file
-as bytes and searches it from the end for the record id's hex, parsing
-only the line it lands in; a hit inside another line's blob id is
-skipped by checking that line's ``record_id``.  A line counts only once
+backwards from its end, ``LOOKUP_BLOCK`` bytes at a time, and searches
+the whole lines read so far for the record id's hex, parsing only the
+line a hit lands in, so a recent record costs one block however long
+the index grows; a hit inside another line's blob id is skipped by
+checking that line's ``record_id``.  A line counts only once
 its newline is written: a torn final fragment is ignored, ``record``
 starts a new line after one, and a line that does not parse as a
 placement (such a fragment, once terminated) is skipped.
@@ -72,6 +74,9 @@ _LEN = struct.Struct("<Q")
 
 # Seconds each socket operation of a remote call may block.
 REMOTE_TIMEOUT = 10.0
+
+# Bytes a placement lookup reads per step back from the end of the index.
+LOOKUP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,8 @@ class DirectoryBackend:
             pass
         # Absent, or present but corrupted: (re)write it. Readers never
         # observe a partial blob.
-        atomic_write(path, payload)
+        with atomic_write(path) as write:
+            write(payload)
         return ref
 
     def get(self, ref: BlobRef) -> bytes:
@@ -354,15 +360,36 @@ class PlacementIndex:
         return out
 
     def lookup(self, record_id: bytes) -> Placement | None:
-        data = self._complete_lines()
         needle = record_id.hex().encode()
-        hit = data.rfind(needle)
-        while hit >= 0:
-            start = data.rfind(b"\n", 0, hit) + 1
-            placement = self._parse(data[start : data.index(b"\n", hit)])
-            if placement is not None and placement.record_id == record_id:
-                return placement
-            hit = data.rfind(needle, 0, start)
+        try:
+            f = self.path.open("rb")
+        except FileNotFoundError:
+            return None
+        with f:
+            pos = f.seek(0, os.SEEK_END)
+            carry = b""  # bytes after pos not searched yet: a line cut by a block edge
+            while pos:
+                step = min(pos, LOOKUP_BLOCK)
+                pos -= step
+                f.seek(pos)
+                data = f.read(step) + carry
+                # Whole lines only: what precedes the block's first newline
+                # may continue further left, and what follows the last
+                # newline is a torn append.
+                first = data.find(b"\n")
+                if pos and first < 0:
+                    carry = data
+                    continue
+                cut = first + 1 if pos else 0
+                lines = data[cut : data.rfind(b"\n") + 1]
+                hit = lines.rfind(needle)
+                while hit >= 0:
+                    start = lines.rfind(b"\n", 0, hit) + 1
+                    placement = self._parse(lines[start : lines.index(b"\n", hit)])
+                    if placement is not None and placement.record_id == record_id:
+                        return placement
+                    hit = lines.rfind(needle, 0, start)
+                carry = data[:cut]
         return None
 
 

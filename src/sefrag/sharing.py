@@ -107,7 +107,8 @@ class PolicyStore:
             "owner": self.owner_id,
             "policies": [p.to_json() for p in self._policies.values()],
         }
-        container.atomic_write(self.path, (json.dumps(obj, indent=2) + "\n").encode("utf-8"))
+        with container.atomic_write(self.path) as write:
+            write((json.dumps(obj, indent=2) + "\n").encode("utf-8"))
 
     def policy_for(self, record_id: bytes) -> SharePolicy:
         if record_id not in self._policies:

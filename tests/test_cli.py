@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import subprocess
@@ -450,6 +451,46 @@ class TestStoreCommands:
     def test_bad_record_id_exits_2(self, tmp_path):
         assert run_cli("request", "not-hex", "--as", "p", "--store", tmp_path / "s") == 2
         assert run_cli("request", "abcd", "--as", "p", "--store", tmp_path / "s") == 2
+
+
+# Grants ten parties to one record through ``cli.main``, each save held
+# back a little, which widens the window between a policy load and its
+# save that a concurrent writer could slip into.
+GRANTER = """
+import sys, time
+from sefrag import cli, sharing
+
+save = sharing.PolicyStore.save
+
+
+def slow_save(self):
+    time.sleep(0.02)
+    save(self)
+
+
+sharing.PolicyStore.save = slow_save
+store, record, prefix = sys.argv[1:]
+for i in range(10):
+    assert cli.main(["grant", record, f"{prefix}-{i}", "--as", "owner-1", "--store", store]) == 0
+"""
+
+
+class TestConcurrentPolicyEdits:
+    def test_concurrent_grants_all_land(self, tmp_path):
+        store, record = tmp_path / "store", "ab" * 16
+        granters = [
+            subprocess.Popen([sys.executable, "-c", GRANTER, str(store), record, prefix], env=_package_env(),
+                             stderr=subprocess.PIPE, text=True)
+            for prefix in ("alice", "bob")
+        ]
+        for proc in granters:
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+        policy = json.loads((store / "policy.json").read_text())
+        (entry,) = policy["policies"]
+        assert sorted(g["party"] for g in entry["grants"]) == sorted(
+            f"{prefix}-{i}" for prefix in ("alice", "bob") for i in range(10)
+        )
 
 
 class TestServeCommand:

@@ -3,6 +3,7 @@
 import dataclasses
 import errno
 import hashlib
+import io
 import os
 import random
 
@@ -70,6 +71,16 @@ CONTAINER_BYTES = (
     | _mutations(_SEALED[0])
     | _mutations(_SEALED[1])
 )
+
+
+# The file readers behind open_stream, given raw bytes as one half of a
+# real pair and run to the end of the pass.
+def _open_as_puf(raw: bytes) -> list[bytes]:
+    return list(container.open_stream(io.BytesIO(raw), io.BytesIO(_SEALED[1]), lambda _salt: KEY))
+
+
+def _open_as_prf(raw: bytes) -> list[bytes]:
+    return list(container.open_stream(io.BytesIO(_SEALED[0]), io.BytesIO(raw), lambda _salt: KEY))
 
 
 class TestSplitHeader:
@@ -170,9 +181,9 @@ class TestSerialization:
     @given(CONTAINER_BYTES)
     @settings(max_examples=300, deadline=None)
     def test_only_sefrag_errors_escape_parsers(self, raw):
-        for parse in (PufContainer.from_bytes, PrfContainer.from_bytes):
+        for read in (PufContainer.from_bytes, PrfContainer.from_bytes, _open_as_puf, _open_as_prf):
             try:
-                parse(raw)
+                read(raw)
             except SefragError:
                 pass
 
@@ -291,15 +302,19 @@ def full_disk_after_half(monkeypatch):
 class TestAtomicWrite:
     def test_writes_and_replaces(self, tmp_path):
         path = tmp_path / "new" / "out.bin"
-        atomic_write(path, b"first")
-        atomic_write(path, b"second, longer")
+        with atomic_write(path) as write:
+            write(b"first")
+        with atomic_write(path) as write:
+            write(b"second, ")
+            write(b"longer")
         assert path.read_bytes() == b"second, longer"
         assert os.listdir(path.parent) == ["out.bin"]
 
     def test_failed_write_leaves_nothing(self, tmp_path, monkeypatch):
         full_disk_after_half(monkeypatch)
         with pytest.raises(OSError) as info:
-            atomic_write(tmp_path / "out.bin", b"x" * 4096)
+            with atomic_write(tmp_path / "out.bin") as write:
+                write(b"x" * 4096)
         assert info.value.errno == errno.ENOSPC
         assert os.listdir(tmp_path) == []
 
@@ -308,6 +323,23 @@ class TestAtomicWrite:
         path.write_bytes(b"old contents")
         full_disk_after_half(monkeypatch)
         with pytest.raises(OSError):
-            atomic_write(path, b"y" * 4096)
+            with atomic_write(path) as write:
+                write(b"y" * 4096)
         assert path.read_bytes() == b"old contents"
         assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_error_in_block_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old contents")
+        with pytest.raises(IntegrityFailure):
+            with atomic_write(path) as write:
+                write(b"unverified")
+                raise IntegrityFailure("digest mismatch")
+        assert path.read_bytes() == b"old contents"
+        assert os.listdir(tmp_path) == ["out.bin"]
+
+    def test_temp_file_is_private(self, tmp_path):
+        with atomic_write(tmp_path / "out.bin") as write:
+            write(b"secret")
+            (tmp,) = [p for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+            assert tmp.stat().st_mode & 0o777 == 0o600

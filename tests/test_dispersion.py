@@ -1,5 +1,6 @@
 """Backend, wire-protocol, and placement tests."""
 
+import hashlib
 import json
 import random
 import socket
@@ -13,7 +14,11 @@ from sefrag import container, core
 from sefrag.container import seal
 from sefrag.core import ProtectionKey
 from sefrag.dispersion import (
+    LOOKUP_BLOCK,
+    MAX_PAYLOAD,
+    OP_DELETE,
     OP_GET,
+    OP_PUT,
     BlobRef,
     BlobServer,
     DirectoryBackend,
@@ -191,6 +196,78 @@ class TestWireProtocol:
             (length,) = struct.unpack("<Q", sock.recv(8))
             assert length == len(payload)
 
+    def test_arbitrary_frames_get_error_or_hang_up(self, tmp_path):
+        """Any bytes a client sends get the replies the protocol defines,
+        ERROR or a hang-up for whatever is malformed, and never a hang."""
+        stored = set()
+
+        def expected_reply(frame: bytes) -> bytes:
+            # The server's replies to ``frame`` followed by end of input.
+            reply = b""
+            while frame:
+                op, blob_id = frame[0], frame[1:33]
+                if op not in (OP_PUT, OP_GET, OP_DELETE):
+                    return reply + b"\x02"
+                if len(blob_id) < 32:
+                    return reply
+                if op == OP_PUT:
+                    if len(frame) < 41:
+                        return reply
+                    (length,) = struct.unpack("<Q", frame[33:41])
+                    if length > MAX_PAYLOAD:
+                        return reply + b"\x02"
+                    payload = frame[41 : 41 + length]
+                    if len(payload) < length:
+                        return reply
+                    if hashlib.sha256(payload).digest() == blob_id:
+                        stored.add(blob_id)
+                        reply += b"\x00"
+                    else:
+                        reply += b"\x02"
+                    frame = frame[41 + length :]
+                    continue
+                if op == OP_GET and blob_id in stored:
+                    reply += b"\x00" + struct.pack("<Q", 0)  # only the empty payload hashes to its id
+                elif op == OP_DELETE and blob_id in stored:
+                    stored.discard(blob_id)
+                    reply += b"\x00"
+                else:
+                    reply += b"\x01"
+                frame = frame[33:]
+            return reply
+
+        empty_id = hashlib.sha256(b"").digest()
+        opcode = st.sampled_from([OP_PUT, OP_GET, OP_DELETE, 0, 4, 255]).map(lambda op: bytes([op]))
+        blob_id = st.sampled_from([empty_id, bytes(32)]) | st.binary(min_size=0, max_size=32)
+        length = st.sampled_from([0, 1, MAX_PAYLOAD, MAX_PAYLOAD + 1, 2**64 - 1]).map(lambda n: struct.pack("<Q", n))
+        request = st.tuples(opcode, blob_id, st.just(b"") | length, st.binary(max_size=8)).map(b"".join)
+        frames = st.binary(max_size=80) | st.lists(request, min_size=1, max_size=4).map(b"".join)
+
+        with BlobServer("127.0.0.1", 0, tmp_path / "blobs") as server:
+
+            @given(frames)
+            @settings(max_examples=100, deadline=None)
+            def one_connection(frame):
+                reply = b""
+                with socket.create_connection(server.address, timeout=5) as sock:
+                    try:
+                        sock.sendall(frame)
+                        sock.shutdown(socket.SHUT_WR)
+                    except OSError as exc:  # the server hung up first, unless it hangs
+                        if isinstance(exc, TimeoutError):
+                            raise
+                    try:
+                        while chunk := sock.recv(4096):  # a TimeoutError here is a hang
+                            reply += chunk
+                    except ConnectionResetError:  # a hang-up with bytes of ours unread
+                        pass
+                assert reply == expected_reply(frame)
+
+            one_connection()
+            remote = RemoteBackend(*server.address)
+            ref = remote.put(b"still served")
+            assert remote.get(ref) == b"still served"
+
     def test_unreachable_server(self):
         remote = RemoteBackend("127.0.0.1", 1)
         with pytest.raises(BackendUnavailable):
@@ -276,7 +353,7 @@ class TestDisperse:
         puf, prf = seal(data, KEY)
         placement = disperse(puf, prf, device, cloud, PlacementIndex(tmp_path / "placements.jsonl"))
         stolen = container.PufContainer.from_bytes(cloud.get(placement.puf_ref))
-        zero_prf_plain = bytes(4 * stolen.unit_count + stolen.tail_len + 32)
+        zero_prf_plain = bytes(4 * stolen.unit_count + stolen.original_content_len % 32 + 32)
         with pytest.raises(IntegrityFailure):
             core.recover(stolen.puf_payload, zero_prf_plain, KEY)
 
@@ -336,6 +413,37 @@ class TestPlacementIndex:
             assert index.lookup(rid) == listing.get(rid)
         assert index.lookup(hidden).record_id == hidden
         assert index.lookup(absent_hidden) is None
+
+    def test_lookup_across_blocks(self, tmp_path):
+        rng = random.Random(8)
+        index = PlacementIndex(tmp_path / "p.jsonl")
+
+        def line(rid):
+            placement = Placement(rid, BlobRef(rng.randbytes(32)), "cloud", BlobRef(rng.randbytes(32)), "device")
+            return json.dumps(placement.to_json()).encode() + b"\n"
+
+        first, torn = rng.randbytes(16), rng.randbytes(16)
+        rids = [first] + [rng.randbytes(16) for _ in range(4 * LOOKUP_BLOCK // 200)]
+        lines = [line(rid) for rid in rids]
+        tail = line(torn)[:60]  # a crash partway through an append
+        index.path.write_bytes(b"".join(lines) + tail)
+        size = index.path.stat().st_size
+        assert size > 3 * LOOKUP_BLOCK
+        # The record whose only line holds the offset of the second block
+        # edge, counted from the end, as lookup reads.
+        edge = size - 2 * LOOKUP_BLOCK
+        offset = 0
+        for rid, text in zip(rids, lines):
+            if offset < edge < offset + len(text) - 1:
+                straddler = rid
+            offset += len(text)
+
+        listing = index.records()
+        assert len(listing) == len(rids)
+        for rid in (first, straddler, *rng.sample(rids, 50)):
+            assert index.lookup(rid) == listing[rid]
+        assert index.lookup(torn) is None
+        assert index.lookup(bytes(16)) is None
 
     def test_torn_append_is_ignored_then_closed(self, tmp_path):
         index = PlacementIndex(tmp_path / "p.jsonl")

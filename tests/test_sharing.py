@@ -234,7 +234,7 @@ class TestRelease:
         out = release(Decision.PUF_ONLY, placement, backends)
         assert out.prf_bytes is None
         puf = container.PufContainer.from_bytes(out.puf_bytes)
-        guessed = bytes(4 * puf.unit_count + puf.tail_len + 32)
+        guessed = bytes(4 * puf.unit_count + puf.original_content_len % 32 + 32)
         with pytest.raises(IntegrityFailure):
             core.recover(puf.puf_payload, guessed, KEY)
 

@@ -1,0 +1,197 @@
+"""The streaming seal/open pass: on-disk bytes frozen across the rewrite,
+peak memory that does not grow with the file, and a failed recover that
+leaves the output untouched."""
+
+import collections
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sefrag
+from sefrag import cli, container
+from sefrag.core import CHUNK_UNITS, UNIT_LEN, ProtectionKey
+
+KEY = "000102030405060708090a0b0c0d0e0f"
+CHUNK = CHUNK_UNITS * UNIT_LEN
+
+HEADS = {"raw": b"", "dicom": bytes(128) + b"DICM", "fixed:10": b"0123456789"}
+LENGTHS = [0, 1, 31, 32, 33, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7]
+
+# SHA-256 prefixes of the .puf and .prf bytes of every (mode, content
+# length) case, sealed with ``fake_urandom``; recorded before seal and
+# open became one streaming pass, so any change to the format shows.
+FROZEN = {
+    ("raw", 0): ("8d78ecfaf88f8d0a", "49ac2cd4c67f611d"),
+    ("raw", 1): ("51ec6fac30492285", "333af9121773b567"),
+    ("raw", 31): ("ca67495be73a9435", "a96ecec77741f8b9"),
+    ("raw", 32): ("2a91100c7d22b7ab", "d72dc50333ee4554"),
+    ("raw", 33): ("aec09395e9fe3fd0", "a08f179a5942c2ea"),
+    ("raw", 131071): ("7745f57fc5318352", "581084b36febc901"),
+    ("raw", 131072): ("06cda9a4fd4ae1cb", "5f96e7eed44bd706"),
+    ("raw", 131073): ("18d97ee5587ac5ed", "911fcefad30386dc"),
+    ("raw", 262151): ("592ecf13696d0c40", "7d0cae040ea1b5cc"),
+    ("dicom", 0): ("abbaf64eb0dad450", "49ac2cd4c67f611d"),
+    ("dicom", 1): ("6cb5b813a309b001", "333af9121773b567"),
+    ("dicom", 31): ("87356688508bedef", "a96ecec77741f8b9"),
+    ("dicom", 32): ("a8f63e18eccdb305", "d72dc50333ee4554"),
+    ("dicom", 33): ("176fd6ae9bd8c2fa", "a08f179a5942c2ea"),
+    ("dicom", 131071): ("657fd02c01599ae8", "581084b36febc901"),
+    ("dicom", 131072): ("b4e76abc6cbe6168", "5f96e7eed44bd706"),
+    ("dicom", 131073): ("1c79d61c8a9049a6", "911fcefad30386dc"),
+    ("dicom", 262151): ("813420f7c3bf65fe", "7d0cae040ea1b5cc"),
+    ("fixed:10", 0): ("5062d8e003d43fb7", "49ac2cd4c67f611d"),
+    ("fixed:10", 1): ("97eb02fb6330fb22", "333af9121773b567"),
+    ("fixed:10", 31): ("f065509769f62094", "a96ecec77741f8b9"),
+    ("fixed:10", 32): ("5cc5b3999b37359b", "d72dc50333ee4554"),
+    ("fixed:10", 33): ("659a660a4efa81f9", "a08f179a5942c2ea"),
+    ("fixed:10", 131071): ("44292be4c8359fa5", "581084b36febc901"),
+    ("fixed:10", 131072): ("c9114fea90f48657", "5f96e7eed44bd706"),
+    ("fixed:10", 131073): ("6b0e04652cabd855", "911fcefad30386dc"),
+    ("fixed:10", 262151): ("5c0c23855053084a", "7d0cae040ea1b5cc"),
+}
+
+
+def fake_urandom():
+    """A deterministic ``os.urandom``: the k-th draw of n bytes is the same
+    in every run, whatever other draws come in between (the file id is the
+    first 16-byte draw, the IV the second)."""
+    drawn = collections.Counter()
+
+    def urandom(n: int) -> bytes:
+        drawn[n] += 1
+        return hashlib.sha256(b"%d:%d" % (n, drawn[n])).digest()[:n]
+
+    return urandom
+
+
+def case_input(mode: str, length: int) -> bytes:
+    return HEADS[mode] + hashlib.shake_256(b"frozen %d" % length).digest(length)
+
+
+def digests(puf: bytes, prf: bytes) -> tuple[str, str]:
+    return hashlib.sha256(puf).hexdigest()[:16], hashlib.sha256(prf).hexdigest()[:16]
+
+
+CASES = [(mode, length) for mode in HEADS for length in LENGTHS]
+
+# Seals each case through ``python -m sefrag protect`` with os.urandom
+# replaced, one case after another in this one interpreter.
+CLI_CHILD = """
+import json, os, runpy, sys
+
+sys.path.insert(0, sys.argv[1])
+from test_streaming import fake_urandom
+
+for argv in json.loads(sys.argv[2]):
+    os.urandom = fake_urandom()
+    sys.argv = ["sefrag", *argv]
+    try:
+        runpy.run_module("sefrag", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+"""
+
+
+def _package_env() -> dict:
+    root = str(Path(sefrag.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+
+
+class TestFrozenBytes:
+    @pytest.mark.parametrize("mode,length", CASES)
+    def test_seal_bytes_are_frozen(self, mode, length, monkeypatch):
+        monkeypatch.setattr(container.os, "urandom", fake_urandom())
+        puf, prf = container.seal(case_input(mode, length), ProtectionKey.from_hex(KEY), mode=mode)
+        assert digests(puf.to_bytes(), prf.to_bytes()) == FROZEN[mode, length]
+
+    def test_protect_command_bytes_are_frozen(self, tmp_path):
+        argvs = []
+        for mode, length in CASES:
+            src = tmp_path / f"{mode.replace(':', '')}-{length}.bin"
+            src.write_bytes(case_input(mode, length))
+            argvs.append(["protect", str(src), "--mode", mode, "--key-hex", KEY, "--out-dir", str(tmp_path / "out")])
+        tests_dir = str(Path(__file__).parent)
+        proc = subprocess.run([sys.executable, "-c", CLI_CHILD, tests_dir, json.dumps(argvs)], cwd=tmp_path,
+                              env=_package_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        for mode, length in CASES:
+            stem = tmp_path / "out" / f"{mode.replace(':', '')}-{length}"
+            got = digests(stem.with_suffix(".puf").read_bytes(), stem.with_suffix(".prf").read_bytes())
+            assert got == FROZEN[mode, length], (mode, length)
+
+
+# Runs argv in a child and prints its exit code and peak RSS. A process's
+# ru_maxrss starts from the peak RSS of the process it was forked from,
+# so this small interpreter, not the test runner, starts the one measured.
+MEASURE = """
+import os, subprocess, sys
+
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mib(argv, cwd: Path) -> float:
+    """Run ``python -m sefrag argv``; returns the child's own peak RSS."""
+    proc = subprocess.run([sys.executable, "-c", MEASURE, sys.executable, "-m", "sefrag", *map(str, argv)],
+                          cwd=cwd, env=_package_env(), capture_output=True, text=True, timeout=300)
+    code, kib = proc.stdout.split()
+    assert code == "0", argv
+    return int(kib) / 1024  # KiB on Linux
+
+
+def _sha256_file(path: Path) -> bytes:
+    digest = hashlib.sha256()
+    with path.open("rb") as f:
+        while block := f.read(1 << 20):
+            digest.update(block)
+    return digest.digest()
+
+
+class TestBoundedMemory:
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_peak_rss_does_not_grow_with_file_size(self, tmp_path):
+        peaks = {}
+        for mib in (8, 64):
+            src = tmp_path / "scan.bin"
+            with src.open("wb") as f:
+                for _ in range(mib):
+                    f.write(os.urandom(1 << 20))
+                f.write(b"7 bytes")
+            vault, back = tmp_path / "vault", tmp_path / "back.bin"
+            protect = _peak_rss_mib(["protect", src, "--key-hex", KEY, "--out-dir", vault], tmp_path)
+            recover = _peak_rss_mib(["recover", vault / "scan.puf", vault / "scan.prf", "--key-hex", KEY,
+                                     "--out", back], tmp_path)
+            assert _sha256_file(back) == _sha256_file(src)
+            peaks[mib] = protect, recover
+        (protect8, recover8), (protect64, recover64) = peaks[8], peaks[64]
+        assert protect64 - protect8 < 16, peaks
+        assert recover64 - recover8 < 16, peaks
+
+
+class TestFailedRecover:
+    def test_flipped_byte_in_last_chunk_keeps_existing_output(self, tmp_path, capsys):
+        src = tmp_path / "scan.bin"
+        src.write_bytes(hashlib.shake_256(b"scan").digest(3 * CHUNK + 7))
+        vault = tmp_path / "vault"
+        assert cli.main(["protect", str(src), "--key-hex", KEY, "--out-dir", str(vault)]) == 0
+        puf = vault / "scan.puf"
+        raw = bytearray(puf.read_bytes())
+        raw[-1] ^= 0x01  # the last public byte, in the last chunk
+        puf.write_bytes(raw)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out = out_dir / "back.bin"
+        out.write_bytes(b"an earlier recovery")
+        capsys.readouterr()
+        code = cli.main(["recover", str(puf), str(vault / "scan.prf"), "--key-hex", KEY, "--out", str(out)])
+        assert code == 4
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == b"an earlier recovery"
+        assert os.listdir(out_dir) == ["back.bin"]
