@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "analysis": "ByteHistogram entropy histogram pdf_csv",
     "bench": "BenchReport run_bench",
-    "container": "PrfContainer PufContainer derive_key open seal split_header strip_header",
+    "container": "PrfContainer PufContainer derive_key open seal strip_header",
     "core": "ProtectedStreams ProtectionKey protect recover",
     "dispersion": "BlobRef BlobServer DirectoryBackend Placement PlacementIndex RemoteBackend "
     "disperse",

@@ -56,17 +56,8 @@ def _read_passphrase(args) -> bytes:
     return getpass.getpass("passphrase: ").encode()
 
 
-def _key_for_protect(args) -> tuple[ProtectionKey, bytes]:
-    """Resolve the key flags; returns the key and the salt to persist."""
-    if args.key_hex:
-        return ProtectionKey.from_hex(args.key_hex), container.ZERO_SALT
-    if args.passphrase or args.passphrase_file:
-        salt = os.urandom(16)
-        return container.derive_key(_read_passphrase(args), salt), salt
-    raise _Usage("provide --key-hex, --passphrase, or --passphrase-file")
-
-
-def _key_for_recover(args, kdf_salt: bytes) -> ProtectionKey:
+def _key(args, kdf_salt: bytes) -> ProtectionKey:
+    """Resolve the key flags; a passphrase is stretched with ``kdf_salt``."""
     if args.key_hex:
         return ProtectionKey.from_hex(args.key_hex)
     if args.passphrase or args.passphrase_file:
@@ -84,19 +75,16 @@ def _record_id(text: str) -> bytes:
     return rid
 
 
-def _device_backend(store: Path):
-    from .dispersion import DirectoryBackend
-
-    return DirectoryBackend(store / "device", name="device")
-
-
-def _cloud_backend(args, store: Path):
+def _backends(args, store: Path) -> dict:
+    """The cloud and device backends by name, cloud first."""
     from .dispersion import DirectoryBackend, RemoteBackend
 
     if args.remote:
         host, port = _parse_hostport(args.remote)
-        return RemoteBackend(host, port, name="cloud")
-    return DirectoryBackend(store / "cloud", name="cloud")
+        cloud = RemoteBackend(host, port, name="cloud")
+    else:
+        cloud = DirectoryBackend(store / "cloud", name="cloud")
+    return {"cloud": cloud, "device": DirectoryBackend(store / "device", name="device")}
 
 
 def _placement_index(store: Path):
@@ -115,8 +103,8 @@ def cmd_protect(args) -> int:
     out_dir = Path(args.out_dir)
     stem = Path(args.input).stem or Path(args.input).name
     with Path(args.input).open("rb") as src:
-        key, salt = _key_for_protect(args)
-        file_id, pieces = container.seal_stream(src, key, mode=args.mode, kdf_salt=salt)
+        salt = container.ZERO_SALT if args.key_hex else os.urandom(16)
+        file_id, pieces = container.seal_stream(src, _key(args, salt), mode=args.mode, kdf_salt=salt)
         with atomic_write(out_dir / (stem + ".puf")) as puf, atomic_write(out_dir / (stem + ".prf")) as prf:
             for puf_piece, prf_piece in pieces:
                 puf(puf_piece)
@@ -127,7 +115,7 @@ def cmd_protect(args) -> int:
 
 def cmd_recover(args) -> int:
     with Path(args.puf).open("rb") as puf, Path(args.prf).open("rb") as prf:
-        pieces = container.open_stream(puf, prf, lambda kdf_salt: _key_for_recover(args, kdf_salt))
+        pieces = container.open_stream(puf, prf, lambda kdf_salt: _key(args, kdf_salt))
         with atomic_write(args.out) as write:
             for piece in pieces:
                 write(piece)
@@ -201,9 +189,8 @@ def cmd_put(args) -> int:
     if puf.file_id != prf.file_id:
         raise PairMismatch("public and private containers carry different file ids")
     store = Path(args.store)
-    placement = dispersion.disperse(
-        puf, prf, _device_backend(store), _cloud_backend(args, store), _placement_index(store)
-    )
+    backends = _backends(args, store)
+    placement = dispersion.disperse(puf, prf, backends["device"], backends["cloud"], _placement_index(store))
     print(placement.record_id.hex())
     print("puf %s %s" % (placement.puf_ref.hex, placement.puf_backend))
     print("prf %s %s" % (placement.prf_ref.hex, placement.prf_backend))
@@ -214,19 +201,15 @@ def cmd_get(args) -> int:
     from .dispersion import BlobRef
 
     ref = BlobRef.from_hex(args.id)
-    store = Path(args.store)
-    payload = None
-    for backend in (_cloud_backend(args, store), _device_backend(store)):
+    for backend in _backends(args, Path(args.store)).values():
         try:
             payload = backend.get(ref)
-            break
         except NotFound:
             continue
-    if payload is None:
-        raise NotFound(f"no blob {args.id} on any configured backend")
-    with atomic_write(args.out) as write:
-        write(payload)
-    return 0
+        with atomic_write(args.out) as write:
+            write(payload)
+        return 0
+    raise NotFound(f"no blob {args.id} on any configured backend")
 
 
 def cmd_grant_or_revoke(args) -> int:
@@ -258,10 +241,7 @@ def cmd_request(args) -> int:
         placement = _placement_index(store_dir).lookup(record_id)
         if placement is None:
             raise UnknownRecord(f"no placement for record {record_id.hex()}")
-        backends = {
-            "device": _device_backend(store_dir),
-            "cloud": _cloud_backend(args, store_dir),
-        }
+        backends = _backends(args, store_dir)
         for name in (placement.puf_backend, placement.prf_backend):
             if name not in backends:
                 raise NotFound(f"record {record_id.hex()} is placed on unknown backend {name!r}")

@@ -92,7 +92,11 @@ def _size(src) -> int:
 
 def _read_head(src, size: int, mode: str) -> bytes:
     """Read the plaintext head ``mode`` names from the start of ``src``,
-    a file of ``size`` bytes; see ``split_header``."""
+    a file of ``size`` bytes, leaving ``src`` at the protectable content.
+
+    Modes: ``raw`` (no head), ``fixed:<n>`` (first n bytes), ``dicom``
+    (132-byte preamble ending in "DICM").
+    """
     if mode == "raw":
         return b""
     if mode == "dicom":
@@ -111,17 +115,6 @@ def _read_head(src, size: int, mode: str) -> bytes:
             raise TooShort(f"input is {size} bytes, fixed header wants {n}")
         return _read_exact(src, n)
     raise FormatError(f"unknown header mode {mode!r}")
-
-
-def split_header(data: bytes, mode: str = "raw") -> tuple[bytes, bytes]:
-    """Split input losslessly into ``(head, content)``: a plaintext head
-    and the protectable content.
-
-    Modes: ``raw`` (no head), ``fixed:<n>`` (first n bytes), ``dicom``
-    (132-byte preamble ending in "DICM").
-    """
-    head = _read_head(io.BytesIO(data), len(data), mode)
-    return head, data[len(head):]
 
 
 def _puf_header(file_id: bytes, head: bytes, content_len: int, flags: int = 0) -> bytes:

@@ -318,15 +318,10 @@ def recover(puf_payload: bytes, prf_plain: bytes, key: ProtectionKey) -> bytes:
     protection pass, and IntegrityFailure (carrying the attempted
     reconstruction) when the digest check fails.
     """
-    if len(puf_payload) % REMAINDER_LEN:
-        raise LengthMismatch("public payload length is not a multiple of 28")
-    unit_count = len(puf_payload) // REMAINDER_LEN
-    if len(prf_plain) < SUB_LEN * unit_count + DIGEST_LEN:
-        raise LengthMismatch("private stream too short for unit count")
+    unit_count, extra = divmod(len(puf_payload), REMAINDER_LEN)
     tail_len = len(prf_plain) - SUB_LEN * unit_count - DIGEST_LEN
-    if tail_len >= UNIT_LEN:
-        raise LengthMismatch("private stream tail exceeds one unit")
-
+    if extra or not 0 <= tail_len < UNIT_LEN:
+        raise LengthMismatch("stream lengths cannot come from one protection pass")
     content_len = UNIT_LEN * unit_count + tail_len
     pieces = []
     try:

@@ -18,6 +18,8 @@ Wire protocol, one TCP connection carrying any number of requests::
 The server re-verifies that a PUT id matches the payload hash and
 answers ERROR otherwise.  Payloads are capped at 1 GiB.  An unknown
 opcode gets ERROR and a closed connection: its frame length is unknown.
+A connection whose client sends nothing, or stops partway through a
+frame, for ``REMOTE_TIMEOUT`` seconds (10) is closed by the server.
 
 ``disperse`` enforces the placement rule: the public fragment goes to
 the untrusted (cloud) backend, the private fragment to the device
@@ -27,12 +29,12 @@ attacker can recover each 32-byte unit by trying the 2^32 values of its
 selected 4-byte sub-fragment.
 
 ``PlacementIndex`` is an append-only JSONL file, one placement per
-line, where the last line for a record wins.  ``lookup`` reads the file
-backwards from its end, ``LOOKUP_BLOCK`` bytes at a time, and searches
-the whole lines read so far for the record id's hex, parsing only the
-line a hit lands in, so a recent record costs one block however long
-the index grows; a hit inside another line's blob id is skipped by
-checking that line's ``record_id``.  A line counts only once
+line, where the last line for a record wins.  Both readers take the
+file backwards from its end, ``LOOKUP_BLOCK`` bytes of whole lines at a
+time.  ``lookup`` searches each block for the record id's hex and
+parses only the line a hit lands in, so a recent record costs one block
+however long the index grows; a hit inside another line's blob id is
+skipped by checking that line's ``record_id``.  A line counts only once
 its newline is written: a torn final fragment is ignored, ``record``
 starts a new line after one, and a line that does not parse as a
 placement (such a fragment, once terminated) is skipped.
@@ -72,10 +74,10 @@ ST_ERROR = 0x02
 
 _LEN = struct.Struct("<Q")
 
-# Seconds each socket operation of a remote call may block.
+# Seconds each socket operation may block, on either end of a connection.
 REMOTE_TIMEOUT = 10.0
 
-# Bytes a placement lookup reads per step back from the end of the index.
+# Bytes the index readers take per step back from the end of the index.
 LOOKUP_BLOCK = 1 << 16
 
 
@@ -106,22 +108,15 @@ class DirectoryBackend:
     def __init__(self, root: str | Path, name: str | None = None):
         self.root = Path(root)
         self.name = name if name is not None else str(self.root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     def _path(self, ref: BlobRef) -> Path:
         return self.root / ref.hex[:2] / ref.hex
 
     def put(self, payload: bytes) -> BlobRef:
         ref = BlobRef.for_payload(payload)
-        path = self._path(ref)
-        try:
-            if path.read_bytes() == payload:
-                return ref
-        except FileNotFoundError:
-            pass
-        # Absent, or present but corrupted: (re)write it. Readers never
-        # observe a partial blob.
-        with atomic_write(path) as write:
+        # Written whole even when present, which also heals a corrupted
+        # copy; readers never observe a partial blob.
+        with atomic_write(self._path(ref)) as write:
             write(payload)
         return ref
 
@@ -207,6 +202,8 @@ class _BlobRequestHandler(socketserver.BaseRequestHandler):
     def handle(self):
         backend: DirectoryBackend = self.server.backend  # type: ignore[attr-defined]
         sock = self.request
+        # A client that sends nothing, or stops mid-frame, is dropped.
+        sock.settimeout(REMOTE_TIMEOUT)
         while True:
             try:
                 op_raw = sock.recv(1)
@@ -257,6 +254,7 @@ class BlobServer:
     """Wire-protocol server over a directory store."""
 
     def __init__(self, host: str, port: int, root: str | Path):
+        Path(root).mkdir(parents=True, exist_ok=True)  # an unusable root fails here, not on a PUT
         try:
             self._server = _ThreadingServer((host, port), _BlobRequestHandler)
         except OSError as exc:
@@ -336,13 +334,31 @@ class PlacementIndex:
         finally:
             os.close(fd)
 
-    def _complete_lines(self) -> bytes:
-        """The file's bytes up to and including its last newline."""
+    def _blocks(self):
+        """Yield the index's complete lines in blocks, last block first;
+        each block is whole lines, each ending in a newline.  A line cut by
+        a block edge goes whole into the next block yielded, and a torn
+        final fragment (no newline yet) into none."""
         try:
-            data = self.path.read_bytes()
+            f = self.path.open("rb")
         except FileNotFoundError:
-            return b""
-        return data[: data.rfind(b"\n") + 1]
+            return
+        with f:
+            pos = f.seek(0, os.SEEK_END)
+            carry = b""  # bytes after pos not yielded yet: a line cut by a block edge
+            while pos:
+                step = min(pos, LOOKUP_BLOCK)
+                pos -= step
+                f.seek(pos)
+                data = f.read(step) + carry
+                # What precedes the block's first newline may continue further left.
+                first = data.find(b"\n")
+                if pos and first < 0:
+                    carry = data
+                    continue
+                cut = first + 1 if pos else 0
+                yield data[cut : data.rfind(b"\n") + 1]
+                carry = data[:cut]
 
     @staticmethod
     def _parse(line: bytes) -> Placement | None:
@@ -353,43 +369,23 @@ class PlacementIndex:
 
     def records(self) -> dict[bytes, Placement]:
         out: dict[bytes, Placement] = {}
-        for line in self._complete_lines().splitlines():
-            placement = self._parse(line)
-            if placement is not None:
-                out[placement.record_id] = placement
+        for lines in self._blocks():
+            for line in reversed(lines.split(b"\n")):
+                placement = self._parse(line)
+                if placement is not None:
+                    out.setdefault(placement.record_id, placement)
         return out
 
     def lookup(self, record_id: bytes) -> Placement | None:
         needle = record_id.hex().encode()
-        try:
-            f = self.path.open("rb")
-        except FileNotFoundError:
-            return None
-        with f:
-            pos = f.seek(0, os.SEEK_END)
-            carry = b""  # bytes after pos not searched yet: a line cut by a block edge
-            while pos:
-                step = min(pos, LOOKUP_BLOCK)
-                pos -= step
-                f.seek(pos)
-                data = f.read(step) + carry
-                # Whole lines only: what precedes the block's first newline
-                # may continue further left, and what follows the last
-                # newline is a torn append.
-                first = data.find(b"\n")
-                if pos and first < 0:
-                    carry = data
-                    continue
-                cut = first + 1 if pos else 0
-                lines = data[cut : data.rfind(b"\n") + 1]
-                hit = lines.rfind(needle)
-                while hit >= 0:
-                    start = lines.rfind(b"\n", 0, hit) + 1
-                    placement = self._parse(lines[start : lines.index(b"\n", hit)])
-                    if placement is not None and placement.record_id == record_id:
-                        return placement
-                    hit = lines.rfind(needle, 0, start)
-                carry = data[:cut]
+        for lines in self._blocks():
+            hit = lines.rfind(needle)
+            while hit >= 0:
+                start = lines.rfind(b"\n", 0, hit) + 1
+                placement = self._parse(lines[start : lines.index(b"\n", hit)])
+                if placement is not None and placement.record_id == record_id:
+                    return placement
+                hit = lines.rfind(needle, 0, start)
         return None
 
 

@@ -312,6 +312,9 @@ class TestStoreCommands:
 
     def test_get_unknown_id_exits_5(self, tmp_path):
         assert run_cli("get", "00" * 32, "--store", tmp_path / "s", "--out", tmp_path / "x") == 5
+        # A read-only command creates nothing.
+        assert not (tmp_path / "s").exists()
+        assert not (tmp_path / "x").exists()
 
     def test_put_swapped_fragments_exits_3(self, sealed, tmp_path):
         _, puf, prf = sealed

@@ -1,16 +1,19 @@
 """Backend, wire-protocol, and placement tests."""
 
+import contextlib
 import hashlib
 import json
 import random
 import socket
 import struct
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sefrag import container, core
+from sefrag import cli, container, core, dispersion
 from sefrag.container import seal
 from sefrag.core import ProtectionKey
 from sefrag.dispersion import (
@@ -19,6 +22,7 @@ from sefrag.dispersion import (
     OP_DELETE,
     OP_GET,
     OP_PUT,
+    ST_OK,
     BlobRef,
     BlobServer,
     DirectoryBackend,
@@ -59,6 +63,26 @@ def served(tmp_path):
     with BlobServer("127.0.0.1", 0, tmp_path / "blobs") as server:
         host, port = server.address
         yield server, RemoteBackend(host, port)
+
+
+@contextlib.contextmanager
+def short_reply_server():
+    """A one-shot listener that answers one GET with OK and a length of
+    100, sends only 10 payload bytes, then hangs up; yields its address."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rb") as request:
+            request.read(1 + 32)
+            conn.sendall(bytes([ST_OK]) + struct.pack("<Q", 100) + bytes(10))
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    with listener:
+        yield listener.getsockname()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 def stored_files(root):
@@ -268,10 +292,40 @@ class TestWireProtocol:
             ref = remote.put(b"still served")
             assert remote.get(ref) == b"still served"
 
+    def test_idle_and_half_frame_clients_are_dropped(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dispersion, "REMOTE_TIMEOUT", 0.5)
+        with BlobServer("127.0.0.1", 0, tmp_path / "blobs") as server:
+            remote = RemoteBackend(*server.address)
+            ref = remote.put(b"still served")
+            idle = socket.create_connection(server.address, timeout=5)
+            half = socket.create_connection(server.address, timeout=5)
+            with idle, half:
+                half.sendall(bytes([OP_GET]) + ref.id[:10])
+                start = time.monotonic()
+                assert idle.recv(1) == b""  # a TimeoutError here means still held
+                assert half.recv(1) == b""
+                assert time.monotonic() - start < 5
+            assert remote.get(ref) == b"still served"
+
+    def test_peer_hanging_up_mid_reply_is_unavailable(self, tmp_path):
+        with short_reply_server() as address:
+            with pytest.raises(BackendUnavailable):
+                RemoteBackend(*address).get(BlobRef(bytes(32)))
+        with short_reply_server() as (host, port):
+            argv = ["get", "00" * 32, "--store", str(tmp_path / "s"), "--remote", f"{host}:{port}",
+                    "--out", str(tmp_path / "x")]
+            assert cli.main(argv) == 6
+        assert not (tmp_path / "x").exists()
+
     def test_unreachable_server(self):
         remote = RemoteBackend("127.0.0.1", 1)
         with pytest.raises(BackendUnavailable):
             remote.put(b"nobody listens")
+
+    def test_root_that_is_a_file_fails_at_start(self, tmp_path):
+        (tmp_path / "file").write_bytes(b"")
+        with pytest.raises(FileExistsError):
+            BlobServer("127.0.0.1", 0, tmp_path / "file")
 
     def test_bind_error_on_taken_port(self, tmp_path):
         with BlobServer("127.0.0.1", 0, tmp_path / "a") as server:
@@ -399,18 +453,20 @@ class TestPlacementIndex:
             blob = blob or rng.randbytes(32)
             return Placement(rid, BlobRef(blob), "cloud", BlobRef(rng.randbytes(32)), "device")
 
-        index.record(placement(hidden))
-        for rid in rids + [rng.choice(rids) for _ in range(140)]:
-            index.record(placement(rid))
+        written = [placement(hidden)]
+        written += [placement(rid) for rid in rids + [rng.choice(rids) for _ in range(140)]]
         # Later lines whose blob ids contain the hex of a present record id
         # and of an absent one.
-        index.record(placement(rids[0], hidden + rng.randbytes(16)))
-        index.record(placement(rids[1], rng.randbytes(8) + absent_hidden + rng.randbytes(8)))
+        written.append(placement(rids[0], hidden + rng.randbytes(16)))
+        written.append(placement(rids[1], rng.randbytes(8) + absent_hidden + rng.randbytes(8)))
+        for p in written:
+            index.record(p)
 
-        listing = index.records()
-        assert len(listing) == len(set(rids)) + 1
+        expected = {p.record_id: p for p in written}  # the last line per record wins
+        assert len(expected) == len(set(rids)) + 1
+        assert index.records() == expected
         for rid in [*rids, hidden, absent_hidden, bytes(16)]:
-            assert index.lookup(rid) == listing.get(rid)
+            assert index.lookup(rid) == expected.get(rid)
         assert index.lookup(hidden).record_id == hidden
         assert index.lookup(absent_hidden) is None
 
@@ -418,19 +474,22 @@ class TestPlacementIndex:
         rng = random.Random(8)
         index = PlacementIndex(tmp_path / "p.jsonl")
 
-        def line(rid):
-            placement = Placement(rid, BlobRef(rng.randbytes(32)), "cloud", BlobRef(rng.randbytes(32)), "device")
-            return json.dumps(placement.to_json()).encode() + b"\n"
+        def placement(rid):
+            return Placement(rid, BlobRef(rng.randbytes(32)), "cloud", BlobRef(rng.randbytes(32)), "device")
+
+        def line(p):
+            return json.dumps(p.to_json()).encode() + b"\n"
 
         first, torn = rng.randbytes(16), rng.randbytes(16)
         rids = [first] + [rng.randbytes(16) for _ in range(4 * LOOKUP_BLOCK // 200)]
-        lines = [line(rid) for rid in rids]
-        tail = line(torn)[:60]  # a crash partway through an append
+        placements = [placement(rid) for rid in rids]
+        lines = [line(p) for p in placements]
+        tail = line(placement(torn))[:60]  # a crash partway through an append
         index.path.write_bytes(b"".join(lines) + tail)
         size = index.path.stat().st_size
         assert size > 3 * LOOKUP_BLOCK
         # The record whose only line holds the offset of the second block
-        # edge, counted from the end, as lookup reads.
+        # edge, counted from the end, as the readers read.
         edge = size - 2 * LOOKUP_BLOCK
         offset = 0
         for rid, text in zip(rids, lines):
@@ -438,10 +497,11 @@ class TestPlacementIndex:
                 straddler = rid
             offset += len(text)
 
-        listing = index.records()
-        assert len(listing) == len(rids)
+        expected = {p.record_id: p for p in placements}  # the torn tail is left out
+        assert len(expected) == len(rids)
+        assert index.records() == expected
         for rid in (first, straddler, *rng.sample(rids, 50)):
-            assert index.lookup(rid) == listing[rid]
+            assert index.lookup(rid) == expected[rid]
         assert index.lookup(torn) is None
         assert index.lookup(bytes(16)) is None
 
@@ -460,6 +520,13 @@ class TestPlacementIndex:
         assert index.lookup(new.record_id) == new
         assert index.lookup(torn.record_id) is None
         assert index.records() == {old.record_id: old, new.record_id: new}
+
+    def test_line_counts_only_once_its_newline_is_written(self, tmp_path):
+        index = PlacementIndex(tmp_path / "p.jsonl")
+        placement = Placement(b"\x07" * 16, BlobRef(b"\x01" * 32), "cloud", BlobRef(bytes(32)), "device")
+        index.path.write_bytes(json.dumps(placement.to_json()).encode())  # whole, but no newline yet
+        assert index.records() == {}
+        assert index.lookup(placement.record_id) is None
 
     def test_json_lines_that_are_not_placements_are_skipped(self, tmp_path):
         index = PlacementIndex(tmp_path / "p.jsonl")

@@ -25,7 +25,7 @@ PUBLIC = """
     ProtectionKey PufContainer Release RemoteBackend Role SameBackend SefragError
     SharePolicy TooShort UnknownRecord derive_key disperse entropy grant
     histogram open pdf_csv protect recover release request_access revoke run_bench seal
-    split_header strip_header __version__
+    strip_header __version__
 """.split()
 
 # Runs ``python -m sefrag ARGV`` the way the interpreter does, then reports
