@@ -12,11 +12,14 @@ Exit codes are stable so scripts can branch on them:
 
 stdout carries machine-readable results (record ids, blob ids, decision
 tokens, entropy values); diagnostics go to stderr.
+
+The argument parser is built once per process, on the first ``main`` call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -257,7 +260,13 @@ def cmd_request(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first ``main`` call.
+
+    Parsing leaves it unchanged: each call gets a fresh ``Namespace``,
+    and every default is immutable.
+    """
     parser = argparse.ArgumentParser(
         prog="sefrag",
         description="Split files into a small private fragment and a large "
@@ -278,55 +287,45 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--mode", default="raw", help="header split: raw, dicom, or fixed:<n>")
-    p.set_defaults(func=cmd_protect)
 
     p = sub.add_parser("recover", parents=[key_flags], help="rebuild the original file")
     p.add_argument("puf")
     p.add_argument("prf")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("entropy", help="print byte entropy of a file or container payload")
     p.add_argument("path")
-    p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("pdf", help="write the byte-value distribution as CSV")
     p.add_argument("path")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pdf)
 
     p = sub.add_parser("bench", help="time selective protection against full AES")
     p.add_argument("--size-mb", type=int, default=1)
     p.add_argument("--iterations", type=int, default=3)
     p.add_argument("--csv", help="also write per-iteration timings to this file")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("serve", help="run a blob server")
     p.add_argument("--bind", default="127.0.0.1:0")
     p.add_argument("--root", required=True, help="directory holding the blobs")
-    p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("put", parents=[store_flags], help="disperse a sealed pair")
     p.add_argument("puf")
     p.add_argument("prf")
-    p.set_defaults(func=cmd_put)
 
     p = sub.add_parser("get", parents=[store_flags], help="fetch a blob by id")
     p.add_argument("id")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_get)
 
     p = sub.add_parser("grant", parents=[store_flags], help="allow a party full access")
     p.add_argument("record")
     p.add_argument("party")
     p.add_argument("--as", dest="caller", required=True, help="acting owner id")
-    p.set_defaults(func=cmd_grant_or_revoke)
 
     p = sub.add_parser("revoke", parents=[store_flags], help="withdraw a grant")
     p.add_argument("record")
     p.add_argument("party")
     p.add_argument("--as", dest="caller", required=True, help="acting owner id")
-    p.set_defaults(func=cmd_grant_or_revoke)
 
     p = sub.add_parser("request", parents=[store_flags], help="ask what a party may see")
     p.add_argument("record")
@@ -334,15 +333,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--role", default="requester", help="owner, doctor, authority, or requester")
     p.add_argument("--out-dir", help="also fetch the permitted fragments into this directory")
     p.add_argument("--anonymize", action="store_true", help="strip the plaintext header")
-    p.set_defaults(func=cmd_request)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Looked up by name on every call, so a replaced ``cmd_*`` takes
+    # effect even though the parser outlives it.
+    command = "grant_or_revoke" if args.command in ("grant", "revoke") else args.command
     try:
-        return args.func(args)
+        return globals()["cmd_" + command](args)
     except (_Usage, SefragError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # Each error class carries its exit code; ValueError and OSError

@@ -16,7 +16,8 @@ Wire protocol, one TCP connection carrying any number of requests::
     status:  0x00 OK, 0x01 NOT_FOUND, 0x02 ERROR
 
 The server re-verifies that a PUT id matches the payload hash and
-answers ERROR otherwise.  Payloads are capped at 1 GiB.  An unknown
+answers ERROR otherwise, as it does when its own store fails; the
+connection is then served on.  Payloads are capped at 1 GiB.  An unknown
 opcode gets ERROR and a closed connection: its frame length is unknown.
 A connection whose client sends nothing, or stops partway through a
 frame, for ``REMOTE_TIMEOUT`` seconds (10) is closed by the server.
@@ -198,26 +199,46 @@ class RemoteBackend:
         return status == ST_OK
 
 
+def _reply(backend: DirectoryBackend, opcode: int, ref: BlobRef, payload: bytes | None) -> bytes:
+    """The response to one whole request frame.
+
+    A storage failure (full disk, unwritable root, a blob path that is a
+    directory) gets ERROR like a corrupt blob: the frame was read whole,
+    so the connection stays in sync and is served on.
+    """
+    try:
+        if opcode == OP_PUT:
+            if BlobRef.for_payload(payload) != ref:
+                return bytes([ST_ERROR])
+            backend.put(payload)
+            return bytes([ST_OK])
+        if opcode == OP_GET:
+            payload = backend.get(ref)
+            return bytes([ST_OK]) + _LEN.pack(len(payload)) + payload
+        return bytes([ST_OK if backend.delete(ref) else ST_NOT_FOUND])
+    except NotFound:
+        return bytes([ST_NOT_FOUND])
+    except (CorruptBlob, OSError):
+        return bytes([ST_ERROR])
+
+
 class _BlobRequestHandler(socketserver.BaseRequestHandler):
     def handle(self):
         backend: DirectoryBackend = self.server.backend  # type: ignore[attr-defined]
         sock = self.request
         # A client that sends nothing, or stops mid-frame, is dropped.
         sock.settimeout(REMOTE_TIMEOUT)
-        while True:
-            try:
-                op_raw = sock.recv(1)
-            except OSError:
-                return
-            if not op_raw:
-                return
-            opcode = op_raw[0]
-            if opcode not in (OP_PUT, OP_GET, OP_DELETE):
-                # Frame sync is lost: hang up.
-                sock.sendall(bytes([ST_ERROR]))
-                return
-            try:
+        # Every OSError here is the client's socket: storage errors are
+        # answered inside ``_reply``.
+        try:
+            while op_raw := sock.recv(1):
+                opcode = op_raw[0]
+                if opcode not in (OP_PUT, OP_GET, OP_DELETE):
+                    # Frame sync is lost: hang up.
+                    sock.sendall(bytes([ST_ERROR]))
+                    return
                 ref = BlobRef(_recv_exact(sock, 32))
+                payload = None
                 if opcode == OP_PUT:
                     (length,) = _LEN.unpack(_recv_exact(sock, 8))
                     if length > MAX_PAYLOAD:
@@ -225,24 +246,9 @@ class _BlobRequestHandler(socketserver.BaseRequestHandler):
                         sock.sendall(bytes([ST_ERROR]))
                         return
                     payload = _recv_exact(sock, length)
-                    if BlobRef.for_payload(payload) != ref:
-                        sock.sendall(bytes([ST_ERROR]))
-                        continue
-                    backend.put(payload)
-                    sock.sendall(bytes([ST_OK]))
-                elif opcode == OP_GET:
-                    try:
-                        payload = backend.get(ref)
-                    except NotFound:
-                        sock.sendall(bytes([ST_NOT_FOUND]))
-                    except CorruptBlob:
-                        sock.sendall(bytes([ST_ERROR]))
-                    else:
-                        sock.sendall(bytes([ST_OK]) + _LEN.pack(len(payload)) + payload)
-                else:
-                    sock.sendall(bytes([ST_OK if backend.delete(ref) else ST_NOT_FOUND]))
-            except (ConnectionError, OSError):
-                return
+                sock.sendall(_reply(backend, opcode, ref, payload))
+        except OSError:
+            return
 
 
 class _ThreadingServer(socketserver.ThreadingTCPServer):

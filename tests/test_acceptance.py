@@ -7,6 +7,7 @@ algorithmic regressions rather than hardware variance.
 """
 
 import contextlib
+import hashlib
 import os
 import random
 import signal
@@ -122,6 +123,34 @@ def test_key_compromise_resilience():
             f"{trials} trials, 0 silent successes, derived-byte entropy >= "
             f"{worst_derived:.4f}, last attempted-output entropy {attempted_entropy:.4f}"
         )
+
+
+def test_key_holder_recovers_a_unit_by_search():
+    """The stated bound, performed at reduced scale: whoever holds the key
+    and the public payload recovers a unit by trying values of its
+    selected sub-fragment until the unit looks like text.  The full search
+    tries all 2^32 values; this one keeps two of the four bytes and tries
+    the 2^16 values of the other two, a set that holds the true value."""
+    with criterion("key plus public payload recovers a text unit by search") as info:
+        rng = random.Random(0x7E57)
+        content = bytes(rng.randrange(0x20, 0x7F) for _ in range(64 * core.UNIT_LEN))
+        key = ProtectionKey(rng.randbytes(16))
+        public = core.protect(content, key).puf_payload
+        unit = 41
+        # What the key alone gives: the unit's selector and keystream recipe.
+        pick = core.SUB_LEN * core.selector_stream(key, unit + 1)[unit]
+        remainder = public[core.REMAINDER_LEN * unit:core.REMAINDER_LEN * (unit + 1)]
+        suffix = key.bytes + unit.to_bytes(8, "little")
+        true_sub = content[core.UNIT_LEN * unit + pick:][:core.SUB_LEN]
+        plausible = []
+        for low in range(1 << 16):
+            sub = true_sub[:2] + low.to_bytes(2, "little")
+            rest = core._xor(remainder, hashlib.sha256(sub + suffix).digest()[:core.REMAINDER_LEN])
+            candidate = rest[:pick] + sub + rest[pick:]
+            if all(0x20 <= b < 0x7F for b in candidate):
+                plausible.append(candidate)
+        assert plausible == [content[core.UNIT_LEN * unit:core.UNIT_LEN * (unit + 1)]]
+        info["note"] = "1 of 65536 candidates is printable, and it is the original unit"
 
 
 def test_workload_accounting():

@@ -11,6 +11,7 @@ import pytest
 import sefrag
 from sefrag import cli, errors
 from sefrag.cli import main
+from sefrag.container import PufContainer
 from sefrag.dispersion import PlacementIndex
 
 KEY = "000102030405060708090a0b0c0d0e0f"
@@ -42,6 +43,11 @@ def run_with_file_size_limit(limit: int, *argv) -> subprocess.CompletedProcess:
         [sys.executable, "-m", "sefrag", *map(str, argv)],
         env=_package_env(), capture_output=True, text=True, preexec_fn=limit_file_size, timeout=60,
     )
+
+
+def puf_head(path) -> bytes:
+    """The plaintext head a ``.puf`` file carries."""
+    return PufContainer.from_bytes(Path(path).read_bytes()).head
 
 
 @pytest.fixture
@@ -236,6 +242,75 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_entropy", failing)
         with pytest.raises(KeyError):
             run_cli("entropy", tmp_path / "any")
+
+
+# Imports sefrag.cli and runs ``entropy FILE`` twice in one process, then
+# prints how many ArgumentParser objects existed after the import and
+# after each call.
+COUNT_PARSERS = """
+import argparse, sys
+built = 0
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    global built
+    built += 1
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from sefrag import cli
+counts = [built]
+for _ in range(2):
+    assert cli.main(["entropy", sys.argv[1]]) == 0
+    counts.append(built)
+print(*counts)
+"""
+
+
+class TestParserReuse:
+    def test_parser_is_built_on_first_call_only(self, tmp_path):
+        path = tmp_path / "zeros.bin"
+        path.write_bytes(bytes(64))
+        proc = subprocess.run(
+            [sys.executable, "-c", COUNT_PARSERS, str(path)],
+            env=_package_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        after_import, after_first, after_second = map(int, proc.stdout.split()[-3:])
+        assert after_import == 0
+        assert after_first > 0
+        assert after_second == after_first
+
+    def test_replaced_command_takes_effect_after_parser_is_built(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "zeros.bin"
+        path.write_bytes(bytes(64))
+        assert run_cli("entropy", path) == 0
+        assert capsys.readouterr().out == "0.0000\n"
+        seen = []
+
+        def replaced(args):
+            seen.append(args.path)
+            return 0
+
+        monkeypatch.setattr(cli, "cmd_entropy", replaced)
+        assert run_cli("entropy", path) == 0
+        assert seen == [str(path)]
+        assert capsys.readouterr().out == ""
+
+    def test_protect_mode_defaults_to_raw_after_a_fixed_split(self, sample, tmp_path):
+        assert run_cli("protect", sample, "--key-hex", KEY, "--out-dir", tmp_path / "a", "--mode", "fixed:4") == 0
+        assert run_cli("protect", sample, "--key-hex", KEY, "--out-dir", tmp_path / "b") == 0
+        assert puf_head(tmp_path / "a" / "sample.puf") == sample.read_bytes()[:4]
+        assert puf_head(tmp_path / "b" / "sample.puf") == b""
+
+    def test_request_keeps_the_head_after_an_anonymized_request(self, sample, tmp_path, capsys):
+        work, store = tmp_path / "w", tmp_path / "store"
+        assert run_cli("protect", sample, "--key-hex", KEY, "--out-dir", work, "--mode", "fixed:4") == 0
+        record = capsys.readouterr().out.strip()
+        assert run_cli("put", work / "sample.puf", work / "sample.prf", "--store", store) == 0
+        heads = []
+        for out, extra in ((tmp_path / "anon", ["--anonymize"]), (tmp_path / "plain", [])):
+            assert run_cli("request", record, "--as", "peer", "--store", store, "--out-dir", out, *extra) == 0
+            heads.append(puf_head(out / f"{record}.puf"))
+        assert heads == [b"", sample.read_bytes()[:4]]
 
 
 class TestAnalysisCommands:

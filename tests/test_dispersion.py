@@ -220,6 +220,25 @@ class TestWireProtocol:
             (length,) = struct.unpack("<Q", sock.recv(8))
             assert length == len(payload)
 
+    def test_storage_failure_gets_error_and_connection_serves_on(self, served, tmp_path):
+        server, remote = served
+        kept = remote.put(b"stored before")
+        blocked = b"cannot land"
+        ref = BlobRef.for_payload(blocked)
+        # A directory where the blob's file belongs: put, get and delete of
+        # it all fail inside the server's own store.
+        (tmp_path / "blobs" / ref.hex[:2] / ref.hex).mkdir(parents=True)
+        with socket.create_connection(server.address, timeout=5) as sock, sock.makefile("rb") as replies:
+            sock.sendall(bytes([OP_PUT]) + ref.id + struct.pack("<Q", len(blocked)) + blocked)
+            assert replies.read(1) == b"\x02"  # ERROR, not a hang-up
+            for opcode in (OP_GET, OP_DELETE):
+                sock.sendall(bytes([opcode]) + ref.id)
+                assert replies.read(1) == b"\x02"
+            sock.sendall(bytes([OP_GET]) + kept.id)
+            assert replies.read(1) == b"\x00"
+            (length,) = struct.unpack("<Q", replies.read(8))
+            assert replies.read(length) == b"stored before"
+
     def test_arbitrary_frames_get_error_or_hang_up(self, tmp_path):
         """Any bytes a client sends get the replies the protocol defines,
         ERROR or a hang-up for whatever is malformed, and never a hang."""
