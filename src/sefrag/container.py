@@ -233,13 +233,6 @@ def _aes(key: ProtectionKey, iv: bytes) -> Cipher:
     return Cipher(algorithms.AES(key.bytes), modes.CBC(iv))
 
 
-def _encrypt_private_stream(prf_plain: bytes, key: ProtectionKey, iv: bytes) -> bytes:
-    """PKCS#7-pad and AES-CBC-encrypt a whole buffer."""
-    padder = padding.PKCS7(128).padder()
-    enc = _aes(key, iv).encryptor()
-    return enc.update(padder.update(prf_plain) + padder.finalize()) + enc.finalize()
-
-
 def seal_stream(src, key: ProtectionKey, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
     """Seal the seekable binary file ``src`` in one streaming pass.
 

@@ -124,19 +124,6 @@ class ProtectionKey:
 
 
 @dataclass(frozen=True)
-class PrimitiveCounters:
-    """Primitive-operation tally for one protection pass."""
-
-    protection_hashes: int
-    selector_hashes: int
-    digest_passes: int
-
-    @property
-    def hash_invocations(self) -> int:
-        return self.protection_hashes + self.selector_hashes + self.digest_passes
-
-
-@dataclass(frozen=True)
 class ProtectedStreams:
     """Output of ``protect``: the public payload and the private stream.
 
@@ -146,9 +133,6 @@ class ProtectedStreams:
 
     puf_payload: bytes
     prf_plain: bytes
-    unit_count: int
-    tail_len: int
-    counters: PrimitiveCounters
 
 
 def selector_stream(key: ProtectionKey, unit_count: int) -> bytes:
@@ -291,43 +275,25 @@ def recover_chunks(read_public, read_private, content_len: int, key: ProtectionK
 
 def protect(content: bytes, key: ProtectionKey) -> ProtectedStreams:
     """Split content into protected public and private streams: the
-    chunks of ``protect_chunks`` joined in memory.
-
-    ``counters`` tallies the hashes the pass made.
-    """
-    unit_count, tail_len = divmod(len(content), UNIT_LEN)
-    pieces = list(protect_chunks(io.BytesIO(content).read, len(content), key))
-    puf_payload = b"".join(public for public, _ in pieces)
-    return ProtectedStreams(
-        puf_payload=puf_payload,
-        prf_plain=b"".join(private for _, private in pieces),
-        unit_count=unit_count,
-        tail_len=tail_len,
-        counters=PrimitiveCounters(
-            protection_hashes=len(puf_payload) // REMAINDER_LEN,
-            selector_hashes=-(-unit_count // SELECTORS_PER_BLOCK),
-            digest_passes=1,
-        ),
-    )
+    chunks of ``protect_chunks`` joined in memory.  The CLI and
+    ``sefrag bench`` run the streaming pass through
+    ``container.seal_stream`` instead."""
+    publics, privates = zip(*protect_chunks(io.BytesIO(content).read, len(content), key))
+    return ProtectedStreams(b"".join(publics), b"".join(privates))
 
 
 def recover(puf_payload: bytes, prf_plain: bytes, key: ProtectionKey) -> bytes:
     """Rebuild content from the two streams in memory and verify its digest.
 
     Raises LengthMismatch when the stream lengths cannot belong to one
-    protection pass, and IntegrityFailure (carrying the attempted
-    reconstruction) when the digest check fails.
+    protection pass, and IntegrityFailure when the digest check fails.
+    No attempted output is kept; a caller that wants the unverified
+    pieces iterates ``recover_chunks``, which yields them before it
+    raises.
     """
     unit_count, extra = divmod(len(puf_payload), REMAINDER_LEN)
     tail_len = len(prf_plain) - SUB_LEN * unit_count - DIGEST_LEN
     if extra or not 0 <= tail_len < UNIT_LEN:
         raise LengthMismatch("stream lengths cannot come from one protection pass")
     content_len = UNIT_LEN * unit_count + tail_len
-    pieces = []
-    try:
-        for piece in recover_chunks(io.BytesIO(puf_payload).read, io.BytesIO(prf_plain).read, content_len, key):
-            pieces.append(piece)
-    except IntegrityFailure as exc:
-        exc.attempted = b"".join(pieces)
-        raise
-    return b"".join(pieces)
+    return b"".join(recover_chunks(io.BytesIO(puf_payload).read, io.BytesIO(prf_plain).read, content_len, key))

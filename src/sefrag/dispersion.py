@@ -330,7 +330,7 @@ class PlacementIndex:
     def record(self, placement: Placement):
         line = json.dumps(placement.to_json()).encode() + b"\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o600)
         try:
             end = os.lseek(fd, 0, os.SEEK_END)
             if end and os.pread(fd, 1, end - 1) != b"\n":

@@ -37,15 +37,12 @@ class LengthMismatch(FormatError):
 class IntegrityFailure(SefragError):
     """Recovered content does not match its stored digest.
 
-    ``attempted`` holds the reconstructed byte stream so callers can
-    inspect what a failed recovery would have produced.
+    It carries no reconstructed output: ``core.recover_chunks`` yields
+    every piece before it raises, so a caller that wants to inspect a
+    failed recovery keeps the pieces itself.
     """
 
     exit_code = 4
-
-    def __init__(self, message: str, attempted: bytes | None = None):
-        super().__init__(message)
-        self.attempted = attempted
 
 
 class BadPadding(SefragError):

@@ -1,14 +1,21 @@
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from sefrag import bench
+from sefrag import bench, container, core
 from sefrag.core import ProtectionKey
 
 MIB = 1 << 20
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
 def report():
-    return bench.run_bench(1, iterations=3, key=ProtectionKey(bytes(16)))
+    return bench.run_bench(1, iterations=3)
 
 
 def test_input_size_and_iterations(report):
@@ -22,6 +29,18 @@ def test_counters_for_one_mib(report):
     # 32768 unit hashes + 1024 selector blocks + 1 digest pass
     assert report.hash_invocations_se == 32768 + 1024 + 1
     assert report.selected_bytes == 131072
+
+
+def test_counts_match_counted_hashes_of_a_seal(sha256_calls):
+    # bench derives its counts from the unit count; count one seal_stream pass instead.
+    _, pieces = container.seal_stream(io.BytesIO(os.urandom(MIB)), ProtectionKey.random())
+    for _ in pieces:
+        pass
+    counted = sum(sha256_calls.values())
+    units = sha256_calls["protection"]  # one keystream hash per unit
+    report = bench.run_bench(1, iterations=1)
+    assert report.hash_invocations_se == counted
+    assert report.selected_bytes == core.SUB_LEN * units
 
 
 def test_aes_byte_accounting(report):
@@ -55,3 +74,11 @@ def test_rejects_bad_parameters():
         bench.run_bench(0)
     with pytest.raises(ValueError):
         bench.run_bench(1, iterations=0)
+
+
+def test_perfbench_selftest_resolves_every_wrapped_name():
+    # The benchmark wraps sefrag functions by name; its self-test fails
+    # when one of them is renamed or deleted.
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=REPO,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

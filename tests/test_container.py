@@ -8,6 +8,8 @@ import os
 import random
 
 import pytest
+from cryptography.hazmat.primitives import padding
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -245,8 +247,10 @@ class TestSealOpen:
         puf, prf = seal(b"q" * 96, KEY)
         other_plain = b"\x00" * 20
         iv = prf.iv
+        padder = padding.PKCS7(128).padder()
+        enc = Cipher(algorithms.AES(KEY.bytes), modes.CBC(iv)).encryptor()
         forged = dataclasses.replace(
-            prf, ciphertext=container._encrypt_private_stream(other_plain, KEY, iv))
+            prf, ciphertext=enc.update(padder.update(other_plain) + padder.finalize()) + enc.finalize())
         with pytest.raises(IntegrityFailure):
             container.open(puf, forged, KEY)
 

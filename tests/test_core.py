@@ -1,6 +1,7 @@
 """Engine-level tests: known-answer vectors, inverses, stream properties."""
 
 import hashlib
+import io
 import random
 
 import pytest
@@ -252,12 +253,14 @@ class TestProtect:
         streams = protect(b"", ZERO_KEY)
         assert streams.puf_payload == b""
         assert streams.prf_plain == EMPTY_DIGEST
-        assert streams.unit_count == 0 and streams.tail_len == 0
+        unit_count = len(streams.puf_payload) // core.REMAINDER_LEN
+        tail_len = len(streams.prf_plain) - core.SUB_LEN * unit_count - core.DIGEST_LEN
+        assert unit_count == 0 and tail_len == 0
 
     def test_sub_unit_content_goes_to_private_stream(self):
         content = bytes(range(31))
         streams = protect(content, ZERO_KEY)
-        assert streams.unit_count == 0
+        assert len(streams.puf_payload) // core.REMAINDER_LEN == 0
         assert streams.puf_payload == b""
         assert streams.prf_plain == content + hashlib.sha256(content).digest()
 
@@ -272,13 +275,15 @@ class TestProtect:
         units = [streams.puf_payload[28 * i:28 * (i + 1)] for i in range(10)]
         assert len(set(units)) == 10
 
-    def test_counters(self):
-        streams = protect(bytes(32 * 100 + 5), ZERO_KEY)
-        assert streams.counters.protection_hashes == 100
-        assert streams.counters.selector_hashes == 4
-        assert streams.counters.digest_passes == 1
-        assert streams.counters.hash_invocations == 105
-        assert protect(bytes(1 << 20), ZERO_KEY).counters == core.PrimitiveCounters(32768, 1024, 1)
+    def test_counters(self, sha256_calls):
+        protect(bytes(32 * 100 + 5), ZERO_KEY)
+        assert sha256_calls["protection"] == 100
+        assert sha256_calls["selector"] == 4
+        assert sha256_calls["digest"] == 1
+        assert sum(sha256_calls.values()) == 105
+        sha256_calls.clear()
+        protect(bytes(1 << 20), ZERO_KEY)
+        assert sha256_calls == {"protection": 32768, "selector": 1024, "digest": 1}
 
     def test_selected_fraction_exact_for_aligned_content(self):
         length = 32 * 64
@@ -350,10 +355,17 @@ class TestRecover:
         streams = protect(bytes(range(64)) * 2, ZERO_KEY)
         tampered = bytearray(streams.puf_payload)
         tampered[5] ^= 0x80
-        with pytest.raises(IntegrityFailure) as excinfo:
+        with pytest.raises(IntegrityFailure):
             recover(bytes(tampered), streams.prf_plain, ZERO_KEY)
-        assert excinfo.value.attempted is not None
-        assert len(excinfo.value.attempted) == 128
+        # The streaming pass hands over every piece before it raises.
+        attempted = []
+        with pytest.raises(IntegrityFailure):
+            for piece in core.recover_chunks(
+                io.BytesIO(bytes(tampered)).read, io.BytesIO(streams.prf_plain).read, 128, ZERO_KEY
+            ):
+                attempted.append(piece)
+        assert attempted
+        assert len(b"".join(attempted)) == 128
 
     def test_key_sensitivity_100_bit_flips(self):
         # No single-bit key variant may recover silently.

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import json
+import os
 import random
 import socket
 import struct
@@ -461,6 +462,16 @@ class TestPlacementIndex:
         index.record(placement)
         line = json.dumps(placement.to_json()) + "\n"
         assert index.path.read_text(encoding="ascii") == line * 2
+
+    def test_new_index_is_private_to_its_owner(self, tmp_path):
+        # The index maps record ids to blob ids: device-store material.
+        index = PlacementIndex(tmp_path / "p.jsonl")
+        old_umask = os.umask(0o022)
+        try:
+            index.record(Placement(bytes(16), BlobRef(bytes(32)), "a", BlobRef(b"\xff" * 32), "b"))
+        finally:
+            os.umask(old_umask)
+        assert index.path.stat().st_mode & 0o077 == 0
 
     def test_lookup_matches_records(self, tmp_path):
         rng = random.Random(4)
