@@ -1,0 +1,156 @@
+"""Build, cache and load the native kernel in ``_kernel.c``.
+
+The first process that needs the kernel compiles it with the system C
+compiler against libcrypto, which takes well under a second, into
+``~/.cache/sefrag/`` (created mode 0700).  The library's name carries a
+hash of the C source, the compile command and the machine type, so
+each source version is built once and then loaded by every later
+process.  The compiler writes to a temp name that is renamed into
+place, so concurrent first uses are safe.  When the build fails (no
+compiler, no OpenSSL headers, an unwritable cache) no library is left
+behind, the compiler's first error line is recorded under the same
+name, and no later process retries: ``sefrag.core`` then runs its
+pure-Python path, which gives the same bytes.  Delete the cache
+directory to retry.
+
+Nothing here runs at import; ``load`` builds or loads once per process.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import subprocess
+from pathlib import Path
+from typing import NamedTuple
+
+from .core import KEY_LEN, REMAINDER_LEN, SUB_LEN, UNIT_LEN
+
+SOURCE = Path(__file__).with_name("_kernel.c")
+# The compile command, less its "-o <library> <source>" part.
+COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-Wno-deprecated-declarations")
+LIBS = ("-lcrypto",)
+BUILD_TIMEOUT = 120  # seconds
+
+_BYTES = ctypes.c_char_p
+_SIGNATURES = {
+    "sefrag_protect": (_BYTES, _BYTES, ctypes.c_size_t, _BYTES, ctypes.c_uint64, _BYTES, _BYTES),
+    "sefrag_recover": (_BYTES, _BYTES, _BYTES, ctypes.c_size_t, _BYTES, ctypes.c_uint64, _BYTES),
+    "sefrag_derive": (_BYTES, ctypes.c_size_t, ctypes.c_uint64, _BYTES),
+}
+
+
+def _raise_on_failure(status, fn, args):
+    if status != 0:
+        raise RuntimeError(f"a libcrypto SHA-256 call failed in {fn.__name__}")
+
+
+class Kernel:
+    """The loaded library, its calls wrapped with the length checks that
+    keep the C code inside its buffers."""
+
+    def __init__(self, path: Path):
+        self.path = path
+        self._lib = ctypes.CDLL(str(path))
+        for name, argtypes in _SIGNATURES.items():
+            fn = getattr(self._lib, name)
+            fn.argtypes, fn.restype, fn.errcheck = argtypes, ctypes.c_int, _raise_on_failure
+
+    def protect(self, units: bytes, selectors: bytes, key: bytes, first: int) -> tuple[bytes, bytes]:
+        """One chunk: ``(protected remainders, picked sub-fragments)``."""
+        count = len(selectors)
+        if len(units) != UNIT_LEN * count or len(key) != KEY_LEN:
+            raise ValueError(f"need {UNIT_LEN} unit bytes per selector and a {KEY_LEN}-byte key")
+        pub = ctypes.create_string_buffer(REMAINDER_LEN * count)
+        picked = ctypes.create_string_buffer(SUB_LEN * count)
+        self._lib.sefrag_protect(units, selectors, count, key, first, pub, picked)
+        return pub.raw, picked.raw
+
+    def recover(self, public: bytes, picked: bytes, selectors: bytes, key: bytes, first: int) -> bytes:
+        """One chunk: the units whose protected remainders are ``public``."""
+        count = len(selectors)
+        if len(picked) != SUB_LEN * count or len(public) != REMAINDER_LEN * count or len(key) != KEY_LEN:
+            raise ValueError(f"need {SUB_LEN} picked and {REMAINDER_LEN} remainder bytes per selector"
+                             f" and a {KEY_LEN}-byte key")
+        units = ctypes.create_string_buffer(UNIT_LEN * count)
+        self._lib.sefrag_recover(public, picked, selectors, count, key, first, units)
+        return units.raw
+
+    def derive(self, suffix: bytes, iterations: int) -> bytes:
+        """x <- SHA-256(x || suffix) ``iterations`` times from an empty x."""
+        if iterations < 1:
+            raise ValueError("iterations must be positive")
+        out = ctypes.create_string_buffer(32)
+        self._lib.sefrag_derive(suffix, len(suffix), iterations, out)
+        return out.raw
+
+
+class Loaded(NamedTuple):
+    kernel: Kernel | None
+    detail: str  # the library's path, or why there is none
+
+
+def cache_dir() -> Path:
+    return Path.home() / ".cache" / "sefrag"
+
+
+def _first_error(text: str) -> str:
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    return next((line for line in lines if "error" in line), lines[0] if lines else "")
+
+
+def _build(lib: Path) -> str | None:
+    """Compile the kernel into ``lib``; return None, or why it failed."""
+    tmp = lib.with_name(f".{lib.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        proc = subprocess.run([*COMPILE, "-o", str(tmp), str(SOURCE), *LIBS],
+                              capture_output=True, text=True, timeout=BUILD_TIMEOUT)
+        if proc.returncode:
+            return _first_error(proc.stderr) or f"compiler exited with status {proc.returncode}"
+        os.replace(tmp, lib)
+        return None
+    except (OSError, subprocess.SubprocessError) as exc:
+        return str(exc)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _record(failed: Path, reason: str):
+    """Write the build failure's reason to ``failed`` in one rename."""
+    tmp = failed.with_name(f".{failed.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        tmp.write_text(reason + "\n")
+        os.replace(tmp, failed)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+@functools.cache
+def load() -> Loaded:
+    """Build the kernel if this source version has no library yet, then
+    load it; at most once per process."""
+    try:
+        source = SOURCE.read_bytes()
+    except OSError as exc:
+        return Loaded(None, f"no kernel source: {exc}")
+    key = hashlib.sha256(b"\0".join([source, " ".join(COMPILE + LIBS).encode(),
+                                     os.uname().machine.encode()])).hexdigest()[:16]
+    root = cache_dir()
+    lib, failed = root / f"kernel-{key}.so", root / f"kernel-{key}.failed"
+    try:
+        root.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = root.stat()
+        if st.st_uid != os.getuid() or st.st_mode & 0o022:
+            return Loaded(None, f"cache directory {root} is not private to this user")
+        if failed.exists():
+            return Loaded(None, failed.read_text().strip())
+        if not lib.exists():
+            reason = _build(lib)
+            if reason is not None:
+                _record(failed, reason)
+                return Loaded(None, reason)
+        return Loaded(Kernel(lib), str(lib))
+    except OSError as exc:
+        return Loaded(None, str(exc))

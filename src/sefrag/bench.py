@@ -5,7 +5,8 @@ algorithmic cost rather than disk speed. The selective path is the one
 ``sefrag protect`` runs: ``container.seal_stream`` over the buffer,
 headers and the incremental AES pass over the private stream included.
 The baseline is AES-128-CBC with PKCS#7 padding over the entire buffer,
-the conventional protect-everything approach.
+the conventional protect-everything approach.  The report names the
+kernel the selective path ran: native, or pure Python and why.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from cryptography.hazmat.primitives import padding
 
-from . import container, core
+from . import _native, container, core
 from .core import ProtectionKey
 
 MIB = 1 << 20
@@ -40,6 +41,7 @@ class BenchReport:
     aes_bytes_baseline: int
     hash_invocations_se: int
     selected_bytes: int
+    kernel: str  # "native (<library>)" or "python (<why no library>)"
 
     @property
     def se_throughput(self) -> float:
@@ -98,7 +100,17 @@ def run_bench(size_mb: int, iterations: int = 3) -> BenchReport:
         # (selectors) and once for the content digest; tests count them.
         hash_invocations_se=units + -(-units // core.SELECTORS_PER_BLOCK) + 1,
         selected_bytes=core.SUB_LEN * units,
+        kernel=_kernel_timed(),
     )
+
+
+def _kernel_timed() -> str:
+    """The kernel ``seal_stream`` ran: the native library's path, or the
+    pure-Python path with the reason the library is missing."""
+    kernel = core._kernel()
+    if kernel:
+        return f"native ({kernel.path})"
+    return f"python ({_native.load().detail})"
 
 
 def format_table(report: BenchReport) -> str:

@@ -155,6 +155,7 @@ def cmd_bench(args) -> int:
     from . import bench
 
     report = bench.run_bench(args.size_mb, iterations=args.iterations)
+    print(f"kernel {report.kernel}", file=sys.stderr)
     print(bench.format_table(report))
     if args.csv:
         with atomic_write(args.csv) as write:

@@ -374,14 +374,18 @@ def derive_key(passphrase: bytes, salt: bytes) -> ProtectionKey:
     """Stretch a passphrase into a protection key.
 
     Iterates x <- SHA-256(x || passphrase || salt) 100000 times from an
-    empty x and keeps the first 16 bytes.
+    empty x and keeps the first 16 bytes.  The native kernel runs the
+    loop when it is built; the Python loop below is its reference.
     """
     if not passphrase:
         raise EmptyPassphrase("passphrase must not be empty")
     if len(salt) != 16:
         raise ValueError("salt must be 16 bytes")
-    x = b""
     suffix = passphrase + salt
+    kernel = core._kernel()
+    if kernel:
+        return ProtectionKey(kernel.derive(suffix, KDF_ITERATIONS)[:16])
+    x = b""
     for _ in range(KDF_ITERATIONS):
         x = hashlib.sha256(x + suffix).digest()
     return ProtectionKey(x[:16])

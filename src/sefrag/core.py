@@ -15,20 +15,24 @@ selected sub-fragment and keeping the one whose unit looks plausible.
 they read the content (or the two streams) through ``read(n)``
 callables and yield their output chunk by chunk, at most
 ``CHUNK_UNITS`` units at a time, while the selectors and the SHA-256
-content digest advance with them.  Per chunk, ``gather`` splits the
-units into their picked sub-fragments and 28-byte remainders,
-``keystream`` joins the units' 28-byte digests, one whole-chunk XOR
-applies it, and on the way back ``scatter``, the exact inverse of
+content digest advance with them in ``hashlib``.  Each chunk's
+per-unit work is one call into the native kernel (``_kernel.c``, built
+on first use by ``sefrag._native``): gather, keystream and XOR on the
+way in, keystream, XOR and scatter on the way back.  Where the kernel
+cannot be built, the same bytes come from the pure-Python reference
+path: ``gather`` splits the units into their picked sub-fragments and
+28-byte remainders, ``keystream`` joins the units' 28-byte digests, one
+whole-chunk XOR applies it, and ``scatter``, the exact inverse of
 ``gather``, rebuilds the units.  gather and scatter move 4-byte words
 with strided memoryview copies and choose between them with big-integer
-masks, so the keystream hash is the only per-unit Python work.  A
+masks, so there the keystream hash is the only per-unit Python work.  A
 chunk's working buffers, about 1 MiB at 4,096 units, do not grow with
 the content length.  ``protect`` and ``recover`` run the same pass over
 bytes held in memory.
 
-Apart from the ``read`` callables the streaming pass consumes, all
-functions are pure; keys and streams are plain immutable bytes, so
-concurrent use is safe.
+Apart from the ``read`` callables the streaming pass consumes and the
+kernel's one-time build, all functions are pure; keys and streams are
+plain immutable bytes, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -227,6 +231,29 @@ def _chunks(unit_count: int):
         yield start, min(start + CHUNK_UNITS, unit_count)
 
 
+def _kernel():
+    """The native kernel (``_kernel.c``), built and loaded on first use,
+    or None when it cannot be: the pure-Python path then runs, with the
+    same bytes.  Tests patch this attribute to choose the path."""
+    from . import _native
+
+    return _native.load().kernel
+
+
+def _protect_chunk(units: bytes, selectors: bytes, key: bytes, first: int) -> tuple[bytes, bytes]:
+    """Pure-Python reference of ``Kernel.protect``: one chunk's
+    ``(protected remainders, picked sub-fragments)``."""
+    picked, remainders = gather(units, selectors)
+    return _xor(remainders, keystream(picked, ProtectionKey(key), first)), picked
+
+
+def _recover_chunk(public: bytes, picked: bytes, selectors: bytes, key: bytes, first: int) -> bytes:
+    """Pure-Python reference of ``Kernel.recover``: one chunk's units."""
+    if len(public) != REMAINDER_LEN * len(selectors):
+        raise ValueError(f"need {SUB_LEN} picked and {REMAINDER_LEN} remainder bytes per selector")
+    return scatter(picked, _xor(public, keystream(picked, ProtectionKey(key), first)), selectors)
+
+
 def protect_chunks(read, content_len: int, key: ProtectionKey):
     """Protect ``content_len`` bytes of content that ``read(n)`` hands
     over in order, one chunk at a time.
@@ -242,8 +269,9 @@ def protect_chunks(read, content_len: int, key: ProtectionKey):
     for start, stop in _chunks(unit_count):
         units = read(UNIT_LEN * (stop - start))
         digest.update(units)
-        picked, remainders = gather(units, _selectors(key, start, stop))
-        yield _xor(remainders, keystream(picked, key, start)), picked
+        kernel = _kernel()
+        protect_chunk = kernel.protect if kernel else _protect_chunk
+        yield protect_chunk(units, _selectors(key, start, stop), key.bytes, start)
     tail = read(tail_len)
     digest.update(tail)
     yield b"", tail + digest.digest()
@@ -262,8 +290,10 @@ def recover_chunks(read_public, read_private, content_len: int, key: ProtectionK
     digest = hashlib.sha256()
     for start, stop in _chunks(unit_count):
         picked = read_private(SUB_LEN * (stop - start))
-        remainders = _xor(read_public(REMAINDER_LEN * (stop - start)), keystream(picked, key, start))
-        units = scatter(picked, remainders, _selectors(key, start, stop))
+        public = read_public(REMAINDER_LEN * (stop - start))
+        kernel = _kernel()
+        recover_chunk = kernel.recover if kernel else _recover_chunk
+        units = recover_chunk(public, picked, _selectors(key, start, stop), key.bytes, start)
         digest.update(units)
         yield units
     tail = read_private(tail_len)

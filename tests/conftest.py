@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from sefrag import core
+from sefrag import _native, core
 
 # What a SHA-256 call in ``sefrag.core`` hashes, told apart by message length.
 _HASH_KINDS = {
@@ -22,7 +22,8 @@ def sha256_calls(monkeypatch):
 
     ``core.hashlib`` is replaced by a namespace whose ``sha256`` tallies
     every call before it hashes, so the counts are counted, not derived
-    from output sizes.
+    from output sizes.  The pure-Python kernel is pinned, because the
+    native one hashes in C, out of the counter's sight.
     """
     calls = collections.Counter()
 
@@ -31,4 +32,19 @@ def sha256_calls(monkeypatch):
         return hashlib.sha256(data)
 
     monkeypatch.setattr(core, "hashlib", types.SimpleNamespace(sha256=sha256))
+    monkeypatch.setattr(core, "_kernel", lambda: None)
     return calls
+
+
+@pytest.fixture(params=["python", "native"])
+def kernel_path(request, monkeypatch):
+    """Run the test once on each kernel path.  The native half skips,
+    naming the reason, when the kernel cannot be built here."""
+    if request.param == "python":
+        monkeypatch.setattr(core, "_kernel", lambda: None)
+    else:
+        loaded = _native.load()
+        if loaded.kernel is None:
+            pytest.skip(f"native kernel unavailable: {loaded.detail}")
+        monkeypatch.setattr(core, "_kernel", lambda: loaded.kernel)
+    return request.param

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import sefrag
-from sefrag import cli, errors
+from sefrag import _native, cli, core, errors
 from sefrag.cli import main
 from sefrag.container import PufContainer
 from sefrag.dispersion import PlacementIndex
@@ -361,6 +361,21 @@ class TestBenchCommand:
         assert "hash invocations     33793" in table
         assert "selected bytes       131072" in table
         assert len(csv.read_text().strip().splitlines()) == 2
+
+    def test_bench_names_the_kernel_it_timed_on_stderr(self, capsys, monkeypatch):
+        assert run_cli("bench", "--size-mb", 1, "--iterations", 1) == 0
+        out, err = capsys.readouterr()
+        kernel = core._kernel()
+        assert err.splitlines() == [f"kernel native ({kernel.path})" if kernel else
+                                    f"kernel python ({_native.load().detail})"]
+        labels = [line[:20].rstrip() for line in out.splitlines()]
+        assert labels == ["input size", "iterations", "selective", "aes-128-cbc (full)", "ratio",
+                          "aes bytes, selective", "aes bytes, baseline", "hash invocations",
+                          "selected bytes"]
+        monkeypatch.setattr(core, "_kernel", lambda: None)
+        monkeypatch.setattr(_native, "load", lambda: _native.Loaded(None, "cc: not found"))
+        assert run_cli("bench", "--size-mb", 1, "--iterations", 1) == 0
+        assert capsys.readouterr().err == "kernel python (cc: not found)\n"
 
     def test_bench_size_zero_exits_2(self):
         assert run_cli("bench", "--size-mb", 0) == 2

@@ -297,6 +297,15 @@ class TestDeriveKey:
             x = hashlib.sha256(x + passphrase + salt).digest()
         assert derive_key(passphrase, salt).bytes == x[:16]
 
+    @pytest.mark.parametrize("passphrase", [b"pw", b"pass\x00word", bytes(range(256)) * 4],
+                             ids=["short", "nul-byte", "1-kib"])
+    def test_both_kernel_paths_match_reference_loop(self, kernel_path, passphrase):
+        salt = bytes(range(16, 32))
+        x = b""
+        for _ in range(100_000):
+            x = hashlib.sha256(x + passphrase + salt).digest()
+        assert derive_key(passphrase, salt).bytes == x[:16]
+
 
 def full_disk_after_half(monkeypatch):
     """Make the next file write store half its bytes, then fail with ENOSPC."""

@@ -1,5 +1,6 @@
 """Engine-level tests: known-answer vectors, inverses, stream properties."""
 
+import functools
 import hashlib
 import io
 import random
@@ -402,3 +403,42 @@ class TestUnprotectRemainders:
             scatter(bytes(4), bytes(27), b"\x00")
         with pytest.raises(ValueError):
             scatter(bytes(3), bytes(28), b"\x00")
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_case(length: int) -> tuple[ProtectionKey, bytes, tuple[bytes, bytes]]:
+    rng = random.Random(length)
+    key, content = ProtectionKey(rng.randbytes(16)), rng.randbytes(length)
+    return key, content, reference_protect(content, key)
+
+
+class TestKernelPaths:
+    """The native kernel and the pure-Python path against the unit-by-unit
+    reference; ``kernel_path`` runs each test once per path."""
+
+    C = 32 * CHUNK_UNITS
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, C - 1, C, C + 1, 2 * C + 7, (8 << 20) + 7])
+    def test_chunks_match_reference(self, kernel_path, length):
+        key, content, (public, private) = _reference_case(length)
+        pieces = list(core.protect_chunks(io.BytesIO(content).read, length, key))
+        assert b"".join(p for p, _ in pieces) == public
+        assert b"".join(q for _, q in pieces) == private
+        recovered = core.recover_chunks(io.BytesIO(public).read, io.BytesIO(private).read, length, key)
+        assert b"".join(recovered) == content
+
+    def test_known_answer_vectors(self, kernel_path):
+        streams = protect(bytes(32), ZERO_KEY)
+        assert streams.prf_plain[:4] == bytes(4)
+        assert streams.puf_payload == KEYSTREAM_ZERO_VECTOR
+        assert recover(streams.puf_payload, streams.prf_plain, ZERO_KEY) == bytes(32)
+        assert protect(b"", ZERO_KEY).prf_plain == EMPTY_DIGEST
+
+    def test_short_reads_raise(self, kernel_path):
+        key, content, (public, private) = _reference_case(2 * self.C + 7)
+        short = content[:self.C + 64]
+        with pytest.raises(ValueError):
+            list(core.protect_chunks(io.BytesIO(short).read, len(content), key))
+        for pub, priv in ((public[:self.C], private), (public, private[:100]), (public, private[:99])):
+            with pytest.raises(ValueError):
+                list(core.recover_chunks(io.BytesIO(pub).read, io.BytesIO(priv).read, len(content), key))

@@ -63,6 +63,8 @@ class TestStartPath:
         )
         assert "sefrag.cli" in modules
         assert not set(OFF_PATH) & set(modules)
+        # The native kernel loads on the first chunk or KDF call, not at import.
+        assert not {"ctypes", "sefrag._native"} & set(modules)
 
     def test_protect_then_recover_with_passphrase_file(self, tmp_path):
         src = tmp_path / "scan.bin"
