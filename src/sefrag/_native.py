@@ -26,6 +26,7 @@ import subprocess
 from pathlib import Path
 from typing import NamedTuple
 
+from .container import atomic_write
 from .core import KEY_LEN, REMAINDER_LEN, SUB_LEN, UNIT_LEN
 
 SOURCE = Path(__file__).with_name("_kernel.c")
@@ -117,16 +118,6 @@ def _build(lib: Path) -> str | None:
         tmp.unlink(missing_ok=True)
 
 
-def _record(failed: Path, reason: str):
-    """Write the build failure's reason to ``failed`` in one rename."""
-    tmp = failed.with_name(f".{failed.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        tmp.write_text(reason + "\n")
-        os.replace(tmp, failed)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 @functools.cache
 def load() -> Loaded:
     """Build the kernel if this source version has no library yet, then
@@ -149,7 +140,8 @@ def load() -> Loaded:
         if not lib.exists():
             reason = _build(lib)
             if reason is not None:
-                _record(failed, reason)
+                with atomic_write(failed) as write:
+                    write(reason.encode() + b"\n")
                 return Loaded(None, reason)
         return Loaded(Kernel(lib), str(lib))
     except OSError as exc:

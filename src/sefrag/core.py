@@ -16,18 +16,15 @@ they read the content (or the two streams) through ``read(n)``
 callables and yield their output chunk by chunk, at most
 ``CHUNK_UNITS`` units at a time, while the selectors and the SHA-256
 content digest advance with them in ``hashlib``.  Each chunk's
-per-unit work is one call into the native kernel (``_kernel.c``, built
-on first use by ``sefrag._native``): gather, keystream and XOR on the
-way in, keystream, XOR and scatter on the way back.  Where the kernel
-cannot be built, the same bytes come from the pure-Python reference
-path: ``gather`` splits the units into their picked sub-fragments and
-28-byte remainders, ``keystream`` joins the units' 28-byte digests, one
-whole-chunk XOR applies it, and ``scatter``, the exact inverse of
-``gather``, rebuilds the units.  gather and scatter move 4-byte words
-with strided memoryview copies and choose between them with big-integer
-masks, so there the keystream hash is the only per-unit Python work.  A
-chunk's working buffers, about 1 MiB at 4,096 units, do not grow with
-the content length.  ``protect`` and ``recover`` run the same pass over
+per-unit work is one call to the native kernel (``_kernel.c``, built
+on first use by ``sefrag._native``) or, where it cannot be built, to
+its private pure-Python counterpart ``_protect_chunk`` or
+``_recover_chunk``: same arguments, same length checks, selector bytes
+read mod 8, same bytes.  These move 4-byte words with strided
+memoryview copies and choose between them with big-integer masks, so
+the keystream hash is the only per-unit Python work.  A chunk's
+working buffers, about 1 MiB at 4,096 units, do not grow with the
+content length.  ``protect`` and ``recover`` run the same pass over
 bytes held in memory.
 
 Apart from the ``read`` callables the streaming pass consumes and the
@@ -61,8 +58,9 @@ CHUNK_UNITS = 4096
 
 # A hash byte reduces to a selector mod 8, without bias since 256 % 8 == 0.
 _MOD8 = bytes(b % SUBS_PER_UNIT for b in range(256))
-# _AFTER[k] maps a selector to 0xff when it picks a word after word k.
-_AFTER = [bytes(0xFF if s > k else 0 for s in range(256)) for k in range(SUBS_PER_UNIT - 1)]
+# _AFTER[k] maps a selector byte to 0xff when it picks a word after word k.
+# Like the native kernel's "& 7", it reads every selector byte mod 8.
+_AFTER = [bytes(0xFF if s % SUBS_PER_UNIT > k else 0 for s in range(256)) for k in range(SUBS_PER_UNIT - 1)]
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -100,8 +98,6 @@ def _column(value: int, count: int) -> memoryview:
 
 def _after_masks(selectors: bytes) -> list[int]:
     """For k in 0..6, a word mask set in each unit whose selector is above k."""
-    if selectors and max(selectors) >= SUBS_PER_UNIT:
-        raise ValueError(f"selectors must be in [0, {SUBS_PER_UNIT - 1}]")
     wide = bytearray(SUB_LEN * len(selectors))
     for b in range(SUB_LEN):
         wide[b::SUB_LEN] = selectors
@@ -164,46 +160,7 @@ def _selectors(key: ProtectionKey, start: int, stop: int) -> bytes:
     return blocks[:stop - start].translate(_MOD8)
 
 
-def gather(units: bytes, selectors: bytes) -> tuple[bytes, bytes]:
-    """Split whole units into ``(picked, remainders)``.
-
-    ``picked`` holds the 4-byte sub-fragment each unit's selector names;
-    ``remainders`` the other seven of each unit in their original order,
-    28 bytes per unit.
-    """
-    count = len(selectors)
-    if len(units) != UNIT_LEN * count:
-        raise ValueError(f"units must be {UNIT_LEN} bytes per selector")
-    after = _after_masks(selectors)
-    w = [_int(column) for column in _columns(units, SUBS_PER_UNIT)]
-    # Remainder word k is unit word k before the pick and word k + 1 from it on.
-    remainders = [w[k + 1] ^ ((w[k] ^ w[k + 1]) & after[k]) for k in range(SUBS_PER_UNIT - 1)]
-    picked = w[-1]
-    for k in reversed(range(SUBS_PER_UNIT - 1)):
-        picked = w[k] ^ ((picked ^ w[k]) & after[k])
-    return picked.to_bytes(SUB_LEN * count, "little"), _rows([_column(r, count) for r in remainders])
-
-
-def scatter(picked: bytes, remainders: bytes, selectors: bytes) -> bytes:
-    """Inverse of ``gather``: put each picked sub-fragment back in its unit."""
-    count = len(selectors)
-    if len(picked) != SUB_LEN * count or len(remainders) != REMAINDER_LEN * count:
-        raise ValueError(f"need {SUB_LEN} picked and {REMAINDER_LEN} remainder bytes per selector")
-    after = _after_masks(selectors)
-    p = _int(picked)
-    r = [_int(column) for column in _columns(remainders, SUBS_PER_UNIT - 1)]
-    units = []
-    for k in range(SUBS_PER_UNIT):
-        # Unit word k is remainder word k before the pick, the pick itself,
-        # then remainder word k - 1.
-        word = p if k == 0 else r[k - 1] ^ ((p ^ r[k - 1]) & after[k - 1])
-        if k < SUBS_PER_UNIT - 1:
-            word ^= (r[k] ^ word) & after[k]
-        units.append(_column(word, count))
-    return _rows(units)
-
-
-def keystream(picked: bytes, key: ProtectionKey, first: int = 0) -> bytes:
+def _keystream(picked: bytes, key: bytes, first: int) -> bytes:
     """Joined 28-byte keystreams of units ``first``, ``first + 1``, ...
     whose selected sub-fragments are ``picked``.
 
@@ -211,14 +168,10 @@ def keystream(picked: bytes, key: ProtectionKey, first: int = 0) -> bytes:
     match its seven remaining sub-fragments.  The index term forces
     distinct keystreams even for identical units.
     """
-    if len(picked) % SUB_LEN:
-        raise ValueError(f"picked sub-fragments must be a multiple of {SUB_LEN} bytes")
-    if first < 0:
-        raise ValueError("first unit index must be non-negative")
     count = len(picked) // SUB_LEN
     indices = struct.pack(f"<{count}Q", *range(first, first + count))
     messages = _rows([
-        _words(picked), *_columns(key.bytes * count, KEY_LEN // SUB_LEN), *_columns(indices, 2),
+        _words(picked), *_columns(key * count, KEY_LEN // SUB_LEN), *_columns(indices, 2),
     ])
     message_len = SUB_LEN + KEY_LEN + 8
     sha = hashlib.sha256
@@ -241,17 +194,41 @@ def _kernel():
 
 
 def _protect_chunk(units: bytes, selectors: bytes, key: bytes, first: int) -> tuple[bytes, bytes]:
-    """Pure-Python reference of ``Kernel.protect``: one chunk's
+    """Pure-Python counterpart of ``sefrag_protect``: one chunk's
     ``(protected remainders, picked sub-fragments)``."""
-    picked, remainders = gather(units, selectors)
-    return _xor(remainders, keystream(picked, ProtectionKey(key), first)), picked
+    count = len(selectors)
+    if len(units) != UNIT_LEN * count or len(key) != KEY_LEN:
+        raise ValueError(f"need {UNIT_LEN} unit bytes per selector and a {KEY_LEN}-byte key")
+    after = _after_masks(selectors)
+    w = [_int(column) for column in _columns(units, SUBS_PER_UNIT)]
+    # Remainder word k is unit word k before the pick and word k + 1 from it on.
+    remainders = [w[k + 1] ^ ((w[k] ^ w[k + 1]) & after[k]) for k in range(SUBS_PER_UNIT - 1)]
+    p = w[-1]
+    for k in reversed(range(SUBS_PER_UNIT - 1)):
+        p = w[k] ^ ((p ^ w[k]) & after[k])
+    picked = p.to_bytes(SUB_LEN * count, "little")
+    return _xor(_rows([_column(r, count) for r in remainders]), _keystream(picked, key, first)), picked
 
 
 def _recover_chunk(public: bytes, picked: bytes, selectors: bytes, key: bytes, first: int) -> bytes:
-    """Pure-Python reference of ``Kernel.recover``: one chunk's units."""
-    if len(public) != REMAINDER_LEN * len(selectors):
-        raise ValueError(f"need {SUB_LEN} picked and {REMAINDER_LEN} remainder bytes per selector")
-    return scatter(picked, _xor(public, keystream(picked, ProtectionKey(key), first)), selectors)
+    """Pure-Python counterpart of ``sefrag_recover``: one chunk's units."""
+    count = len(selectors)
+    if len(picked) != SUB_LEN * count or len(public) != REMAINDER_LEN * count or len(key) != KEY_LEN:
+        raise ValueError(f"need {SUB_LEN} picked and {REMAINDER_LEN} remainder bytes per selector"
+                         f" and a {KEY_LEN}-byte key")
+    after = _after_masks(selectors)
+    p = _int(picked)
+    remainders = _xor(public, _keystream(picked, key, first))
+    r = [_int(column) for column in _columns(remainders, SUBS_PER_UNIT - 1)]
+    units = []
+    for k in range(SUBS_PER_UNIT):
+        # Unit word k is remainder word k before the pick, the pick itself,
+        # then remainder word k - 1.
+        word = p if k == 0 else r[k - 1] ^ ((p ^ r[k - 1]) & after[k - 1])
+        if k < SUBS_PER_UNIT - 1:
+            word ^= (r[k] ^ word) & after[k]
+        units.append(_column(word, count))
+    return _rows(units)
 
 
 def protect_chunks(read, content_len: int, key: ProtectionKey):
@@ -266,11 +243,11 @@ def protect_chunks(read, content_len: int, key: ProtectionKey):
     """
     unit_count, tail_len = divmod(content_len, UNIT_LEN)
     digest = hashlib.sha256()
+    kernel = _kernel()
+    protect_chunk = kernel.protect if kernel else _protect_chunk
     for start, stop in _chunks(unit_count):
         units = read(UNIT_LEN * (stop - start))
         digest.update(units)
-        kernel = _kernel()
-        protect_chunk = kernel.protect if kernel else _protect_chunk
         yield protect_chunk(units, _selectors(key, start, stop), key.bytes, start)
     tail = read(tail_len)
     digest.update(tail)
@@ -288,11 +265,11 @@ def recover_chunks(read_public, read_private, content_len: int, key: ProtectionK
     """
     unit_count, tail_len = divmod(content_len, UNIT_LEN)
     digest = hashlib.sha256()
+    kernel = _kernel()
+    recover_chunk = kernel.recover if kernel else _recover_chunk
     for start, stop in _chunks(unit_count):
         picked = read_private(SUB_LEN * (stop - start))
         public = read_public(REMAINDER_LEN * (stop - start))
-        kernel = _kernel()
-        recover_chunk = kernel.recover if kernel else _recover_chunk
         units = recover_chunk(public, picked, _selectors(key, start, stop), key.bytes, start)
         digest.update(units)
         yield units

@@ -48,3 +48,26 @@ def kernel_path(request, monkeypatch):
             pytest.skip(f"native kernel unavailable: {loaded.detail}")
         monkeypatch.setattr(core, "_kernel", lambda: loaded.kernel)
     return request.param
+
+
+@pytest.fixture
+def each_kernel_path(monkeypatch):
+    """Run one test body on each kernel path, under one test id.
+
+    Iterating ``each_kernel_path()`` patches ``core._kernel`` to one path
+    per step and yields ``(name, protect_chunk, recover_chunk)``, that
+    path's chunk functions.  The pure-Python path always runs; the native
+    one when the kernel builds here (the native half of ``kernel_path``
+    names the reason when it does not).
+    """
+    native = _native.load().kernel
+
+    def paths():
+        for kernel in (None, native) if native else (None,):
+            monkeypatch.setattr(core, "_kernel", lambda: kernel)
+            if kernel:
+                yield "native", kernel.protect, kernel.recover
+            else:
+                yield "python", core._protect_chunk, core._recover_chunk
+
+    return paths

@@ -69,6 +69,20 @@ def test_csv_has_one_row_per_iteration(report):
     assert len(rows) == 1 + report.iterations
 
 
+def test_each_path_runs_once_untimed_before_the_timed_iterations(monkeypatch):
+    seals = []
+    seal_stream = container.seal_stream
+
+    def counted(*args, **kwargs):
+        seals.append(args)
+        return seal_stream(*args, **kwargs)
+
+    monkeypatch.setattr(container, "seal_stream", counted)
+    report = bench.run_bench(1, iterations=2)
+    assert len(seals) == 2 + 1
+    assert len(report.se_elapsed) == len(report.aes_baseline_elapsed) == 2
+
+
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         bench.run_bench(0)

@@ -10,16 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sefrag import core
-from sefrag.core import (
-    CHUNK_UNITS,
-    ProtectionKey,
-    gather,
-    keystream,
-    protect,
-    recover,
-    scatter,
-    selector_stream,
-)
+from sefrag.core import CHUNK_UNITS, ProtectionKey, protect, recover, selector_stream
 from sefrag.errors import IntegrityFailure, LengthMismatch
 
 ZERO_KEY = ProtectionKey(bytes(16))
@@ -43,6 +34,27 @@ EMPTY_DIGEST = bytes.fromhex(
 )
 
 
+def reference_keystream(picked: bytes, key: bytes, first: int = 0) -> bytes:
+    """The 28-byte keystreams of units ``first``, ``first + 1``, ... whose
+    selected sub-fragments are ``picked``, written out unit by unit:
+    SHA-256(selected || key || LE64(i))[:28]."""
+    return b"".join(
+        hashlib.sha256(picked[4 * i:4 * (i + 1)] + key + (first + i).to_bytes(8, "little")).digest()[:28]
+        for i in range(len(picked) // 4)
+    )
+
+
+def reference_split(units: bytes, selectors: bytes) -> tuple[bytes, bytes]:
+    """``(picked, remainders)`` of whole units, unit by unit: the 4-byte
+    sub-fragment each selector names (mod 8), and the other seven in order."""
+    picked, remainders = [], []
+    for i, s in enumerate(selectors):
+        unit, off = units[32 * i:32 * (i + 1)], 4 * (s % 8)
+        picked.append(unit[off:off + 4])
+        remainders.append(unit[:off] + unit[off + 4:])
+    return b"".join(picked), b"".join(remainders)
+
+
 def reference_protect(content: bytes, key: ProtectionKey) -> tuple[bytes, bytes]:
     """The construction written out unit by unit, independent of the kernel.
 
@@ -51,21 +63,15 @@ def reference_protect(content: bytes, key: ProtectionKey) -> tuple[bytes, bytes]
     and SHA-256(content).
     """
     unit_count = len(content) // 32
-    selectors = [
+    selectors = bytes(
         b % 8
         for t in range(-(-unit_count // 32))
         for b in hashlib.sha256(key.bytes + b"FRAG-SEL" + t.to_bytes(8, "little")).digest()
-    ]
-    public, private = [], []
-    for i in range(unit_count):
-        unit = content[32 * i:32 * (i + 1)]
-        off = 4 * selectors[i]
-        selected, remainder = unit[off:off + 4], unit[:off] + unit[off + 4:]
-        pad = hashlib.sha256(selected + key.bytes + i.to_bytes(8, "little")).digest()[:28]
-        public.append(bytes(a ^ b for a, b in zip(remainder, pad)))
-        private.append(selected)
+    )[:unit_count]
+    picked, remainders = reference_split(content[:32 * unit_count], selectors)
+    public = bytes(a ^ b for a, b in zip(remainders, reference_keystream(picked, key.bytes)))
     tail = content[32 * unit_count:]
-    return b"".join(public), b"".join(private) + tail + hashlib.sha256(content).digest()
+    return public, picked + tail + hashlib.sha256(content).digest()
 
 
 class TestProtectionKey:
@@ -113,140 +119,184 @@ class TestSelectorStream:
 
 
 class TestSplitUnit:
-    """``gather`` splits units and ``scatter`` puts them back together."""
+    """The chunk functions take each unit's selected sub-fragment out and
+    put it back, on every kernel path."""
 
     UNIT = bytes(range(32))
+    KEY = bytes(16)
 
-    def test_selector_0(self):
-        picked, remainders = gather(self.UNIT, b"\x00")
-        assert picked == bytes.fromhex("00010203")
-        assert remainders == self.UNIT[4:]
+    def split(self, protect_chunk, units: bytes, selectors: bytes) -> tuple[bytes, bytes]:
+        """``(picked, remainders)`` as ``protect_chunk`` makes them: its
+        public output with the keystream taken off again."""
+        public, picked = protect_chunk(units, selectors, self.KEY, 0)
+        return picked, core._xor(public, reference_keystream(picked, self.KEY))
 
-    def test_selector_7(self):
-        picked, remainders = gather(self.UNIT, b"\x07")
-        assert picked == self.UNIT[28:]
-        assert remainders == self.UNIT[:28]
+    def test_selector_0(self, each_kernel_path):
+        for path, protect_chunk, _ in each_kernel_path():
+            picked, remainders = self.split(protect_chunk, self.UNIT, b"\x00")
+            assert picked == bytes.fromhex("00010203"), path
+            assert remainders == self.UNIT[4:], path
+
+    def test_selector_7(self, each_kernel_path):
+        for path, protect_chunk, _ in each_kernel_path():
+            picked, remainders = self.split(protect_chunk, self.UNIT, b"\x07")
+            assert picked == self.UNIT[28:], path
+            assert remainders == self.UNIT[:28], path
 
     @pytest.mark.parametrize("selector", range(8))
-    def test_reinsert_inverse(self, selector):
+    def test_reinsert_inverse(self, selector, each_kernel_path):
         sel = bytes([selector])
-        picked, remainders = gather(self.UNIT, sel)
         off = 4 * selector
-        assert picked == self.UNIT[off:off + 4]
-        assert remainders == self.UNIT[:off] + self.UNIT[off + 4:]
-        assert scatter(picked, remainders, sel) == self.UNIT
+        for path, protect_chunk, recover_chunk in each_kernel_path():
+            picked, remainders = self.split(protect_chunk, self.UNIT, sel)
+            assert picked == self.UNIT[off:off + 4], path
+            assert remainders == self.UNIT[:off] + self.UNIT[off + 4:], path
+            public, _ = protect_chunk(self.UNIT, sel, self.KEY, 0)
+            assert recover_chunk(public, picked, sel, self.KEY, 0) == self.UNIT, path
 
-    def test_mixed_selectors_match_unit_by_unit_split(self):
+    def test_mixed_selectors_match_unit_by_unit_split(self, each_kernel_path):
         rng = random.Random(11)
         count = 1000
         units = rng.randbytes(32 * count)
         selectors = bytes(rng.randrange(8) for _ in range(count))
-        picked, remainders = gather(units, selectors)
-        for i, s in enumerate(selectors):
-            unit = units[32 * i:32 * (i + 1)]
-            assert picked[4 * i:4 * (i + 1)] == unit[4 * s:4 * s + 4]
-            assert remainders[28 * i:28 * (i + 1)] == unit[:4 * s] + unit[4 * s + 4:]
-        assert scatter(picked, remainders, selectors) == units
+        for path, protect_chunk, recover_chunk in each_kernel_path():
+            picked, remainders = self.split(protect_chunk, units, selectors)
+            for i, s in enumerate(selectors):
+                unit = units[32 * i:32 * (i + 1)]
+                assert picked[4 * i:4 * (i + 1)] == unit[4 * s:4 * s + 4], path
+                assert remainders[28 * i:28 * (i + 1)] == unit[:4 * s] + unit[4 * s + 4:], path
+            public, _ = protect_chunk(units, selectors, self.KEY, 0)
+            assert recover_chunk(public, picked, selectors, self.KEY, 0) == units, path
 
-    def test_empty(self):
-        assert gather(b"", b"") == (b"", b"")
-        assert scatter(b"", b"", b"") == b""
+    def test_empty(self, each_kernel_path):
+        for path, protect_chunk, recover_chunk in each_kernel_path():
+            assert protect_chunk(b"", b"", self.KEY, 0) == (b"", b""), path
+            assert recover_chunk(b"", b"", b"", self.KEY, 0) == b"", path
 
-    def test_selector_out_of_range(self):
-        for bad in (b"\x08", b"\xff"):
-            with pytest.raises(ValueError):
-                gather(self.UNIT, bad)
-            with pytest.raises(ValueError):
-                scatter(bytes(4), bytes(28), bad)
+    def test_selector_out_of_range(self, each_kernel_path):
+        # Every selector byte is read mod 8, so all 256 give the same bytes
+        # on every path: the ones the unit-by-unit split at s % 8 gives.
+        rng = random.Random(13)
+        units, key, first = rng.randbytes(32 * 256), rng.randbytes(16), 2 ** 33
+        selectors = bytes(range(256))
+        picked, remainders = reference_split(units, selectors)
+        want = core._xor(remainders, reference_keystream(picked, key, first)), picked
+        for path, protect_chunk, recover_chunk in each_kernel_path():
+            assert protect_chunk(units, selectors, key, first) == want, path
+            assert recover_chunk(*want, selectors, key, first) == units, path
 
-    def test_bad_unit_length(self):
-        with pytest.raises(ValueError):
-            gather(b"\x00" * 31, b"\x00")
-        with pytest.raises(ValueError):
-            gather(self.UNIT, b"\x00\x00")
+    def test_bad_unit_length(self, each_kernel_path):
+        for path, protect_chunk, _ in each_kernel_path():
+            for units, selectors, key in ((b"\x00" * 31, b"\x00", self.KEY), (self.UNIT, b"\x00\x00", self.KEY),
+                                          (self.UNIT, b"\x00", bytes(15))):
+                with pytest.raises(ValueError):
+                    protect_chunk(units, selectors, key, 0)
+
+
+def chunk_keystream(protect_chunk, picked: bytes, key: bytes, first: int = 0) -> bytes:
+    """The keystreams ``protect_chunk`` applies to units whose selected
+    sub-fragments are ``picked``: each unit is its pick then 28 zero bytes,
+    with selector 0, so its public part is its keystream."""
+    count = len(picked) // 4
+    units = b"".join(picked[4 * i:4 * (i + 1)] + bytes(28) for i in range(count))
+    public, got = protect_chunk(units, bytes(count), key, first)
+    assert got == picked
+    return public
 
 
 class TestUnitKeystream:
-    def test_zero_vector_known_answer(self):
-        ks = keystream(bytes(4), ZERO_KEY, 0)
-        assert ks == KEYSTREAM_ZERO_VECTOR
-        assert len(ks) == 28
+    def test_zero_vector_known_answer(self, each_kernel_path):
+        for path, protect_chunk, _ in each_kernel_path():
+            ks = chunk_keystream(protect_chunk, bytes(4), ZERO_KEY.bytes, 0)
+            assert ks == KEYSTREAM_ZERO_VECTOR, path
+            assert len(ks) == 28, path
 
-    def test_deterministic(self):
-        key = ProtectionKey.random()
-        assert keystream(b"abcd", key, 7) == keystream(b"abcd", key, 7)
+    def test_deterministic(self, each_kernel_path):
+        key = ProtectionKey.random().bytes
+        for path, protect_chunk, _ in each_kernel_path():
+            first, again = (chunk_keystream(protect_chunk, b"abcd", key, 7) for _ in range(2))
+            assert first == again, path
 
-    def test_index_forces_distinct_streams(self):
-        assert keystream(bytes(4), ZERO_KEY, 0) != keystream(bytes(4), ZERO_KEY, 1)
-        both = keystream(bytes(8), ZERO_KEY)
-        assert both[:28] != both[28:]
+    def test_index_forces_distinct_streams(self, each_kernel_path):
+        for path, protect_chunk, _ in each_kernel_path():
+            ks0, ks1 = (chunk_keystream(protect_chunk, bytes(4), ZERO_KEY.bytes, i) for i in (0, 1))
+            assert ks0 != ks1, path
+            both = chunk_keystream(protect_chunk, bytes(8), ZERO_KEY.bytes)
+            assert both[:28] != both[28:], path
 
-    def test_batch_matches_unit_by_unit(self):
+    def test_batch_matches_unit_by_unit(self, each_kernel_path):
         rng = random.Random(12)
-        key = ProtectionKey(rng.randbytes(16))
+        key = rng.randbytes(16)
         picked = rng.randbytes(4 * 300)
         first = 2 ** 40 + 5
-        want = b"".join(keystream(picked[4 * i:4 * (i + 1)], key, first + i) for i in range(300))
-        assert keystream(picked, key, first) == want
+        for path, protect_chunk, _ in each_kernel_path():
+            want = b"".join(chunk_keystream(protect_chunk, picked[4 * i:4 * (i + 1)], key, first + i)
+                            for i in range(300))
+            assert chunk_keystream(protect_chunk, picked, key, first) == want, path
+            assert want == reference_keystream(picked, key, first), path
 
-    def test_length_and_index_checks(self):
-        assert keystream(b"", ZERO_KEY) == b""
-        with pytest.raises(ValueError):
-            keystream(bytes(5), ZERO_KEY)
-        with pytest.raises(ValueError):
-            keystream(bytes(4), ZERO_KEY, -1)
+    def test_length_and_index_checks(self, each_kernel_path):
+        # The unit index is a full LE64 up to the last value it can hold.
+        last = 2 ** 64 - 1
+        for path, protect_chunk, _ in each_kernel_path():
+            assert chunk_keystream(protect_chunk, b"", ZERO_KEY.bytes) == b"", path
+            assert chunk_keystream(protect_chunk, b"abcd", ZERO_KEY.bytes, last) == \
+                reference_keystream(b"abcd", ZERO_KEY.bytes, last), path
 
-    def test_avalanche_statistical(self):
+    def test_avalanche_statistical(self, each_kernel_path):
         # Single-bit input flips should change roughly half the output bits.
-        rng = random.Random(0x5EFA)
-        base_sel, base_key, base_idx = b"\x11\x22\x33\x44", ProtectionKey(bytes(range(16))), 5
-        base = keystream(base_sel, base_key, base_idx)
-        distances = []
-        for _ in range(200):
-            field = rng.randrange(3)
-            if field == 0:
-                buf = bytearray(base_sel)
-                buf[rng.randrange(4)] ^= 1 << rng.randrange(8)
-                ks = keystream(bytes(buf), base_key, base_idx)
-            elif field == 1:
-                buf = bytearray(base_key.bytes)
-                buf[rng.randrange(16)] ^= 1 << rng.randrange(8)
-                ks = keystream(base_sel, ProtectionKey(bytes(buf)), base_idx)
-            else:
-                ks = keystream(base_sel, base_key, base_idx ^ (1 << rng.randrange(60)))
-            assert ks != base
-            distances.append(bin(int.from_bytes(ks, "big") ^ int.from_bytes(base, "big")).count("1"))
-        mean = sum(distances) / len(distances)
-        assert 0.4 * 224 < mean < 0.6 * 224
+        base_sel, base_key, base_idx = b"\x11\x22\x33\x44", bytes(range(16)), 5
+        for path, protect_chunk, _ in each_kernel_path():
+            rng = random.Random(0x5EFA)
+            base = chunk_keystream(protect_chunk, base_sel, base_key, base_idx)
+            distances = []
+            for _ in range(200):
+                field = rng.randrange(3)
+                sel, key, idx = bytearray(base_sel), bytearray(base_key), base_idx
+                if field == 0:
+                    sel[rng.randrange(4)] ^= 1 << rng.randrange(8)
+                elif field == 1:
+                    key[rng.randrange(16)] ^= 1 << rng.randrange(8)
+                else:
+                    idx ^= 1 << rng.randrange(60)
+                ks = chunk_keystream(protect_chunk, bytes(sel), bytes(key), idx)
+                assert ks != base, path
+                distances.append(bin(int.from_bytes(ks, "big") ^ int.from_bytes(base, "big")).count("1"))
+            mean = sum(distances) / len(distances)
+            assert 0.4 * 224 < mean < 0.6 * 224, path
 
 
 class TestProtectUnit:
-    """One unit through the pipeline: gather, keystream, XOR, scatter."""
+    """One unit through a chunk function and back, on every kernel path."""
 
-    def test_xor_involution(self):
+    def test_xor_involution(self, each_kernel_path):
         key = ProtectionKey.random()
         unit = bytes(range(32))
         selector = selector_stream(key, 4)[3:4]
-        picked, remainder = gather(unit, selector)
-        puf_unit = core._xor(remainder, keystream(picked, key, 3))
-        assert puf_unit != remainder
-        assert scatter(picked, core._xor(puf_unit, keystream(picked, key, 3)), selector) == unit
+        _, remainder = reference_split(unit, selector)
+        for path, protect_chunk, recover_chunk in each_kernel_path():
+            public, picked = protect_chunk(unit, selector, key.bytes, 3)
+            assert public != remainder, path
+            assert core._xor(public, reference_keystream(picked, key.bytes, 3)) == remainder, path
+            assert recover_chunk(public, picked, selector, key.bytes, 3) == unit, path
 
-    def test_zero_unit_exposes_keystream(self):
+    def test_zero_unit_exposes_keystream(self, each_kernel_path):
         # XOR with an all-zero remainder is the keystream itself.
-        streams = protect(bytes(32), ZERO_KEY)
-        assert streams.prf_plain[:4] == bytes(4)
-        assert streams.puf_payload == keystream(bytes(4), ZERO_KEY, 0) == KEYSTREAM_ZERO_VECTOR
+        for path, *_ in each_kernel_path():
+            streams = protect(bytes(32), ZERO_KEY)
+            assert streams.prf_plain[:4] == bytes(4), path
+            assert streams.puf_payload == reference_keystream(bytes(4), ZERO_KEY.bytes) == KEYSTREAM_ZERO_VECTOR, path
 
-    def test_explicit_selector_matches_derived(self):
-        # The pipeline spelled out with an explicit selector stream is protect.
+    def test_explicit_selector_matches_derived(self, each_kernel_path):
+        # The chunk function called with an explicit selector stream is protect.
         rng = random.Random(9)
         key = ProtectionKey(rng.randbytes(16))
         content = rng.randbytes(32 * 10)
-        picked, remainders = gather(content, selector_stream(key, 10))
-        streams = protect(content, key)
-        assert streams.puf_payload == core._xor(remainders, keystream(picked, key))
-        assert streams.prf_plain[:40] == picked
+        for path, protect_chunk, _ in each_kernel_path():
+            public, picked = protect_chunk(content, selector_stream(key, 10), key.bytes, 0)
+            streams = protect(content, key)
+            assert streams.puf_payload == public, path
+            assert streams.prf_plain[:40] == picked, path
 
 
 class TestProtect:
@@ -385,24 +435,24 @@ class TestRecover:
 class TestUnprotectRemainders:
     """XOR of the public payload with the keystream the selected bytes imply."""
 
-    def test_true_stream_recovers_remainders(self):
+    def test_true_stream_recovers_remainders(self, each_kernel_path):
         rng = random.Random(3)
         content = rng.randbytes(32 * 8)
         key = ProtectionKey(rng.randbytes(16))
-        streams = protect(content, key)
-        picked = streams.prf_plain[:32]
-        remainders = core._xor(streams.puf_payload, keystream(picked, key))
         selectors = selector_stream(key, 8)
-        assert remainders == gather(content, selectors)[1]
-        assert scatter(picked, remainders, selectors) == content
+        for path, _, recover_chunk in each_kernel_path():
+            streams = protect(content, key)
+            picked = streams.prf_plain[:32]
+            remainders = core._xor(streams.puf_payload, reference_keystream(picked, key.bytes))
+            assert (picked, remainders) == reference_split(content, selectors), path
+            assert recover_chunk(streams.puf_payload, picked, selectors, key.bytes, 0) == content, path
 
-    def test_length_checks(self):
-        with pytest.raises(ValueError):
-            keystream(bytes(3), ZERO_KEY)
-        with pytest.raises(ValueError):
-            scatter(bytes(4), bytes(27), b"\x00")
-        with pytest.raises(ValueError):
-            scatter(bytes(3), bytes(28), b"\x00")
+    def test_length_checks(self, each_kernel_path):
+        for path, _, recover_chunk in each_kernel_path():
+            for public, picked, key in ((bytes(27), bytes(4), bytes(16)), (bytes(28), bytes(3), bytes(16)),
+                                        (bytes(28), bytes(4), bytes(17))):
+                with pytest.raises(ValueError):
+                    recover_chunk(public, picked, b"\x00", key, 0)
 
 
 @functools.lru_cache(maxsize=None)
