@@ -1,19 +1,19 @@
-"""Build, cache and load the native kernel in ``_kernel.c``.
+"""Build, cache and load the native kernel in ``_kernel.c``; ``load``
+alone decides whether it or its pure-Python counterpart runs.
 
 The first process that needs the kernel compiles it with the system C
-compiler against libcrypto, which takes well under a second, into
-``~/.cache/sefrag/`` (created mode 0700).  The library's name carries a
-hash of the C source, the compile command and the machine type, so
-each source version is built once and then loaded by every later
-process.  The compiler writes to a temp name that is renamed into
-place, so concurrent first uses are safe.  When the build fails (no
-compiler, no OpenSSL headers, an unwritable cache) no library is left
-behind, the compiler's first error line is recorded under the same
-name, and no later process retries: ``sefrag.core`` then runs its
-pure-Python path, which gives the same bytes.  Delete the cache
-directory to retry.
-
-Nothing here runs at import; ``load`` builds or loads once per process.
+compiler against libcrypto, in well under a second, into
+``~/.cache/sefrag/`` (created mode 0700), under a name hashed from the
+C source, the compile command and the machine type: each source
+version is built once, then loaded by every later process.  The
+compiler writes to a temp name renamed into place, so concurrent first
+uses are safe.  A failed build (no compiler, no OpenSSL headers, an
+unwritable cache) leaves no library; its first error line is recorded
+under the same name, no later process retries (delete the cache
+directory to retry), and ``load`` returns a ``PythonKernel``, which
+gives the same bytes.  Both kernels have ``protect``, ``recover``,
+``derive`` and a ``name``: ``native (<library>)`` or ``python (<why>)``.
+Nothing here runs at import; ``load`` runs once per process.
 """
 
 from __future__ import annotations
@@ -22,12 +22,10 @@ import ctypes
 import functools
 import hashlib
 import os
-import subprocess
 from pathlib import Path
-from typing import NamedTuple
 
 from .container import atomic_write
-from .core import KEY_LEN, REMAINDER_LEN, SUB_LEN, UNIT_LEN
+from .core import KEY_LEN, REMAINDER_LEN, SUB_LEN, UNIT_LEN, _derive, _protect_chunk, _recover_chunk
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # The compile command, less its "-o <library> <source>" part.
@@ -54,6 +52,7 @@ class Kernel:
 
     def __init__(self, path: Path):
         self.path = path
+        self.name = f"native ({path})"
         self._lib = ctypes.CDLL(str(path))
         for name, argtypes in _SIGNATURES.items():
             fn = getattr(self._lib, name)
@@ -88,9 +87,16 @@ class Kernel:
         return out.raw
 
 
-class Loaded(NamedTuple):
-    kernel: Kernel | None
-    detail: str  # the library's path, or why there is none
+class PythonKernel:
+    """The pure-Python counterparts of the C functions, run where the
+    library cannot be built: same arguments, same checks, same bytes."""
+
+    protect = staticmethod(_protect_chunk)
+    recover = staticmethod(_recover_chunk)
+    derive = staticmethod(_derive)
+
+    def __init__(self, reason: str):
+        self.name = f"python ({reason})"
 
 
 def cache_dir() -> Path:
@@ -104,6 +110,8 @@ def _first_error(text: str) -> str:
 
 def _build(lib: Path) -> str | None:
     """Compile the kernel into ``lib``; return None, or why it failed."""
+    import subprocess  # only a build needs it; a load from the cache does not
+
     tmp = lib.with_name(f".{lib.name}.{os.urandom(8).hex()}.tmp")
     try:
         proc = subprocess.run([*COMPILE, "-o", str(tmp), str(SOURCE), *LIBS],
@@ -119,13 +127,13 @@ def _build(lib: Path) -> str | None:
 
 
 @functools.cache
-def load() -> Loaded:
-    """Build the kernel if this source version has no library yet, then
-    load it; at most once per process."""
+def load() -> Kernel | PythonKernel:
+    """The kernel this process runs, decided once: the native one, built
+    first if this source version has none yet, or the pure-Python one."""
     try:
         source = SOURCE.read_bytes()
     except OSError as exc:
-        return Loaded(None, f"no kernel source: {exc}")
+        return PythonKernel(f"no kernel source: {exc}")
     key = hashlib.sha256(b"\0".join([source, " ".join(COMPILE + LIBS).encode(),
                                      os.uname().machine.encode()])).hexdigest()[:16]
     root = cache_dir()
@@ -134,15 +142,15 @@ def load() -> Loaded:
         root.mkdir(mode=0o700, parents=True, exist_ok=True)
         st = root.stat()
         if st.st_uid != os.getuid() or st.st_mode & 0o022:
-            return Loaded(None, f"cache directory {root} is not private to this user")
+            return PythonKernel(f"cache directory {root} is not private to this user")
         if failed.exists():
-            return Loaded(None, failed.read_text().strip())
+            return PythonKernel(failed.read_text().strip())
         if not lib.exists():
             reason = _build(lib)
             if reason is not None:
                 with atomic_write(failed) as write:
                     write(reason.encode() + b"\n")
-                return Loaded(None, reason)
-        return Loaded(Kernel(lib), str(lib))
+                return PythonKernel(reason)
+        return Kernel(lib)
     except OSError as exc:
-        return Loaded(None, str(exc))
+        return PythonKernel(str(exc))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from cryptography.hazmat.primitives import padding
 
-from . import _native, container, core
+from . import container, core
 from .core import ProtectionKey
 
 MIB = 1 << 20
@@ -111,17 +111,8 @@ def run_bench(size_mb: int, iterations: int = 3) -> BenchReport:
         # (selectors) and once for the content digest; tests count them.
         hash_invocations_se=units + -(-units // core.SELECTORS_PER_BLOCK) + 1,
         selected_bytes=core.SUB_LEN * units,
-        kernel=_kernel_timed(),
+        kernel=core._kernel().name,
     )
-
-
-def _kernel_timed() -> str:
-    """The kernel ``seal_stream`` ran: the native library's path, or the
-    pure-Python path with the reason the library is missing."""
-    kernel = core._kernel()
-    if kernel:
-        return f"native ({kernel.path})"
-    return f"python ({_native.load().detail})"
 
 
 def format_table(report: BenchReport) -> str:

@@ -45,10 +45,10 @@ def _parse_hostport(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
         raise _Usage(f"expected host:port, got {text!r}")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise _Usage(f"bad port in {text!r}") from None
+    # Past 65535, bind() overflows and getaddrinfo() keeps the low 16 bits.
+    if not (port.isascii() and port.isdigit()) or int(port) > 0xFFFF:
+        raise _Usage(f"bad port in {text!r}")
+    return host, int(port)
 
 
 def _read_passphrase(args) -> bytes:

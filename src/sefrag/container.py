@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import io
 import os
 import struct
@@ -374,18 +373,10 @@ def derive_key(passphrase: bytes, salt: bytes) -> ProtectionKey:
     """Stretch a passphrase into a protection key.
 
     Iterates x <- SHA-256(x || passphrase || salt) 100000 times from an
-    empty x and keeps the first 16 bytes.  The native kernel runs the
-    loop when it is built; the Python loop below is its reference.
+    empty x, in the kernel, and keeps the first 16 bytes.
     """
     if not passphrase:
         raise EmptyPassphrase("passphrase must not be empty")
     if len(salt) != 16:
         raise ValueError("salt must be 16 bytes")
-    suffix = passphrase + salt
-    kernel = core._kernel()
-    if kernel:
-        return ProtectionKey(kernel.derive(suffix, KDF_ITERATIONS)[:16])
-    x = b""
-    for _ in range(KDF_ITERATIONS):
-        x = hashlib.sha256(x + suffix).digest()
-    return ProtectionKey(x[:16])
+    return ProtectionKey(core._kernel().derive(passphrase + salt, KDF_ITERATIONS)[:16])

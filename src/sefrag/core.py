@@ -16,11 +16,12 @@ they read the content (or the two streams) through ``read(n)``
 callables and yield their output chunk by chunk, at most
 ``CHUNK_UNITS`` units at a time, while the selectors and the SHA-256
 content digest advance with them in ``hashlib``.  Each chunk's
-per-unit work is one call to the native kernel (``_kernel.c``, built
-on first use by ``sefrag._native``) or, where it cannot be built, to
-its private pure-Python counterpart ``_protect_chunk`` or
-``_recover_chunk``: same arguments, same length checks, selector bytes
-read mod 8, same bytes.  These move 4-byte words with strided
+per-unit work, like ``container.derive_key``'s loop, is one call to
+the kernel ``_kernel()`` returns, which ``sefrag._native.load`` picks:
+the native one (``_kernel.c``, built on first use) or, where it cannot
+be built, the pure-Python ``_protect_chunk``, ``_recover_chunk`` and
+``_derive``: same arguments, same length checks, selector bytes read
+mod 8, same bytes.  The chunk functions move 4-byte words with strided
 memoryview copies and choose between them with big-integer masks, so
 the keystream hash is the only per-unit Python work.  A chunk's
 working buffers, about 1 MiB at 4,096 units, do not grow with the
@@ -185,12 +186,11 @@ def _chunks(unit_count: int):
 
 
 def _kernel():
-    """The native kernel (``_kernel.c``), built and loaded on first use,
-    or None when it cannot be: the pure-Python path then runs, with the
-    same bytes.  Tests patch this attribute to choose the path."""
+    """The kernel ``sefrag._native.load`` chose for this process; tests
+    patch this attribute to pin one."""
     from . import _native
 
-    return _native.load().kernel
+    return _native.load()
 
 
 def _protect_chunk(units: bytes, selectors: bytes, key: bytes, first: int) -> tuple[bytes, bytes]:
@@ -231,6 +231,16 @@ def _recover_chunk(public: bytes, picked: bytes, selectors: bytes, key: bytes, f
     return _rows(units)
 
 
+def _derive(suffix: bytes, iterations: int) -> bytes:
+    """Pure-Python counterpart of ``sefrag_derive``, as ``Kernel.derive``."""
+    if iterations < 1:
+        raise ValueError("iterations must be positive")
+    x = b""
+    for _ in range(iterations):
+        x = hashlib.sha256(x + suffix).digest()
+    return x
+
+
 def protect_chunks(read, content_len: int, key: ProtectionKey):
     """Protect ``content_len`` bytes of content that ``read(n)`` hands
     over in order, one chunk at a time.
@@ -243,8 +253,7 @@ def protect_chunks(read, content_len: int, key: ProtectionKey):
     """
     unit_count, tail_len = divmod(content_len, UNIT_LEN)
     digest = hashlib.sha256()
-    kernel = _kernel()
-    protect_chunk = kernel.protect if kernel else _protect_chunk
+    protect_chunk = _kernel().protect
     for start, stop in _chunks(unit_count):
         units = read(UNIT_LEN * (stop - start))
         digest.update(units)
@@ -265,8 +274,7 @@ def recover_chunks(read_public, read_private, content_len: int, key: ProtectionK
     """
     unit_count, tail_len = divmod(content_len, UNIT_LEN)
     digest = hashlib.sha256()
-    kernel = _kernel()
-    recover_chunk = kernel.recover if kernel else _recover_chunk
+    recover_chunk = _kernel().recover
     for start, stop in _chunks(unit_count):
         picked = read_private(SUB_LEN * (stop - start))
         public = read_public(REMAINDER_LEN * (stop - start))

@@ -32,7 +32,8 @@ def sha256_calls(monkeypatch):
         return hashlib.sha256(data)
 
     monkeypatch.setattr(core, "hashlib", types.SimpleNamespace(sha256=sha256))
-    monkeypatch.setattr(core, "_kernel", lambda: None)
+    python = _native.PythonKernel("pinned by sha256_calls")
+    monkeypatch.setattr(core, "_kernel", lambda: python)
     return calls
 
 
@@ -41,12 +42,12 @@ def kernel_path(request, monkeypatch):
     """Run the test once on each kernel path.  The native half skips,
     naming the reason, when the kernel cannot be built here."""
     if request.param == "python":
-        monkeypatch.setattr(core, "_kernel", lambda: None)
+        kernel = _native.PythonKernel("pinned by kernel_path")
     else:
-        loaded = _native.load()
-        if loaded.kernel is None:
-            pytest.skip(f"native kernel unavailable: {loaded.detail}")
-        monkeypatch.setattr(core, "_kernel", lambda: loaded.kernel)
+        kernel = _native.load()
+        if not isinstance(kernel, _native.Kernel):
+            pytest.skip(f"native kernel unavailable: {kernel.name}")
+    monkeypatch.setattr(core, "_kernel", lambda: kernel)
     return request.param
 
 
@@ -54,20 +55,19 @@ def kernel_path(request, monkeypatch):
 def each_kernel_path(monkeypatch):
     """Run one test body on each kernel path, under one test id.
 
-    Iterating ``each_kernel_path()`` patches ``core._kernel`` to one path
-    per step and yields ``(name, protect_chunk, recover_chunk)``, that
-    path's chunk functions.  The pure-Python path always runs; the native
-    one when the kernel builds here (the native half of ``kernel_path``
-    names the reason when it does not).
+    Iterating ``each_kernel_path()`` patches ``core._kernel`` to one
+    kernel per step and yields ``(path, protect_chunk, recover_chunk)``:
+    ``"python"`` or ``"native"`` and that kernel's chunk functions.  The
+    pure-Python kernel always runs; the native one when it builds here
+    (the native half of ``kernel_path`` names the reason when it does not).
     """
-    native = _native.load().kernel
+    kernels = [_native.PythonKernel("pinned by each_kernel_path")]
+    if isinstance(_native.load(), _native.Kernel):
+        kernels.append(_native.load())
 
     def paths():
-        for kernel in (None, native) if native else (None,):
+        for kernel in kernels:
             monkeypatch.setattr(core, "_kernel", lambda: kernel)
-            if kernel:
-                yield "native", kernel.protect, kernel.recover
-            else:
-                yield "python", core._protect_chunk, core._recover_chunk
+            yield kernel.name.split()[0], kernel.protect, kernel.recover
 
     return paths

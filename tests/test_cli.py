@@ -366,14 +366,14 @@ class TestBenchCommand:
         assert run_cli("bench", "--size-mb", 1, "--iterations", 1) == 0
         out, err = capsys.readouterr()
         kernel = core._kernel()
-        assert err.splitlines() == [f"kernel native ({kernel.path})" if kernel else
-                                    f"kernel python ({_native.load().detail})"]
+        native = isinstance(kernel, _native.Kernel)
+        assert err.splitlines() == [f"kernel native ({kernel.path})" if native else f"kernel {kernel.name}"]
         labels = [line[:20].rstrip() for line in out.splitlines()]
         assert labels == ["input size", "iterations", "selective", "aes-128-cbc (full)", "ratio",
                           "aes bytes, selective", "aes bytes, baseline", "hash invocations",
                           "selected bytes"]
-        monkeypatch.setattr(core, "_kernel", lambda: None)
-        monkeypatch.setattr(_native, "load", lambda: _native.Loaded(None, "cc: not found"))
+        python = _native.PythonKernel("cc: not found")
+        monkeypatch.setattr(core, "_kernel", lambda: python)
         assert run_cli("bench", "--size-mb", 1, "--iterations", 1) == 0
         assert capsys.readouterr().err == "kernel python (cc: not found)\n"
 
@@ -635,3 +635,19 @@ class TestServeCommand:
 
     def test_bad_bind_address_exits_2(self, tmp_path):
         assert run_cli("serve", "--bind", "nonsense", "--root", tmp_path) == 2
+
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    def test_bind_port_out_of_range_exits_2(self, port, tmp_path, capsys):
+        assert run_cli("serve", "--bind", f"127.0.0.1:{port}", "--root", tmp_path / "srv") == 2
+        assert capsys.readouterr().err == f"error: bad port in '127.0.0.1:{port}'\n"
+
+    def test_remote_port_out_of_range_exits_2_and_stores_nothing(self, sample, tmp_path, capsys):
+        run_cli("protect", sample, "--key-hex", KEY, "--out-dir", tmp_path / "w")
+        capsys.readouterr()
+        store = tmp_path / "store"
+        code = run_cli("put", tmp_path / "w" / "sample.puf", tmp_path / "w" / "sample.prf",
+                       "--store", store, "--remote", "127.0.0.1:70000")
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: bad port in '127.0.0.1:70000'\n"
+        assert not store.exists()

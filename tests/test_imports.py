@@ -29,7 +29,7 @@ PUBLIC = """
 """.split()
 
 # Runs ``python -m sefrag ARGV`` the way the interpreter does, then reports
-# the exit status and the sefrag modules that were loaded.
+# the exit status and the modules that were loaded.
 PROBE = """
 import runpy, sys
 sys.argv = ["sefrag", *sys.argv[1:]]
@@ -37,7 +37,7 @@ try:
     runpy.run_module("sefrag", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print("exit", code, *sorted(m for m in sys.modules if m.startswith("sefrag")))
+print("exit", code, *sorted(sys.modules))
 """
 
 
@@ -85,6 +85,20 @@ class TestStartPath:
         assert code == 0
         assert not set(OFF_PATH) & set(modules)
         assert (tmp_path / "back.bin").read_bytes() == src.read_bytes()
+
+    def test_protect_with_a_warm_kernel_cache_does_not_import_subprocess(self, tmp_path):
+        # Only a build runs the compiler; loading the cached library (or
+        # reading a recorded failure) needs no subprocess.
+        from sefrag import _native
+
+        _native.load()
+        src = tmp_path / "scan.bin"
+        src.write_bytes(os.urandom(5000))
+        code, modules = _fresh("-c", PROBE, "protect", src, "--key-hex", KEY, "--out-dir", tmp_path / "w",
+                               cwd=tmp_path)
+        assert code == 0
+        assert "sefrag._native" in modules
+        assert "subprocess" not in modules
 
     def test_store_command_loads_its_modules(self, tmp_path):
         code, modules = _fresh("-c", PROBE, "get", "00" * 32, "--store", tmp_path / "s",

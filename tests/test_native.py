@@ -1,6 +1,6 @@
 """Building and caching the native kernel: a build happens at most once
 per source version, a failed one is recorded and leaves no library, and
-the pure-Python path then gives the same bytes."""
+``load`` then returns the pure-Python kernel, which gives the same bytes."""
 
 import os
 import random
@@ -28,7 +28,8 @@ def fresh_cache(tmp_path, monkeypatch):
         runs.append(argv)
         return real_run(argv, **kwargs)
 
-    monkeypatch.setattr(_native.subprocess, "run", run)
+    # ``_native`` imports subprocess only when it builds.
+    monkeypatch.setattr(subprocess, "run", run)
     _native.load.cache_clear()
     yield runs
     _native.load.cache_clear()
@@ -44,32 +45,32 @@ def _round_trip(length: int = 3 * 32 * core.CHUNK_UNITS + 5) -> None:
 def test_failed_build_is_recorded_once_and_falls_back(fresh_cache, monkeypatch):
     monkeypatch.setattr(_native, "COMPILE", ("sefrag-no-such-compiler", *_native.COMPILE[1:]))
     loaded = _native.load()
-    assert loaded.kernel is None
-    assert "sefrag-no-such-compiler" in loaded.detail
+    assert isinstance(loaded, _native.PythonKernel)
+    assert "sefrag-no-such-compiler" in loaded.name
     # No library and no temp file: only the failure record is left.
     (record,) = _native.cache_dir().iterdir()
     assert record.name.startswith("kernel-") and record.name.endswith(".failed")
-    assert record.read_text().strip() == loaded.detail
+    assert loaded.name == f"python ({record.read_text().strip()})"
     # Not retried in this process, nor by a later one that finds the record.
     assert _native.load() is loaded
     _native.load.cache_clear()
-    assert _native.load() == loaded
+    assert _native.load().name == loaded.name
     assert len(fresh_cache) == 1
     # core runs the pure path and still recovers the content.
-    assert core._kernel() is None
+    assert isinstance(core._kernel(), _native.PythonKernel)
     _round_trip()
 
 
 def test_build_is_cached_private_and_loaded_by_later_processes(fresh_cache):
     loaded = _native.load()
-    if loaded.kernel is None:
-        pytest.skip(f"native kernel unavailable: {loaded.detail}")
+    if not isinstance(loaded, _native.Kernel):
+        pytest.skip(f"native kernel unavailable: {loaded.name}")
     root = _native.cache_dir()
     assert stat.S_IMODE(root.stat().st_mode) == 0o700
-    assert [p.name for p in root.iterdir()] == [loaded.kernel.path.name]
-    assert loaded.kernel.path.suffix == ".so"
+    assert [p.name for p in root.iterdir()] == [loaded.path.name]
+    assert loaded.path.suffix == ".so"
     _native.load.cache_clear()
-    assert _native.load().kernel.path == loaded.kernel.path
+    assert _native.load().path == loaded.path
     assert len(fresh_cache) == 1
     _round_trip()
 
@@ -79,16 +80,16 @@ def test_compile_command_is_part_of_the_library_name(fresh_cache, monkeypatch):
     _native.load.cache_clear()
     monkeypatch.setattr(_native, "COMPILE", (*_native.COMPILE, "-DSEFRAG_VARIANT"))
     second = _native.load()
-    if first.kernel is None or second.kernel is None:
-        pytest.skip(f"native kernel unavailable: {first.detail}")
-    assert first.kernel.path != second.kernel.path
+    if not isinstance(first, _native.Kernel) or not isinstance(second, _native.Kernel):
+        pytest.skip(f"native kernel unavailable: {first.name}")
+    assert first.path != second.path
     assert len(fresh_cache) == 2
 
 
 def test_kernel_checks_buffer_lengths_before_calling_c():
-    kernel = _native.load().kernel
-    if kernel is None:
-        pytest.skip(f"native kernel unavailable: {_native.load().detail}")
+    kernel = _native.load()
+    if not isinstance(kernel, _native.Kernel):
+        pytest.skip(f"native kernel unavailable: {kernel.name}")
     key = bytes(16)
     with pytest.raises(ValueError):
         kernel.protect(bytes(63), bytes(2), key, 0)
@@ -110,7 +111,7 @@ def test_unusable_cache_falls_back_without_raising(fresh_cache, tmp_path, monkey
     home.write_bytes(b"")
     monkeypatch.setenv("HOME", str(home))
     loaded = _native.load()
-    assert loaded.kernel is None and loaded.detail
+    assert isinstance(loaded, _native.PythonKernel) and loaded.name != "python ()"
     assert fresh_cache == []
     _round_trip()
 
@@ -120,21 +121,45 @@ def test_cache_writable_by_others_is_not_used(fresh_cache):
     root.mkdir(parents=True)
     root.chmod(0o777)
     loaded = _native.load()
-    assert loaded.kernel is None and "not private" in loaded.detail
+    assert isinstance(loaded, _native.PythonKernel) and "not private" in loaded.name
     assert fresh_cache == [] and list(root.iterdir()) == []
 
 
 def test_concurrent_first_uses_build_one_library(tmp_path):
-    if _native.load().kernel is None:
-        pytest.skip(f"native kernel unavailable: {_native.load().detail}")
+    if not isinstance(_native.load(), _native.Kernel):
+        pytest.skip(f"native kernel unavailable: {_native.load().name}")
     env = dict(os.environ, HOME=str(tmp_path),
                PYTHONPATH=os.pathsep.join(filter(None, [str(Path(sefrag.__file__).parents[1]),
                                                         os.environ.get("PYTHONPATH")])))
-    probe = "from sefrag import _native; print(_native.load().detail)"
+    probe = "from sefrag import _native; print(_native.load().name)"
     procs = [subprocess.Popen([sys.executable, "-c", probe], env=env, stdout=subprocess.PIPE, text=True)
              for _ in range(2)]
     details = [proc.communicate(timeout=120)[0].strip() for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0]
     (library,) = (tmp_path / ".cache" / "sefrag").iterdir()
     assert library.suffix == ".so"
-    assert details == [str(library)] * 2
+    assert details == [f"native ({library})"] * 2
+
+
+def test_both_kernels_have_one_interface(fresh_cache, monkeypatch):
+    """``core._kernel()`` has ``protect``, ``recover``, ``derive`` and a
+    ``name`` whether the native build succeeds or fails, and both give
+    the same bytes."""
+    built = core._kernel()
+    if isinstance(built, _native.Kernel):
+        assert built.name == f"native ({built.path})"
+    _native.load.cache_clear()
+    monkeypatch.setattr(_native, "COMPILE", ("sefrag-no-such-compiler", *_native.COMPILE[1:]))
+    fallback = core._kernel()
+    assert isinstance(fallback, _native.PythonKernel)
+    assert fallback.name.startswith("python (") and "sefrag-no-such-compiler" in fallback.name
+    units, selectors, key = bytes(range(64)), b"\x03\x0c", bytes(range(16))
+    outputs = []
+    for kernel in (built, fallback):
+        assert all(callable(getattr(kernel, fn)) for fn in ("protect", "recover", "derive"))
+        public, picked = kernel.protect(units, selectors, key, 5)
+        assert kernel.recover(public, picked, selectors, key, 5) == units
+        with pytest.raises(ValueError):
+            kernel.derive(b"pw", 0)
+        outputs.append((public, picked, kernel.derive(b"pw", 3)))
+    assert outputs[0] == outputs[1]
