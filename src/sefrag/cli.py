@@ -170,18 +170,17 @@ def cmd_serve(args) -> int:
     from .dispersion import BlobServer
 
     host, port = _parse_hostport(args.bind)
-    server = BlobServer(host, port, args.root)
     stop = threading.Event()
 
     def _on_signal(_signum, _frame):
         stop.set()
 
-    signal.signal(signal.SIGINT, _on_signal)
-    signal.signal(signal.SIGTERM, _on_signal)
-    server.start()
-    print("%s:%d" % server.address, flush=True)
-    stop.wait()
-    server.stop()
+    with BlobServer(host, port, args.root) as server:
+        # Installed once bound, so a failed bind leaves the caller's handlers.
+        signal.signal(signal.SIGINT, _on_signal)
+        signal.signal(signal.SIGTERM, _on_signal)
+        print("%s:%d" % server.server_address, flush=True)
+        stop.wait()
     return 0
 
 

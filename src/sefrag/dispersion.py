@@ -22,6 +22,12 @@ opcode gets ERROR and a closed connection: its frame length is unknown.
 A connection whose client sends nothing, or stops partway through a
 frame, for ``REMOTE_TIMEOUT`` seconds (10) is closed by the server.
 
+Both ends read frames through buffered socket files, so the server
+holds a PUT payload once and the client a GET body once; reading an
+announced length reserves that many bytes up front, but pages are
+touched only as bytes arrive.  The GET reply and the client's PUT frame
+are still built whole by concatenation, and no payload is streamed.
+
 ``disperse`` enforces the placement rule: the public fragment goes to
 the untrusted (cloud) backend, the private fragment to the device
 backend, and the two must never share a backend.  Neither store alone
@@ -139,14 +145,11 @@ class DirectoryBackend:
             return False
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(min(n - len(buf), 1 << 20))
-        if not chunk:
-            raise ConnectionError("peer closed mid-frame")
-        buf += chunk
-    return bytes(buf)
+def _read_exact(f, n: int) -> bytes:
+    data = f.read(n)
+    if len(data) < n:
+        raise ConnectionError("peer closed mid-frame")
+    return data
 
 
 class RemoteBackend:
@@ -162,15 +165,16 @@ class RemoteBackend:
         if payload is not None:
             frame += _LEN.pack(len(payload)) + payload
         try:
-            with socket.create_connection((self.host, self.port), timeout=REMOTE_TIMEOUT) as sock:
+            with socket.create_connection((self.host, self.port), timeout=REMOTE_TIMEOUT) as sock, \
+                    sock.makefile("rb") as replies:
                 sock.sendall(frame)
-                status = _recv_exact(sock, 1)[0]
+                status = _read_exact(replies, 1)[0]
                 body = b""
                 if opcode == OP_GET and status == ST_OK:
-                    (length,) = _LEN.unpack(_recv_exact(sock, 8))
+                    (length,) = _LEN.unpack(_read_exact(replies, 8))
                     if length > MAX_PAYLOAD:
                         raise FormatError("server announced an oversized payload")
-                    body = _recv_exact(sock, length)
+                    body = _read_exact(replies, length)
                 return status, body
         except OSError as exc:
             raise BackendUnavailable(f"{self.name}: {exc}") from exc
@@ -222,75 +226,63 @@ def _reply(backend: DirectoryBackend, opcode: int, ref: BlobRef, payload: bytes 
         return bytes([ST_ERROR])
 
 
-class _BlobRequestHandler(socketserver.BaseRequestHandler):
+class _BlobRequestHandler(socketserver.StreamRequestHandler):
+    server: BlobServer
+
+    def setup(self):
+        # A client that sends nothing, or stops mid-frame, is dropped.  Read
+        # per connection, so a changed REMOTE_TIMEOUT applies to the next one.
+        self.timeout = REMOTE_TIMEOUT
+        super().setup()
+
     def handle(self):
-        backend: DirectoryBackend = self.server.backend  # type: ignore[attr-defined]
-        sock = self.request
-        # A client that sends nothing, or stops mid-frame, is dropped.
-        sock.settimeout(REMOTE_TIMEOUT)
         # Every OSError here is the client's socket: storage errors are
         # answered inside ``_reply``.
         try:
-            while op_raw := sock.recv(1):
+            while op_raw := self.rfile.read(1):
                 opcode = op_raw[0]
                 if opcode not in (OP_PUT, OP_GET, OP_DELETE):
                     # Frame sync is lost: hang up.
-                    sock.sendall(bytes([ST_ERROR]))
+                    self.wfile.write(bytes([ST_ERROR]))
                     return
-                ref = BlobRef(_recv_exact(sock, 32))
+                ref = BlobRef(_read_exact(self.rfile, 32))
                 payload = None
                 if opcode == OP_PUT:
-                    (length,) = _LEN.unpack(_recv_exact(sock, 8))
+                    (length,) = _LEN.unpack(_read_exact(self.rfile, 8))
                     if length > MAX_PAYLOAD:
                         # Framing can't be trusted past an oversize claim.
-                        sock.sendall(bytes([ST_ERROR]))
+                        self.wfile.write(bytes([ST_ERROR]))
                         return
-                    payload = _recv_exact(sock, length)
-                sock.sendall(_reply(backend, opcode, ref, payload))
+                    payload = _read_exact(self.rfile, length)
+                self.wfile.write(_reply(self.server.backend, opcode, ref, payload))
         except OSError:
             return
 
 
-class _ThreadingServer(socketserver.ThreadingTCPServer):
+class BlobServer(socketserver.ThreadingTCPServer):
+    """Wire-protocol server over a directory store; ``with`` serves it
+    from a background thread and shuts it down on exit."""
+
     allow_reuse_address = True
     daemon_threads = True
 
-
-class BlobServer:
-    """Wire-protocol server over a directory store."""
-
     def __init__(self, host: str, port: int, root: str | Path):
         Path(root).mkdir(parents=True, exist_ok=True)  # an unusable root fails here, not on a PUT
+        self.backend = DirectoryBackend(root)
         try:
-            self._server = _ThreadingServer((host, port), _BlobRequestHandler)
+            super().__init__((host, port), _BlobRequestHandler)
         except OSError as exc:
             raise BindError(f"cannot bind {host}:{port}: {exc}") from exc
-        self._server.backend = DirectoryBackend(root)  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self._server.server_address[:2]
-
-    def start(self):
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True
-        )
-        self._thread.start()
-
-    def stop(self):
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            self._thread = None
 
     def __enter__(self) -> "BlobServer":
-        self.start()
+        self._thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True)
+        self._thread.start()
         return self
 
     def __exit__(self, *exc_info):
-        self.stop()
+        self.shutdown()
+        self.server_close()
+        self._thread.join(timeout=5)
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,7 @@ def test_dispersion_rule(tmp_path):
             )
 
         with BlobServer("127.0.0.1", 0, tmp_path / "srv") as server:
-            cloud = RemoteBackend(*server.address, name="cloud")
+            cloud = RemoteBackend(*server.server_address, name="cloud")
             placement = dispersion.disperse(puf, prf, device, cloud, index)
 
             got_puf = container.PufContainer.from_bytes(cloud.get(placement.puf_ref))

@@ -12,7 +12,7 @@ import sefrag
 from sefrag import _native, cli, core, errors
 from sefrag.cli import main
 from sefrag.container import PufContainer
-from sefrag.dispersion import PlacementIndex
+from sefrag.dispersion import PlacementIndex, RemoteBackend
 
 KEY = "000102030405060708090a0b0c0d0e0f"
 OTHER_KEY = "ffeeddccbbaa99887766554433221100"
@@ -619,6 +619,35 @@ class TestServeCommand:
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=10) == 0
+            proc.stdout.close()
+            proc.stderr.close()
+
+    def test_server_holds_a_put_payload_once(self, tmp_path):
+        if not Path("/proc/self/status").exists():
+            pytest.skip("no /proc/<pid>/status to read the server's VmHWM from")
+
+        def vm_hwm_kib(pid: int) -> int:
+            for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+            raise AssertionError("no VmHWM line")
+
+        size = 32 << 20
+        with subprocess.Popen(
+            [sys.executable, "-m", "sefrag", "serve", "--bind", "127.0.0.1:0", "--root", str(tmp_path / "srv")],
+            env=_package_env(),
+            stdout=subprocess.PIPE,
+            text=True,
+        ) as proc:
+            try:
+                host, port = proc.stdout.readline().strip().rsplit(":", 1)
+                before = vm_hwm_kib(proc.pid)
+                RemoteBackend(host, int(port)).put(os.urandom(size))
+                grown = (vm_hwm_kib(proc.pid) - before) * 1024
+            finally:
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=10) == 0
+        assert grown < 1.5 * size, f"server VmHWM grew {grown / 2**20:.1f} MiB on a {size >> 20} MiB PUT"
 
     def test_unreachable_remote_exits_6(self, sample, tmp_path):
         run_cli("protect", sample, "--key-hex", KEY, "--out-dir", tmp_path / "w")

@@ -62,7 +62,7 @@ PLACEMENT_LIKE = st.fixed_dictionaries(
 @pytest.fixture
 def served(tmp_path):
     with BlobServer("127.0.0.1", 0, tmp_path / "blobs") as server:
-        host, port = server.address
+        host, port = server.server_address
         yield server, RemoteBackend(host, port)
 
 
@@ -97,7 +97,7 @@ def blob_store(request, tmp_path):
         yield DirectoryBackend(tmp_path / "blobs"), tmp_path / "blobs"
     else:
         with BlobServer("127.0.0.1", 0, tmp_path / "served") as server:
-            yield RemoteBackend(*server.address), tmp_path / "served"
+            yield RemoteBackend(*server.server_address), tmp_path / "served"
 
 
 class TestLocalBackends:
@@ -189,12 +189,12 @@ class TestWireProtocol:
         # 0x09 + id: the id's first byte (0x02) must not be read as a GET.
         # 0x04 + a stored id: an unknown opcode, however well formed the rest.
         for frame in (b"\x09" + bytes([OP_GET]) + bytes(31), b"\xff", b"\x04" + ref.id):
-            with socket.create_connection(server.address, timeout=5) as sock:
+            with socket.create_connection(server.server_address, timeout=5) as sock:
                 sock.sendall(frame)
                 assert sock.recv(1) == b"\x02"  # ERROR
                 assert sock.recv(1) == b""  # then EOF
         # A fresh connection is served as usual.
-        with socket.create_connection(server.address, timeout=5) as sock:
+        with socket.create_connection(server.server_address, timeout=5) as sock:
             sock.sendall(bytes([OP_GET]) + ref.id)
             assert sock.recv(1) == b"\x00"
             (length,) = struct.unpack("<Q", sock.recv(8))
@@ -205,21 +205,42 @@ class TestWireProtocol:
         server, _ = served
         payload = b"payload"
         wrong_id = bytes(32)
-        with socket.create_connection(server.address, timeout=5) as sock:
+        with socket.create_connection(server.server_address, timeout=5) as sock:
             sock.sendall(b"\x01" + wrong_id + struct.pack("<Q", len(payload)) + payload)
             assert sock.recv(1) == b"\x02"  # ERROR
         with pytest.raises(NotFound):
-            RemoteBackend(*server.address).get(BlobRef(wrong_id))
+            RemoteBackend(*server.server_address).get(BlobRef(wrong_id))
 
     def test_server_verifies_true_id(self, served):
         server, remote = served
         payload = b"honest put"
         ref = remote.put(payload)
-        with socket.create_connection(server.address, timeout=5) as sock:
+        with socket.create_connection(server.server_address, timeout=5) as sock:
             sock.sendall(b"\x02" + ref.id)
             assert sock.recv(1) == b"\x00"
             (length,) = struct.unpack("<Q", sock.recv(8))
             assert length == len(payload)
+
+    def test_frames_split_across_many_reads(self, served):
+        server, _ = served
+        payload = b"one byte per segment"
+        ref = BlobRef.for_payload(payload)
+        requests = bytes([OP_PUT]) + ref.id + struct.pack("<Q", len(payload)) + payload + bytes([OP_GET]) + ref.id
+
+        def replies(pieces):
+            with socket.create_connection(server.server_address, timeout=5) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                for piece in pieces:
+                    sock.sendall(piece)
+                sock.shutdown(socket.SHUT_WR)
+                reply = b""
+                while chunk := sock.recv(4096):
+                    reply += chunk
+                return reply
+
+        trickled = replies(requests[i : i + 1] for i in range(len(requests)))
+        assert trickled == b"\x00" + b"\x00" + struct.pack("<Q", len(payload)) + payload
+        assert replies([requests]) == trickled
 
     def test_storage_failure_gets_error_and_connection_serves_on(self, served, tmp_path):
         server, remote = served
@@ -229,7 +250,7 @@ class TestWireProtocol:
         # A directory where the blob's file belongs: put, get and delete of
         # it all fail inside the server's own store.
         (tmp_path / "blobs" / ref.hex[:2] / ref.hex).mkdir(parents=True)
-        with socket.create_connection(server.address, timeout=5) as sock, sock.makefile("rb") as replies:
+        with socket.create_connection(server.server_address, timeout=5) as sock, sock.makefile("rb") as replies:
             sock.sendall(bytes([OP_PUT]) + ref.id + struct.pack("<Q", len(blocked)) + blocked)
             assert replies.read(1) == b"\x02"  # ERROR, not a hang-up
             for opcode in (OP_GET, OP_DELETE):
@@ -293,7 +314,7 @@ class TestWireProtocol:
             @settings(max_examples=100, deadline=None)
             def one_connection(frame):
                 reply = b""
-                with socket.create_connection(server.address, timeout=5) as sock:
+                with socket.create_connection(server.server_address, timeout=5) as sock:
                     try:
                         sock.sendall(frame)
                         sock.shutdown(socket.SHUT_WR)
@@ -308,17 +329,17 @@ class TestWireProtocol:
                 assert reply == expected_reply(frame)
 
             one_connection()
-            remote = RemoteBackend(*server.address)
+            remote = RemoteBackend(*server.server_address)
             ref = remote.put(b"still served")
             assert remote.get(ref) == b"still served"
 
     def test_idle_and_half_frame_clients_are_dropped(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dispersion, "REMOTE_TIMEOUT", 0.5)
         with BlobServer("127.0.0.1", 0, tmp_path / "blobs") as server:
-            remote = RemoteBackend(*server.address)
+            remote = RemoteBackend(*server.server_address)
             ref = remote.put(b"still served")
-            idle = socket.create_connection(server.address, timeout=5)
-            half = socket.create_connection(server.address, timeout=5)
+            idle = socket.create_connection(server.server_address, timeout=5)
+            half = socket.create_connection(server.server_address, timeout=5)
             with idle, half:
                 half.sendall(bytes([OP_GET]) + ref.id[:10])
                 start = time.monotonic()
@@ -349,7 +370,7 @@ class TestWireProtocol:
 
     def test_bind_error_on_taken_port(self, tmp_path):
         with BlobServer("127.0.0.1", 0, tmp_path / "a") as server:
-            _, port = server.address
+            _, port = server.server_address
             with pytest.raises(BindError):
                 BlobServer("127.0.0.1", port, tmp_path / "b")
 
