@@ -32,22 +32,16 @@ from pathlib import Path
 from . import container
 from .container import PrfContainer, PufContainer, atomic_write
 from .core import ProtectionKey
-from .errors import NotFound, PairMismatch, SefragError, UnknownRecord
-
-
-class _Usage(Exception):
-    """Command invoked with unusable arguments."""
-
-    exit_code = 2
+from .errors import NotFound, SefragError, UnknownRecord
 
 
 def _parse_hostport(text: str) -> tuple[str, int]:
     host, sep, port = text.rpartition(":")
     if not sep or not host:
-        raise _Usage(f"expected host:port, got {text!r}")
+        raise ValueError(f"expected host:port, got {text!r}")
     # Past 65535, bind() overflows and getaddrinfo() keeps the low 16 bits.
     if not (port.isascii() and port.isdigit()) or int(port) > 0xFFFF:
-        raise _Usage(f"bad port in {text!r}")
+        raise ValueError(f"bad port in {text!r}")
     return host, int(port)
 
 
@@ -65,16 +59,17 @@ def _key(args, kdf_salt: bytes) -> ProtectionKey:
         return ProtectionKey.from_hex(args.key_hex)
     if args.passphrase or args.passphrase_file:
         return container.derive_key(_read_passphrase(args), kdf_salt)
-    raise _Usage("provide --key-hex, --passphrase, or --passphrase-file")
+    raise ValueError("provide --key-hex, --passphrase, or --passphrase-file")
 
 
 def _record_id(text: str) -> bytes:
     try:
         rid = bytes.fromhex(text)
     except ValueError:
-        raise _Usage(f"record id must be hex, got {text!r}") from None
-    if len(rid) != container.FILE_ID_LEN:
-        raise _Usage(f"record id must be {2 * container.FILE_ID_LEN} hex chars")
+        raise ValueError(f"record id must be hex, got {text!r}") from None
+    # bytes.fromhex skips whitespace, so the text's own length is checked too.
+    if len(rid) != container.FILE_ID_LEN or len(text) != 2 * container.FILE_ID_LEN:
+        raise ValueError(f"record id must be {2 * container.FILE_ID_LEN} hex chars")
     return rid
 
 
@@ -189,8 +184,6 @@ def cmd_put(args) -> int:
 
     puf = PufContainer.from_bytes(Path(args.puf).read_bytes())
     prf = PrfContainer.from_bytes(Path(args.prf).read_bytes())
-    if puf.file_id != prf.file_id:
-        raise PairMismatch("public and private containers carry different file ids")
     store = Path(args.store)
     backends = _backends(args, store)
     placement = dispersion.disperse(puf, prf, backends["device"], backends["cloud"], _placement_index(store))
@@ -344,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     command = "grant_or_revoke" if args.command in ("grant", "revoke") else args.command
     try:
         return globals()["cmd_" + command](args)
-    except (_Usage, SefragError, ValueError, OSError) as exc:
+    except (SefragError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # Each error class carries its exit code; ValueError and OSError
         # are usage problems (bad values, unreadable or unwritable paths).

@@ -30,27 +30,30 @@ are still built whole by concatenation, and no payload is streamed.
 
 ``disperse`` enforces the placement rule: the public fragment goes to
 the untrusted (cloud) backend, the private fragment to the device
-backend, and the two must never share a backend.  Neither store alone
-opens a record, but the cloud store plus the key is not safe: an
-attacker can recover each 32-byte unit by trying the 2^32 values of its
-selected 4-byte sub-fragment.
+backend; the two must carry one file id and never share a backend.
+Neither store alone opens a record, but the cloud store plus the key is
+not safe: an attacker can recover each 32-byte unit by trying the 2^32
+values of its selected 4-byte sub-fragment.
 
 ``PlacementIndex`` is an append-only JSONL file, one placement per
-line, where the last line for a record wins.  Both readers take the
-file backwards from its end, ``LOOKUP_BLOCK`` bytes of whole lines at a
-time.  ``lookup`` searches each block for the record id's hex and
-parses only the line a hit lands in, so a recent record costs one block
-however long the index grows; a hit inside another line's blob id is
-skipped by checking that line's ``record_id``.  A line counts only once
-its newline is written: a torn final fragment is ignored, ``record``
-starts a new line after one, and a line that does not parse as a
-placement (such a fragment, once terminated) is skipped.
+line, where the last line for a record wins.  Both readers map the file
+read-only and take it from its end.  ``lookup`` searches the mapping
+backwards for the record id's hex and parses only the line a hit lands
+in, so a recent record costs one short search however long the index
+grows; a hit inside another line's blob id is skipped by checking that
+line's ``record_id``.  A line counts only once its newline is written:
+a torn final fragment is ignored, ``record`` starts a new line after
+one, and a line that does not parse as a placement (such a fragment,
+once terminated) is skipped.  Only ``record`` writes the index, and
+always by appending, so a mapped page never disappears under a reader;
+truncating the index while a reader runs is unsupported.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
 import socket
 import socketserver
@@ -66,6 +69,7 @@ from .errors import (
     CorruptBlob,
     FormatError,
     NotFound,
+    PairMismatch,
     SameBackend,
 )
 
@@ -83,9 +87,6 @@ _LEN = struct.Struct("<Q")
 
 # Seconds each socket operation may block, on either end of a connection.
 REMOTE_TIMEOUT = 10.0
-
-# Bytes the index readers take per step back from the end of the index.
-LOOKUP_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -332,31 +333,16 @@ class PlacementIndex:
         finally:
             os.close(fd)
 
-    def _blocks(self):
-        """Yield the index's complete lines in blocks, last block first;
-        each block is whole lines, each ending in a newline.  A line cut by
-        a block edge goes whole into the next block yielded, and a torn
-        final fragment (no newline yet) into none."""
+    def _mapped(self) -> mmap.mmap | None:
+        """The index mapped read-only, or None when it is absent or empty."""
         try:
             f = self.path.open("rb")
         except FileNotFoundError:
-            return
+            return None
         with f:
-            pos = f.seek(0, os.SEEK_END)
-            carry = b""  # bytes after pos not yielded yet: a line cut by a block edge
-            while pos:
-                step = min(pos, LOOKUP_BLOCK)
-                pos -= step
-                f.seek(pos)
-                data = f.read(step) + carry
-                # What precedes the block's first newline may continue further left.
-                first = data.find(b"\n")
-                if pos and first < 0:
-                    carry = data
-                    continue
-                cut = first + 1 if pos else 0
-                yield data[cut : data.rfind(b"\n") + 1]
-                carry = data[:cut]
+            if os.fstat(f.fileno()).st_size == 0:  # mmap refuses an empty file
+                return None
+            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
 
     @staticmethod
     def _parse(line: bytes) -> Placement | None:
@@ -366,24 +352,32 @@ class PlacementIndex:
             return None
 
     def records(self) -> dict[bytes, Placement]:
+        mapped = self._mapped()
+        if mapped is None:
+            return {}
+        with mapped:
+            lines = mapped[: mapped.rfind(b"\n") + 1].split(b"\n")
         out: dict[bytes, Placement] = {}
-        for lines in self._blocks():
-            for line in reversed(lines.split(b"\n")):
-                placement = self._parse(line)
-                if placement is not None:
-                    out.setdefault(placement.record_id, placement)
+        for line in reversed(lines):
+            placement = self._parse(line)
+            if placement is not None:
+                out.setdefault(placement.record_id, placement)
         return out
 
     def lookup(self, record_id: bytes) -> Placement | None:
+        mapped = self._mapped()
+        if mapped is None:
+            return None
         needle = record_id.hex().encode()
-        for lines in self._blocks():
-            hit = lines.rfind(needle)
+        with mapped:
+            # Past the last newline lies at most a torn fragment.
+            hit = mapped.rfind(needle, 0, mapped.rfind(b"\n") + 1)
             while hit >= 0:
-                start = lines.rfind(b"\n", 0, hit) + 1
-                placement = self._parse(lines[start : lines.index(b"\n", hit)])
+                start = mapped.rfind(b"\n", 0, hit) + 1
+                placement = self._parse(mapped[start : mapped.find(b"\n", hit)])
                 if placement is not None and placement.record_id == record_id:
                     return placement
-                hit = lines.rfind(needle, 0, start)
+                hit = mapped.rfind(needle, 0, start)
         return None
 
 
@@ -406,6 +400,8 @@ def disperse(
         raise SameBackend(
             f"public and private fragments must not share backend {cloud_backend.name!r}"
         )
+    if puf.file_id != prf.file_id:
+        raise PairMismatch("public and private containers carry different file ids")
     puf_ref = cloud_backend.put(puf.to_bytes())
     try:
         prf_ref = device_backend.put(prf.to_bytes())

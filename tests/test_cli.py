@@ -197,7 +197,6 @@ class TestExitCodes:
     # The documented code for every error class the commands raise,
     # written out here rather than read from the classes.
     DOCUMENTED = [
-        (cli._Usage, 2),
         (errors.EmptyPassphrase, 2),
         (ValueError, 2),
         (OSError, 2),
@@ -410,6 +409,19 @@ class TestStoreCommands:
         _, puf, prf = sealed
         assert run_cli("put", prf, puf, "--store", tmp_path / "store") == 3
 
+    def test_put_of_two_records_fragments_exits_4(self, sealed, tmp_path, capsys):
+        _, puf, _ = sealed
+        other = tmp_path / "other.bin"
+        other.write_bytes(b"another record" * 40)
+        run_cli("protect", other, "--key-hex", KEY, "--out-dir", tmp_path / "w")
+        capsys.readouterr()
+        store = tmp_path / "store"
+        assert run_cli("put", puf, tmp_path / "w" / "other.prf", "--store", store) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: public and private containers carry different file ids\n"
+        assert not store.exists()
+
     def test_sharing_lifecycle(self, sealed, tmp_path, capsys):
         record, puf, prf = sealed
         store = tmp_path / "store"
@@ -544,6 +556,23 @@ class TestStoreCommands:
     def test_bad_record_id_exits_2(self, tmp_path):
         assert run_cli("request", "not-hex", "--as", "p", "--store", tmp_path / "s") == 2
         assert run_cli("request", "abcd", "--as", "p", "--store", tmp_path / "s") == 2
+
+    def test_record_id_with_spaces_exits_2_and_writes_nothing(self, sealed, tmp_path, capsys):
+        record, puf, prf = sealed
+        store = tmp_path / "s"
+        run_cli("put", puf, prf, "--store", store)
+        capsys.readouterr()
+        before = sorted(store.rglob("*"))
+        spaced = " ".join(record[i : i + 8] for i in range(0, 32, 8))
+        out = tmp_path / "o"
+        for argv in (("grant", spaced, "p", "--as", "o"),
+                     ("request", spaced, "--as", "o", "--role", "owner", "--out-dir", out)):
+            assert run_cli(*argv, "--store", store) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: record id must be 32 hex chars\n"
+        assert sorted(store.rglob("*")) == before
+        assert not (tmp_path / "o").exists()
 
 
 # Grants ten parties to one record through ``cli.main``, each save held

@@ -18,11 +18,11 @@ from sefrag import cli, container, core, dispersion
 from sefrag.container import seal
 from sefrag.core import ProtectionKey
 from sefrag.dispersion import (
-    LOOKUP_BLOCK,
     MAX_PAYLOAD,
     OP_DELETE,
     OP_GET,
     OP_PUT,
+    ST_ERROR,
     ST_OK,
     BlobRef,
     BlobServer,
@@ -38,10 +38,15 @@ from sefrag.errors import (
     CorruptBlob,
     IntegrityFailure,
     NotFound,
+    PairMismatch,
     SameBackend,
 )
 
 KEY = ProtectionKey.from_hex("0f0e0d0c0b0a09080706050403020100")
+
+# Indexes in the placement tests span several 64 KiB blocks, so that a
+# reader taking the index in blocks would meet lines cut at block edges.
+BLOCK = 1 << 16
 
 # Arbitrary JSON, and objects shaped partly like a placement of FUZZ_RID.
 JSON = st.recursive(
@@ -67,16 +72,19 @@ def served(tmp_path):
 
 
 @contextlib.contextmanager
-def short_reply_server():
-    """A one-shot listener that answers one GET with OK and a length of
-    100, sends only 10 payload bytes, then hangs up; yields its address."""
+def stub_server(reply: bytes):
+    """A one-shot listener that reads one request frame whole, answers
+    it with ``reply`` whatever it asked, then hangs up; yields its
+    address."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def answer():
         conn, _ = listener.accept()
         with conn, conn.makefile("rb") as request:
-            request.read(1 + 32)
-            conn.sendall(bytes([ST_OK]) + struct.pack("<Q", 100) + bytes(10))
+            if request.read(1 + 32)[0] == OP_PUT:
+                (length,) = struct.unpack("<Q", request.read(8))
+                request.read(length)
+            conn.sendall(reply)
 
     thread = threading.Thread(target=answer, daemon=True)
     thread.start()
@@ -84,6 +92,10 @@ def short_reply_server():
         yield listener.getsockname()
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+# OK and a length of 100, then only 10 payload bytes.
+SHORT_REPLY = bytes([ST_OK]) + struct.pack("<Q", 100) + bytes(10)
 
 
 def stored_files(root):
@@ -349,14 +361,40 @@ class TestWireProtocol:
             assert remote.get(ref) == b"still served"
 
     def test_peer_hanging_up_mid_reply_is_unavailable(self, tmp_path):
-        with short_reply_server() as address:
+        with stub_server(SHORT_REPLY) as address:
             with pytest.raises(BackendUnavailable):
                 RemoteBackend(*address).get(BlobRef(bytes(32)))
-        with short_reply_server() as (host, port):
+        with stub_server(SHORT_REPLY) as (host, port):
             argv = ["get", "00" * 32, "--store", str(tmp_path / "s"), "--remote", f"{host}:{port}",
                     "--out", str(tmp_path / "x")]
             assert cli.main(argv) == 6
         assert not (tmp_path / "x").exists()
+
+    def test_get_of_bytes_that_fail_the_hash_is_corrupt(self, tmp_path):
+        forged = b"not the blob asked for"
+        reply = bytes([ST_OK]) + struct.pack("<Q", len(forged)) + forged
+        with stub_server(reply) as address:
+            with pytest.raises(CorruptBlob):
+                RemoteBackend(*address).get(BlobRef(bytes(32)))
+        with stub_server(reply) as (host, port):
+            argv = ["get", "00" * 32, "--store", str(tmp_path / "s"), "--remote", f"{host}:{port}",
+                    "--out", str(tmp_path / "x")]
+            assert cli.main(argv) == 4
+        assert not (tmp_path / "x").exists()
+
+    def test_put_answered_error_is_unavailable(self, tmp_path):
+        with stub_server(bytes([ST_ERROR])) as address:
+            with pytest.raises(BackendUnavailable):
+                RemoteBackend(*address).put(b"refused")
+        puf, prf = seal(b"refused by the cloud" * 30, KEY)
+        (tmp_path / "w.puf").write_bytes(puf.to_bytes())
+        (tmp_path / "w.prf").write_bytes(prf.to_bytes())
+        store = tmp_path / "s"
+        with stub_server(bytes([ST_ERROR])) as (host, port):
+            argv = ["put", str(tmp_path / "w.puf"), str(tmp_path / "w.prf"), "--store", str(store),
+                    "--remote", f"{host}:{port}"]
+            assert cli.main(argv) == 6
+        assert stored_files(store) == []
 
     def test_unreachable_server(self):
         remote = RemoteBackend("127.0.0.1", 1)
@@ -391,6 +429,17 @@ class TestDisperse:
         with pytest.raises(SameBackend):
             disperse(puf, prf, backend, same_name, index)
         assert stored_files(tmp_path) == []
+
+    def test_mismatched_pair_rejected_before_any_put(self, tmp_path):
+        device = DirectoryBackend(tmp_path / "device", name="device")
+        cloud = DirectoryBackend(tmp_path / "cloud", name="cloud")
+        index = PlacementIndex(tmp_path / "placements.jsonl")
+        puf, _ = seal(b"one record" * 30, KEY)
+        _, prf = seal(b"another record" * 30, KEY)
+        with pytest.raises(PairMismatch, match="carry different file ids"):
+            disperse(puf, prf, device, cloud, index)
+        assert stored_files(tmp_path) == []
+        assert index.records() == {}
 
     def test_round_trip_through_backends(self, tmp_path):
         device = DirectoryBackend(tmp_path / "device", name="device")
@@ -532,16 +581,16 @@ class TestPlacementIndex:
             return json.dumps(p.to_json()).encode() + b"\n"
 
         first, torn = rng.randbytes(16), rng.randbytes(16)
-        rids = [first] + [rng.randbytes(16) for _ in range(4 * LOOKUP_BLOCK // 200)]
+        rids = [first] + [rng.randbytes(16) for _ in range(4 * BLOCK // 200)]
         placements = [placement(rid) for rid in rids]
         lines = [line(p) for p in placements]
         tail = line(placement(torn))[:60]  # a crash partway through an append
         index.path.write_bytes(b"".join(lines) + tail)
         size = index.path.stat().st_size
-        assert size > 3 * LOOKUP_BLOCK
+        assert size > 3 * BLOCK
         # The record whose only line holds the offset of the second block
-        # edge, counted from the end, as the readers read.
-        edge = size - 2 * LOOKUP_BLOCK
+        # edge, counted from the end.
+        edge = size - 2 * BLOCK
         offset = 0
         for rid, text in zip(rids, lines):
             if offset < edge < offset + len(text) - 1:
@@ -555,6 +604,49 @@ class TestPlacementIndex:
             assert index.lookup(rid) == expected[rid]
         assert index.lookup(torn) is None
         assert index.lookup(bytes(16)) is None
+
+    @pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn-tail"])
+    def test_readers_match_a_model(self, tmp_path, torn):
+        # The model: for each record, the last complete line that parses as
+        # one of its placements.
+        rng = random.Random(16)
+        rids = [rng.randbytes(16) for _ in range(150)]
+        long_rid, stray, absent = rng.randbytes(16), rng.randbytes(16), rng.randbytes(16)
+
+        def placement(rid, blob=None):
+            return Placement(rid, BlobRef(blob or rng.randbytes(32)), "cloud", BlobRef(rng.randbytes(32)), "device")
+
+        lines = []  # (JSON text, the placement it holds or None)
+        for _ in range(640):
+            rid, kind = rng.choice(rids), rng.random()
+            if kind < 0.8:
+                p = placement(rid)
+                lines.append((json.dumps(p.to_json()), p))
+            elif kind < 0.9:
+                lines.append((json.dumps({"record_id": rid.hex()}), None))
+            else:
+                lines.append((json.dumps(rng.choice([[1], 7, None, {"puf": {}}])), None))
+        lines.append((json.dumps({"record_id": stray.hex(), "puf": "x"}), None))
+        # One 200 KB line, the only one for its record, mid-file.
+        p = placement(long_rid)
+        lines.insert(320, (json.dumps({**p.to_json(), "pad": "x" * 200_000}), p))
+        # Blob ids that hold the hex of a present record and of an absent one.
+        for hidden in (rids[0], absent):
+            p = placement(rids[1], hidden + rng.randbytes(16))
+            lines.append((json.dumps(p.to_json()), p))
+        tail = json.dumps(placement(rids[2]).to_json()) if torn else ""  # whole, but no newline yet
+        index = PlacementIndex(tmp_path / "p.jsonl")
+        index.path.write_text("".join(text + "\n" for text, _ in lines) + tail, encoding="ascii")
+        assert len(lines) >= 600 and index.path.stat().st_size > 4 * BLOCK
+
+        expected = {}
+        for _, p in lines:
+            if p is not None:
+                expected[p.record_id] = p
+        assert long_rid in expected and stray not in expected
+        assert index.records() == expected
+        for rid in [*rids, long_rid, stray, absent]:
+            assert index.lookup(rid) == expected.get(rid)
 
     def test_torn_append_is_ignored_then_closed(self, tmp_path):
         index = PlacementIndex(tmp_path / "p.jsonl")
