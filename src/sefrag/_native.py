@@ -25,7 +25,8 @@ import os
 from pathlib import Path
 
 from .container import atomic_write
-from .core import KEY_LEN, REMAINDER_LEN, SUB_LEN, UNIT_LEN, _derive, _protect_chunk, _recover_chunk
+from .core import (REMAINDER_LEN, SUB_LEN, UNIT_LEN, _check_protect, _check_recover, _derive, _protect_chunk,
+                   _recover_chunk)
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # The compile command, less its "-o <library> <source>" part.
@@ -35,8 +36,8 @@ BUILD_TIMEOUT = 120  # seconds
 
 _BYTES = ctypes.c_char_p
 _SIGNATURES = {
-    "sefrag_protect": (_BYTES, _BYTES, ctypes.c_size_t, _BYTES, ctypes.c_uint64, _BYTES, _BYTES),
-    "sefrag_recover": (_BYTES, _BYTES, _BYTES, ctypes.c_size_t, _BYTES, ctypes.c_uint64, _BYTES),
+    "sefrag_protect": (_BYTES, ctypes.c_size_t, _BYTES, ctypes.c_uint64, _BYTES, _BYTES),
+    "sefrag_recover": (_BYTES, _BYTES, ctypes.c_size_t, _BYTES, ctypes.c_uint64, _BYTES),
     "sefrag_derive": (_BYTES, ctypes.c_size_t, ctypes.c_uint64, _BYTES),
 }
 
@@ -58,24 +59,21 @@ class Kernel:
             fn = getattr(self._lib, name)
             fn.argtypes, fn.restype, fn.errcheck = argtypes, ctypes.c_int, _raise_on_failure
 
-    def protect(self, units: bytes, selectors: bytes, key: bytes, first: int) -> tuple[bytes, bytes]:
-        """One chunk: ``(protected remainders, picked sub-fragments)``."""
-        count = len(selectors)
-        if len(units) != UNIT_LEN * count or len(key) != KEY_LEN:
-            raise ValueError(f"need {UNIT_LEN} unit bytes per selector and a {KEY_LEN}-byte key")
+    def protect(self, units: bytes, count: int, key: bytes, first: int) -> tuple[bytes, bytes]:
+        """``count`` units from index ``first``: ``(protected remainders,
+        picked sub-fragments)``."""
+        _check_protect(units, count, key)
         pub = ctypes.create_string_buffer(REMAINDER_LEN * count)
         picked = ctypes.create_string_buffer(SUB_LEN * count)
-        self._lib.sefrag_protect(units, selectors, count, key, first, pub, picked)
+        self._lib.sefrag_protect(units, count, key, first, pub, picked)
         return pub.raw, picked.raw
 
-    def recover(self, public: bytes, picked: bytes, selectors: bytes, key: bytes, first: int) -> bytes:
-        """One chunk: the units whose protected remainders are ``public``."""
-        count = len(selectors)
-        if len(picked) != SUB_LEN * count or len(public) != REMAINDER_LEN * count or len(key) != KEY_LEN:
-            raise ValueError(f"need {SUB_LEN} picked and {REMAINDER_LEN} remainder bytes per selector"
-                             f" and a {KEY_LEN}-byte key")
+    def recover(self, public: bytes, picked: bytes, count: int, key: bytes, first: int) -> bytes:
+        """``count`` units from index ``first`` whose protected remainders
+        are ``public``."""
+        _check_recover(public, picked, count, key)
         units = ctypes.create_string_buffer(UNIT_LEN * count)
-        self._lib.sefrag_recover(public, picked, selectors, count, key, first, units)
+        self._lib.sefrag_recover(public, picked, count, key, first, units)
         return units.raw
 
     def derive(self, suffix: bytes, iterations: int) -> bytes:

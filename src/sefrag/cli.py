@@ -31,7 +31,7 @@ from pathlib import Path
 # which is where the layer tracer hooks in.
 from . import container
 from .container import PrfContainer, PufContainer, atomic_write
-from .core import ProtectionKey
+from .core import ProtectionKey, _fromhex
 from .errors import NotFound, SefragError, UnknownRecord
 
 
@@ -60,17 +60,6 @@ def _key(args, kdf_salt: bytes) -> ProtectionKey:
     if args.passphrase or args.passphrase_file:
         return container.derive_key(_read_passphrase(args), kdf_salt)
     raise ValueError("provide --key-hex, --passphrase, or --passphrase-file")
-
-
-def _record_id(text: str) -> bytes:
-    try:
-        rid = bytes.fromhex(text)
-    except ValueError:
-        raise ValueError(f"record id must be hex, got {text!r}") from None
-    # bytes.fromhex skips whitespace, so the text's own length is checked too.
-    if len(rid) != container.FILE_ID_LEN or len(text) != 2 * container.FILE_ID_LEN:
-        raise ValueError(f"record id must be {2 * container.FILE_ID_LEN} hex chars")
-    return rid
 
 
 def _backends(args, store: Path) -> dict:
@@ -215,7 +204,7 @@ def cmd_grant_or_revoke(args) -> int:
 
     from . import sharing
 
-    record_id = _record_id(args.record)
+    record_id = _fromhex(args.record, container.FILE_ID_LEN, "record id")
     store_dir = Path(args.store)
     store_dir.mkdir(parents=True, exist_ok=True)
     with (store_dir / "policy.json.lock").open("ab") as lock:
@@ -231,7 +220,7 @@ def cmd_request(args) -> int:
     store_dir = Path(args.store)
     store = _policy_store(store_dir)
     party = sharing.Party(args.caller, args.role)
-    record_id = _record_id(args.record)
+    record_id = _fromhex(args.record, container.FILE_ID_LEN, "record id")
     placement = None
     if args.out_dir:
         placement = _placement_index(store_dir).lookup(record_id)

@@ -14,19 +14,20 @@ selected sub-fragment and keeping the one whose unit looks plausible.
 ``protect_chunks`` and ``recover_chunks`` are the one streaming pass:
 they read the content (or the two streams) through ``read(n)``
 callables and yield their output chunk by chunk, at most
-``CHUNK_UNITS`` units at a time, while the selectors and the SHA-256
-content digest advance with them in ``hashlib``.  Each chunk's
-per-unit work, like ``container.derive_key``'s loop, is one call to
-the kernel ``_kernel()`` returns, which ``sefrag._native.load`` picks:
-the native one (``_kernel.c``, built on first use) or, where it cannot
-be built, the pure-Python ``_protect_chunk``, ``_recover_chunk`` and
-``_derive``: same arguments, same length checks, selector bytes read
-mod 8, same bytes.  The chunk functions move 4-byte words with strided
-memoryview copies and choose between them with big-integer masks, so
-the keystream hash is the only per-unit Python work.  A chunk's
-working buffers, about 1 MiB at 4,096 units, do not grow with the
-content length.  ``protect`` and ``recover`` run the same pass over
-bytes held in memory.
+``CHUNK_UNITS`` units at a time, while the SHA-256 content digest
+advances with them in ``hashlib``.  Each chunk, like
+``container.derive_key``'s loop, is one call to the kernel
+``_kernel()`` returns, which ``sefrag._native.load`` picks: the native
+one (``_kernel.c``, built on first use) or, where it cannot be built,
+the pure-Python ``_protect_chunk``, ``_recover_chunk`` and ``_derive``:
+same arguments, same length checks, same bytes.  A chunk call derives
+its own selectors from the key and the index of its first unit, so each
+chunk is a pure function of its bytes, the key and that index.  The
+chunk functions move 4-byte words with strided memoryview copies and
+choose between them with big-integer masks, so the keystream hash is
+the only per-unit Python work.  A chunk's working buffers, about 1 MiB
+at 4,096 units, do not grow with the content length.  ``protect`` and
+``recover`` run the same pass over bytes held in memory.
 
 Apart from the ``read`` callables the streaming pass consumes and the
 kernel's one-time build, all functions are pure; keys and streams are
@@ -59,9 +60,20 @@ CHUNK_UNITS = 4096
 
 # A hash byte reduces to a selector mod 8, without bias since 256 % 8 == 0.
 _MOD8 = bytes(b % SUBS_PER_UNIT for b in range(256))
-# _AFTER[k] maps a selector byte to 0xff when it picks a word after word k.
-# Like the native kernel's "& 7", it reads every selector byte mod 8.
-_AFTER = [bytes(0xFF if s % SUBS_PER_UNIT > k else 0 for s in range(256)) for k in range(SUBS_PER_UNIT - 1)]
+# _AFTER[k] maps a selector to 0xff when it picks a word after word k.
+_AFTER = [bytes(0xFF if s > k else 0 for s in range(256)) for k in range(SUBS_PER_UNIT - 1)]
+
+
+def _fromhex(text: str, length: int, what: str) -> bytes:
+    """``length`` bytes written as exactly ``2 * length`` hex digits."""
+    try:
+        value = bytes.fromhex(text)
+    except ValueError:
+        raise ValueError(f"{what} must be hex, got {text!r}") from None
+    # bytes.fromhex skips whitespace, so the text's own length is checked too.
+    if len(value) != length or len(text) != 2 * length:
+        raise ValueError(f"{what} must be {2 * length} hex chars")
+    return value
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -117,7 +129,7 @@ class ProtectionKey:
 
     @classmethod
     def from_hex(cls, text: str) -> "ProtectionKey":
-        return cls(bytes.fromhex(text))
+        return cls(_fromhex(text, KEY_LEN, "protection key"))
 
     @classmethod
     def random(cls) -> "ProtectionKey":
@@ -146,19 +158,20 @@ def selector_stream(key: ProtectionKey, unit_count: int) -> bytes:
     """
     if unit_count < 0:
         raise ValueError("unit_count must be non-negative")
-    return _selectors(key, 0, unit_count)
+    return _selectors(key.bytes, 0, unit_count)
 
 
-def _selectors(key: ProtectionKey, start: int, stop: int) -> bytes:
-    """Selectors of units ``start`` to ``stop - 1``; ``start`` is a whole
-    number of blocks."""
+def _selectors(key: bytes, start: int, stop: int) -> bytes:
+    """Selectors of units ``start`` to ``stop - 1``, cut from the blocks
+    that hold them; ``start`` need not begin a block."""
     sha = hashlib.sha256
-    prefix = key.bytes + _SELECTOR_DOMAIN
+    prefix = key + _SELECTOR_DOMAIN
     blocks = b"".join([
         sha(prefix + t.to_bytes(8, "little")).digest()
         for t in range(start // SELECTORS_PER_BLOCK, -(-stop // SELECTORS_PER_BLOCK))
     ])
-    return blocks[:stop - start].translate(_MOD8)
+    skip = start % SELECTORS_PER_BLOCK
+    return blocks[skip:skip + stop - start].translate(_MOD8)
 
 
 def _keystream(picked: bytes, key: bytes, first: int) -> bytes:
@@ -193,13 +206,23 @@ def _kernel():
     return _native.load()
 
 
-def _protect_chunk(units: bytes, selectors: bytes, key: bytes, first: int) -> tuple[bytes, bytes]:
-    """Pure-Python counterpart of ``sefrag_protect``: one chunk's
-    ``(protected remainders, picked sub-fragments)``."""
-    count = len(selectors)
+def _check_protect(units: bytes, count: int, key: bytes) -> None:
     if len(units) != UNIT_LEN * count or len(key) != KEY_LEN:
-        raise ValueError(f"need {UNIT_LEN} unit bytes per selector and a {KEY_LEN}-byte key")
-    after = _after_masks(selectors)
+        raise ValueError(f"need {UNIT_LEN} bytes for each of {count} units and a {KEY_LEN}-byte key")
+
+
+def _check_recover(public: bytes, picked: bytes, count: int, key: bytes) -> None:
+    if len(picked) != SUB_LEN * count or len(public) != REMAINDER_LEN * count or len(key) != KEY_LEN:
+        raise ValueError(f"need {SUB_LEN} picked and {REMAINDER_LEN} remainder bytes for each of {count} units"
+                         f" and a {KEY_LEN}-byte key")
+
+
+def _protect_chunk(units: bytes, count: int, key: bytes, first: int) -> tuple[bytes, bytes]:
+    """Pure-Python counterpart of ``sefrag_protect``: the ``(protected
+    remainders, picked sub-fragments)`` of ``count`` units from index
+    ``first``."""
+    _check_protect(units, count, key)
+    after = _after_masks(_selectors(key, first, first + count))
     w = [_int(column) for column in _columns(units, SUBS_PER_UNIT)]
     # Remainder word k is unit word k before the pick and word k + 1 from it on.
     remainders = [w[k + 1] ^ ((w[k] ^ w[k + 1]) & after[k]) for k in range(SUBS_PER_UNIT - 1)]
@@ -210,13 +233,11 @@ def _protect_chunk(units: bytes, selectors: bytes, key: bytes, first: int) -> tu
     return _xor(_rows([_column(r, count) for r in remainders]), _keystream(picked, key, first)), picked
 
 
-def _recover_chunk(public: bytes, picked: bytes, selectors: bytes, key: bytes, first: int) -> bytes:
-    """Pure-Python counterpart of ``sefrag_recover``: one chunk's units."""
-    count = len(selectors)
-    if len(picked) != SUB_LEN * count or len(public) != REMAINDER_LEN * count or len(key) != KEY_LEN:
-        raise ValueError(f"need {SUB_LEN} picked and {REMAINDER_LEN} remainder bytes per selector"
-                         f" and a {KEY_LEN}-byte key")
-    after = _after_masks(selectors)
+def _recover_chunk(public: bytes, picked: bytes, count: int, key: bytes, first: int) -> bytes:
+    """Pure-Python counterpart of ``sefrag_recover``: the ``count`` units
+    from index ``first`` whose protected remainders are ``public``."""
+    _check_recover(public, picked, count, key)
+    after = _after_masks(_selectors(key, first, first + count))
     p = _int(picked)
     remainders = _xor(public, _keystream(picked, key, first))
     r = [_int(column) for column in _columns(remainders, SUBS_PER_UNIT - 1)]
@@ -257,7 +278,7 @@ def protect_chunks(read, content_len: int, key: ProtectionKey):
     for start, stop in _chunks(unit_count):
         units = read(UNIT_LEN * (stop - start))
         digest.update(units)
-        yield protect_chunk(units, _selectors(key, start, stop), key.bytes, start)
+        yield protect_chunk(units, stop - start, key.bytes, start)
     tail = read(tail_len)
     digest.update(tail)
     yield b"", tail + digest.digest()
@@ -278,7 +299,7 @@ def recover_chunks(read_public, read_private, content_len: int, key: ProtectionK
     for start, stop in _chunks(unit_count):
         picked = read_private(SUB_LEN * (stop - start))
         public = read_public(REMAINDER_LEN * (stop - start))
-        units = recover_chunk(public, picked, _selectors(key, start, stop), key.bytes, start)
+        units = recover_chunk(public, picked, stop - start, key.bytes, start)
         digest.update(units)
         yield units
     tail = read_private(tail_len)

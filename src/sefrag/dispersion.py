@@ -63,6 +63,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .container import PrfContainer, PufContainer, atomic_write
+from .core import _fromhex
 from .errors import (
     BackendUnavailable,
     BindError,
@@ -105,7 +106,7 @@ class BlobRef:
 
     @classmethod
     def from_hex(cls, text: str) -> "BlobRef":
-        return cls(bytes.fromhex(text))
+        return cls(_fromhex(text, 32, "blob id"))
 
     @property
     def hex(self) -> str:

@@ -117,6 +117,14 @@ class TestProtectRecover:
     def test_bad_key_hex_exits_2(self, sample):
         assert run_cli("protect", sample, "--key-hex", "zz") == 2
 
+    def test_key_hex_with_spaces_exits_2_and_writes_nothing(self, sample, tmp_path, capsys):
+        spaced = " ".join(KEY[i:i + 2] for i in range(0, 32, 2))
+        assert run_cli("protect", sample, "--key-hex", spaced, "--out-dir", tmp_path / "w") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: protection key must be 32 hex chars\n"
+        assert not (tmp_path / "w").exists()
+
     def test_passphrase_file_round_trip(self, sample, tmp_path):
         pw = tmp_path / "pw.txt"
         pw.write_bytes(b"correct horse\n")
@@ -398,6 +406,19 @@ class TestStoreCommands:
             out = tmp_path / f"fetched.{kind}"
             assert run_cli("get", ids[kind], "--store", store, "--out", out) == 0
             assert out.read_bytes() == path.read_bytes()
+
+    def test_get_id_with_spaces_exits_2_and_writes_nothing(self, sealed, tmp_path, capsys):
+        _, puf, prf = sealed
+        store = tmp_path / "store"
+        run_cli("put", puf, prf, "--store", store)
+        puf_id = capsys.readouterr().out.splitlines()[1].split()[1]
+        spaced = " ".join(puf_id[i:i + 8] for i in range(0, 64, 8))
+        out = tmp_path / "got.puf"
+        assert run_cli("get", spaced, "--store", store, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: blob id must be 64 hex chars\n"
+        assert not out.exists()
 
     def test_get_unknown_id_exits_5(self, tmp_path):
         assert run_cli("get", "00" * 32, "--store", tmp_path / "s", "--out", tmp_path / "x") == 5

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import io
+import itertools
 import random
 
 import pytest
@@ -44,6 +45,21 @@ def reference_keystream(picked: bytes, key: bytes, first: int = 0) -> bytes:
     )
 
 
+def reference_selectors(key: bytes, first: int, count: int) -> bytes:
+    """The selectors of units ``first`` to ``first + count - 1``, written
+    out unit by unit: byte u % 32 of SHA-256(key || "FRAG-SEL" || LE64(u // 32)),
+    mod 8."""
+    return bytes(
+        hashlib.sha256(key + b"FRAG-SEL" + (u // 32).to_bytes(8, "little")).digest()[u % 32] % 8
+        for u in range(first, first + count)
+    )
+
+
+def first_unit_with(selector: int, key: bytes = bytes(16)) -> int:
+    """The lowest unit index whose selector under ``key`` is ``selector``."""
+    return next(u for u in itertools.count() if reference_selectors(key, u, 1)[0] == selector)
+
+
 def reference_split(units: bytes, selectors: bytes) -> tuple[bytes, bytes]:
     """``(picked, remainders)`` of whole units, unit by unit: the 4-byte
     sub-fragment each selector names (mod 8), and the other seven in order."""
@@ -63,12 +79,7 @@ def reference_protect(content: bytes, key: ProtectionKey) -> tuple[bytes, bytes]
     and SHA-256(content).
     """
     unit_count = len(content) // 32
-    selectors = bytes(
-        b % 8
-        for t in range(-(-unit_count // 32))
-        for b in hashlib.sha256(key.bytes + b"FRAG-SEL" + t.to_bytes(8, "little")).digest()
-    )[:unit_count]
-    picked, remainders = reference_split(content[:32 * unit_count], selectors)
+    picked, remainders = reference_split(content[:32 * unit_count], reference_selectors(key.bytes, 0, unit_count))
     public = bytes(a ^ b for a, b in zip(remainders, reference_keystream(picked, key.bytes)))
     tail = content[32 * unit_count:]
     return public, picked + tail + hashlib.sha256(content).digest()
@@ -84,6 +95,12 @@ class TestProtectionKey:
     def test_from_hex_round_trip(self):
         key = ProtectionKey.from_hex("00112233445566778899aabbccddeeff")
         assert key.bytes.hex() == "00112233445566778899aabbccddeeff"
+
+    def test_from_hex_takes_exactly_32_hex_digits(self):
+        # bytes.fromhex alone would skip the whitespace and accept these.
+        for text in ("00 " * 16, "00" * 16 + "\n", " " + "00" * 16):
+            with pytest.raises(ValueError):
+                ProtectionKey.from_hex(text)
 
     def test_random_is_16_bytes(self):
         assert len(ProtectionKey.random().bytes) == 16
@@ -120,86 +137,114 @@ class TestSelectorStream:
 
 class TestSplitUnit:
     """The chunk functions take each unit's selected sub-fragment out and
-    put it back, on every kernel path."""
+    put it back, on every kernel path.  They derive the selectors from the
+    key and the unit index, so a test picks its selector by choosing the
+    unit index that has it."""
 
     UNIT = bytes(range(32))
     KEY = bytes(16)
 
-    def split(self, protect_chunk, units: bytes, selectors: bytes) -> tuple[bytes, bytes]:
-        """``(picked, remainders)`` as ``protect_chunk`` makes them: its
-        public output with the keystream taken off again."""
-        public, picked = protect_chunk(units, selectors, self.KEY, 0)
-        return picked, core._xor(public, reference_keystream(picked, self.KEY))
+    def split(self, protect_chunk, units: bytes, first: int, key: bytes = KEY) -> tuple[bytes, bytes]:
+        """``(picked, remainders)`` as ``protect_chunk`` makes them from
+        units ``first`` on: its public output with the keystream taken
+        off again."""
+        public, picked = protect_chunk(units, len(units) // 32, key, first)
+        return picked, core._xor(public, reference_keystream(picked, key, first))
 
     def test_selector_0(self, each_kernel_path):
+        first = first_unit_with(0)
         for path, protect_chunk, _ in each_kernel_path():
-            picked, remainders = self.split(protect_chunk, self.UNIT, b"\x00")
+            picked, remainders = self.split(protect_chunk, self.UNIT, first)
             assert picked == bytes.fromhex("00010203"), path
             assert remainders == self.UNIT[4:], path
 
     def test_selector_7(self, each_kernel_path):
+        first = first_unit_with(7)
         for path, protect_chunk, _ in each_kernel_path():
-            picked, remainders = self.split(protect_chunk, self.UNIT, b"\x07")
+            picked, remainders = self.split(protect_chunk, self.UNIT, first)
             assert picked == self.UNIT[28:], path
             assert remainders == self.UNIT[:28], path
 
     @pytest.mark.parametrize("selector", range(8))
     def test_reinsert_inverse(self, selector, each_kernel_path):
-        sel = bytes([selector])
+        first = first_unit_with(selector)
         off = 4 * selector
         for path, protect_chunk, recover_chunk in each_kernel_path():
-            picked, remainders = self.split(protect_chunk, self.UNIT, sel)
+            picked, remainders = self.split(protect_chunk, self.UNIT, first)
             assert picked == self.UNIT[off:off + 4], path
             assert remainders == self.UNIT[:off] + self.UNIT[off + 4:], path
-            public, _ = protect_chunk(self.UNIT, sel, self.KEY, 0)
-            assert recover_chunk(public, picked, sel, self.KEY, 0) == self.UNIT, path
+            public, _ = protect_chunk(self.UNIT, 1, self.KEY, first)
+            assert recover_chunk(public, picked, 1, self.KEY, first) == self.UNIT, path
 
     def test_mixed_selectors_match_unit_by_unit_split(self, each_kernel_path):
         rng = random.Random(11)
         count = 1000
-        units = rng.randbytes(32 * count)
-        selectors = bytes(rng.randrange(8) for _ in range(count))
+        units, key = rng.randbytes(32 * count), rng.randbytes(16)
+        selectors = reference_selectors(key, 0, count)
+        assert set(selectors) == set(range(8))
         for path, protect_chunk, recover_chunk in each_kernel_path():
-            picked, remainders = self.split(protect_chunk, units, selectors)
+            picked, remainders = self.split(protect_chunk, units, 0, key)
             for i, s in enumerate(selectors):
                 unit = units[32 * i:32 * (i + 1)]
                 assert picked[4 * i:4 * (i + 1)] == unit[4 * s:4 * s + 4], path
                 assert remainders[28 * i:28 * (i + 1)] == unit[:4 * s] + unit[4 * s + 4:], path
-            public, _ = protect_chunk(units, selectors, self.KEY, 0)
-            assert recover_chunk(public, picked, selectors, self.KEY, 0) == units, path
+            public, _ = protect_chunk(units, count, key, 0)
+            assert recover_chunk(public, picked, count, key, 0) == units, path
 
     def test_empty(self, each_kernel_path):
         for path, protect_chunk, recover_chunk in each_kernel_path():
-            assert protect_chunk(b"", b"", self.KEY, 0) == (b"", b""), path
-            assert recover_chunk(b"", b"", b"", self.KEY, 0) == b"", path
+            assert protect_chunk(b"", 0, self.KEY, 0) == (b"", b""), path
+            assert recover_chunk(b"", b"", 0, self.KEY, 0) == b"", path
 
     def test_selector_out_of_range(self, each_kernel_path):
-        # Every selector byte is read mod 8, so all 256 give the same bytes
-        # on every path: the ones the unit-by-unit split at s % 8 gives.
+        # Every selector hash byte is read mod 8.  The bytes behind these
+        # units take all 256 values, and every path gives the bytes of
+        # reference_protect, which reduces each one mod 8.
         rng = random.Random(13)
-        units, key, first = rng.randbytes(32 * 256), rng.randbytes(16), 2 ** 33
-        selectors = bytes(range(256))
-        picked, remainders = reference_split(units, selectors)
-        want = core._xor(remainders, reference_keystream(picked, key, first)), picked
+        count = 4096
+        key, units = ProtectionKey(rng.randbytes(16)), rng.randbytes(32 * count)
+        hashed = b"".join(hashlib.sha256(key.bytes + b"FRAG-SEL" + t.to_bytes(8, "little")).digest()
+                          for t in range(count // 32))
+        assert set(hashed) == set(range(256))
+        public, private = reference_protect(units, key)
+        want = public, private[:4 * count]
         for path, protect_chunk, recover_chunk in each_kernel_path():
-            assert protect_chunk(units, selectors, key, first) == want, path
-            assert recover_chunk(*want, selectors, key, first) == units, path
+            assert protect_chunk(units, count, key.bytes, 0) == want, path
+            assert recover_chunk(*want, count, key.bytes, 0) == units, path
 
     def test_bad_unit_length(self, each_kernel_path):
         for path, protect_chunk, _ in each_kernel_path():
-            for units, selectors, key in ((b"\x00" * 31, b"\x00", self.KEY), (self.UNIT, b"\x00\x00", self.KEY),
-                                          (self.UNIT, b"\x00", bytes(15))):
+            for units, count, key in ((b"\x00" * 31, 1, self.KEY), (self.UNIT, 2, self.KEY),
+                                      (self.UNIT, 1, bytes(15))):
                 with pytest.raises(ValueError):
-                    protect_chunk(units, selectors, key, 0)
+                    protect_chunk(units, count, key, 0)
+
+    @pytest.mark.parametrize("first", [0, 7, 31, 32, 33, 2 ** 40 + 5, 2 ** 64 - 1])
+    def test_picks_follow_unit_by_unit_selectors(self, first, each_kernel_path):
+        # Selector blocks are indexed by the unit index, not by the unit's
+        # place in the chunk, also when the chunk starts inside a block.
+        count = min(70, 2 ** 64 - first)
+        rng = random.Random(first)
+        units, key = rng.randbytes(32 * count), rng.randbytes(16)
+        want_picked, _ = reference_split(units, reference_selectors(key, first, count))
+        outputs = []
+        for path, protect_chunk, recover_chunk in each_kernel_path():
+            public, picked = protect_chunk(units, count, key, first)
+            assert picked == want_picked, path
+            assert recover_chunk(public, picked, count, key, first) == units, path
+            outputs.append((public, picked))
+        assert all(out == outputs[0] for out in outputs)
 
 
 def chunk_keystream(protect_chunk, picked: bytes, key: bytes, first: int = 0) -> bytes:
-    """The keystreams ``protect_chunk`` applies to units whose selected
-    sub-fragments are ``picked``: each unit is its pick then 28 zero bytes,
-    with selector 0, so its public part is its keystream."""
+    """The keystreams ``protect_chunk`` applies to units ``first`` on whose
+    selected sub-fragments are ``picked``: each unit holds its pick at the
+    offset its derived selector names and zero bytes elsewhere, so its
+    public part is its keystream."""
     count = len(picked) // 4
-    units = b"".join(picked[4 * i:4 * (i + 1)] + bytes(28) for i in range(count))
-    public, got = protect_chunk(units, bytes(count), key, first)
+    units = b"".join(bytes(4 * s) + picked[4 * i:4 * (i + 1)] + bytes(28 - 4 * s)
+                     for i, s in enumerate(reference_selectors(key, first, count)))
+    public, got = protect_chunk(units, count, key, first)
     assert got == picked
     return public
 
@@ -275,10 +320,10 @@ class TestProtectUnit:
         selector = selector_stream(key, 4)[3:4]
         _, remainder = reference_split(unit, selector)
         for path, protect_chunk, recover_chunk in each_kernel_path():
-            public, picked = protect_chunk(unit, selector, key.bytes, 3)
+            public, picked = protect_chunk(unit, 1, key.bytes, 3)
             assert public != remainder, path
             assert core._xor(public, reference_keystream(picked, key.bytes, 3)) == remainder, path
-            assert recover_chunk(public, picked, selector, key.bytes, 3) == unit, path
+            assert recover_chunk(public, picked, 1, key.bytes, 3) == unit, path
 
     def test_zero_unit_exposes_keystream(self, each_kernel_path):
         # XOR with an all-zero remainder is the keystream itself.
@@ -288,15 +333,17 @@ class TestProtectUnit:
             assert streams.puf_payload == reference_keystream(bytes(4), ZERO_KEY.bytes) == KEYSTREAM_ZERO_VECTOR, path
 
     def test_explicit_selector_matches_derived(self, each_kernel_path):
-        # The chunk function called with an explicit selector stream is protect.
+        # The chunk function called on its own is protect, and picks the
+        # sub-fragments the public selector stream names.
         rng = random.Random(9)
         key = ProtectionKey(rng.randbytes(16))
         content = rng.randbytes(32 * 10)
+        want_picked, _ = reference_split(content, selector_stream(key, 10))
         for path, protect_chunk, _ in each_kernel_path():
-            public, picked = protect_chunk(content, selector_stream(key, 10), key.bytes, 0)
+            public, picked = protect_chunk(content, 10, key.bytes, 0)
             streams = protect(content, key)
             assert streams.puf_payload == public, path
-            assert streams.prf_plain[:40] == picked, path
+            assert streams.prf_plain[:40] == picked == want_picked, path
 
 
 class TestProtect:
@@ -445,14 +492,14 @@ class TestUnprotectRemainders:
             picked = streams.prf_plain[:32]
             remainders = core._xor(streams.puf_payload, reference_keystream(picked, key.bytes))
             assert (picked, remainders) == reference_split(content, selectors), path
-            assert recover_chunk(streams.puf_payload, picked, selectors, key.bytes, 0) == content, path
+            assert recover_chunk(streams.puf_payload, picked, 8, key.bytes, 0) == content, path
 
     def test_length_checks(self, each_kernel_path):
         for path, _, recover_chunk in each_kernel_path():
             for public, picked, key in ((bytes(27), bytes(4), bytes(16)), (bytes(28), bytes(3), bytes(16)),
                                         (bytes(28), bytes(4), bytes(17))):
                 with pytest.raises(ValueError):
-                    recover_chunk(public, picked, b"\x00", key, 0)
+                    recover_chunk(public, picked, 1, key, 0)
 
 
 @functools.lru_cache(maxsize=None)

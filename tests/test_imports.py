@@ -16,6 +16,10 @@ KEY = "000102030405060708090a0b0c0d0e0f"
 # Modules only the storage, sharing, analysis and bench commands use.
 OFF_PATH = ["sefrag.analysis", "sefrag.bench", "sefrag.dispersion", "sefrag.sharing"]
 
+# Standard modules the one-shot start path must not import: logging costs
+# several milliseconds per process, and concurrent.futures imports it.
+NOT_AT_START = {"logging", "concurrent.futures"}
+
 # The package's public names; none may go missing.
 PUBLIC = """
     BackendUnavailable BadPadding BenchReport BindError BlobRef BlobServer
@@ -65,6 +69,7 @@ class TestStartPath:
         assert not set(OFF_PATH) & set(modules)
         # The native kernel loads on the first chunk or KDF call, not at import.
         assert not {"ctypes", "sefrag._native"} & set(modules)
+        assert not NOT_AT_START & set(modules)
 
     def test_protect_then_recover_with_passphrase_file(self, tmp_path):
         src = tmp_path / "scan.bin"
@@ -99,6 +104,7 @@ class TestStartPath:
         assert code == 0
         assert "sefrag._native" in modules
         assert "subprocess" not in modules
+        assert not NOT_AT_START & set(modules)
 
     def test_store_command_loads_its_modules(self, tmp_path):
         code, modules = _fresh("-c", PROBE, "get", "00" * 32, "--store", tmp_path / "s",

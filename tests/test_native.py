@@ -92,17 +92,18 @@ def test_kernel_checks_buffer_lengths_before_calling_c():
         pytest.skip(f"native kernel unavailable: {kernel.name}")
     key = bytes(16)
     with pytest.raises(ValueError):
-        kernel.protect(bytes(63), bytes(2), key, 0)
+        kernel.protect(bytes(63), 2, key, 0)
     with pytest.raises(ValueError):
-        kernel.protect(bytes(64), bytes(2), bytes(15), 0)
+        kernel.protect(bytes(64), 2, bytes(15), 0)
     with pytest.raises(ValueError):
-        kernel.recover(bytes(56), bytes(7), bytes(2), key, 0)
+        kernel.recover(bytes(56), bytes(7), 2, key, 0)
     with pytest.raises(ValueError):
-        kernel.recover(bytes(55), bytes(8), bytes(2), key, 0)
+        kernel.recover(bytes(55), bytes(8), 2, key, 0)
     with pytest.raises(ValueError):
         kernel.derive(b"pw", 0)
-    # Selector bytes above 7 are masked, never used as an offset.
-    assert kernel.protect(bytes(range(32)), b"\xff", key, 0) == kernel.protect(bytes(range(32)), b"\x07", key, 0)
+    # Unit 0's selector byte under the zero key is 0xdc: it is masked to 4,
+    # never used as an offset.
+    assert kernel.protect(bytes(range(32)), 1, key, 0)[1] == bytes(range(16, 20))
 
 
 def test_unusable_cache_falls_back_without_raising(fresh_cache, tmp_path, monkeypatch):
@@ -153,12 +154,12 @@ def test_both_kernels_have_one_interface(fresh_cache, monkeypatch):
     fallback = core._kernel()
     assert isinstance(fallback, _native.PythonKernel)
     assert fallback.name.startswith("python (") and "sefrag-no-such-compiler" in fallback.name
-    units, selectors, key = bytes(range(64)), b"\x03\x0c", bytes(range(16))
+    units, key = bytes(range(64)), bytes(range(16))
     outputs = []
     for kernel in (built, fallback):
         assert all(callable(getattr(kernel, fn)) for fn in ("protect", "recover", "derive"))
-        public, picked = kernel.protect(units, selectors, key, 5)
-        assert kernel.recover(public, picked, selectors, key, 5) == units
+        public, picked = kernel.protect(units, 2, key, 5)
+        assert kernel.recover(public, picked, 2, key, 5) == units
         with pytest.raises(ValueError):
             kernel.derive(b"pw", 0)
         outputs.append((public, picked, kernel.derive(b"pw", 3)))
