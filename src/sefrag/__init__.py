@@ -24,14 +24,14 @@ __version__ = "0.1.0"
 _HOMES = {
     "analysis": "ByteHistogram entropy histogram pdf_csv",
     "bench": "BenchReport run_bench",
-    "container": "PrfContainer PufContainer derive_key open seal strip_header",
+    "container": "PrfContainer PufContainer derive_key open seal",
     "core": "ProtectedStreams ProtectionKey protect recover",
     "dispersion": "BlobRef BlobServer DirectoryBackend Placement PlacementIndex RemoteBackend "
     "disperse",
     "errors": "BackendUnavailable BadPadding BindError CorruptBlob EmptyInput EmptyPassphrase "
     "FormatError IntegrityFailure LengthMismatch NotDicom NotFound NotOwner PairMismatch "
     "SameBackend SefragError TooShort UnknownRecord",
-    "sharing": "Decision Party PolicyStore Release Role SharePolicy grant release "
+    "sharing": "Decision Party PolicyStore Role SharePolicy grant release "
     "request_access revoke",
 }
 # Public name -> the submodule that defines it.

@@ -62,7 +62,7 @@ class Kernel:
     def protect(self, units: bytes, count: int, key: bytes, first: int) -> tuple[bytes, bytes]:
         """``count`` units from index ``first``: ``(protected remainders,
         picked sub-fragments)``."""
-        _check_protect(units, count, key)
+        _check_protect(units, count, key, first)
         pub = ctypes.create_string_buffer(REMAINDER_LEN * count)
         picked = ctypes.create_string_buffer(SUB_LEN * count)
         self._lib.sefrag_protect(units, count, key, first, pub, picked)
@@ -71,7 +71,7 @@ class Kernel:
     def recover(self, public: bytes, picked: bytes, count: int, key: bytes, first: int) -> bytes:
         """``count`` units from index ``first`` whose protected remainders
         are ``public``."""
-        _check_recover(public, picked, count, key)
+        _check_recover(public, picked, count, key, first)
         units = ctypes.create_string_buffer(UNIT_LEN * count)
         self._lib.sefrag_recover(public, picked, count, key, first, units)
         return units.raw

@@ -27,7 +27,10 @@ class ByteHistogram:
 
 
 def histogram(data: bytes) -> ByteHistogram:
-    counted = Counter(data)
+    # Counted as 1 MiB copies: Counter walks bytes faster than a view.
+    view, counted = memoryview(data), Counter()
+    for start in range(0, len(view), 1 << 20):
+        counted.update(view[start:start + (1 << 20)].tobytes())
     return ByteHistogram(tuple(counted.get(v, 0) for v in range(256)))
 
 

@@ -4,8 +4,8 @@ time the pipeline, move fragments between stores, and manage sharing.
 Exit codes are stable so scripts can branch on them:
 
     0  success
-    2  usage problem (bad flags, unreadable input, empty passphrase)
-    3  malformed container, malformed policy file, or wrong file type
+    2  usage problem (rejected flag or value, unreadable input, empty passphrase)
+    3  malformed container, policy file or --mode value, or wrong file type
     4  integrity or authorization failure
     5  missing or unusable content (empty input, unknown record or blob)
     6  network trouble (unreachable backend, bind failure)
@@ -30,7 +30,7 @@ from pathlib import Path
 # Calls go through module and class attributes (``dispersion.disperse``),
 # which is where the layer tracer hooks in.
 from . import container
-from .container import PrfContainer, PufContainer, atomic_write
+from .container import atomic_write
 from .core import ProtectionKey, _fromhex
 from .errors import NotFound, SefragError, UnknownRecord
 
@@ -109,27 +109,17 @@ def cmd_recover(args) -> int:
     return 0
 
 
-def _analysis_bytes(raw: bytes) -> bytes:
-    """Pick the protected portion of a container, or the raw bytes."""
-    if raw[:4] == container.PUF_MAGIC:
-        return PufContainer.from_bytes(raw).puf_payload
-    if raw[:4] == container.PRF_MAGIC:
-        return PrfContainer.from_bytes(raw).ciphertext
-    return raw
-
-
 def cmd_entropy(args) -> int:
     from . import analysis
 
-    data = _analysis_bytes(Path(args.path).read_bytes())
-    print("%.4f" % analysis.entropy(data))
+    print("%.4f" % analysis.entropy(container.body(Path(args.path).read_bytes())))
     return 0
 
 
 def cmd_pdf(args) -> int:
     from . import analysis
 
-    data = _analysis_bytes(Path(args.path).read_bytes())
+    data = container.body(Path(args.path).read_bytes())
     with atomic_write(args.out) as write:
         write(analysis.pdf_csv(analysis.histogram(data)).encode())
     return 0
@@ -171,8 +161,7 @@ def cmd_serve(args) -> int:
 def cmd_put(args) -> int:
     from . import dispersion
 
-    puf = PufContainer.from_bytes(Path(args.puf).read_bytes())
-    prf = PrfContainer.from_bytes(Path(args.prf).read_bytes())
+    puf, prf = Path(args.puf).read_bytes(), Path(args.prf).read_bytes()
     store = Path(args.store)
     backends = _backends(args, store)
     placement = dispersion.disperse(puf, prf, backends["device"], backends["cloud"], _placement_index(store))
@@ -234,10 +223,9 @@ def cmd_request(args) -> int:
     print(decision.value)
     if placement is not None and decision != sharing.Decision.DENIED:
         released = sharing.release(decision, placement, backends, anonymize=args.anonymize)
-        out_dir = Path(args.out_dir)
-        for suffix, data in ((".puf", released.puf_bytes), (".prf", released.prf_bytes)):
+        for suffix, data in zip((".puf", ".prf"), released):
             if data is not None:
-                with atomic_write(out_dir / (args.record + suffix)) as write:
+                with atomic_write(Path(args.out_dir) / (args.record + suffix)) as write:
                     write(data)
     return 0
 

@@ -32,13 +32,15 @@ stream in lockstep with the public payload (the picks of chunk k start
 at plaintext offset 4 * CHUNK_UNITS * k) and checks the content digest
 after the last piece.  Its pieces written through ``atomic_write`` are
 therefore renamed into place only once verified.  ``seal`` and ``open``
-run the same pass over bytes in memory.
+run the same pass over bytes in memory, on ``PufContainer`` and
+``PrfContainer``; ``put``, ``request``, ``entropy`` and ``pdf`` keep
+sealed containers as bytes and parse only their headers (``pair_id``,
+``_strip_head``, ``body``).
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import os
 import struct
@@ -163,6 +165,37 @@ def _read_prf_header(src, size: int) -> tuple[bytes, bytes, bytes, int]:
     return file_id, kdf_salt, iv, ct_len
 
 
+def pair_id(puf: bytes, prf: bytes) -> bytes:
+    """The file id that the sealed ``.puf`` and ``.prf`` bytes share, read
+    from their headers: FormatError for a malformed container, PairMismatch
+    for fragments of two records."""
+    puf_id = _read_puf_header(io.BytesIO(puf), len(puf))[1]
+    if puf_id != _read_prf_header(io.BytesIO(prf), len(prf))[0]:
+        raise PairMismatch("public and private containers carry different file ids")
+    return puf_id
+
+
+def body(raw: bytes) -> memoryview:
+    """The protected part of ``raw``: a view of a ``.puf``'s payload or a
+    ``.prf``'s ciphertext after its checked header, or of all of ``raw``
+    when it is neither."""
+    src = io.BytesIO(raw)
+    read_header = {PUF_MAGIC: _read_puf_header, PRF_MAGIC: _read_prf_header}.get(raw[:4])
+    if read_header is not None:
+        read_header(src, len(raw))
+    return memoryview(raw)[src.tell():]
+
+
+def _strip_head(puf: bytes) -> bytes:
+    """The ``.puf`` bytes ``puf`` anonymized: no head, flagged as stripped."""
+    flags, file_id, head, content_len = _read_puf_header(io.BytesIO(puf), len(puf))
+    header = _puf_header(file_id, b"", content_len, flags | FLAG_HEADER_STRIPPED)
+    # The payload follows the fixed-size header and the head: one copy.
+    return header + memoryview(puf)[len(header) + len(head):]
+
+
+# The in-memory pair of ``seal`` and ``open``.  Only ``from_bytes`` builds
+# them here, after the header parser has checked every field.
 @dataclass(frozen=True)
 class PufContainer:
     file_id: bytes
@@ -170,16 +203,6 @@ class PufContainer:
     puf_payload: bytes
     head: bytes = b""
     flags: int = 0
-
-    def __post_init__(self):
-        if len(self.file_id) != FILE_ID_LEN:
-            raise ValueError("file_id must be 16 bytes")
-        if len(self.puf_payload) != core.REMAINDER_LEN * self.unit_count:
-            raise ValueError("public payload length inconsistent with content length")
-
-    @property
-    def unit_count(self) -> int:
-        return self.original_content_len // core.UNIT_LEN
 
     def to_bytes(self) -> bytes:
         return _puf_header(self.file_id, self.head, self.original_content_len, self.flags) + self.puf_payload
@@ -203,14 +226,6 @@ class PrfContainer:
     kdf_salt: bytes
     iv: bytes
     ciphertext: bytes
-
-    def __post_init__(self):
-        if len(self.file_id) != FILE_ID_LEN:
-            raise ValueError("file_id must be 16 bytes")
-        if len(self.kdf_salt) != 16 or len(self.iv) != 16:
-            raise ValueError("kdf_salt and iv must be 16 bytes")
-        if len(self.ciphertext) % 16 or not self.ciphertext:
-            raise ValueError("ciphertext must be a non-empty multiple of 16 bytes")
 
     def to_bytes(self) -> bytes:
         return _prf_header(self.file_id, self.kdf_salt, self.iv, len(self.ciphertext)) + self.ciphertext
@@ -328,11 +343,6 @@ def open(puf: PufContainer, prf: PrfContainer, key: ProtectionKey) -> bytes:
     """Inverse of ``seal``: ``open_stream`` over the pair in memory;
     returns head + content, or raises as ``open_stream`` does."""
     return b"".join(open_stream(io.BytesIO(puf.to_bytes()), io.BytesIO(prf.to_bytes()), lambda _salt: key))
-
-
-def strip_header(puf: PufContainer) -> PufContainer:
-    """Copy of the container with its plaintext head removed (anonymized)."""
-    return dataclasses.replace(puf, head=b"", flags=puf.flags | FLAG_HEADER_STRIPPED)
 
 
 @contextlib.contextmanager

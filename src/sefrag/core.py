@@ -206,22 +206,25 @@ def _kernel():
     return _native.load()
 
 
-def _check_protect(units: bytes, count: int, key: bytes) -> None:
-    if len(units) != UNIT_LEN * count or len(key) != KEY_LEN:
-        raise ValueError(f"need {UNIT_LEN} bytes for each of {count} units and a {KEY_LEN}-byte key")
-
-
-def _check_recover(public: bytes, picked: bytes, count: int, key: bytes) -> None:
-    if len(picked) != SUB_LEN * count or len(public) != REMAINDER_LEN * count or len(key) != KEY_LEN:
-        raise ValueError(f"need {SUB_LEN} picked and {REMAINDER_LEN} remainder bytes for each of {count} units"
+def _check_protect(units: bytes, count: int, key: bytes, first: int) -> None:
+    # Unit indices are u64 in C: both kernels refuse what would wrap there.
+    if len(units) != UNIT_LEN * count or len(key) != KEY_LEN or not 0 <= first <= 2**64 - count:
+        raise ValueError(f"need {UNIT_LEN} bytes for each of {count} units from index {first} below 2**64"
                          f" and a {KEY_LEN}-byte key")
+
+
+def _check_recover(public: bytes, picked: bytes, count: int, key: bytes, first: int) -> None:
+    if len(picked) != SUB_LEN * count or len(public) != REMAINDER_LEN * count or len(key) != KEY_LEN \
+            or not 0 <= first <= 2**64 - count:
+        raise ValueError(f"need {SUB_LEN} picked and {REMAINDER_LEN} remainder bytes for each of {count} units"
+                         f" from index {first} below 2**64 and a {KEY_LEN}-byte key")
 
 
 def _protect_chunk(units: bytes, count: int, key: bytes, first: int) -> tuple[bytes, bytes]:
     """Pure-Python counterpart of ``sefrag_protect``: the ``(protected
     remainders, picked sub-fragments)`` of ``count`` units from index
     ``first``."""
-    _check_protect(units, count, key)
+    _check_protect(units, count, key, first)
     after = _after_masks(_selectors(key, first, first + count))
     w = [_int(column) for column in _columns(units, SUBS_PER_UNIT)]
     # Remainder word k is unit word k before the pick and word k + 1 from it on.
@@ -236,7 +239,7 @@ def _protect_chunk(units: bytes, count: int, key: bytes, first: int) -> tuple[by
 def _recover_chunk(public: bytes, picked: bytes, count: int, key: bytes, first: int) -> bytes:
     """Pure-Python counterpart of ``sefrag_recover``: the ``count`` units
     from index ``first`` whose protected remainders are ``public``."""
-    _check_recover(public, picked, count, key)
+    _check_recover(public, picked, count, key, first)
     after = _after_masks(_selectors(key, first, first + count))
     p = _int(picked)
     remainders = _xor(public, _keystream(picked, key, first))

@@ -17,8 +17,12 @@ Wire protocol, one TCP connection carrying any number of requests::
 
 The server re-verifies that a PUT id matches the payload hash and
 answers ERROR otherwise, as it does when its own store fails; the
-connection is then served on.  Payloads are capped at 1 GiB.  An unknown
-opcode gets ERROR and a closed connection: its frame length is unknown.
+connection is then served on.  ERROR carries no reason, so the client
+cannot tell a corrupt blob from a failed store: a PUT answered ERROR
+raises ``BackendUnavailable`` (exit 6) and a GET answered ERROR raises
+``CorruptBlob`` (exit 4), whatever went wrong on the server.  Payloads
+are capped at 1 GiB.  An unknown opcode gets ERROR and a closed
+connection: its frame length is unknown.
 A connection whose client sends nothing, or stops partway through a
 frame, for ``REMOTE_TIMEOUT`` seconds (10) is closed by the server.
 
@@ -62,7 +66,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
-from .container import PrfContainer, PufContainer, atomic_write
+from .container import atomic_write, pair_id
 from .core import _fromhex
 from .errors import (
     BackendUnavailable,
@@ -70,7 +74,6 @@ from .errors import (
     CorruptBlob,
     FormatError,
     NotFound,
-    PairMismatch,
     SameBackend,
 )
 
@@ -383,15 +386,18 @@ class PlacementIndex:
 
 
 def disperse(
-    puf: PufContainer,
-    prf: PrfContainer,
+    puf: bytes,
+    prf: bytes,
     device_backend: DirectoryBackend | RemoteBackend,
     cloud_backend: DirectoryBackend | RemoteBackend,
     index: PlacementIndex,
 ) -> Placement:
-    """Store the pair per the dispersion rule and record the placement.
+    """Store the sealed pair, given as container bytes, per the
+    dispersion rule and record the placement.
 
-    The public fragment goes to the cloud first; the private fragment is
+    Only the two headers are parsed, to check that the pair shares one
+    file id (``container.pair_id``); the bytes are stored as given.  The
+    public fragment goes to the cloud first; the private fragment is
     stored only after that succeeds, so a cloud failure leaves no partial
     placement behind.  If the device then fails, the cloud blob is
     deleted again (best effort) unless the index already records it for
@@ -401,13 +407,12 @@ def disperse(
         raise SameBackend(
             f"public and private fragments must not share backend {cloud_backend.name!r}"
         )
-    if puf.file_id != prf.file_id:
-        raise PairMismatch("public and private containers carry different file ids")
-    puf_ref = cloud_backend.put(puf.to_bytes())
+    record_id = pair_id(puf, prf)
+    puf_ref = cloud_backend.put(puf)
     try:
-        prf_ref = device_backend.put(prf.to_bytes())
+        prf_ref = device_backend.put(prf)
     except Exception:
-        prior = index.lookup(puf.file_id)
+        prior = index.lookup(record_id)
         if prior is None or prior.puf_ref != puf_ref:
             try:
                 cloud_backend.delete(puf_ref)
@@ -415,7 +420,7 @@ def disperse(
                 pass
         raise
     placement = Placement(
-        record_id=puf.file_id,
+        record_id=record_id,
         puf_ref=puf_ref,
         puf_backend=cloud_backend.name,
         prf_ref=prf_ref,

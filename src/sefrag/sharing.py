@@ -168,34 +168,24 @@ def request_access(store: PolicyStore, party: Party, record_id: bytes) -> Decisi
     return Decision.PUF_ONLY
 
 
-@dataclass(frozen=True)
-class Release:
-    """Container bytes handed to a recipient; absent parts are None."""
-
-    decision: Decision
-    puf_bytes: bytes | None = None
-    prf_bytes: bytes | None = None
-
-
 def release(
     decision: Decision,
     placement: Placement,
     backends: Mapping[str, DirectoryBackend | RemoteBackend],
     anonymize: bool = False,
-) -> Release:
-    """Fetch and deliver the fragments a decision allows.
+) -> tuple[bytes | None, bytes | None]:
+    """Fetch the fragments a decision allows: the ``.puf`` and ``.prf``
+    container bytes, each None when withheld.
 
     ``anonymize`` strips the plaintext file header from the released
     public container (identity markers live there in most record
     formats); the protected content is untouched.
     """
     if decision == Decision.DENIED:
-        return Release(decision)
-    puf_raw = backends[placement.puf_backend].get(placement.puf_ref)
+        return None, None
+    puf = backends[placement.puf_backend].get(placement.puf_ref)
     if anonymize:
-        puf = container.PufContainer.from_bytes(puf_raw)
-        puf_raw = container.strip_header(puf).to_bytes()
+        puf = container._strip_head(puf)
     if decision == Decision.PUF_ONLY:
-        return Release(decision, puf_bytes=puf_raw)
-    prf_raw = backends[placement.prf_backend].get(placement.prf_ref)
-    return Release(decision, puf_bytes=puf_raw, prf_bytes=prf_raw)
+        return puf, None
+    return puf, backends[placement.prf_backend].get(placement.prf_ref)

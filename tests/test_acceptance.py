@@ -196,16 +196,16 @@ def test_dispersion_rule(tmp_path):
         index = PlacementIndex(tmp_path / "placements.jsonl")
         device = DirectoryBackend(tmp_path / "device", name="device")
         with pytest.raises(SameBackend):
-            dispersion.disperse(puf, prf, device, device, index)
+            dispersion.disperse(puf.to_bytes(), prf.to_bytes(), device, device, index)
         with pytest.raises(SameBackend):
             dispersion.disperse(
-                puf, prf, DirectoryBackend(tmp_path / "a", name="store"),
+                puf.to_bytes(), prf.to_bytes(), DirectoryBackend(tmp_path / "a", name="store"),
                 DirectoryBackend(tmp_path / "b", name="store"), index,
             )
 
         with BlobServer("127.0.0.1", 0, tmp_path / "srv") as server:
             cloud = RemoteBackend(*server.server_address, name="cloud")
-            placement = dispersion.disperse(puf, prf, device, cloud, index)
+            placement = dispersion.disperse(puf.to_bytes(), prf.to_bytes(), device, cloud, index)
 
             got_puf = container.PufContainer.from_bytes(cloud.get(placement.puf_ref))
             got_prf = container.PrfContainer.from_bytes(device.get(placement.prf_ref))

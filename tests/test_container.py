@@ -15,13 +15,11 @@ from hypothesis import strategies as st
 
 from sefrag import container
 from sefrag.container import (
-    FLAG_HEADER_STRIPPED,
     PrfContainer,
     PufContainer,
     atomic_write,
     derive_key,
     seal,
-    strip_header,
 )
 from sefrag.core import ProtectionKey
 from sefrag.errors import (
@@ -189,11 +187,45 @@ class TestSerialization:
     @given(CONTAINER_BYTES)
     @settings(max_examples=300, deadline=None)
     def test_only_sefrag_errors_escape_parsers(self, raw):
-        for read in (PufContainer.from_bytes, PrfContainer.from_bytes, _open_as_puf, _open_as_prf):
+        for read in (PufContainer.from_bytes, PrfContainer.from_bytes, _open_as_puf, _open_as_prf, container.body,
+                     lambda raw: container.pair_id(raw, _SEALED[1]), lambda raw: container.pair_id(_SEALED[0], raw)):
             try:
                 read(raw)
             except SefragError:
                 pass
+
+
+class TestHeaderCodec:
+    """``pair_id`` and ``body`` read sealed bytes through the header parsers."""
+
+    def test_pair_id_is_the_shared_file_id(self):
+        puf, prf = seal(b"paired" * 40, KEY, mode="fixed:3")
+        assert container.pair_id(puf.to_bytes(), prf.to_bytes()) == puf.file_id == prf.file_id
+
+    def test_pair_id_rejects_foreign_and_malformed_pairs(self):
+        puf, prf = (c.to_bytes() for c in seal(b"one" * 40, KEY))
+        other_prf = seal(b"two" * 40, KEY)[1].to_bytes()
+        with pytest.raises(PairMismatch, match="^public and private containers carry different file ids$"):
+            container.pair_id(puf, other_prf)
+        with pytest.raises(FormatError, match="bad public container magic"):
+            container.pair_id(prf, puf)
+        with pytest.raises(FormatError, match="private container truncated"):
+            container.pair_id(puf, prf[:40])
+
+    def test_body_is_a_view_of_the_protected_part(self):
+        puf, prf = seal(make_dicom(b"body" * 100), KEY, mode="dicom")
+        for sealed, part in ((puf.to_bytes(), puf.puf_payload), (prf.to_bytes(), prf.ciphertext)):
+            view = container.body(sealed)
+            assert view == part
+            assert view.obj is sealed
+        plain = b"neither container" * 3
+        assert container.body(plain) == plain
+
+    def test_body_of_a_malformed_container_raises(self):
+        with pytest.raises(FormatError, match="public container body length mismatch"):
+            container.body(_SEALED[0][:-1])
+        with pytest.raises(FormatError, match="unsupported private container version"):
+            container.body(_SEALED[1][:4] + b"\x02" + _SEALED[1][5:])
 
 
 class TestSealOpen:
@@ -258,21 +290,6 @@ class TestSealOpen:
         salt = bytes(range(16))
         _, prf = seal(b"z" * 50, KEY, kdf_salt=salt)
         assert PrfContainer.from_bytes(prf.to_bytes()).kdf_salt == salt
-
-
-class TestStripHeader:
-    def test_strip_sets_flag_and_drops_head(self):
-        data = make_dicom(b"body bytes" * 20)
-        puf, prf = seal(data, KEY, mode="dicom")
-        assert puf.head != b""
-        stripped = strip_header(puf)
-        assert stripped.head == b""
-        assert stripped.flags & FLAG_HEADER_STRIPPED
-        reparsed = PufContainer.from_bytes(stripped.to_bytes())
-        assert reparsed == stripped
-        # Content still recovers; only the plaintext head is gone.
-        recovered = container.open(stripped, prf, KEY)
-        assert recovered == data[132:]
 
 
 class TestDeriveKey:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sefrag import core
+from sefrag import _native, core
 from sefrag.core import CHUNK_UNITS, ProtectionKey, protect, recover, selector_stream
 from sefrag.errors import IntegrityFailure, LengthMismatch
 
@@ -539,3 +539,20 @@ class TestKernelPaths:
         for pub, priv in ((public[:self.C], private), (public, private[:100]), (public, private[:99])):
             with pytest.raises(ValueError):
                 list(core.recover_chunks(io.BytesIO(pub).read, io.BytesIO(priv).read, len(content), key))
+
+    def test_unit_indices_past_u64_raise_on_both_kernels(self, each_kernel_path):
+        # C takes the first unit index as a u64; neither kernel may wrap it.
+        rng = random.Random(2**64)
+        units, key = rng.randbytes(64), rng.randbytes(16)
+        outputs = []
+        for path, protect_chunk, recover_chunk in each_kernel_path():
+            public, picked = protect_chunk(units, 2, key, 2**64 - 2)
+            assert recover_chunk(public, picked, 2, key, 2**64 - 2) == units, path
+            outputs.append((public, picked))
+            for first in (-1, 2**64 - 1):
+                with pytest.raises(ValueError):
+                    protect_chunk(units, 2, key, first)
+                with pytest.raises(ValueError):
+                    recover_chunk(public, picked, 2, key, first)
+        assert all(out == outputs[0] for out in outputs)
+        assert len(outputs) == 1 + isinstance(_native.load(), _native.Kernel)

@@ -36,6 +36,7 @@ from sefrag.errors import (
     BackendUnavailable,
     BindError,
     CorruptBlob,
+    FormatError,
     IntegrityFailure,
     NotFound,
     PairMismatch,
@@ -424,10 +425,10 @@ class TestDisperse:
         index = PlacementIndex(tmp_path / "placements.jsonl")
         puf, prf = seal(b"data" * 50, KEY)
         with pytest.raises(SameBackend):
-            disperse(puf, prf, backend, backend, index)
+            disperse(puf.to_bytes(), prf.to_bytes(), backend, backend, index)
         same_name = DirectoryBackend(tmp_path / "b", name="only")
         with pytest.raises(SameBackend):
-            disperse(puf, prf, backend, same_name, index)
+            disperse(puf.to_bytes(), prf.to_bytes(), backend, same_name, index)
         assert stored_files(tmp_path) == []
 
     def test_mismatched_pair_rejected_before_any_put(self, tmp_path):
@@ -437,9 +438,32 @@ class TestDisperse:
         puf, _ = seal(b"one record" * 30, KEY)
         _, prf = seal(b"another record" * 30, KEY)
         with pytest.raises(PairMismatch, match="carry different file ids"):
-            disperse(puf, prf, device, cloud, index)
+            disperse(puf.to_bytes(), prf.to_bytes(), device, cloud, index)
         assert stored_files(tmp_path) == []
         assert index.records() == {}
+
+    def test_malformed_container_rejected_before_any_put(self, tmp_path):
+        device = DirectoryBackend(tmp_path / "device", name="device")
+        cloud = DirectoryBackend(tmp_path / "cloud", name="cloud")
+        index = PlacementIndex(tmp_path / "placements.jsonl")
+        puf, prf = (c.to_bytes() for c in seal(b"one record" * 30, KEY))
+        for bad_puf, bad_prf, message in ((prf, prf, "bad public container magic"),
+                                          (puf, puf, "bad private container magic"),
+                                          (puf[:-1], prf, "public container body length mismatch"),
+                                          (puf, prf + b"x", "private container body length mismatch")):
+            with pytest.raises(FormatError, match=message):
+                disperse(bad_puf, bad_prf, device, cloud, index)
+        assert stored_files(tmp_path) == []
+
+    def test_stores_the_container_bytes_as_given(self, tmp_path):
+        device = DirectoryBackend(tmp_path / "device", name="device")
+        cloud = DirectoryBackend(tmp_path / "cloud", name="cloud")
+        puf, prf = seal(b"kept byte for byte" * 30, KEY, mode="fixed:5")
+        placement = disperse(puf.to_bytes(), prf.to_bytes(), device, cloud,
+                             PlacementIndex(tmp_path / "placements.jsonl"))
+        assert cloud.get(placement.puf_ref) == puf.to_bytes()
+        assert device.get(placement.prf_ref) == prf.to_bytes()
+        assert placement.record_id == puf.file_id == prf.file_id
 
     def test_round_trip_through_backends(self, tmp_path):
         device = DirectoryBackend(tmp_path / "device", name="device")
@@ -447,7 +471,7 @@ class TestDisperse:
         index = PlacementIndex(tmp_path / "placements.jsonl")
         data = b"\x07\x08" * 500
         puf, prf = seal(data, KEY)
-        placement = disperse(puf, prf, device, cloud, index)
+        placement = disperse(puf.to_bytes(), prf.to_bytes(), device, cloud, index)
         assert placement.record_id == puf.file_id
         assert placement.puf_backend == "cloud" and placement.prf_backend == "device"
 
@@ -462,7 +486,7 @@ class TestDisperse:
         index = PlacementIndex(tmp_path / "placements.jsonl")
         puf, prf = seal(b"unlucky" * 30, KEY)
         with pytest.raises(BackendUnavailable):
-            disperse(puf, prf, device, cloud, index)
+            disperse(puf.to_bytes(), prf.to_bytes(), device, cloud, index)
         assert stored_files(tmp_path / "device") == []
         assert index.lookup(puf.file_id) is None
 
@@ -472,7 +496,7 @@ class TestDisperse:
         index = PlacementIndex(tmp_path / "placements.jsonl")
         puf, prf = seal(b"half placed" * 30, KEY)
         with pytest.raises(BackendUnavailable):
-            disperse(puf, prf, device, cloud, index)
+            disperse(puf.to_bytes(), prf.to_bytes(), device, cloud, index)
         assert stored_files(tmp_path / "cloud") == []
         assert index.lookup(puf.file_id) is None
         assert index.records() == {}
@@ -481,10 +505,11 @@ class TestDisperse:
         cloud = DirectoryBackend(tmp_path / "cloud", name="cloud")
         index = PlacementIndex(tmp_path / "placements.jsonl")
         puf, prf = seal(b"placed twice" * 30, KEY)
-        placement = disperse(puf, prf, DirectoryBackend(tmp_path / "device", name="device"), cloud, index)
+        device = DirectoryBackend(tmp_path / "device", name="device")
+        placement = disperse(puf.to_bytes(), prf.to_bytes(), device, cloud, index)
         failing = _FailingBackend(tmp_path / "device", name="device")
         with pytest.raises(BackendUnavailable):
-            disperse(puf, prf, failing, cloud, index)
+            disperse(puf.to_bytes(), prf.to_bytes(), failing, cloud, index)
         assert cloud.get(placement.puf_ref) == puf.to_bytes()
         assert index.lookup(puf.file_id) == placement
 
@@ -495,9 +520,10 @@ class TestDisperse:
         cloud = DirectoryBackend(tmp_path / "cloud", name="cloud")
         data = bytes(1024)
         puf, prf = seal(data, KEY)
-        placement = disperse(puf, prf, device, cloud, PlacementIndex(tmp_path / "placements.jsonl"))
+        index = PlacementIndex(tmp_path / "placements.jsonl")
+        placement = disperse(puf.to_bytes(), prf.to_bytes(), device, cloud, index)
         stolen = container.PufContainer.from_bytes(cloud.get(placement.puf_ref))
-        zero_prf_plain = bytes(4 * stolen.unit_count + stolen.original_content_len % 32 + 32)
+        zero_prf_plain = bytes(4 * (stolen.original_content_len // 32) + stolen.original_content_len % 32 + 32)
         with pytest.raises(IntegrityFailure):
             core.recover(stolen.puf_payload, zero_prf_plain, KEY)
 

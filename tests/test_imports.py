@@ -26,10 +26,10 @@ PUBLIC = """
     ByteHistogram CorruptBlob Decision DirectoryBackend EmptyInput EmptyPassphrase
     FormatError IntegrityFailure LengthMismatch NotDicom NotFound NotOwner
     PairMismatch Party Placement PlacementIndex PolicyStore PrfContainer ProtectedStreams
-    ProtectionKey PufContainer Release RemoteBackend Role SameBackend SefragError
+    ProtectionKey PufContainer RemoteBackend Role SameBackend SefragError
     SharePolicy TooShort UnknownRecord derive_key disperse entropy grant
     histogram open pdf_csv protect recover release request_access revoke run_bench seal
-    strip_header __version__
+    __version__
 """.split()
 
 # Runs ``python -m sefrag ARGV`` the way the interpreter does, then reports

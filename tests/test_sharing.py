@@ -1,5 +1,6 @@
 """Policy semantics, persistence, and release behavior."""
 
+import dataclasses
 import errno
 import json
 import os
@@ -18,7 +19,6 @@ from sefrag.sharing import (
     Decision,
     Party,
     PolicyStore,
-    Release,
     grant,
     release,
     request_access,
@@ -216,7 +216,8 @@ def placed(tmp_path):
     cloud = DirectoryBackend(tmp_path / "cloud", name="cloud")
     data = bytes(128) + b"DICM" + b"\x42" * 600
     puf, prf = seal(data, KEY, mode="dicom")
-    placement = disperse(puf, prf, device, cloud, PlacementIndex(tmp_path / "placements.jsonl"))
+    index = PlacementIndex(tmp_path / "placements.jsonl")
+    placement = disperse(puf.to_bytes(), prf.to_bytes(), device, cloud, index)
     backends = {"device": device, "cloud": cloud}
     return data, placement, backends
 
@@ -224,38 +225,56 @@ def placed(tmp_path):
 class TestRelease:
     def test_full_release_reconstructs(self, placed):
         data, placement, backends = placed
-        out = release(Decision.FULL, placement, backends)
-        puf = container.PufContainer.from_bytes(out.puf_bytes)
-        prf = container.PrfContainer.from_bytes(out.prf_bytes)
+        puf_bytes, prf_bytes = release(Decision.FULL, placement, backends)
+        puf = container.PufContainer.from_bytes(puf_bytes)
+        prf = container.PrfContainer.from_bytes(prf_bytes)
         assert container.open(puf, prf, KEY) == data
 
     def test_puf_only_release_useless_even_with_key(self, placed):
         data, placement, backends = placed
-        out = release(Decision.PUF_ONLY, placement, backends)
-        assert out.prf_bytes is None
-        puf = container.PufContainer.from_bytes(out.puf_bytes)
-        guessed = bytes(4 * puf.unit_count + puf.original_content_len % 32 + 32)
+        puf_bytes, prf_bytes = release(Decision.PUF_ONLY, placement, backends)
+        assert prf_bytes is None
+        puf = container.PufContainer.from_bytes(puf_bytes)
+        guessed = bytes(4 * (puf.original_content_len // 32) + puf.original_content_len % 32 + 32)
         with pytest.raises(IntegrityFailure):
             core.recover(puf.puf_payload, guessed, KEY)
 
     def test_denied_release_delivers_nothing(self, placed):
         _, placement, backends = placed
-        assert release(Decision.DENIED, placement, backends) == Release(Decision.DENIED)
+        assert release(Decision.DENIED, placement, backends) == (None, None)
 
     def test_anonymize_strips_head(self, placed):
         _, placement, backends = placed
-        out = release(Decision.FULL, placement, backends, anonymize=True)
-        puf = container.PufContainer.from_bytes(out.puf_bytes)
+        puf_bytes, _ = release(Decision.FULL, placement, backends, anonymize=True)
+        puf = container.PufContainer.from_bytes(puf_bytes)
         assert puf.head == b""
         assert puf.flags & FLAG_HEADER_STRIPPED
-        assert b"DICM" not in out.puf_bytes
+        assert b"DICM" not in puf_bytes
+
+    def test_anonymize_sets_flag_and_drops_only_the_head(self, placed):
+        # Only the head goes: the rest of the header is kept, and the pair
+        # still opens to the content.
+        data, placement, backends = placed
+        plain, prf_bytes = release(Decision.FULL, placement, backends)
+        original = PufContainer.from_bytes(plain)
+        assert original.head != b""
+        stripped_bytes, anon_prf = release(Decision.FULL, placement, backends, anonymize=True)
+        assert anon_prf == prf_bytes
+        stripped = PufContainer.from_bytes(stripped_bytes)
+        assert stripped.head == b""
+        assert stripped.flags & FLAG_HEADER_STRIPPED
+        assert stripped == dataclasses.replace(original, head=b"", flags=original.flags | FLAG_HEADER_STRIPPED)
+        assert stripped.to_bytes() == stripped_bytes
+        # Content still recovers; only the plaintext head is gone.
+        recovered = container.open(stripped, container.PrfContainer.from_bytes(prf_bytes), KEY)
+        assert recovered == data[132:]
 
     def test_cross_record_prf_grants_nothing(self, placed, tmp_path):
         # Compromise containment: record A's private fragment says nothing
         # about record B.
         data, placement, backends = placed
-        out_a = release(Decision.FULL, placement, backends)
+        _, prf_bytes = release(Decision.FULL, placement, backends)
         puf_b, _ = seal(b"other record" * 40, KEY)
-        prf_a = container.PrfContainer.from_bytes(out_a.prf_bytes)
+        prf_a = container.PrfContainer.from_bytes(prf_bytes)
         with pytest.raises(PairMismatch):
             container.open(puf_b, prf_a, KEY)

@@ -176,6 +176,50 @@ class TestBoundedMemory:
         assert recover64 - recover8 < 16, peaks
 
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+    def test_commands_on_sealed_pairs_hold_each_container_about_once(self, tmp_path, capsys):
+        # put, entropy and an anonymized request pass sealed containers
+        # through as bytes: between 8 and 32 MiB their peak grows by about
+        # the bytes they hold, not by a second or third copy.
+        head = 64
+        peaks, sizes = {}, {}
+        for mib in (8, 32):
+            src, vault, store = tmp_path / f"scan{mib}.bin", tmp_path / f"vault{mib}", tmp_path / f"store{mib}"
+            with src.open("wb") as f:
+                for _ in range(mib):
+                    f.write(os.urandom(1 << 20))
+                f.write(os.urandom(head) + b"7 bytes")
+            capsys.readouterr()
+            assert cli.main(["protect", str(src), "--mode", f"fixed:{head}", "--key-hex", KEY,
+                             "--out-dir", str(vault)]) == 0
+            record = capsys.readouterr().out.strip()
+            puf, prf = vault / f"scan{mib}.puf", vault / f"scan{mib}.prf"
+            pair = puf.stat().st_size + prf.stat().st_size
+            payload = puf.stat().st_size - container._PUF_HEADER.size - head
+            out = tmp_path / f"out{mib}"
+            peaks[mib] = (
+                _peak_rss_mib(["put", puf, prf, "--store", store], tmp_path),
+                _peak_rss_mib(["entropy", puf], tmp_path),
+                _peak_rss_mib(["request", record, "--as", "alice", "--role", "owner", "--store", store,
+                               "--out-dir", out, "--anonymize"], tmp_path),
+            )
+            sizes[mib] = pair / (1 << 20), payload / (1 << 20)
+            released = out / f"{record}.puf"
+            assert released.stat().st_size == puf.stat().st_size - head
+            assert (out / f"{record}.prf").read_bytes() == prf.read_bytes()
+            back = tmp_path / f"back{mib}.bin"
+            assert cli.main(["recover", str(released), str(out / f"{record}.prf"), "--key-hex", KEY,
+                             "--out", str(back)]) == 0
+            with src.open("rb") as f:
+                f.seek(head)
+                assert _sha256_file(back) == hashlib.sha256(f.read()).digest()
+        pair_growth, payload_growth = (b - a for a, b in zip(sizes[8], sizes[32]))
+        (put8, entropy8, request8), (put32, entropy32, request32) = peaks[8], peaks[32]
+        assert put32 - put8 <= 1.5 * pair_growth, (peaks, sizes)
+        assert entropy32 - entropy8 <= 1.5 * payload_growth, (peaks, sizes)
+        assert request32 - request8 <= 2 * pair_growth, (peaks, sizes)
+
+
 class TestFailedRecover:
     def test_flipped_byte_in_last_chunk_keeps_existing_output(self, tmp_path, capsys):
         src = tmp_path / "scan.bin"
