@@ -1,13 +1,14 @@
-/* Native per-chunk kernel and KDF for sefrag, over libcrypto's SHA-256.
+/* Native per-chunk kernel, KDF and AES-128-CBC for sefrag, over libcrypto.
  *
  * Plain C with no Python headers; sefrag._native builds it on first use
  * (cc -O2 -shared -fPIC ... -lcrypto) and calls it through ctypes.  Each
- * function is the byte-for-byte equivalent of a pure-Python function in
- * sefrag.core, which stays the reference:
+ * function is the byte-for-byte equivalent of a pure-Python function,
+ * which stays the reference:
  *
  *   sefrag_protect  core._protect_chunk: one chunk, gather -> keystream -> XOR
  *   sefrag_recover  core._recover_chunk: one chunk, keystream -> XOR -> scatter
  *   sefrag_derive   core._derive: the whole derive_key loop
+ *   sefrag_cbc      container._cbc: AES-128-CBC over whole blocks, no padding
  *
  * A chunk is a pure function of its bytes, the key and the index of its
  * first unit.  Unit u's selector is byte u % 32 of selector block u / 32,
@@ -25,6 +26,7 @@
 #include <stdint.h>
 #include <string.h>
 
+#include <openssl/evp.h>
 #include <openssl/sha.h>
 
 #define UNIT_LEN 32
@@ -159,4 +161,19 @@ int sefrag_derive(const unsigned char *suffix, size_t suffix_len, uint64_t itera
     }
     memcpy(out, x, x_len);
     return 0;
+}
+
+/* AES-128-CBC over len bytes, a whole number of blocks that fits an int,
+ * with padding off: encrypt when encrypt is 1, decrypt when it is 0.
+ * key and iv: 16 bytes each; out: len bytes. */
+int sefrag_cbc(const unsigned char *key, const unsigned char *iv, const unsigned char *in, size_t len, int encrypt,
+               unsigned char *out)
+{
+    EVP_CIPHER_CTX *ctx = EVP_CIPHER_CTX_new();
+    int n = 0;
+    int ok = ctx && EVP_CipherInit_ex(ctx, EVP_aes_128_cbc(), NULL, key, iv, encrypt)
+             && EVP_CIPHER_CTX_set_padding(ctx, 0) && EVP_CipherUpdate(ctx, out, &n, in, (int)len)
+             && (size_t)n == len;
+    EVP_CIPHER_CTX_free(ctx);
+    return ok ? 0 : -1;
 }

@@ -12,7 +12,8 @@ unwritable cache) leaves no library; its first error line is recorded
 under the same name, no later process retries (delete the cache
 directory to retry), and ``load`` returns a ``PythonKernel``, which
 gives the same bytes.  Both kernels have ``protect``, ``recover``,
-``derive`` and a ``name``: ``native (<library>)`` or ``python (<why>)``.
+``derive``, ``cbc`` and a ``name``: ``native (<library>)`` or
+``python (<why>)``.
 Nothing here runs at import; ``load`` runs once per process.
 """
 
@@ -24,7 +25,7 @@ import hashlib
 import os
 from pathlib import Path
 
-from .container import atomic_write
+from .container import _cbc, _check_cbc, atomic_write
 from .core import (REMAINDER_LEN, SUB_LEN, UNIT_LEN, _check_protect, _check_recover, _derive, _protect_chunk,
                    _recover_chunk)
 
@@ -39,12 +40,13 @@ _SIGNATURES = {
     "sefrag_protect": (_BYTES, ctypes.c_size_t, _BYTES, ctypes.c_uint64, _BYTES, _BYTES),
     "sefrag_recover": (_BYTES, _BYTES, ctypes.c_size_t, _BYTES, ctypes.c_uint64, _BYTES),
     "sefrag_derive": (_BYTES, ctypes.c_size_t, ctypes.c_uint64, _BYTES),
+    "sefrag_cbc": (_BYTES, _BYTES, _BYTES, ctypes.c_size_t, ctypes.c_int, _BYTES),
 }
 
 
 def _raise_on_failure(status, fn, args):
     if status != 0:
-        raise RuntimeError(f"a libcrypto SHA-256 call failed in {fn.__name__}")
+        raise RuntimeError(f"a libcrypto call failed in {fn.__name__}")
 
 
 class Kernel:
@@ -84,6 +86,13 @@ class Kernel:
         self._lib.sefrag_derive(suffix, len(suffix), iterations, out)
         return out.raw
 
+    def cbc(self, key: bytes, iv: bytes, data: bytes, encrypt: bool) -> bytes:
+        """AES-128-CBC over ``data``, whole blocks, no padding."""
+        _check_cbc(key, iv, data)
+        out = ctypes.create_string_buffer(len(data))
+        self._lib.sefrag_cbc(key, iv, data, len(data), encrypt, out)
+        return out.raw
+
 
 class PythonKernel:
     """The pure-Python counterparts of the C functions, run where the
@@ -92,6 +101,7 @@ class PythonKernel:
     protect = staticmethod(_protect_chunk)
     recover = staticmethod(_recover_chunk)
     derive = staticmethod(_derive)
+    cbc = staticmethod(_cbc)
 
     def __init__(self, reason: str):
         self.name = f"python ({reason})"

@@ -24,8 +24,9 @@ the file.  The headers go out first: the ``.puf`` header needs only the
 head and the content length, which the input's size gives, and the
 ``.prf`` header's ``ct_len`` follows from the content length, because
 the private stream is 4 bytes per unit, the tail and a 32-byte digest,
-PKCS#7-padded: 16 * ((4 * units + tail + 32) // 16 + 1).  AES-CBC and
-the padding run incrementally over each chunk's picked bytes.
+PKCS#7-padded: 16 * ((4 * units + tail + 32) // 16 + 1).  AES-CBC, in
+the kernel, and the padding run incrementally over each chunk's picked
+bytes.
 ``open_stream`` first decrypts the last cipher block alone, so a wrong
 key fails on its padding before any work; it then decrypts the private
 stream in lockstep with the public payload (the picks of chunk k start
@@ -44,11 +45,8 @@ import contextlib
 import io
 import os
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
-
-from cryptography.hazmat.primitives import padding
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from . import core
 from .core import ProtectionKey
@@ -196,13 +194,9 @@ def _strip_head(puf: bytes) -> bytes:
 
 # The in-memory pair of ``seal`` and ``open``.  Only ``from_bytes`` builds
 # them here, after the header parser has checked every field.
-@dataclass(frozen=True)
-class PufContainer:
-    file_id: bytes
-    original_content_len: int
-    puf_payload: bytes
-    head: bytes = b""
-    flags: int = 0
+class PufContainer(namedtuple("PufContainer", "file_id original_content_len puf_payload head flags",
+                              defaults=(b"", 0))):
+    __slots__ = ()
 
     def to_bytes(self) -> bytes:
         return _puf_header(self.file_id, self.head, self.original_content_len, self.flags) + self.puf_payload
@@ -211,21 +205,11 @@ class PufContainer:
     def from_bytes(cls, raw: bytes) -> "PufContainer":
         src = io.BytesIO(raw)
         flags, file_id, head, content_len = _read_puf_header(src, len(raw))
-        return cls(
-            file_id=file_id,
-            original_content_len=content_len,
-            puf_payload=src.read(),
-            head=head,
-            flags=flags,
-        )
+        return cls(file_id, content_len, src.read(), head, flags)
 
 
-@dataclass(frozen=True)
-class PrfContainer:
-    file_id: bytes
-    kdf_salt: bytes
-    iv: bytes
-    ciphertext: bytes
+class PrfContainer(namedtuple("PrfContainer", "file_id kdf_salt iv ciphertext")):
+    __slots__ = ()
 
     def to_bytes(self) -> bytes:
         return _prf_header(self.file_id, self.kdf_salt, self.iv, len(self.ciphertext)) + self.ciphertext
@@ -243,8 +227,40 @@ def _private_len(content_len: int) -> int:
     return core.SUB_LEN * units + tail + core.DIGEST_LEN
 
 
-def _aes(key: ProtectionKey, iv: bytes) -> Cipher:
-    return Cipher(algorithms.AES(key.bytes), modes.CBC(iv))
+def _check_cbc(key: bytes, iv: bytes, data: bytes) -> None:
+    # EVP takes the length as a C int: both kernels refuse what would not fit.
+    if len(key) != core.KEY_LEN or len(iv) != 16 or len(data) % 16 or len(data) >= 2**31:
+        raise ValueError(f"need a 16-byte key and IV and whole 16-byte blocks below 2**31 bytes, got {len(data)}")
+
+
+def _cbc(key: bytes, iv: bytes, data: bytes, encrypt: bool) -> bytes:
+    """Pure-Python counterpart of ``sefrag_cbc``, as ``Kernel.cbc``, over
+    ``cryptography``: only this path loads it."""
+    _check_cbc(key, iv, data)
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+    cipher = Cipher(algorithms.AES(key), modes.CBC(iv))
+    ctx = cipher.encryptor() if encrypt else cipher.decryptor()
+    return ctx.update(data) + ctx.finalize()
+
+
+def _cbc_chain(key: ProtectionKey, iv: bytes, encrypt: bool):
+    """``update(data)``: the kernel's AES-128-CBC over a stream in pieces. Each
+    call ciphers the whole blocks completed so far, keeps the partial block
+    for the next, and chains on from the last ciphertext block."""
+    cbc = core._kernel().cbc
+    pending = b""
+
+    def update(data: bytes) -> bytes:
+        nonlocal iv, pending
+        data = pending + data
+        n = len(data) - len(data) % 16
+        out, pending = cbc(key.bytes, iv, data[:n], encrypt), data[n:]
+        if n:
+            iv = (out if encrypt else data)[n - 16:n]
+        return out
+
+    return update
 
 
 def seal_stream(src, key: ProtectionKey, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
@@ -266,11 +282,11 @@ def seal_stream(src, key: ProtectionKey, mode: str = "raw", kdf_salt: bytes = ZE
 
     def pieces():
         yield _puf_header(file_id, head, content_len), _prf_header(file_id, kdf_salt, iv, ct_len)
-        padder = padding.PKCS7(128).padder()
-        enc = _aes(key, iv).encryptor()
+        encrypt = _cbc_chain(key, iv, True)
         for public, private in core.protect_chunks(lambda n: _read_exact(src, n), content_len, key):
-            yield public, enc.update(padder.update(private))
-        yield b"", enc.update(padder.finalize()) + enc.finalize()
+            yield public, encrypt(private)
+        pad = ct_len - _private_len(content_len)  # PKCS#7: 1-16 bytes, each equal to their count
+        yield b"", encrypt(bytes([pad]) * pad)
 
     return file_id, pieces()
 
@@ -298,24 +314,22 @@ def open_stream(puf_src, prf_src, key_for):
     body = prf_src.tell()
     prf_src.seek(body + ct_len - 32 if ct_len > 16 else body)
     prev = _read_exact(prf_src, 16) if ct_len > 16 else iv
-    unpadder = padding.PKCS7(128).unpadder()
-    try:
-        last = unpadder.update(_aes(key, prev).decryptor().update(_read_exact(prf_src, 16)))
-        last += unpadder.finalize()
-    except ValueError as exc:
-        raise BadPadding("private stream padding invalid (wrong key?)") from exc
-    plain_len, expected = ct_len - 16 + len(last), _private_len(content_len)
+    last = core._kernel().cbc(key.bytes, prev, _read_exact(prf_src, 16), False)
+    pad = last[-1]  # PKCS#7: 1-16 pad bytes, each equal to their count
+    if not 1 <= pad <= 16 or last[-pad:] != last[-1:] * pad:
+        raise BadPadding("private stream padding invalid (wrong key?)")
+    plain_len, expected = ct_len - pad, _private_len(content_len)
     if plain_len != expected:
         raise IntegrityFailure(f"private stream is {plain_len} bytes, pair expects {expected}")
     prf_src.seek(body)
-    dec = _aes(key, iv).decryptor()
+    decrypt = _cbc_chain(key, iv, False)
     pending = bytearray()
 
     def read_private(n: int) -> bytes:
         # Decrypt whole blocks, as many as the next n plaintext bytes need.
         need = n - len(pending)
         if need > 0:
-            pending.extend(dec.update(_read_exact(prf_src, -(-need // 16) * 16)))
+            pending.extend(decrypt(_read_exact(prf_src, -(-need // 16) * 16)))
         piece = bytes(pending[:n])
         del pending[:n]
         return piece

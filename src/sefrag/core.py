@@ -40,7 +40,7 @@ import hashlib
 import io
 import os
 import struct
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IntegrityFailure, LengthMismatch
 
@@ -117,15 +117,25 @@ def _after_masks(selectors: bytes) -> list[int]:
     return [_int(wide.translate(table)) for table in _AFTER]
 
 
-@dataclass(frozen=True)
 class ProtectionKey:
-    """128-bit secret driving fragment selection, keystreams, and AES."""
+    """128-bit secret driving fragment selection, keystreams, and AES;
+    immutable, equal by value, and its repr hides the key."""
 
-    bytes: bytes
+    __slots__ = ("bytes",)
 
-    def __post_init__(self):
-        if len(self.bytes) != KEY_LEN:
-            raise ValueError(f"protection key must be {KEY_LEN} bytes, got {len(self.bytes)}")
+    def __init__(self, bytes: bytes):
+        if len(bytes) != KEY_LEN:
+            raise ValueError(f"protection key must be {KEY_LEN} bytes, got {len(bytes)}")
+        object.__setattr__(self, "bytes", bytes)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ProtectionKey is immutable")
+
+    def __eq__(self, other):
+        return self.bytes == other.bytes if isinstance(other, ProtectionKey) else NotImplemented
+
+    def __repr__(self) -> str:
+        return "ProtectionKey(<secret>)"
 
     @classmethod
     def from_hex(cls, text: str) -> "ProtectionKey":
@@ -136,16 +146,9 @@ class ProtectionKey:
         return cls(os.urandom(KEY_LEN))
 
 
-@dataclass(frozen=True)
-class ProtectedStreams:
-    """Output of ``protect``: the public payload and the private stream.
-
-    ``prf_plain`` is selected sub-fragments ++ tail ++ SHA-256(content);
-    it is the part that must go on to cipher protection.
-    """
-
-    puf_payload: bytes
-    prf_plain: bytes
+# Output of ``protect``: the public payload, and the private stream that must
+# go on to cipher protection, selected sub-fragments ++ tail ++ SHA-256(content).
+ProtectedStreams = namedtuple("ProtectedStreams", "puf_payload prf_plain")
 
 
 def selector_stream(key: ProtectionKey, unit_count: int) -> bytes:

@@ -1,6 +1,5 @@
 """Container format, seal/open pipeline, and key derivation tests."""
 
-import dataclasses
 import errno
 import hashlib
 import io
@@ -281,10 +280,25 @@ class TestSealOpen:
         iv = prf.iv
         padder = padding.PKCS7(128).padder()
         enc = Cipher(algorithms.AES(KEY.bytes), modes.CBC(iv)).encryptor()
-        forged = dataclasses.replace(
-            prf, ciphertext=enc.update(padder.update(other_plain) + padder.finalize()) + enc.finalize())
+        forged = prf._replace(
+            ciphertext=enc.update(padder.update(other_plain) + padder.finalize()) + enc.finalize())
         with pytest.raises(IntegrityFailure):
             container.open(puf, forged, KEY)
+
+    @pytest.mark.parametrize("last_block", [
+        bytes(15) + b"\x00",
+        bytes(15) + b"\x11",
+        bytes(13) + b"\x02\x03\x03",
+    ], ids=["pad-byte-0", "pad-byte-17", "unequal-pad-bytes"])
+    def test_bad_padding_in_the_last_block(self, last_block, each_kernel_path):
+        # The forged last block is encrypted here, through cryptography,
+        # chained from the real second-to-last block.
+        puf, prf = seal(b"p" * 300, KEY)
+        enc = Cipher(algorithms.AES(KEY.bytes), modes.CBC(prf.ciphertext[-32:-16])).encryptor()
+        forged = prf._replace(ciphertext=prf.ciphertext[:-16] + enc.update(last_block) + enc.finalize())
+        for path, _, _ in each_kernel_path():
+            with pytest.raises(BadPadding, match=r"^private stream padding invalid \(wrong key\?\)$"):
+                container.open(puf, forged, KEY)
 
     def test_kdf_salt_persisted(self):
         salt = bytes(range(16))

@@ -105,6 +105,18 @@ class TestProtectionKey:
     def test_random_is_16_bytes(self):
         assert len(ProtectionKey.random().bytes) == 16
 
+    def test_repr_hides_the_key(self):
+        key = ProtectionKey.from_hex("00112233445566778899aabbccddeeff")
+        for text in (repr(key), str(key)):
+            assert repr(key.bytes) not in text and str(key.bytes) not in text
+            assert key.bytes.hex() not in text and key.bytes.hex().upper() not in text
+
+    def test_equal_by_value_and_immutable(self):
+        key = ProtectionKey(bytes(range(16)))
+        assert key == ProtectionKey(bytes(range(16))) and key != ProtectionKey(bytes(16))
+        with pytest.raises(AttributeError):
+            key.bytes = bytes(16)
+
 
 class TestSelectorStream:
     def test_empty_stream(self):

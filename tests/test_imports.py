@@ -20,6 +20,11 @@ OFF_PATH = ["sefrag.analysis", "sefrag.bench", "sefrag.dispersion", "sefrag.shar
 # several milliseconds per process, and concurrent.futures imports it.
 NOT_AT_START = {"logging", "concurrent.futures"}
 
+# Heavy modules that protect and recover leave unloaded on the native path:
+# dataclasses imports inspect, and the native kernel runs the AES, so
+# cryptography loads only on the pure-Python path and in sefrag bench.
+HEAVY = {"dataclasses", "inspect", "cryptography"}
+
 # The package's public names; none may go missing.
 PUBLIC = """
     BackendUnavailable BadPadding BenchReport BindError BlobRef BlobServer
@@ -70,6 +75,7 @@ class TestStartPath:
         # The native kernel loads on the first chunk or KDF call, not at import.
         assert not {"ctypes", "sefrag._native"} & set(modules)
         assert not NOT_AT_START & set(modules)
+        assert not HEAVY & set(modules)
 
     def test_protect_then_recover_with_passphrase_file(self, tmp_path):
         src = tmp_path / "scan.bin"
@@ -93,18 +99,29 @@ class TestStartPath:
 
     def test_protect_with_a_warm_kernel_cache_does_not_import_subprocess(self, tmp_path):
         # Only a build runs the compiler; loading the cached library (or
-        # reading a recorded failure) needs no subprocess.
+        # reading a recorded failure) needs no subprocess.  Only the native
+        # kernel also keeps the heavy modules out.
         from sefrag import _native
 
-        _native.load()
+        heavy = HEAVY if isinstance(_native.load(), _native.Kernel) else set()
         src = tmp_path / "scan.bin"
         src.write_bytes(os.urandom(5000))
-        code, modules = _fresh("-c", PROBE, "protect", src, "--key-hex", KEY, "--out-dir", tmp_path / "w",
-                               cwd=tmp_path)
-        assert code == 0
-        assert "sefrag._native" in modules
-        assert "subprocess" not in modules
-        assert not NOT_AT_START & set(modules)
+        pw = tmp_path / "pw.txt"
+        pw.write_bytes(b"correct horse\n")
+        runs = [
+            ("protect", src, "--key-hex", KEY, "--out-dir", tmp_path / "w"),
+            ("protect", src, "--passphrase-file", pw, "--out-dir", tmp_path / "p"),
+            ("recover", tmp_path / "p" / "scan.puf", tmp_path / "p" / "scan.prf", "--passphrase-file", pw,
+             "--out", tmp_path / "back.bin"),
+        ]
+        for argv in runs:
+            code, modules = _fresh("-c", PROBE, *argv, cwd=tmp_path)
+            assert code == 0
+            assert "sefrag._native" in modules
+            assert "subprocess" not in modules
+            assert not NOT_AT_START & set(modules)
+            assert not heavy & set(modules)
+        assert (tmp_path / "back.bin").read_bytes() == src.read_bytes()
 
     def test_store_command_loads_its_modules(self, tmp_path):
         code, modules = _fresh("-c", PROBE, "get", "00" * 32, "--store", tmp_path / "s",

@@ -2,17 +2,19 @@
 per source version, a failed one is recorded and leaves no library, and
 ``load`` then returns the pure-Python kernel, which gives the same bytes."""
 
+import itertools
 import os
 import random
 import stat
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import sefrag
-from sefrag import _native, core
+from sefrag import _native, container, core
 from sefrag.core import ProtectionKey
 
 
@@ -157,10 +159,70 @@ def test_both_kernels_have_one_interface(fresh_cache, monkeypatch):
     units, key = bytes(range(64)), bytes(range(16))
     outputs = []
     for kernel in (built, fallback):
-        assert all(callable(getattr(kernel, fn)) for fn in ("protect", "recover", "derive"))
+        assert all(callable(getattr(kernel, fn)) for fn in ("protect", "recover", "derive", "cbc"))
         public, picked = kernel.protect(units, 2, key, 5)
         assert kernel.recover(public, picked, 2, key, 5) == units
         with pytest.raises(ValueError):
             kernel.derive(b"pw", 0)
-        outputs.append((public, picked, kernel.derive(b"pw", 3)))
+        ciphertext = kernel.cbc(key, key, units, True)
+        assert kernel.cbc(key, key, ciphertext, False) == units
+        outputs.append((public, picked, kernel.derive(b"pw", 3), ciphertext))
     assert outputs[0] == outputs[1]
+
+
+# NIST SP 800-38A, F.2.1 and F.2.2: CBC-AES128, the first two blocks.
+NIST_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+NIST_IV = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+NIST_PLAIN = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a" "ae2d8a571e03ac9c9eb76fac45af8e51")
+NIST_CIPHER = bytes.fromhex("7649abac8119b246cee98e9b12e9197d" "5086cb9b507219ee95db113a917678b2")
+
+
+class TestCbc:
+    """``cbc`` on each kernel path, and ``container._cbc_chain`` over it."""
+
+    def test_nist_vectors(self, each_kernel_path):
+        for path, _, _ in each_kernel_path():
+            cbc = core._kernel().cbc
+            assert cbc(NIST_KEY, NIST_IV, NIST_PLAIN, True) == NIST_CIPHER, path
+            assert cbc(NIST_KEY, NIST_IV, NIST_CIPHER, False) == NIST_PLAIN, path
+            assert cbc(NIST_KEY, NIST_IV, b"", True) == b"", path
+
+    def test_chaining_across_split_updates_matches_one_call(self, each_kernel_path):
+        rng = random.Random(38)
+        key, iv = ProtectionKey(rng.randbytes(16)), rng.randbytes(16)
+        sizes = [0, 1, 15, 16, 17, 16 << 10, 15]  # the last piece completes the final block
+        data = rng.randbytes(sum(sizes))
+        ends = list(itertools.accumulate(sizes))
+        bounds = list(zip([0] + ends, ends))
+        pieces = [data[start:end] for start, end in bounds]
+        for path, _, _ in each_kernel_path():
+            whole = core._kernel().cbc(key.bytes, iv, data, True)
+            encrypt = container._cbc_chain(key, iv, True)
+            outputs = [encrypt(piece) for piece in pieces]
+            assert b"".join(outputs) == whole, path
+            # Each call returns exactly the whole blocks completed so far.
+            assert [len(out) for out in outputs] == [0, 0, 16, 16, 16, 16 << 10, 16], path
+            decrypt = container._cbc_chain(key, iv, False)
+            assert b"".join(decrypt(whole[start:end]) for start, end in bounds) == data, path
+
+    def test_bad_lengths_raise_before_c_runs(self, each_kernel_path, monkeypatch):
+        class Huge:
+            """A stand-in whose length is a whole number of blocks past a C int."""
+
+            def __len__(self):
+                return 2**31
+
+        key, iv = bytes(16), bytes(16)
+        for path, _, _ in each_kernel_path():
+            kernel = core._kernel()
+            if isinstance(kernel, _native.Kernel):
+                calls = []
+                monkeypatch.setattr(kernel, "_lib", types.SimpleNamespace(sefrag_cbc=lambda *a: calls.append(a)))
+            for bad in [(key, iv, bytes(15)), (key, iv, bytes(17)), (bytes(15), iv, bytes(16)),
+                        (bytes(17), iv, bytes(16)), (key, bytes(15), bytes(16)), (key, bytes(17), bytes(16)),
+                        (key, iv, Huge())]:
+                for encrypt in (True, False):
+                    with pytest.raises(ValueError):
+                        kernel.cbc(*bad, encrypt)
+            if isinstance(kernel, _native.Kernel):
+                assert calls == [], path

@@ -1,6 +1,5 @@
 """Policy semantics, persistence, and release behavior."""
 
-import dataclasses
 import errno
 import json
 import os
@@ -263,7 +262,7 @@ class TestRelease:
         stripped = PufContainer.from_bytes(stripped_bytes)
         assert stripped.head == b""
         assert stripped.flags & FLAG_HEADER_STRIPPED
-        assert stripped == dataclasses.replace(original, head=b"", flags=original.flags | FLAG_HEADER_STRIPPED)
+        assert stripped == original._replace(head=b"", flags=original.flags | FLAG_HEADER_STRIPPED)
         assert stripped.to_bytes() == stripped_bytes
         # Content still recovers; only the plaintext head is gone.
         recovered = container.open(stripped, container.PrfContainer.from_bytes(prf_bytes), KEY)
