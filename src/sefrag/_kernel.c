@@ -7,6 +7,7 @@
  *
  *   sefrag_protect  core._protect_chunk: one chunk, gather -> keystream -> XOR
  *   sefrag_recover  core._recover_chunk: one chunk, keystream -> XOR -> scatter
+ *   keystreams16    core._keystream: the keystream digests of 16 units at once
  *   sefrag_derive   core._derive: the whole derive_key loop
  *   sefrag_cbc      container._cbc: AES-128-CBC over whole blocks, no padding
  *
@@ -17,6 +18,14 @@
  * selector block's message (32 bytes) and a unit's keystream message
  * (28 bytes) fit one 64-byte SHA-256 block, so each of those hashes is
  * one compression of a block padded in place.
+ *
+ * The keystreams of 16 consecutive units are independent one-block
+ * hashes, so on an x86-64 CPU with AVX-512F keystreams16 runs them as
+ * the 16 lanes of one SHA-256 (Gueron & Krasnov, "Simultaneous Hashing
+ * of Multiple Messages", 2012), written with GCC vector extensions.
+ * The CPU is asked once, when the library loads; sefrag_lanes says
+ * which path runs.  Elsewhere, and for a chunk's last count % 16 units,
+ * each unit is one libcrypto compression.  Both give the same bytes.
  *
  * The caller checks every buffer length before the call.  Each function
  * returns 0, or -1 when a libcrypto call fails.
@@ -84,40 +93,141 @@ static int selector(const unsigned char *key, uint64_t u, int first_of_call, uns
     return block[u % SELECTORS_PER_BLOCK] & 7;
 }
 
-/* SHA-256(picked || key || LE64(index)) of one unit; message is padded
- * and already holds the key in message[SUB_LEN..]. */
-static int unit_keystream(unsigned char *message, const unsigned char *picked, uint64_t index,
-                          unsigned char *digest)
+#define LANES 16
+
+/* LANES when keystreams16 runs on this CPU, else 1; set once, at load. */
+static int lanes = 1;
+
+#if defined(__x86_64__)
+typedef uint32_t lane_words __attribute__((vector_size(4 * LANES)));
+
+static const uint32_t ROUND_K[64] = {
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+};
+static const uint32_t INITIAL_H[8] = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+};
+
+#define ROTR(x, n) ((x) >> (n) | (x) << (32 - (n)))
+#define BSWAP(x) ((x) >> 24 | ((x) >> 8 & 0xff00) | ((x) & 0xff00) << 8 | (x) << 24)
+
+/* The keystream digests of units first .. first + 15, in rows of 32
+ * bytes: lane l hashes picked[4l..4l+4) || key || LE64(first + l), the
+ * message of the per-unit path, as one padded block. */
+__attribute__((target("avx512f"))) static void keystreams16(const unsigned char *picked, const unsigned char *key,
+                                                             uint64_t first, unsigned char *digests)
 {
-    memcpy(message, picked, SUB_LEN);
-    le64(message + SUB_LEN + KEY_LEN, index);
-    return one_block(message, digest);
+    const lane_words zero = {0}, lane = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15};
+    lane_words w[16], low = zero + (uint32_t)first + lane;
+    /* A lane whose low word wrapped past 2**32 carries into its high word. */
+    lane_words high = zero + (uint32_t)(first >> 32) - (lane_words)(low < zero + (uint32_t)first);
+    memcpy(&w[0], picked, sizeof w[0]);
+    w[0] = BSWAP(w[0]);
+    for (int k = 0; k < KEY_LEN / 4; k++)
+        w[1 + k] = zero + ((uint32_t)key[4 * k] << 24 | (uint32_t)key[4 * k + 1] << 16
+                           | (uint32_t)key[4 * k + 2] << 8 | key[4 * k + 3]);
+    w[5] = BSWAP(low);
+    w[6] = BSWAP(high);
+    w[7] = zero + 0x80000000u;
+    for (int k = 8; k < 15; k++)
+        w[k] = zero;
+    w[15] = zero + 8 * MESSAGE_LEN;
+    lane_words a = zero + INITIAL_H[0], b = zero + INITIAL_H[1], c = zero + INITIAL_H[2], d = zero + INITIAL_H[3],
+               e = zero + INITIAL_H[4], f = zero + INITIAL_H[5], g = zero + INITIAL_H[6], hh = zero + INITIAL_H[7];
+    /* Unrolled, w stays in registers and the constant words fold away. */
+#pragma GCC unroll 64
+    for (int t = 0; t < 64; t++) {
+        if (t >= 16) {
+            lane_words w15 = w[(t - 15) & 15], w2 = w[(t - 2) & 15];
+            w[t & 15] += (ROTR(w15, 7) ^ ROTR(w15, 18) ^ w15 >> 3) + w[(t - 7) & 15]
+                         + (ROTR(w2, 17) ^ ROTR(w2, 19) ^ w2 >> 10);
+        }
+        lane_words t1 = hh + (ROTR(e, 6) ^ ROTR(e, 11) ^ ROTR(e, 25)) + ((e & f) ^ (~e & g)) + ROUND_K[t] + w[t & 15];
+        lane_words t2 = (ROTR(a, 2) ^ ROTR(a, 13) ^ ROTR(a, 22)) + ((a & b) ^ (a & c) ^ (b & c));
+        hh = g, g = f, f = e, e = d + t1, d = c, c = b, b = a, a = t1 + t2;
+    }
+    lane_words h[8] = {a, b, c, d, e, f, g, hh};
+    for (int k = 0; k < 8; k++)
+        h[k] = BSWAP(h[k] + INITIAL_H[k]);
+    for (int l = 0; l < LANES; l++)
+        for (int k = 0; k < 8; k++) {
+            uint32_t word = h[k][l];
+            memcpy(digests + SHA256_DIGEST_LENGTH * l + 4 * k, &word, 4);
+        }
+}
+
+__attribute__((constructor)) static void detect_lanes(void)
+{
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        lanes = LANES;
+}
+#endif
+
+/* How many units' keystreams one hash call computes on this CPU: 16 or 1. */
+int sefrag_lanes(void)
+{
+    return lanes;
+}
+
+/* The keystream digests of units first .. first + n - 1, n <= 16, in
+ * rows of 32 bytes: SHA-256(picked || key || LE64(index)) per unit. */
+static int keystreams(const unsigned char *picked, size_t n, const unsigned char *key, uint64_t first,
+                      unsigned char *digests)
+{
+#if defined(__x86_64__)
+    if (n == LANES && lanes == LANES) {
+        keystreams16(picked, key, first, digests);
+        return 0;
+    }
+#endif
+    unsigned char message[SHA256_CBLOCK] = {0};
+    memcpy(message + SUB_LEN, key, KEY_LEN);
+    pad(message, MESSAGE_LEN);
+    for (size_t l = 0; l < n; l++) {
+        memcpy(message, picked + SUB_LEN * l, SUB_LEN);
+        le64(message + SUB_LEN + KEY_LEN, first + l);
+        if (!one_block(message, digests + SHA256_DIGEST_LENGTH * l))
+            return -1;
+    }
+    return 0;
 }
 
 /* units: count * 32 bytes in; pub: count * 28 protected remainder bytes
  * out; picked: count * 4 selected sub-fragment bytes out.  Unit i has
- * index first + i. */
+ * index first + i.  Units go through in batches of up to 16. */
 int sefrag_protect(const unsigned char *units, size_t count, const unsigned char *key, uint64_t first,
                    unsigned char *pub, unsigned char *picked)
 {
-    unsigned char message[SHA256_CBLOCK] = {0}, digest[SHA256_DIGEST_LENGTH], block[SELECTORS_PER_BLOCK];
-    memcpy(message + SUB_LEN, key, KEY_LEN);
-    pad(message, MESSAGE_LEN);
-    for (size_t i = 0; i < count; i++) {
-        const unsigned char *unit = units + UNIT_LEN * i;
-        unsigned char *out = pub + REMAINDER_LEN * i;
-        int sel = selector(key, first + i, i == 0, block);
-        if (sel < 0)
+    unsigned char digests[LANES * SHA256_DIGEST_LENGTH], block[SELECTORS_PER_BLOCK];
+    int sels[LANES];
+    for (size_t i = 0; i < count; i += LANES) {
+        size_t n = count - i < LANES ? count - i : LANES;
+        for (size_t l = 0; l < n; l++) {
+            sels[l] = selector(key, first + i + l, i + l == 0, block);
+            if (sels[l] < 0)
+                return -1;
+            memcpy(picked + SUB_LEN * (i + l), units + UNIT_LEN * (i + l) + SUB_LEN * sels[l], SUB_LEN);
+        }
+        if (keystreams(picked + SUB_LEN * i, n, key, first + i, digests))
             return -1;
-        memcpy(picked + SUB_LEN * i, unit + SUB_LEN * sel, SUB_LEN);
-        if (!unit_keystream(message, picked + SUB_LEN * i, first + i, digest))
-            return -1;
-        /* Remainder bytes are the unit's bytes before and after the pick. */
-        size_t cut = SUB_LEN * sel;
-        for (size_t b = 0; b < cut; b++)
-            out[b] = unit[b] ^ digest[b];
-        for (size_t b = cut; b < REMAINDER_LEN; b++)
-            out[b] = unit[b + SUB_LEN] ^ digest[b];
+        for (size_t l = 0; l < n; l++) {
+            const unsigned char *unit = units + UNIT_LEN * (i + l), *digest = digests + SHA256_DIGEST_LENGTH * l;
+            unsigned char *out = pub + REMAINDER_LEN * (i + l);
+            /* Remainder bytes are the unit's bytes before and after the pick. */
+            size_t cut = SUB_LEN * sels[l];
+            for (size_t b = 0; b < cut; b++)
+                out[b] = unit[b] ^ digest[b];
+            for (size_t b = cut; b < REMAINDER_LEN; b++)
+                out[b] = unit[b + SUB_LEN] ^ digest[b];
+        }
     }
     return 0;
 }
@@ -127,21 +237,24 @@ int sefrag_protect(const unsigned char *units, size_t count, const unsigned char
 int sefrag_recover(const unsigned char *pub, const unsigned char *picked, size_t count, const unsigned char *key,
                    uint64_t first, unsigned char *units)
 {
-    unsigned char message[SHA256_CBLOCK] = {0}, digest[SHA256_DIGEST_LENGTH], block[SELECTORS_PER_BLOCK];
-    memcpy(message + SUB_LEN, key, KEY_LEN);
-    pad(message, MESSAGE_LEN);
-    for (size_t i = 0; i < count; i++) {
-        const unsigned char *in = pub + REMAINDER_LEN * i;
-        unsigned char *unit = units + UNIT_LEN * i;
-        int sel = selector(key, first + i, i == 0, block);
-        if (sel < 0 || !unit_keystream(message, picked + SUB_LEN * i, first + i, digest))
+    unsigned char digests[LANES * SHA256_DIGEST_LENGTH], block[SELECTORS_PER_BLOCK];
+    for (size_t i = 0; i < count; i += LANES) {
+        size_t n = count - i < LANES ? count - i : LANES;
+        if (keystreams(picked + SUB_LEN * i, n, key, first + i, digests))
             return -1;
-        size_t cut = SUB_LEN * sel;
-        for (size_t b = 0; b < cut; b++)
-            unit[b] = in[b] ^ digest[b];
-        memcpy(unit + cut, picked + SUB_LEN * i, SUB_LEN);
-        for (size_t b = cut; b < REMAINDER_LEN; b++)
-            unit[b + SUB_LEN] = in[b] ^ digest[b];
+        for (size_t l = 0; l < n; l++) {
+            const unsigned char *in = pub + REMAINDER_LEN * (i + l), *digest = digests + SHA256_DIGEST_LENGTH * l;
+            unsigned char *unit = units + UNIT_LEN * (i + l);
+            int sel = selector(key, first + i + l, i + l == 0, block);
+            if (sel < 0)
+                return -1;
+            size_t cut = SUB_LEN * sel;
+            for (size_t b = 0; b < cut; b++)
+                unit[b] = in[b] ^ digest[b];
+            memcpy(unit + cut, picked + SUB_LEN * (i + l), SUB_LEN);
+            for (size_t b = cut; b < REMAINDER_LEN; b++)
+                unit[b + SUB_LEN] = in[b] ^ digest[b];
+        }
     }
     return 0;
 }

@@ -12,8 +12,10 @@ unwritable cache) leaves no library; its first error line is recorded
 under the same name, no later process retries (delete the cache
 directory to retry), and ``load`` returns a ``PythonKernel``, which
 gives the same bytes.  Both kernels have ``protect``, ``recover``,
-``derive``, ``cbc`` and a ``name``: ``native (<library>)`` or
-``python (<why>)``.
+``derive``, ``cbc`` and a ``name``: ``native (<library>, 16 lanes)``
+when the library hashes 16 units' keystreams at once on this CPU
+(AVX-512F), ``native (<library>, 1 lane)`` when it hashes one at a
+time, or ``python (<why>)``.
 Nothing here runs at import; ``load`` runs once per process.
 """
 
@@ -55,11 +57,13 @@ class Kernel:
 
     def __init__(self, path: Path):
         self.path = path
-        self.name = f"native ({path})"
         self._lib = ctypes.CDLL(str(path))
         for name, argtypes in _SIGNATURES.items():
             fn = getattr(self._lib, name)
             fn.argtypes, fn.restype, fn.errcheck = argtypes, ctypes.c_int, _raise_on_failure
+        self._lib.sefrag_lanes.argtypes, self._lib.sefrag_lanes.restype = (), ctypes.c_int
+        lanes = self._lib.sefrag_lanes()
+        self.name = f"native ({path}, {lanes} lane{'s' if lanes > 1 else ''})"
 
     def protect(self, units: bytes, count: int, key: bytes, first: int) -> tuple[bytes, bytes]:
         """``count`` units from index ``first``: ``(protected remainders,

@@ -43,7 +43,7 @@ class BenchReport:
     aes_bytes_baseline: int
     hash_invocations_se: int
     selected_bytes: int
-    kernel: str  # "native (<library>)" or "python (<why no library>)"
+    kernel: str  # "native (<library>, 16 lanes)", "native (<library>, 1 lane)" or "python (<why>)"
 
     @property
     def se_throughput(self) -> float:
@@ -61,7 +61,7 @@ class BenchReport:
         return self.se_throughput / self.aes_throughput
 
 
-def run_bench(size_mb: int, iterations: int = 3) -> BenchReport:
+def run_bench(size_mb: int, iterations: int = 9) -> BenchReport:
     """Protect a random ``size_mb`` MiB buffer both ways, ``iterations`` times."""
     if size_mb < 1:
         raise ValueError("bench size must be at least 1 MB")

@@ -272,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time selective protection against full AES")
     p.add_argument("--size-mb", type=int, default=1)
-    p.add_argument("--iterations", type=int, default=3)
+    p.add_argument("--iterations", type=int, default=9)
     p.add_argument("--csv", help="also write per-iteration timings to this file")
 
     p = sub.add_parser("serve", help="run a blob server")

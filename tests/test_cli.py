@@ -374,7 +374,8 @@ class TestBenchCommand:
         out, err = capsys.readouterr()
         kernel = core._kernel()
         native = isinstance(kernel, _native.Kernel)
-        assert err.splitlines() == [f"kernel native ({kernel.path})" if native else f"kernel {kernel.name}"]
+        assert err.splitlines() == [f"kernel {kernel.name}"]
+        assert kernel.name.startswith(f"native ({kernel.path}, " if native else "python (")
         labels = [line[:20].rstrip() for line in out.splitlines()]
         assert labels == ["input size", "iterations", "selective", "aes-128-cbc (full)", "ratio",
                           "aes bytes, selective", "aes bytes, baseline", "hash invocations",

@@ -323,6 +323,37 @@ class TestUnitKeystream:
             assert 0.4 * 224 < mean < 0.6 * 224, path
 
 
+class TestLaneBoundaries:
+    """The native kernel hashes the keystreams of 16 consecutive units at
+    once where the CPU has AVX-512F, and a chunk's last ``count % 16``
+    units one at a time.  Across those boundaries, and across 2**32,
+    where a unit index's high word changes inside a batch, both kernels
+    give the unit-by-unit bytes."""
+
+    COUNTS = [1, 15, 16, 17, 31, 32, 33, 4095, 4096]
+
+    def test_counts_and_first_indices(self, each_kernel_path):
+        rng = random.Random(16)
+        key = rng.randbytes(16)
+        seen = set()
+        for count, first in [(c, f) for c in self.COUNTS for f in (0, 5, 2 ** 32 - 7, 2 ** 64 - c)]:
+            units = rng.randbytes(32 * count)
+            selectors = reference_selectors(key, first, count)
+            seen.update(selectors)
+            picked, remainders = reference_split(units, selectors)
+            public = bytes(a ^ b for a, b in zip(remainders, reference_keystream(picked, key, first)))
+            want = public, picked
+            outputs = []
+            for path, protect_chunk, recover_chunk in each_kernel_path():
+                got = protect_chunk(units, count, key, first)
+                assert got == want, (path, count, first)
+                assert recover_chunk(*got, count, key, first) == units, (path, count, first)
+                outputs.append(got)
+            assert all(out == outputs[0] for out in outputs)
+        # Every cut position of the remainder occurs.
+        assert seen == set(range(8))
+
+
 class TestProtectUnit:
     """One unit through a chunk function and back, on every kernel path."""
 
