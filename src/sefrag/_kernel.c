@@ -23,9 +23,14 @@
  * hashes, so on an x86-64 CPU with AVX-512F keystreams16 runs them as
  * the 16 lanes of one SHA-256 (Gueron & Krasnov, "Simultaneous Hashing
  * of Multiple Messages", 2012), written with GCC vector extensions.
- * The CPU is asked once, when the library loads; sefrag_lanes says
- * which path runs.  Elsewhere, and for a chunk's last count % 16 units,
- * each unit is one libcrypto compression.  Both give the same bytes.
+ * The CPU is asked once, when the library loads, and -DSEFRAG_MAX_LANES=1
+ * skips the lanes; sefrag_lanes says which path runs.  Elsewhere, and for
+ * a chunk's last count % 16 units, each unit is one libcrypto compression.
+ * Both give the same bytes.
+ *
+ * A unit is eight 4-byte words and its remainder the seven it keeps, in
+ * order.  Both chunk functions move whole words through one 8x8 table,
+ * ORDER, indexed by the selector, so no loop bound depends on it.
  *
  * The caller checks every buffer length before the call.  Each function
  * returns 0, or -1 when a libcrypto call fails.
@@ -47,6 +52,13 @@
 #define DOMAIN_LEN 8
 #define SELECTOR_MESSAGE_LEN (KEY_LEN + DOMAIN_LEN + 8)
 #define SELECTORS_PER_BLOCK SHA256_DIGEST_LENGTH
+#define WORDS (UNIT_LEN / SUB_LEN)
+
+/* ORDER[s][k]: the unit word that is remainder word k when word s is picked; ORDER[s][7] == s. */
+static const unsigned char ORDER[WORDS][WORDS] = {
+    {1, 2, 3, 4, 5, 6, 7, 0}, {0, 2, 3, 4, 5, 6, 7, 1}, {0, 1, 3, 4, 5, 6, 7, 2}, {0, 1, 2, 4, 5, 6, 7, 3},
+    {0, 1, 2, 3, 5, 6, 7, 4}, {0, 1, 2, 3, 4, 6, 7, 5}, {0, 1, 2, 3, 4, 5, 7, 6}, {0, 1, 2, 3, 4, 5, 6, 7},
+};
 
 static void le64(unsigned char *out, uint64_t value)
 {
@@ -163,10 +175,14 @@ __attribute__((target("avx512f"))) static void keystreams16(const unsigned char 
         }
 }
 
+#ifndef SEFRAG_MAX_LANES
+#define SEFRAG_MAX_LANES LANES
+#endif
+
 __attribute__((constructor)) static void detect_lanes(void)
 {
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f"))
+    if (SEFRAG_MAX_LANES >= LANES && __builtin_cpu_supports("avx512f"))
         lanes = LANES;
 }
 #endif
@@ -219,14 +235,12 @@ int sefrag_protect(const unsigned char *units, size_t count, const unsigned char
         if (keystreams(picked + SUB_LEN * i, n, key, first + i, digests))
             return -1;
         for (size_t l = 0; l < n; l++) {
-            const unsigned char *unit = units + UNIT_LEN * (i + l), *digest = digests + SHA256_DIGEST_LENGTH * l;
-            unsigned char *out = pub + REMAINDER_LEN * (i + l);
-            /* Remainder bytes are the unit's bytes before and after the pick. */
-            size_t cut = SUB_LEN * sels[l];
-            for (size_t b = 0; b < cut; b++)
-                out[b] = unit[b] ^ digest[b];
-            for (size_t b = cut; b < REMAINDER_LEN; b++)
-                out[b] = unit[b + SUB_LEN] ^ digest[b];
+            uint32_t w[WORDS], d[WORDS], r[WORDS];
+            memcpy(w, units + UNIT_LEN * (i + l), UNIT_LEN);
+            memcpy(d, digests + SHA256_DIGEST_LENGTH * l, sizeof d);
+            for (int k = 0; k < WORDS; k++)
+                r[k] = w[ORDER[sels[l]][k]] ^ d[k];
+            memcpy(pub + REMAINDER_LEN * (i + l), r, REMAINDER_LEN);
         }
     }
     return 0;
@@ -243,17 +257,18 @@ int sefrag_recover(const unsigned char *pub, const unsigned char *picked, size_t
         if (keystreams(picked + SUB_LEN * i, n, key, first + i, digests))
             return -1;
         for (size_t l = 0; l < n; l++) {
-            const unsigned char *in = pub + REMAINDER_LEN * (i + l), *digest = digests + SHA256_DIGEST_LENGTH * l;
-            unsigned char *unit = units + UNIT_LEN * (i + l);
             int sel = selector(key, first + i + l, i + l == 0, block);
             if (sel < 0)
                 return -1;
-            size_t cut = SUB_LEN * sel;
-            for (size_t b = 0; b < cut; b++)
-                unit[b] = in[b] ^ digest[b];
-            memcpy(unit + cut, picked + SUB_LEN * (i + l), SUB_LEN);
-            for (size_t b = cut; b < REMAINDER_LEN; b++)
-                unit[b + SUB_LEN] = in[b] ^ digest[b];
+            uint32_t r[WORDS], d[WORDS], u[WORDS];
+            memcpy(r, pub + REMAINDER_LEN * (i + l), REMAINDER_LEN);
+            memcpy(d, digests + SHA256_DIGEST_LENGTH * l, sizeof d);
+            for (int k = 0; k < WORDS - 1; k++)
+                r[k] ^= d[k];
+            memcpy(&r[WORDS - 1], picked + SUB_LEN * (i + l), SUB_LEN);
+            for (int k = 0; k < WORDS; k++)
+                u[ORDER[sel][k]] = r[k];
+            memcpy(units + UNIT_LEN * (i + l), u, UNIT_LEN);
         }
     }
     return 0;

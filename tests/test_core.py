@@ -190,10 +190,12 @@ class TestSplitUnit:
 
     def test_mixed_selectors_match_unit_by_unit_split(self, each_kernel_path):
         rng = random.Random(11)
-        count = 1000
+        count = 4096
         units, key = rng.randbytes(32 * count), rng.randbytes(16)
         selectors = reference_selectors(key, 0, count)
         assert set(selectors) == set(range(8))
+        # Every selector occurs at every place in a 16-unit keystream batch.
+        assert {(s, i % 16) for i, s in enumerate(selectors)} == set(itertools.product(range(8), range(16)))
         for path, protect_chunk, recover_chunk in each_kernel_path():
             picked, remainders = self.split(protect_chunk, units, 0, key)
             for i, s in enumerate(selectors):
