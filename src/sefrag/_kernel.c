@@ -23,14 +23,14 @@
  * hashes, so on an x86-64 CPU with AVX-512F keystreams16 runs them as
  * the 16 lanes of one SHA-256 (Gueron & Krasnov, "Simultaneous Hashing
  * of Multiple Messages", 2012), written with GCC vector extensions.
- * The CPU is asked once, when the library loads, and -DSEFRAG_MAX_LANES=1
- * skips the lanes; sefrag_lanes says which path runs.  Elsewhere, and for
- * a chunk's last count % 16 units, each unit is one libcrypto compression.
- * Both give the same bytes.
+ * The CPU is asked once, when the library loads; sefrag_lanes says
+ * which path runs.  Elsewhere, and for a chunk's last count % 16 units,
+ * each unit is one libcrypto compression.  Both give the same bytes.
  *
  * A unit is eight 4-byte words and its remainder the seven it keeps, in
- * order.  Both chunk functions move whole words through one 8x8 table,
- * ORDER, indexed by the selector, so no loop bound depends on it.
+ * order: remainder word k is unit word k + (k >= selector).  Both chunk
+ * functions move those seven words in fixed loops, so no loop bound
+ * depends on the selector.
  *
  * The caller checks every buffer length before the call.  Each function
  * returns 0, or -1 when a libcrypto call fails.
@@ -53,12 +53,6 @@
 #define SELECTOR_MESSAGE_LEN (KEY_LEN + DOMAIN_LEN + 8)
 #define SELECTORS_PER_BLOCK SHA256_DIGEST_LENGTH
 #define WORDS (UNIT_LEN / SUB_LEN)
-
-/* ORDER[s][k]: the unit word that is remainder word k when word s is picked; ORDER[s][7] == s. */
-static const unsigned char ORDER[WORDS][WORDS] = {
-    {1, 2, 3, 4, 5, 6, 7, 0}, {0, 2, 3, 4, 5, 6, 7, 1}, {0, 1, 3, 4, 5, 6, 7, 2}, {0, 1, 2, 4, 5, 6, 7, 3},
-    {0, 1, 2, 3, 5, 6, 7, 4}, {0, 1, 2, 3, 4, 6, 7, 5}, {0, 1, 2, 3, 4, 5, 7, 6}, {0, 1, 2, 3, 4, 5, 6, 7},
-};
 
 static void le64(unsigned char *out, uint64_t value)
 {
@@ -175,14 +169,10 @@ __attribute__((target("avx512f"))) static void keystreams16(const unsigned char 
         }
 }
 
-#ifndef SEFRAG_MAX_LANES
-#define SEFRAG_MAX_LANES LANES
-#endif
-
 __attribute__((constructor)) static void detect_lanes(void)
 {
     __builtin_cpu_init();
-    if (SEFRAG_MAX_LANES >= LANES && __builtin_cpu_supports("avx512f"))
+    if (__builtin_cpu_supports("avx512f"))
         lanes = LANES;
 }
 #endif
@@ -235,11 +225,11 @@ int sefrag_protect(const unsigned char *units, size_t count, const unsigned char
         if (keystreams(picked + SUB_LEN * i, n, key, first + i, digests))
             return -1;
         for (size_t l = 0; l < n; l++) {
-            uint32_t w[WORDS], d[WORDS], r[WORDS];
+            uint32_t w[WORDS], d[WORDS - 1], r[WORDS - 1];
             memcpy(w, units + UNIT_LEN * (i + l), UNIT_LEN);
-            memcpy(d, digests + SHA256_DIGEST_LENGTH * l, sizeof d);
-            for (int k = 0; k < WORDS; k++)
-                r[k] = w[ORDER[sels[l]][k]] ^ d[k];
+            memcpy(d, digests + SHA256_DIGEST_LENGTH * l, REMAINDER_LEN);
+            for (int k = 0; k < WORDS - 1; k++)
+                r[k] = w[k + (k >= sels[l])] ^ d[k];
             memcpy(pub + REMAINDER_LEN * (i + l), r, REMAINDER_LEN);
         }
     }
@@ -260,14 +250,12 @@ int sefrag_recover(const unsigned char *pub, const unsigned char *picked, size_t
             int sel = selector(key, first + i + l, i + l == 0, block);
             if (sel < 0)
                 return -1;
-            uint32_t r[WORDS], d[WORDS], u[WORDS];
+            uint32_t r[WORDS - 1], d[WORDS - 1], u[WORDS];
             memcpy(r, pub + REMAINDER_LEN * (i + l), REMAINDER_LEN);
-            memcpy(d, digests + SHA256_DIGEST_LENGTH * l, sizeof d);
+            memcpy(d, digests + SHA256_DIGEST_LENGTH * l, REMAINDER_LEN);
             for (int k = 0; k < WORDS - 1; k++)
-                r[k] ^= d[k];
-            memcpy(&r[WORDS - 1], picked + SUB_LEN * (i + l), SUB_LEN);
-            for (int k = 0; k < WORDS; k++)
-                u[ORDER[sel][k]] = r[k];
+                u[k + (k >= sel)] = r[k] ^ d[k];
+            memcpy(&u[sel], picked + SUB_LEN * (i + l), SUB_LEN);
             memcpy(units + UNIT_LEN * (i + l), u, UNIT_LEN);
         }
     }

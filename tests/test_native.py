@@ -100,29 +100,6 @@ def test_compile_command_is_part_of_the_library_name(fresh_cache, monkeypatch):
     assert len(fresh_cache) == 2
 
 
-def test_one_lane_build_matches_python_on_full_batches(tmp_path):
-    """``-DSEFRAG_MAX_LANES=1`` keeps the library on its one-unit keystream
-    path on every CPU, so full 16-unit batches run through it too: at the
-    lane boundaries and where a unit index crosses 2**32 it gives the
-    pure-Python kernel's bytes, and recover inverts protect."""
-    loaded = _native.load()
-    if not isinstance(loaded, _native.Kernel):
-        pytest.skip(f"native kernel unavailable: {loaded.name}")
-    library = tmp_path / "kernel-1-lane.so"
-    subprocess.run([*_native.COMPILE, "-DSEFRAG_MAX_LANES=1", "-o", str(library), str(_native.SOURCE),
-                    *_native.LIBS], check=True, capture_output=True, timeout=_native.BUILD_TIMEOUT)
-    native, python = _native.Kernel(library), _native.PythonKernel("reference")
-    assert native.name == f"native ({library}, 1 lane)"
-    rng = random.Random(21)
-    key = rng.randbytes(16)
-    for count in (1, 15, 16, 17, 31, 32, 33, 4095, 4096):
-        for first in (0, 5, 2**32 - 7, 2**64 - count):
-            units = rng.randbytes(32 * count)
-            got = native.protect(units, count, key, first)
-            assert got == python.protect(units, count, key, first), (count, first)
-            assert native.recover(*got, count, key, first) == units, (count, first)
-
-
 def test_kernel_checks_buffer_lengths_before_calling_c():
     kernel = _native.load()
     if not isinstance(kernel, _native.Kernel):
