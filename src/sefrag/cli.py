@@ -63,7 +63,8 @@ def _key(args, kdf_salt: bytes) -> ProtectionKey:
 
 
 def _backends(args, store: Path) -> dict:
-    """The cloud and device backends by name, cloud first."""
+    """The device and cloud backends by name, device first, so that a
+    lookup in every backend tries the local one before the network."""
     from .dispersion import DirectoryBackend, RemoteBackend
 
     if args.remote:
@@ -71,7 +72,7 @@ def _backends(args, store: Path) -> dict:
         cloud = RemoteBackend(host, port, name="cloud")
     else:
         cloud = DirectoryBackend(store / "cloud", name="cloud")
-    return {"cloud": cloud, "device": DirectoryBackend(store / "device", name="device")}
+    return {"device": DirectoryBackend(store / "device", name="device"), "cloud": cloud}
 
 
 def _placement_index(store: Path):

@@ -2,10 +2,13 @@
 
 import collections
 import hashlib
+import os
 import types
+from pathlib import Path
 
 import pytest
 
+import sefrag
 from sefrag import _native, core
 
 # What a SHA-256 call in ``sefrag.core`` hashes, told apart by message length.
@@ -37,37 +40,56 @@ def sha256_calls(monkeypatch):
     return calls
 
 
-@pytest.fixture(params=["python", "native"])
-def kernel_path(request, monkeypatch):
-    """Run the test once on each kernel path.  The native half skips,
-    naming the reason, when the kernel cannot be built here."""
-    if request.param == "python":
-        kernel = _native.PythonKernel("pinned by kernel_path")
-    else:
-        kernel = _native.load()
-        if not isinstance(kernel, _native.Kernel):
-            pytest.skip(f"native kernel unavailable: {kernel.name}")
-    monkeypatch.setattr(core, "_kernel", lambda: kernel)
-    return request.param
+def _package_env() -> dict:
+    """Environment whose PYTHONPATH starts with this sefrag's package root,
+    so a child interpreter imports the same sources from any directory."""
+    root = str(Path(sefrag.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.fixture(scope="session")
+def kernels(tmp_path_factory) -> list:
+    """The kernels this machine runs, as ``(label, kernel)`` pairs.
+
+    ``python`` always; where the native kernel builds, also ``native``,
+    the loaded one, and ``ubsan``, the same source compiled once per
+    session with undefined-behaviour checks into a temp directory.  Where
+    the native kernel builds, a failed UBSan build fails the tests that
+    use this list, naming the compiler's first error line.
+    """
+    found = [("python", _native.PythonKernel("pinned by each_kernel_path"))]
+    native = _native.load()
+    if not isinstance(native, _native.Kernel):
+        return found
+    library = tmp_path_factory.mktemp("ubsan") / "kernel.so"
+    # Without -fno-sanitize-recover a report is printed and the call goes
+    # on, so the test that reached the site fails and the run continues.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_native, "COMPILE", (*_native.COMPILE, "-O1", "-g", "-fsanitize=undefined"))
+        reason = _native._build(library)
+    if reason is not None:
+        pytest.fail(f"UBSan build of the kernel failed: {reason}")
+    return [*found, ("native", native), ("ubsan", _native.Kernel(library))]
 
 
 @pytest.fixture
-def each_kernel_path(monkeypatch):
+def each_kernel_path(kernels, monkeypatch, capfd):
     """Run one test body on each kernel path, under one test id.
 
     Iterating ``each_kernel_path()`` patches ``core._kernel`` to one
     kernel per step and yields ``(path, protect_chunk, recover_chunk)``:
-    ``"python"`` or ``"native"`` and that kernel's chunk functions.  The
-    pure-Python kernel always runs; the native one when it builds here
-    (the native half of ``kernel_path`` names the reason when it does not).
+    ``"python"``, ``"native"`` or ``"ubsan"`` and that kernel's chunk
+    functions.  The pure-Python kernel always runs; the two native ones
+    where the native kernel builds here.  At teardown the test fails if
+    UBSan reported on stderr; it reports each source site once per
+    process, so the first test that reaches a site fails.
     """
-    kernels = [_native.PythonKernel("pinned by each_kernel_path")]
-    if isinstance(_native.load(), _native.Kernel):
-        kernels.append(_native.load())
-
     def paths():
-        for kernel in kernels:
+        for label, kernel in kernels:
             monkeypatch.setattr(core, "_kernel", lambda: kernel)
-            yield kernel.name.split()[0], kernel.protect, kernel.recover
+            yield label, kernel.protect, kernel.recover
 
-    return paths
+    yield paths
+    err = capfd.readouterr().err
+    if "runtime error:" in err:
+        pytest.fail(f"UBSan reported undefined behaviour in the kernel:\n{err}")

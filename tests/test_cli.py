@@ -1,14 +1,15 @@
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from conftest import _package_env
 
-import sefrag
 from sefrag import _native, cli, core, errors
 from sefrag.cli import main
 from sefrag.container import PufContainer
@@ -20,13 +21,6 @@ OTHER_KEY = "ffeeddccbbaa99887766554433221100"
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
-
-
-def _package_env() -> dict:
-    """Environment whose PYTHONPATH starts with this sefrag's package root,
-    so a child interpreter imports the same sources from any directory."""
-    root = str(Path(sefrag.__file__).parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
 
 
 def run_with_file_size_limit(limit: int, *argv) -> subprocess.CompletedProcess:
@@ -420,6 +414,19 @@ class TestStoreCommands:
         assert captured.out == ""
         assert captured.err == "error: blob id must be 64 hex chars\n"
         assert not out.exists()
+
+    def test_get_finds_device_blob_while_the_cloud_is_down(self, sealed, tmp_path, capsys):
+        _, puf, prf = sealed
+        store = tmp_path / "store"
+        run_cli("put", puf, prf, "--store", store)
+        ids = dict(line.split()[:2] for line in capsys.readouterr().out.splitlines()[1:])
+        with socket.socket() as sock:  # a loopback port with no listener once closed
+            sock.bind(("127.0.0.1", 0))
+            down = f"127.0.0.1:{sock.getsockname()[1]}"
+        out = tmp_path / "got.prf"
+        assert run_cli("get", ids["prf"], "--store", store, "--remote", down, "--out", out) == 0
+        assert out.read_bytes() == prf.read_bytes()
+        assert run_cli("get", ids["puf"], "--store", store, "--remote", down, "--out", tmp_path / "got.puf") == 6
 
     def test_get_unknown_id_exits_5(self, tmp_path):
         assert run_cli("get", "00" * 32, "--store", tmp_path / "s", "--out", tmp_path / "x") == 5

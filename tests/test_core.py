@@ -556,34 +556,37 @@ def _reference_case(length: int) -> tuple[ProtectionKey, bytes, tuple[bytes, byt
 
 class TestKernelPaths:
     """The native kernel and the pure-Python path against the unit-by-unit
-    reference; ``kernel_path`` runs each test once per path."""
+    reference; ``each_kernel_path`` runs each test body once per path."""
 
     C = 32 * CHUNK_UNITS
 
     @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, C - 1, C, C + 1, 2 * C + 7, (8 << 20) + 7])
-    def test_chunks_match_reference(self, kernel_path, length):
+    def test_chunks_match_reference(self, each_kernel_path, length):
         key, content, (public, private) = _reference_case(length)
-        pieces = list(core.protect_chunks(io.BytesIO(content).read, length, key))
-        assert b"".join(p for p, _ in pieces) == public
-        assert b"".join(q for _, q in pieces) == private
-        recovered = core.recover_chunks(io.BytesIO(public).read, io.BytesIO(private).read, length, key)
-        assert b"".join(recovered) == content
+        for path, *_ in each_kernel_path():
+            pieces = list(core.protect_chunks(io.BytesIO(content).read, length, key))
+            assert b"".join(p for p, _ in pieces) == public, path
+            assert b"".join(q for _, q in pieces) == private, path
+            recovered = core.recover_chunks(io.BytesIO(public).read, io.BytesIO(private).read, length, key)
+            assert b"".join(recovered) == content, path
 
-    def test_known_answer_vectors(self, kernel_path):
-        streams = protect(bytes(32), ZERO_KEY)
-        assert streams.prf_plain[:4] == bytes(4)
-        assert streams.puf_payload == KEYSTREAM_ZERO_VECTOR
-        assert recover(streams.puf_payload, streams.prf_plain, ZERO_KEY) == bytes(32)
-        assert protect(b"", ZERO_KEY).prf_plain == EMPTY_DIGEST
+    def test_known_answer_vectors(self, each_kernel_path):
+        for path, *_ in each_kernel_path():
+            streams = protect(bytes(32), ZERO_KEY)
+            assert streams.prf_plain[:4] == bytes(4), path
+            assert streams.puf_payload == KEYSTREAM_ZERO_VECTOR, path
+            assert recover(streams.puf_payload, streams.prf_plain, ZERO_KEY) == bytes(32), path
+            assert protect(b"", ZERO_KEY).prf_plain == EMPTY_DIGEST, path
 
-    def test_short_reads_raise(self, kernel_path):
+    def test_short_reads_raise(self, each_kernel_path):
         key, content, (public, private) = _reference_case(2 * self.C + 7)
         short = content[:self.C + 64]
-        with pytest.raises(ValueError):
-            list(core.protect_chunks(io.BytesIO(short).read, len(content), key))
-        for pub, priv in ((public[:self.C], private), (public, private[:100]), (public, private[:99])):
+        for path, *_ in each_kernel_path():
             with pytest.raises(ValueError):
-                list(core.recover_chunks(io.BytesIO(pub).read, io.BytesIO(priv).read, len(content), key))
+                list(core.protect_chunks(io.BytesIO(short).read, len(content), key))
+            for pub, priv in ((public[:self.C], private), (public, private[:100]), (public, private[:99])):
+                with pytest.raises(ValueError):
+                    list(core.recover_chunks(io.BytesIO(pub).read, io.BytesIO(priv).read, len(content), key))
 
     def test_unit_indices_past_u64_raise_on_both_kernels(self, each_kernel_path):
         # C takes the first unit index as a u64; neither kernel may wrap it.
@@ -600,4 +603,4 @@ class TestKernelPaths:
                 with pytest.raises(ValueError):
                     recover_chunk(public, picked, 2, key, first)
         assert all(out == outputs[0] for out in outputs)
-        assert len(outputs) == 1 + isinstance(_native.load(), _native.Kernel)
+        assert len(outputs) == 1 + 2 * isinstance(_native.load(), _native.Kernel)

@@ -5,9 +5,9 @@ import importlib
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
+from conftest import _package_env
 
 import sefrag
 
@@ -48,11 +48,6 @@ except SystemExit as exc:
     code = exc.code
 print("exit", code, *sorted(sys.modules))
 """
-
-
-def _package_env() -> dict:
-    root = str(Path(sefrag.__file__).parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
 
 
 def _fresh(*argv, cwd) -> tuple[int, list[str]]:

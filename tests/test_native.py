@@ -12,8 +12,8 @@ import types
 from pathlib import Path
 
 import pytest
+from conftest import _package_env
 
-import sefrag
 from sefrag import _native, container, core
 from sefrag.core import ProtectionKey
 
@@ -100,6 +100,14 @@ def test_compile_command_is_part_of_the_library_name(fresh_cache, monkeypatch):
     assert len(fresh_cache) == 2
 
 
+def test_kernel_compiles_without_warnings(tmp_path, monkeypatch):
+    if not isinstance(_native.load(), _native.Kernel):
+        pytest.skip(f"native kernel unavailable: {_native.load().name}")
+    monkeypatch.setattr(_native, "COMPILE", (*_native.COMPILE, "-Wall", "-Wextra", "-Werror"))
+    reason = _native._build(tmp_path / "kernel.so")
+    assert reason is None, reason
+
+
 def test_kernel_checks_buffer_lengths_before_calling_c():
     kernel = _native.load()
     if not isinstance(kernel, _native.Kernel):
@@ -143,9 +151,7 @@ def test_cache_writable_by_others_is_not_used(fresh_cache):
 def test_concurrent_first_uses_build_one_library(tmp_path):
     if not isinstance(_native.load(), _native.Kernel):
         pytest.skip(f"native kernel unavailable: {_native.load().name}")
-    env = dict(os.environ, HOME=str(tmp_path),
-               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(sefrag.__file__).parents[1]),
-                                                        os.environ.get("PYTHONPATH")])))
+    env = dict(_package_env(), HOME=str(tmp_path))
     probe = "from sefrag import _native; print(_native.load().name)"
     procs = [subprocess.Popen([sys.executable, "-c", probe], env=env, stdout=subprocess.PIPE, text=True)
              for _ in range(2)]

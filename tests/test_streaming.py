@@ -11,8 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import _package_env
 
-import sefrag
 from sefrag import cli, container
 from sefrag.core import CHUNK_UNITS, UNIT_LEN, ProtectionKey
 
@@ -95,11 +95,6 @@ for argv in json.loads(sys.argv[2]):
     except SystemExit as exc:
         assert exc.code == 0, (argv, exc.code)
 """
-
-
-def _package_env() -> dict:
-    root = str(Path(sefrag.__file__).parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
 
 
 class TestFrozenBytes:
