@@ -47,6 +47,11 @@ def _package_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")])))
 
 
+# One test id per kernel family, ``python`` and ``native``, for tests whose
+# body is costly enough that each family should pass or fail on its own.
+per_kernel_family = pytest.mark.parametrize("each_kernel_path", ["python", "native"], indirect=True)
+
+
 @pytest.fixture(scope="session")
 def kernels(tmp_path_factory) -> list:
     """The kernels this machine runs, as ``(label, kernel)`` pairs.
@@ -73,19 +78,28 @@ def kernels(tmp_path_factory) -> list:
 
 
 @pytest.fixture
-def each_kernel_path(kernels, monkeypatch, capfd):
+def each_kernel_path(request, kernels, monkeypatch, capfd):
     """Run one test body on each kernel path, under one test id.
 
     Iterating ``each_kernel_path()`` patches ``core._kernel`` to one
     kernel per step and yields ``(path, protect_chunk, recover_chunk)``:
     ``"python"``, ``"native"`` or ``"ubsan"`` and that kernel's chunk
     functions.  The pure-Python kernel always runs; the two native ones
-    where the native kernel builds here.  At teardown the test fails if
+    where the native kernel builds here.  A test marked ``per_kernel_family``
+    gets one id per family instead: ``python`` runs the pure-Python kernel,
+    ``native`` the native and UBSan builds, and skips, naming the reason,
+    where the native kernel does not build.  At teardown the test fails if
     UBSan reported on stderr; it reports each source site once per
     process, so the first test that reaches a site fails.
     """
+    family = getattr(request, "param", None)
+    chosen = [(label, kernel) for label, kernel in kernels
+              if family is None or (label == "python") == (family == "python")]
+    if not chosen:
+        pytest.skip(f"native kernel unavailable: {_native.load().name}")
+
     def paths():
-        for label, kernel in kernels:
+        for label, kernel in chosen:
             monkeypatch.setattr(core, "_kernel", lambda: kernel)
             yield label, kernel.protect, kernel.recover
 

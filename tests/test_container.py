@@ -7,6 +7,7 @@ import os
 import random
 
 import pytest
+from conftest import per_kernel_family
 from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
@@ -330,6 +331,7 @@ class TestDeriveKey:
 
     @pytest.mark.parametrize("passphrase", [b"pw", b"pass\x00word", bytes(range(256)) * 4],
                              ids=["short", "nul-byte", "1-kib"])
+    @per_kernel_family
     def test_both_kernel_paths_match_reference_loop(self, each_kernel_path, passphrase):
         salt = bytes(range(16, 32))
         x = b""

@@ -7,6 +7,7 @@ import itertools
 import random
 
 import pytest
+from conftest import per_kernel_family
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -556,11 +557,13 @@ def _reference_case(length: int) -> tuple[ProtectionKey, bytes, tuple[bytes, byt
 
 class TestKernelPaths:
     """The native kernel and the pure-Python path against the unit-by-unit
-    reference; ``each_kernel_path`` runs each test body once per path."""
+    reference; ``each_kernel_path`` runs each test body once per path,
+    under one id per kernel family where the test is ``per_kernel_family``."""
 
     C = 32 * CHUNK_UNITS
 
     @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, C - 1, C, C + 1, 2 * C + 7, (8 << 20) + 7])
+    @per_kernel_family
     def test_chunks_match_reference(self, each_kernel_path, length):
         key, content, (public, private) = _reference_case(length)
         for path, *_ in each_kernel_path():
@@ -570,6 +573,7 @@ class TestKernelPaths:
             recovered = core.recover_chunks(io.BytesIO(public).read, io.BytesIO(private).read, length, key)
             assert b"".join(recovered) == content, path
 
+    @per_kernel_family
     def test_known_answer_vectors(self, each_kernel_path):
         for path, *_ in each_kernel_path():
             streams = protect(bytes(32), ZERO_KEY)
@@ -578,6 +582,7 @@ class TestKernelPaths:
             assert recover(streams.puf_payload, streams.prf_plain, ZERO_KEY) == bytes(32), path
             assert protect(b"", ZERO_KEY).prf_plain == EMPTY_DIGEST, path
 
+    @per_kernel_family
     def test_short_reads_raise(self, each_kernel_path):
         key, content, (public, private) = _reference_case(2 * self.C + 7)
         short = content[:self.C + 64]
