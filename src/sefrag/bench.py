@@ -29,10 +29,10 @@ MIB = 1 << 20
 
 @dataclass(frozen=True)
 class BenchReport:
-    """Measured timings plus the primitive counts a seal of that size makes.
+    """What one ``run_bench`` measured: the AES bytes each path ciphered
+    and the wall time of every iteration, in run order.
 
-    Per-iteration wall times are kept so callers can see spread; the
-    scalar throughput properties use the median run.
+    The scalar throughput properties use the median run.
     """
 
     input_size: int
@@ -41,8 +41,6 @@ class BenchReport:
     aes_baseline_elapsed: tuple[float, ...]
     aes_bytes_se: int
     aes_bytes_baseline: int
-    hash_invocations_se: int
-    selected_bytes: int
     kernel: str  # "native (<library>, 16 lanes)", "native (<library>, 1 lane)" or "python (<why>)"
 
     @property
@@ -61,7 +59,7 @@ class BenchReport:
         return self.se_throughput / self.aes_throughput
 
 
-def run_bench(size_mb: int, iterations: int = 9) -> BenchReport:
+def run_bench(size_mb: int, iterations: int) -> BenchReport:
     """Protect a random ``size_mb`` MiB buffer both ways, ``iterations`` times."""
     if size_mb < 1:
         raise ValueError("bench size must be at least 1 MB")
@@ -100,7 +98,6 @@ def run_bench(size_mb: int, iterations: int = 9) -> BenchReport:
             run()
             times.append(time.perf_counter() - start)
 
-    units = len(buf) // core.UNIT_LEN
     return BenchReport(
         input_size=len(buf),
         iterations=iterations,
@@ -108,40 +105,31 @@ def run_bench(size_mb: int, iterations: int = 9) -> BenchReport:
         aes_baseline_elapsed=tuple(aes_times),
         aes_bytes_se=aes_bytes_se,
         aes_bytes_baseline=aes_bytes_baseline,
-        # A seal hashes once per unit (keystream), once per 32 units
-        # (selectors) and once for the content digest; tests count them.
-        hash_invocations_se=units + -(-units // core.SELECTORS_PER_BLOCK) + 1,
-        selected_bytes=core.SUB_LEN * units,
         kernel=core._kernel().name,
     )
 
 
 def format_table(report: BenchReport) -> str:
     def spread(times: tuple[float, ...]) -> str:
-        return "min %.3fs / median %.3fs / max %.3fs" % (
-            min(times),
-            statistics.median(times),
-            max(times),
+        return "min %.1f / median %.1f / max %.1f ms" % (
+            1e3 * min(times),
+            1e3 * statistics.median(times),
+            1e3 * max(times),
         )
+
+    def runs(times: tuple[float, ...]) -> str:
+        return " ".join("%.1f" % (1e3 * t) for t in times)
 
     lines = [
         "input size           %d bytes" % report.input_size,
         "iterations           %d" % report.iterations,
         "selective            %.1f MB/s  (%s)" % (report.se_throughput, spread(report.se_elapsed)),
+        "selective runs, ms   %s" % runs(report.se_elapsed),
         "aes-128-cbc (full)   %.1f MB/s  (%s)"
         % (report.aes_throughput, spread(report.aes_baseline_elapsed)),
+        "aes-128-cbc runs, ms %s" % runs(report.aes_baseline_elapsed),
         "ratio                %.2fx" % report.ratio,
         "aes bytes, selective %d" % report.aes_bytes_se,
         "aes bytes, baseline  %d" % report.aes_bytes_baseline,
-        "hash invocations     %d" % report.hash_invocations_se,
-        "selected bytes       %d" % report.selected_bytes,
     ]
     return "\n".join(lines)
-
-
-def format_csv(report: BenchReport) -> str:
-    """One row per iteration, wall seconds for both paths."""
-    rows = ["iteration,se_seconds,aes_seconds"]
-    for i, (se, aes) in enumerate(zip(report.se_elapsed, report.aes_baseline_elapsed)):
-        rows.append("%d,%.6f,%.6f" % (i, se, aes))
-    return "\n".join(rows) + "\n"

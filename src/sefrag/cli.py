@@ -46,7 +46,7 @@ def _parse_hostport(text: str) -> tuple[str, int]:
 
 
 def _read_passphrase(args) -> bytes:
-    if args.passphrase_file:
+    if args.passphrase_file is not None:
         return Path(args.passphrase_file).read_bytes().rstrip(b"\r\n")
     import getpass
 
@@ -54,12 +54,10 @@ def _read_passphrase(args) -> bytes:
 
 
 def _key(args, kdf_salt: bytes) -> ProtectionKey:
-    """Resolve the key flags; a passphrase is stretched with ``kdf_salt``."""
-    if args.key_hex:
+    """Resolve the key flag; a passphrase is stretched with ``kdf_salt``."""
+    if args.key_hex is not None:
         return ProtectionKey.from_hex(args.key_hex)
-    if args.passphrase or args.passphrase_file:
-        return container.derive_key(_read_passphrase(args), kdf_salt)
-    raise ValueError("provide --key-hex, --passphrase, or --passphrase-file")
+    return container.derive_key(_read_passphrase(args), kdf_salt)
 
 
 def _backends(args, store: Path) -> dict:
@@ -67,7 +65,7 @@ def _backends(args, store: Path) -> dict:
     lookup in every backend tries the local one before the network."""
     from .dispersion import DirectoryBackend, RemoteBackend
 
-    if args.remote:
+    if args.remote is not None:
         host, port = _parse_hostport(args.remote)
         cloud = RemoteBackend(host, port, name="cloud")
     else:
@@ -132,9 +130,6 @@ def cmd_bench(args) -> int:
     report = bench.run_bench(args.size_mb, iterations=args.iterations)
     print(f"kernel {report.kernel}", file=sys.stderr)
     print(bench.format_table(report))
-    if args.csv:
-        with atomic_write(args.csv) as write:
-            write(bench.format_csv(report).encode())
     return 0
 
 
@@ -205,6 +200,8 @@ def cmd_grant_or_revoke(args) -> int:
 
 
 def cmd_request(args) -> int:
+    if args.out_dir is None and (args.remote is not None or args.anonymize):
+        raise ValueError("--remote and --anonymize need --out-dir")
     from . import sharing
 
     store_dir = Path(args.store)
@@ -212,7 +209,7 @@ def cmd_request(args) -> int:
     party = sharing.Party(args.caller, args.role)
     record_id = _fromhex(args.record, container.FILE_ID_LEN, "record id")
     placement = None
-    if args.out_dir:
+    if args.out_dir is not None:
         placement = _placement_index(store_dir).lookup(record_id)
         if placement is None:
             raise UnknownRecord(f"no placement for record {record_id.hex()}")
@@ -246,13 +243,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     key_flags = argparse.ArgumentParser(add_help=False)
-    key_flags.add_argument("--key-hex", help="raw 128-bit key as 32 hex chars")
-    key_flags.add_argument("--passphrase", action="store_true", help="prompt for a passphrase")
-    key_flags.add_argument("--passphrase-file", help="read the passphrase from a file")
+    key = key_flags.add_mutually_exclusive_group(required=True)
+    key.add_argument("--key-hex", help="raw 128-bit key as 32 hex chars")
+    key.add_argument("--passphrase", action="store_true", help="prompt for a passphrase")
+    key.add_argument("--passphrase-file", help="read the passphrase from a file")
 
-    store_flags = argparse.ArgumentParser(add_help=False)
-    store_flags.add_argument("--store", default="sefrag-store", help="local state directory")
-    store_flags.add_argument("--remote", help="host:port of a blob server to use as the cloud")
+    store_flag = argparse.ArgumentParser(add_help=False)
+    store_flag.add_argument("--store", default="sefrag-store", help="local state directory")
+    remote_flag = argparse.ArgumentParser(add_help=False)
+    remote_flag.add_argument("--remote", help="host:port of a blob server to use as the cloud")
 
     p = sub.add_parser("protect", parents=[key_flags], help="seal a file into .puf/.prf")
     p.add_argument("input")
@@ -274,36 +273,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time selective protection against full AES")
     p.add_argument("--size-mb", type=int, default=1)
     p.add_argument("--iterations", type=int, default=9)
-    p.add_argument("--csv", help="also write per-iteration timings to this file")
 
     p = sub.add_parser("serve", help="run a blob server")
     p.add_argument("--bind", default="127.0.0.1:0")
     p.add_argument("--root", required=True, help="directory holding the blobs")
 
-    p = sub.add_parser("put", parents=[store_flags], help="disperse a sealed pair")
+    p = sub.add_parser("put", parents=[store_flag, remote_flag], help="disperse a sealed pair")
     p.add_argument("puf")
     p.add_argument("prf")
 
-    p = sub.add_parser("get", parents=[store_flags], help="fetch a blob by id")
+    p = sub.add_parser("get", parents=[store_flag, remote_flag], help="fetch a blob by id")
     p.add_argument("id")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("grant", parents=[store_flags], help="allow a party full access")
-    p.add_argument("record")
-    p.add_argument("party")
-    p.add_argument("--as", dest="caller", required=True, help="acting owner id")
+    for name, summary in (("grant", "allow a party full access"), ("revoke", "withdraw a grant")):
+        p = sub.add_parser(name, parents=[store_flag], help=summary)
+        p.add_argument("record")
+        p.add_argument("party")
+        p.add_argument("--as", dest="caller", required=True, help="acting owner id")
 
-    p = sub.add_parser("revoke", parents=[store_flags], help="withdraw a grant")
-    p.add_argument("record")
-    p.add_argument("party")
-    p.add_argument("--as", dest="caller", required=True, help="acting owner id")
-
-    p = sub.add_parser("request", parents=[store_flags], help="ask what a party may see")
+    p = sub.add_parser("request", parents=[store_flag, remote_flag], help="ask what a party may see")
     p.add_argument("record")
     p.add_argument("--as", dest="caller", required=True, help="requesting party id")
     p.add_argument("--role", default="requester", help="owner, doctor, authority, or requester")
     p.add_argument("--out-dir", help="also fetch the permitted fragments into this directory")
-    p.add_argument("--anonymize", action="store_true", help="strip the plaintext header")
+    p.add_argument("--anonymize", action="store_true", help="strip the plaintext header (needs --out-dir)")
 
     return parser
 

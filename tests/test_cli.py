@@ -23,6 +23,13 @@ def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def parser_exit_code(*argv) -> int:
+    """The code of the ``SystemExit`` argparse raises on rejecting ``argv``."""
+    with pytest.raises(SystemExit) as exited:
+        run_cli(*argv)
+    return exited.value.code
+
+
 def run_with_file_size_limit(limit: int, *argv) -> subprocess.CompletedProcess:
     """``python -m sefrag argv`` in a child that may write at most ``limit``
     bytes to any one file: a longer write stops partway with EFBIG, as on
@@ -106,7 +113,32 @@ class TestProtectRecover:
         assert code == 3
 
     def test_no_key_flag_exits_2(self, sample):
-        assert run_cli("protect", sample) == 2
+        assert parser_exit_code("protect", sample) == 2
+
+    @pytest.mark.parametrize("pair", [("--key-hex", KEY, "--passphrase"),
+                                      ("--key-hex", KEY, "--passphrase-file", "pw.txt"),
+                                      ("--passphrase", "--passphrase-file", "pw.txt")])
+    def test_two_key_flags_exit_2_and_write_nothing(self, pair, sample, tmp_path, monkeypatch, capsys):
+        run_cli("protect", sample, "--key-hex", KEY, "--out-dir", tmp_path / "w")
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "pw.txt").write_bytes(b"correct horse\n")
+        monkeypatch.setattr("getpass.getpass", lambda prompt="": pytest.fail("prompted"))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert parser_exit_code("protect", sample, *pair, "--out-dir", out) == 2
+        assert parser_exit_code("recover", tmp_path / "w" / "sample.puf", tmp_path / "w" / "sample.prf",
+                                *pair, "--out", out / "back.bin") == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
+    def test_empty_key_flag_value_exits_2_and_never_prompts(self, sample, tmp_path, monkeypatch, capsys):
+        # An empty value is still the flag given, not a missing one that
+        # would fall through to the passphrase prompt.
+        monkeypatch.setattr("getpass.getpass", lambda prompt="": pytest.fail("prompted"))
+        for flag in ("--key-hex", "--passphrase-file"):
+            assert run_cli("protect", sample, flag, "", "--out-dir", tmp_path / "w") == 2
+        assert capsys.readouterr().out == ""
+        assert not (tmp_path / "w").exists()
 
     def test_bad_key_hex_exits_2(self, sample):
         assert run_cli("protect", sample, "--key-hex", "zz") == 2
@@ -355,13 +387,10 @@ class TestAnalysisCommands:
 
 
 class TestBenchCommand:
-    def test_bench_reports_counters(self, tmp_path, capsys):
+    def test_bench_csv_exits_2_and_writes_nothing(self, tmp_path):
         csv = tmp_path / "timings.csv"
-        assert run_cli("bench", "--size-mb", 1, "--iterations", 1, "--csv", csv) == 0
-        table = capsys.readouterr().out
-        assert "hash invocations     33793" in table
-        assert "selected bytes       131072" in table
-        assert len(csv.read_text().strip().splitlines()) == 2
+        assert parser_exit_code("bench", "--size-mb", 1, "--iterations", 1, "--csv", csv) == 2
+        assert not csv.exists()
 
     def test_bench_names_the_kernel_it_timed_on_stderr(self, capsys, monkeypatch):
         assert run_cli("bench", "--size-mb", 1, "--iterations", 1) == 0
@@ -371,9 +400,9 @@ class TestBenchCommand:
         assert err.splitlines() == [f"kernel {kernel.name}"]
         assert kernel.name.startswith(f"native ({kernel.path}, " if native else "python (")
         labels = [line[:20].rstrip() for line in out.splitlines()]
-        assert labels == ["input size", "iterations", "selective", "aes-128-cbc (full)", "ratio",
-                          "aes bytes, selective", "aes bytes, baseline", "hash invocations",
-                          "selected bytes"]
+        assert labels == ["input size", "iterations", "selective", "selective runs, ms",
+                          "aes-128-cbc (full)", "aes-128-cbc runs, ms", "ratio",
+                          "aes bytes, selective", "aes bytes, baseline"]
         python = _native.PythonKernel("cc: not found")
         monkeypatch.setattr(core, "_kernel", lambda: python)
         assert run_cli("bench", "--size-mb", 1, "--iterations", 1) == 0
@@ -468,6 +497,27 @@ class TestStoreCommands:
         assert decision_for("stranger") == "PufOnly"
         assert decision_for("dr-lee", "--role", "doctor") == "Full"
         assert decision_for("impostor", "--role", "owner") == "Denied"
+
+    def test_grant_and_revoke_reject_remote(self, sealed, tmp_path):
+        record, _, _ = sealed
+        store = tmp_path / "store"
+        for command in ("grant", "revoke"):
+            argv = (command, record, "p", "--as", "o", "--store", store, "--remote", "127.0.0.1:9")
+            assert parser_exit_code(*argv) == 2
+        assert not store.exists()
+
+    @pytest.mark.parametrize("flags", [("--anonymize",), ("--remote", "nonsense:1"), ("--remote", "")])
+    def test_request_flags_without_out_dir_exit_2_before_any_decision(self, flags, sealed, tmp_path, capsys):
+        record, puf, prf = sealed
+        store = tmp_path / "store"
+        run_cli("put", puf, prf, "--store", store)
+        capsys.readouterr()
+        before = sorted(store.rglob("*"))
+        assert run_cli("request", record, "--as", "o", "--role", "owner", "--store", store, *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --remote and --anonymize need --out-dir\n"
+        assert sorted(store.rglob("*")) == before
 
     def test_grant_by_non_owner_exits_4(self, sealed, tmp_path):
         record, puf, prf = sealed
@@ -727,6 +777,17 @@ class TestServeCommand:
     def test_bind_port_out_of_range_exits_2(self, port, tmp_path, capsys):
         assert run_cli("serve", "--bind", f"127.0.0.1:{port}", "--root", tmp_path / "srv") == 2
         assert capsys.readouterr().err == f"error: bad port in '127.0.0.1:{port}'\n"
+
+    def test_empty_remote_exits_2_and_stores_nothing(self, sample, tmp_path, capsys):
+        # An empty --remote is a malformed host:port, not a request for the directory cloud.
+        run_cli("protect", sample, "--key-hex", KEY, "--out-dir", tmp_path / "w")
+        capsys.readouterr()
+        store = tmp_path / "store"
+        code = run_cli("put", tmp_path / "w" / "sample.puf", tmp_path / "w" / "sample.prf",
+                       "--store", store, "--remote", "")
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: expected host:port, got ''\n")
+        assert not store.exists()
 
     def test_remote_port_out_of_range_exits_2_and_stores_nothing(self, sample, tmp_path, capsys):
         run_cli("protect", sample, "--key-hex", KEY, "--out-dir", tmp_path / "w")
