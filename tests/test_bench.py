@@ -1,11 +1,15 @@
+import collections
 import dataclasses
+import io
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from sefrag import bench, container
+from sefrag import bench, container, core
+from sefrag.core import ProtectionKey
 
 MIB = 1 << 20
 REPO = Path(__file__).resolve().parent.parent
@@ -21,6 +25,20 @@ def test_input_size_and_iterations(report):
     assert report.iterations == 3
     assert len(report.se_elapsed) == 3
     assert len(report.aes_baseline_elapsed) == 3
+
+
+def test_counts_match_counted_hashes_of_a_seal(sha256_calls):
+    # The selective path bench times is one seal_stream pass: count the hashes
+    # of a seal, then of a bench run (one untimed pass, one timed iteration).
+    _, pieces = container.seal_stream(io.BytesIO(os.urandom(MIB)), ProtectionKey.random())
+    for _ in pieces:
+        pass
+    one_seal = collections.Counter(sha256_calls)
+    sha256_calls.clear()
+    report = bench.run_bench(1, iterations=1)
+    assert sha256_calls == one_seal + one_seal
+    # selected bytes of every unit + digest + pkcs7 padding of an aligned input
+    assert report.aes_bytes_se == core.SUB_LEN * one_seal["protection"] + core.DIGEST_LEN + 16
 
 
 def test_aes_byte_accounting(report):
