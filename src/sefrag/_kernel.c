@@ -1,9 +1,9 @@
 /* Native per-chunk kernel, KDF and AES-128-CBC for sefrag, over libcrypto.
  *
- * Plain C with no Python headers; sefrag._native builds it on first use
- * (cc -O2 -shared -fPIC ... -lcrypto) and calls it through ctypes.  Each
- * function is the byte-for-byte equivalent of a pure-Python function,
- * which stays the reference:
+ * Plain C with no Python headers; sefrag._native builds it on first use,
+ * with the command in _native.COMPILE and _native.LIBS, and calls it
+ * through ctypes.  Each function is the byte-for-byte equivalent of a
+ * pure-Python function, which stays the reference:
  *
  *   sefrag_protect  core._protect_chunk: one chunk, gather -> keystream -> XOR
  *   sefrag_recover  core._recover_chunk: one chunk, keystream -> XOR -> scatter
@@ -23,17 +23,21 @@
  * hashes, so on an x86-64 CPU with AVX-512F keystreams16 runs them as
  * the 16 lanes of one SHA-256 (Gueron & Krasnov, "Simultaneous Hashing
  * of Multiple Messages", 2012), written with GCC vector extensions.
- * The CPU is asked once, when the library loads; sefrag_lanes says
- * which path runs.  Elsewhere, and for a chunk's last count % 16 units,
- * each unit is one libcrypto compression.  Both give the same bytes.
+ * sefrag_lanes asks the CPU (__builtin_cpu_supports, whose answer libgcc
+ * fills in before any of this code runs) and says which path runs;
+ * keystreams asks it for every batch of 16.  Elsewhere, and for a chunk's
+ * last count % 16 units, each unit is one libcrypto compression from the
+ * SHA-256 initial state.  Both give the same bytes.
  *
  * A unit is eight 4-byte words and its remainder the seven it keeps, in
  * order: remainder word k is unit word k + (k >= selector).  Both chunk
  * functions move those seven words in fixed loops, so no loop bound
  * depends on the selector.
  *
- * The caller checks every buffer length before the call.  Each function
- * returns 0, or -1 when a libcrypto call fails.
+ * The caller checks every buffer length before the call.  The chunk
+ * functions cannot fail: no call on their path reports an error, and they
+ * always return 0.  sefrag_derive and sefrag_cbc return 0, or -1 when a
+ * libcrypto call fails.
  */
 
 #include <stddef.h>
@@ -53,6 +57,11 @@
 #define SELECTOR_MESSAGE_LEN (KEY_LEN + DOMAIN_LEN + 8)
 #define SELECTORS_PER_BLOCK SHA256_DIGEST_LENGTH
 #define WORDS (UNIT_LEN / SUB_LEN)
+#define LANES 16
+
+static const uint32_t INITIAL_H[8] = {
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+};
 
 static void le64(unsigned char *out, uint64_t value)
 {
@@ -70,17 +79,16 @@ static void pad(unsigned char block[SHA256_CBLOCK], size_t len)
 }
 
 /* SHA-256 of a padded one-block message: one compression from the
- * initial state, written out big-endian. */
-static int one_block(const unsigned char block[SHA256_CBLOCK], unsigned char *digest)
+ * initial state, written out big-endian.  SHA256_Transform reads only
+ * ctx.h, so this sets the state itself instead of calling SHA256_Init. */
+static void one_block(const unsigned char block[SHA256_CBLOCK], unsigned char *digest)
 {
-    SHA256_CTX ctx;
-    if (!SHA256_Init(&ctx))
-        return 0;
+    SHA256_CTX ctx = {0};
+    memcpy(ctx.h, INITIAL_H, sizeof ctx.h);
     SHA256_Transform(&ctx, block);
     for (int w = 0; w < 8; w++)
         for (int b = 0; b < 4; b++)
             digest[4 * w + b] = (unsigned char)(ctx.h[w] >> (24 - 8 * b));
-    return 1;
 }
 
 /* The selector of unit u; block holds selector block u / 32 once this
@@ -93,16 +101,10 @@ static int selector(const unsigned char *key, uint64_t u, int first_of_call, uns
         memcpy(message + KEY_LEN, DOMAIN, DOMAIN_LEN);
         le64(message + KEY_LEN + DOMAIN_LEN, u / SELECTORS_PER_BLOCK);
         pad(message, SELECTOR_MESSAGE_LEN);
-        if (!one_block(message, block))
-            return -1;
+        one_block(message, block);
     }
     return block[u % SELECTORS_PER_BLOCK] & 7;
 }
-
-#define LANES 16
-
-/* LANES when keystreams16 runs on this CPU, else 1; set once, at load. */
-static int lanes = 1;
 
 #if defined(__x86_64__)
 typedef uint32_t lane_words __attribute__((vector_size(4 * LANES)));
@@ -116,9 +118,6 @@ static const uint32_t ROUND_K[64] = {
     0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-};
-static const uint32_t INITIAL_H[8] = {
-    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 };
 
 #define ROTR(x, n) ((x) >> (n) | (x) << (32 - (n)))
@@ -168,30 +167,27 @@ __attribute__((target("avx512f"))) static void keystreams16(const unsigned char 
             memcpy(digests + SHA256_DIGEST_LENGTH * l + 4 * k, &word, 4);
         }
 }
-
-__attribute__((constructor)) static void detect_lanes(void)
-{
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f"))
-        lanes = LANES;
-}
 #endif
 
 /* How many units' keystreams one hash call computes on this CPU: 16 or 1. */
 int sefrag_lanes(void)
 {
-    return lanes;
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx512f"))
+        return LANES;
+#endif
+    return 1;
 }
 
 /* The keystream digests of units first .. first + n - 1, n <= 16, in
  * rows of 32 bytes: SHA-256(picked || key || LE64(index)) per unit. */
-static int keystreams(const unsigned char *picked, size_t n, const unsigned char *key, uint64_t first,
-                      unsigned char *digests)
+static void keystreams(const unsigned char *picked, size_t n, const unsigned char *key, uint64_t first,
+                       unsigned char *digests)
 {
 #if defined(__x86_64__)
-    if (n == LANES && lanes == LANES) {
+    if (n == LANES && sefrag_lanes() == LANES) {
         keystreams16(picked, key, first, digests);
-        return 0;
+        return;
     }
 #endif
     unsigned char message[SHA256_CBLOCK] = {0};
@@ -200,10 +196,8 @@ static int keystreams(const unsigned char *picked, size_t n, const unsigned char
     for (size_t l = 0; l < n; l++) {
         memcpy(message, picked + SUB_LEN * l, SUB_LEN);
         le64(message + SUB_LEN + KEY_LEN, first + l);
-        if (!one_block(message, digests + SHA256_DIGEST_LENGTH * l))
-            return -1;
+        one_block(message, digests + SHA256_DIGEST_LENGTH * l);
     }
-    return 0;
 }
 
 /* units: count * 32 bytes in; pub: count * 28 protected remainder bytes
@@ -218,12 +212,9 @@ int sefrag_protect(const unsigned char *units, size_t count, const unsigned char
         size_t n = count - i < LANES ? count - i : LANES;
         for (size_t l = 0; l < n; l++) {
             sels[l] = selector(key, first + i + l, i + l == 0, block);
-            if (sels[l] < 0)
-                return -1;
             memcpy(picked + SUB_LEN * (i + l), units + UNIT_LEN * (i + l) + SUB_LEN * sels[l], SUB_LEN);
         }
-        if (keystreams(picked + SUB_LEN * i, n, key, first + i, digests))
-            return -1;
+        keystreams(picked + SUB_LEN * i, n, key, first + i, digests);
         for (size_t l = 0; l < n; l++) {
             uint32_t w[WORDS], d[WORDS - 1], r[WORDS - 1];
             memcpy(w, units + UNIT_LEN * (i + l), UNIT_LEN);
@@ -244,12 +235,9 @@ int sefrag_recover(const unsigned char *pub, const unsigned char *picked, size_t
     unsigned char digests[LANES * SHA256_DIGEST_LENGTH], block[SELECTORS_PER_BLOCK];
     for (size_t i = 0; i < count; i += LANES) {
         size_t n = count - i < LANES ? count - i : LANES;
-        if (keystreams(picked + SUB_LEN * i, n, key, first + i, digests))
-            return -1;
+        keystreams(picked + SUB_LEN * i, n, key, first + i, digests);
         for (size_t l = 0; l < n; l++) {
             int sel = selector(key, first + i + l, i + l == 0, block);
-            if (sel < 0)
-                return -1;
             uint32_t r[WORDS - 1], d[WORDS - 1], u[WORDS];
             memcpy(r, pub + REMAINDER_LEN * (i + l), REMAINDER_LEN);
             memcpy(d, digests + SHA256_DIGEST_LENGTH * l, REMAINDER_LEN);

@@ -71,7 +71,7 @@ def run_bench(size_mb: int, iterations: int) -> BenchReport:
 
     def seal() -> int:
         """The selective pass; returns its AES bytes."""
-        _, pieces = container.seal_stream(io.BytesIO(buf), key)
+        _, pieces = container.seal_stream(io.BytesIO(buf), lambda _salt: key)
         return sum(len(prf) for _, prf in pieces) - container._PRF_HEADER.size
 
     # The baseline writes into one buffer, with room for the padding block

@@ -90,7 +90,7 @@ def cmd_protect(args) -> int:
     stem = Path(args.input).stem or Path(args.input).name
     with Path(args.input).open("rb") as src:
         salt = container.ZERO_SALT if args.key_hex else os.urandom(16)
-        file_id, pieces = container.seal_stream(src, _key(args, salt), mode=args.mode, kdf_salt=salt)
+        file_id, pieces = container.seal_stream(src, lambda kdf_salt: _key(args, kdf_salt), args.mode, salt)
         with atomic_write(out_dir / (stem + ".puf")) as puf, atomic_write(out_dir / (stem + ".prf")) as prf:
             for puf_piece, prf_piece in pieces:
                 puf(puf_piece)

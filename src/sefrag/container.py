@@ -20,17 +20,18 @@ public container; flag bit 0 marks it stripped for anonymized release.
 
 ``seal_stream`` and ``open_stream`` are one pass over binary files,
 ``core.CHUNK_UNITS`` units at a time, so their memory does not grow with
-the file.  The headers go out first: the ``.puf`` header needs only the
-head and the content length, which the input's size gives, and the
-``.prf`` header's ``ct_len`` follows from the content length, because
-the private stream is 4 bytes per unit, the tail and a 32-byte digest,
-PKCS#7-padded: 16 * ((4 * units + tail + 32) // 16 + 1).  AES-CBC, in
-the kernel, and the padding run incrementally over each chunk's picked
-bytes.
-``open_stream`` first decrypts the last cipher block alone, so a wrong
-key fails on its padding before any work; it then decrypts the private
-stream in lockstep with the public payload (the picks of chunk k start
-at plaintext offset 4 * CHUNK_UNITS * k) and checks the content digest
+the file.  Both call ``key_for(kdf_salt)`` only once the input's
+structure is checked.  The headers go out first: the ``.puf`` header
+needs only the head and the content length, which the input's size
+gives, and the ``.prf`` header's ``ct_len`` follows from the content
+length (``_private_sizes``): the private stream is 4 bytes per unit, the
+tail and a 32-byte digest, PKCS#7-padded.  AES-CBC, in the kernel, and
+the padding run incrementally over each chunk's picked bytes.
+``open_stream`` checks the pairing and ``ct_len`` before it asks for the
+key, then decrypts the last cipher block alone, so a wrong key fails on
+its padding before any work; it then decrypts the private stream in
+lockstep with the public payload (the picks of chunk k start at
+plaintext offset 4 * CHUNK_UNITS * k) and checks the content digest
 after the last piece.  Its pieces written through ``atomic_write`` are
 therefore renamed into place only once verified.  ``seal`` and ``open``
 run the same pass over bytes in memory, on ``PufContainer`` and
@@ -221,10 +222,13 @@ class PrfContainer(namedtuple("PrfContainer", "file_id kdf_salt iv ciphertext"))
         return cls(file_id=file_id, kdf_salt=kdf_salt, iv=iv, ciphertext=src.read())
 
 
-def _private_len(content_len: int) -> int:
-    """Private stream length: 4 picked bytes per unit, the tail, the digest."""
+def _private_sizes(content_len: int) -> tuple[int, int]:
+    """Ciphertext length and PKCS#7 pad count (1-16) of the private stream:
+    4 picked bytes per unit, the tail, the digest, padded to whole blocks."""
     units, tail = divmod(content_len, core.UNIT_LEN)
-    return core.SUB_LEN * units + tail + core.DIGEST_LEN
+    plain_len = core.SUB_LEN * units + tail + core.DIGEST_LEN
+    pad = 16 - plain_len % 16
+    return plain_len + pad, pad
 
 
 def _check_cbc(key: bytes, iv: bytes, data: bytes) -> None:
@@ -263,20 +267,21 @@ def _cbc_chain(key: ProtectionKey, iv: bytes, encrypt: bool):
     return update
 
 
-def seal_stream(src, key: ProtectionKey, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
+def seal_stream(src, key_for, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
     """Seal the seekable binary file ``src`` in one streaming pass.
 
     Returns the new pair's file id and an iterator of ``(puf, prf)``
     byte pieces: the two headers, then one piece each per chunk, which
-    written in order make the two containers.  The head is read and
-    checked before this returns.  ``kdf_salt`` records how the key was
-    derived so the recovering side can repeat the derivation; all zeros
-    means a raw key was supplied.
+    written in order make the two containers.  The head is checked
+    before ``key_for(kdf_salt)`` gives the key, both before this returns.
+    ``kdf_salt`` records how the key was derived so the recovering side
+    can repeat the derivation; all zeros means a raw key was supplied.
     """
     size = _size(src)
     head = _read_head(src, size, mode)
+    key = key_for(kdf_salt)
     content_len = size - len(head)
-    ct_len = 16 * (_private_len(content_len) // 16 + 1)  # PKCS#7 adds 1-16 bytes
+    ct_len, pad = _private_sizes(content_len)
     file_id = os.urandom(FILE_ID_LEN)
     iv = os.urandom(16)
 
@@ -285,7 +290,6 @@ def seal_stream(src, key: ProtectionKey, mode: str = "raw", kdf_salt: bytes = ZE
         encrypt = _cbc_chain(key, iv, True)
         for public, private in core.protect_chunks(lambda n: _read_exact(src, n), content_len, key):
             yield public, encrypt(private)
-        pad = ct_len - _private_len(content_len)  # PKCS#7: 1-16 bytes, each equal to their count
         yield b"", encrypt(bytes([pad]) * pad)
 
     return file_id, pieces()
@@ -295,32 +299,32 @@ def open_stream(puf_src, prf_src, key_for):
     """Open the pair of seekable ``.puf``/``.prf`` binary files in one
     streaming pass; ``key_for(kdf_salt)`` gives the key.
 
-    Both headers, the pairing and the private stream's padding and
-    length are checked before this returns an iterator of the plaintext
-    pieces: the head, then the content chunk by chunk.  PairMismatch for
-    foreign pairs, BadPadding for a wrong key caught by the cipher layer;
-    the iterator raises IntegrityFailure after its last piece for
-    anything that slips past them.
+    Both headers, the pairing and the private stream's length are
+    checked before ``key_for`` is called, and the padding after it; then
+    this returns an iterator of the plaintext pieces: the head, then the
+    content chunk by chunk.  PairMismatch for foreign pairs,
+    IntegrityFailure for a wrong length, BadPadding for a wrong key caught
+    by the cipher layer; the iterator raises IntegrityFailure after its
+    last piece for anything that slips past them.
     """
     _, file_id, head, content_len = _read_puf_header(puf_src, _size(puf_src))
     prf_id, kdf_salt, iv, ct_len = _read_prf_header(prf_src, _size(prf_src))
-    key = key_for(kdf_salt)
     if file_id != prf_id:
         raise PairMismatch(
             f"public fragment {file_id.hex()} does not pair with private fragment {prf_id.hex()}"
         )
-    # The last cipher block, decrypted with the one before it as its IV,
-    # holds the padding: a wrong key fails here, before any work.
+    expected, pad = _private_sizes(content_len)
+    if ct_len != expected:
+        raise IntegrityFailure(f"private stream is {ct_len} cipher bytes, pair expects {expected}")
+    key = key_for(kdf_salt)
+    # The last cipher block (ct_len >= 48: the digest alone fills two),
+    # decrypted with the one before it as its IV, holds the padding: a
+    # wrong key fails here, before any work.
     body = prf_src.tell()
-    prf_src.seek(body + ct_len - 32 if ct_len > 16 else body)
-    prev = _read_exact(prf_src, 16) if ct_len > 16 else iv
-    last = core._kernel().cbc(key.bytes, prev, _read_exact(prf_src, 16), False)
-    pad = last[-1]  # PKCS#7: 1-16 pad bytes, each equal to their count
-    if not 1 <= pad <= 16 or last[-pad:] != last[-1:] * pad:
+    prf_src.seek(body + ct_len - 32)
+    prev, last = _read_exact(prf_src, 16), _read_exact(prf_src, 16)
+    if core._kernel().cbc(key.bytes, prev, last, False)[-pad:] != bytes([pad]) * pad:
         raise BadPadding("private stream padding invalid (wrong key?)")
-    plain_len, expected = ct_len - pad, _private_len(content_len)
-    if plain_len != expected:
-        raise IntegrityFailure(f"private stream is {plain_len} bytes, pair expects {expected}")
     prf_src.seek(body)
     decrypt = _cbc_chain(key, iv, False)
     pending = bytearray()
@@ -348,7 +352,7 @@ def seal(
     kdf_salt: bytes = ZERO_SALT,
 ) -> tuple[PufContainer, PrfContainer]:
     """``seal_stream`` over bytes in memory: a public/private container pair."""
-    _, pieces = seal_stream(io.BytesIO(data), key, mode, kdf_salt)
+    _, pieces = seal_stream(io.BytesIO(data), lambda _salt: key, mode, kdf_salt)
     puf, prf = zip(*pieces)
     return PufContainer.from_bytes(b"".join(puf)), PrfContainer.from_bytes(b"".join(prf))
 

@@ -233,12 +233,7 @@ def _reply(backend: DirectoryBackend, opcode: int, ref: BlobRef, payload: bytes 
 
 class _BlobRequestHandler(socketserver.StreamRequestHandler):
     server: BlobServer
-
-    def setup(self):
-        # A client that sends nothing, or stops mid-frame, is dropped.  Read
-        # per connection, so a changed REMOTE_TIMEOUT applies to the next one.
-        self.timeout = REMOTE_TIMEOUT
-        super().setup()
+    timeout = REMOTE_TIMEOUT  # a client that sends nothing, or stops mid-frame, is dropped
 
     def handle(self):
         # Every OSError here is the client's socket: storage errors are

@@ -10,13 +10,17 @@ from pathlib import Path
 import pytest
 from conftest import _package_env
 
-from sefrag import _native, cli, core, errors
+from sefrag import _native, cli, container, core, errors
 from sefrag.cli import main
 from sefrag.container import PufContainer
 from sefrag.dispersion import PlacementIndex, RemoteBackend
 
 KEY = "000102030405060708090a0b0c0d0e0f"
 OTHER_KEY = "ffeeddccbbaa99887766554433221100"
+# Passphrase flags whose key would fail if it were asked for: a missing
+# file, or a prompt that a test replaces with pytest.fail.
+UNREACHABLE_KEY = pytest.mark.parametrize("key_flag", [["--passphrase-file", "missing.txt"], ["--passphrase"]],
+                                          ids=["missing-file", "prompt"])
 
 
 def run_cli(*argv) -> int:
@@ -49,6 +53,14 @@ def run_with_file_size_limit(limit: int, *argv) -> subprocess.CompletedProcess:
 def puf_head(path) -> bytes:
     """The plaintext head a ``.puf`` file carries."""
     return PufContainer.from_bytes(Path(path).read_bytes()).head
+
+
+def mismatched_pair(tmp_path) -> tuple[Path, Path]:
+    """The ``.puf`` of one record and the ``.prf`` of another, sealed under KEY."""
+    for name in ("a", "b"):
+        (tmp_path / f"{name}.bin").write_bytes(os.urandom(500))
+        assert run_cli("protect", tmp_path / f"{name}.bin", "--key-hex", KEY, "--out-dir", tmp_path / "w") == 0
+    return tmp_path / "w" / "a.puf", tmp_path / "w" / "b.prf"
 
 
 @pytest.fixture
@@ -210,6 +222,27 @@ class TestProtectRecover:
             tmp_path / "x.bin",
         )
         assert code == 4
+
+    @UNREACHABLE_KEY
+    def test_not_dicom_exits_3_before_the_key(self, key_flag, sample, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("getpass.getpass", lambda prompt="": pytest.fail("prompted"))
+        assert run_cli("protect", sample, "--mode", "dicom", *key_flag, "--out-dir", tmp_path / "w") == 3
+        assert not (tmp_path / "w").exists()
+
+    @UNREACHABLE_KEY
+    def test_mismatched_pair_exits_4_before_the_key(self, key_flag, tmp_path, monkeypatch):
+        puf, prf = mismatched_pair(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("getpass.getpass", lambda prompt="": pytest.fail("prompted"))
+        assert run_cli("recover", puf, prf, *key_flag, "--out", tmp_path / "x.bin") == 4
+        assert not (tmp_path / "x.bin").exists()
+
+    def test_mismatched_pair_derives_no_key(self, tmp_path, monkeypatch):
+        puf, prf = mismatched_pair(tmp_path)
+        (tmp_path / "pw.txt").write_bytes(b"correct horse\n")
+        monkeypatch.setattr(container, "derive_key", lambda *args: pytest.fail("derived a key"))
+        assert run_cli("recover", puf, prf, "--passphrase-file", tmp_path / "pw.txt", "--out", tmp_path / "x.bin") == 4
 
     def test_output_cut_short_leaves_nothing(self, sample, tmp_path):
         out = tmp_path / "w"

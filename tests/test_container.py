@@ -307,6 +307,42 @@ class TestSealOpen:
         assert PrfContainer.from_bytes(prf.to_bytes()).kdf_salt == salt
 
 
+def _no_key(_salt):
+    pytest.fail("asked for the key")
+
+
+class TestKeyAskedLast:
+    """A fault that the input's structure shows is raised before ``key_for`` runs."""
+
+    def test_open_foreign_pair(self):
+        puf_a, _ = seal(b"a" * 64, KEY)
+        _, prf_b = seal(b"b" * 64, KEY)
+        with pytest.raises(PairMismatch):
+            container.open_stream(io.BytesIO(puf_a.to_bytes()), io.BytesIO(prf_b.to_bytes()), _no_key)
+
+    def test_open_private_stream_one_block_too_long(self):
+        # Header ct_len and body both 16 bytes longer than the .puf implies.
+        puf, prf = seal(b"q" * 96, KEY)
+        longer = prf._replace(ciphertext=prf.ciphertext + bytes(16))
+        with pytest.raises(IntegrityFailure, match="private stream is 64 cipher bytes, pair expects 48"):
+            container.open_stream(io.BytesIO(puf.to_bytes()), io.BytesIO(longer.to_bytes()), _no_key)
+
+    @pytest.mark.parametrize("data, mode, error", [
+        (bytes(200), "dicom", NotDicom),
+        (b"abc", "fixed:4", TooShort),
+        (b"abc", "fixed:x", FormatError),
+        (b"abc", "zip", FormatError),
+    ], ids=["not-dicom", "too-short", "bad-fixed", "unknown-mode"])
+    def test_seal_bad_head(self, data, mode, error):
+        with pytest.raises(error):
+            container.seal_stream(io.BytesIO(data), _no_key, mode)
+
+    def test_seal_asks_once_with_its_salt_before_returning(self):
+        salts = []
+        container.seal_stream(io.BytesIO(b"x" * 100), lambda salt: salts.append(salt) or KEY, "raw", bytes(range(16)))
+        assert salts == [bytes(range(16))]
+
+
 class TestDeriveKey:
     def test_deterministic(self):
         salt = bytes(16)

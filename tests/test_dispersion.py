@@ -348,6 +348,7 @@ class TestWireProtocol:
 
     def test_idle_and_half_frame_clients_are_dropped(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dispersion, "REMOTE_TIMEOUT", 0.5)
+        monkeypatch.setattr(dispersion._BlobRequestHandler, "timeout", 0.5)
         with BlobServer("127.0.0.1", 0, tmp_path / "blobs") as server:
             remote = RemoteBackend(*server.server_address)
             ref = remote.put(b"still served")

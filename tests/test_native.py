@@ -100,6 +100,14 @@ def test_compile_command_is_part_of_the_library_name(fresh_cache, monkeypatch):
     assert len(fresh_cache) == 2
 
 
+
+def test_readme_spells_the_compile_command():
+    # The README's Install section is the one written copy of the command.
+    command = " ".join([*_native.COMPILE, "-o", "<library>", "_kernel.c", *_native.LIBS])
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert f"\n{command}\n" in readme
+
+
 def test_kernel_compiles_without_warnings(tmp_path, monkeypatch):
     if not isinstance(_native.load(), _native.Kernel):
         pytest.skip(f"native kernel unavailable: {_native.load().name}")
