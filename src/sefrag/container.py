@@ -105,12 +105,11 @@ def _read_head(src, size: int, mode: str) -> bytes:
             raise NotDicom("no DICM marker at offset 128")
         return head
     if mode.startswith("fixed:"):
-        try:
-            n = int(mode.split(":", 1)[1])
-        except ValueError:
-            raise FormatError(f"bad fixed header length in mode {mode!r}") from None
-        if n < 0:
-            raise FormatError("fixed header length must be non-negative")
+        digits = mode[len("fixed:"):]
+        # ASCII digits only: int() also takes "+5", " 5", "1_0" and Arabic-Indic digits.
+        if not (digits.isascii() and digits.isdigit()):
+            raise FormatError(f"bad fixed header length in mode {mode!r}")
+        n = int(digits)
         if n > size:
             raise TooShort(f"input is {size} bytes, fixed header wants {n}")
         return _read_exact(src, n)

@@ -178,9 +178,9 @@ def test_throughput_comparison():
     with criterion("selective path encrypts one eighth of the baseline bytes") as info:
         report = bench.run_bench(1, iterations=3)
         assert abs(report.aes_bytes_se - report.aes_bytes_baseline / 8) <= 48
+        ratio = min(report.aes_baseline_elapsed) / min(report.se_elapsed)
         info["note"] = (
-            f"se {report.se_throughput:.0f} MB/s vs aes {report.aes_throughput:.0f} MB/s, "
-            f"ratio {report.ratio:.2f}x (reported, not asserted); "
+            f"ratio {ratio:.2f}x of the fastest runs (reported, not asserted); "
             f"aes bytes {report.aes_bytes_se} vs {report.aes_bytes_baseline}/8"
         )
 

@@ -332,7 +332,13 @@ class TestKeyAskedLast:
         (b"abc", "fixed:4", TooShort),
         (b"abc", "fixed:x", FormatError),
         (b"abc", "zip", FormatError),
-    ], ids=["not-dicom", "too-short", "bad-fixed", "unknown-mode"])
+        # Lengths int() would take; the input is long enough for each.
+        (bytes(20), "fixed:1_0", FormatError),
+        (bytes(20), "fixed:+5", FormatError),
+        (bytes(20), "fixed: 5", FormatError),
+        (bytes(20), "fixed:\u0665", FormatError),
+    ], ids=["not-dicom", "too-short", "bad-fixed", "unknown-mode",
+            "fixed-underscore", "fixed-plus", "fixed-space", "fixed-arabic-indic-digit"])
     def test_seal_bad_head(self, data, mode, error):
         with pytest.raises(error):
             container.seal_stream(io.BytesIO(data), _no_key, mode)

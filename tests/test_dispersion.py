@@ -384,6 +384,19 @@ class TestWireProtocol:
             assert cli.main(argv) == 4
         assert not (tmp_path / "x").exists()
 
+    def test_get_announcing_an_oversized_payload_is_a_format_error(self, tmp_path):
+        # OK and a length one past the cap, then nothing: the client refuses
+        # the length before it reads a byte of the body.
+        reply = bytes([ST_OK]) + struct.pack("<Q", MAX_PAYLOAD + 1)
+        with stub_server(reply) as address:
+            with pytest.raises(FormatError, match="oversized payload"):
+                RemoteBackend(*address).get(BlobRef(bytes(32)))
+        with stub_server(reply) as (host, port):
+            argv = ["get", "00" * 32, "--store", str(tmp_path / "s"), "--remote", f"{host}:{port}",
+                    "--out", str(tmp_path / "x")]
+            assert cli.main(argv) == 3
+        assert not (tmp_path / "x").exists()
+
     def test_put_answered_error_is_unavailable(self, tmp_path):
         with stub_server(bytes([ST_ERROR])) as address:
             with pytest.raises(BackendUnavailable):

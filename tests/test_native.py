@@ -5,6 +5,7 @@ per source version, a failed one is recorded and leaves no library, and
 import itertools
 import os
 import random
+import shutil
 import stat
 import subprocess
 import sys
@@ -56,11 +57,20 @@ def _round_trip(length: int = 3 * 32 * core.CHUNK_UNITS + 5) -> None:
     assert core.recover(streams.puf_payload, streams.prf_plain, key) == content
 
 
-def test_failed_build_is_recorded_once_and_falls_back(fresh_cache, monkeypatch):
-    monkeypatch.setattr(_native, "COMPILE", ("sefrag-no-such-compiler", *_native.COMPILE[1:]))
+@pytest.mark.parametrize("compile_command, error", [
+    pytest.param(("sefrag-no-such-compiler", *_native.COMPILE[1:]), "sefrag-no-such-compiler",
+                 id="no-compiler"),
+    # The compiler runs and fails: its first error line is the reason.
+    pytest.param((*_native.COMPILE, "-include", "sefrag-missing-header.h"),
+                 "fatal error: sefrag-missing-header.h: No such file or directory",
+                 id="compiler-error",
+                 marks=pytest.mark.skipif(shutil.which("cc") is None, reason="cc is not on PATH")),
+])
+def test_failed_build_is_recorded_once_and_falls_back(fresh_cache, monkeypatch, compile_command, error):
+    monkeypatch.setattr(_native, "COMPILE", compile_command)
     loaded = _native.load()
     assert isinstance(loaded, _native.PythonKernel)
-    assert "sefrag-no-such-compiler" in loaded.name
+    assert error in loaded.name
     # No library and no temp file: only the failure record is left.
     (record,) = _native.cache_dir().iterdir()
     assert record.name.startswith("kernel-") and record.name.endswith(".failed")

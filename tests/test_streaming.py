@@ -14,7 +14,9 @@ import pytest
 from conftest import _package_env
 
 from sefrag import cli, container
+from sefrag.container import atomic_write
 from sefrag.core import CHUNK_UNITS, UNIT_LEN, ProtectionKey
+from sefrag.errors import FormatError
 
 KEY = "000102030405060708090a0b0c0d0e0f"
 CHUNK = CHUNK_UNITS * UNIT_LEN
@@ -235,3 +237,22 @@ class TestFailedRecover:
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == b"an earlier recovery"
         assert os.listdir(out_dir) == ["back.bin"]
+
+
+class TestShrinkingInput:
+    def test_input_truncated_mid_protect_leaves_no_output(self, tmp_path):
+        src = tmp_path / "scan.bin"
+        src.write_bytes(hashlib.shake_256(b"scan").digest(3 * CHUNK + 7))
+        vault = tmp_path / "vault"
+        key = ProtectionKey(bytes.fromhex(KEY))
+        with src.open("rb") as f:
+            # The size is read before sealing starts; the content after.
+            _, pieces = container.seal_stream(f, lambda _salt: key)
+            os.truncate(src, CHUNK + 5)
+            with pytest.raises(FormatError, match=f"^input ended {CHUNK - 5} bytes early$"):
+                # As ``sefrag protect`` writes the pair.
+                with atomic_write(vault / "scan.puf") as puf, atomic_write(vault / "scan.prf") as prf:
+                    for puf_piece, prf_piece in pieces:
+                        puf(puf_piece)
+                        prf(prf_piece)
+        assert os.listdir(vault) == []
