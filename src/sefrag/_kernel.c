@@ -5,11 +5,11 @@
  * through ctypes.  Each function is the byte-for-byte equivalent of a
  * pure-Python function, which stays the reference:
  *
- *   sefrag_protect  core._protect_chunk: one chunk, gather -> keystream -> XOR
- *   sefrag_recover  core._recover_chunk: one chunk, keystream -> XOR -> scatter
- *   keystreams16    core._keystream: the keystream digests of 16 units at once
- *   sefrag_derive   core._derive: the whole derive_key loop
- *   sefrag_cbc      container._cbc: AES-128-CBC over whole blocks, no padding
+ *   sefrag_protect  _native.PythonKernel.protect: one chunk, gather -> keystream -> XOR
+ *   sefrag_recover  _native.PythonKernel.recover: one chunk, keystream -> XOR -> scatter
+ *   keystreams16    _native._keystream: the keystream digests of 16 units at once
+ *   sefrag_derive   _native.PythonKernel.derive: the whole derive_key loop
+ *   sefrag_cbc      _native.PythonKernel.cbc: AES-128-CBC over whole blocks, no padding
  *
  * A chunk is a pure function of its bytes, the key and the index of its
  * first unit.  Unit u's selector is byte u % 32 of selector block u / 32,
@@ -35,8 +35,8 @@
  * depends on the selector.
  *
  * The caller checks every buffer length before the call.  The chunk
- * functions cannot fail: no call on their path reports an error, and they
- * always return 0.  sefrag_derive and sefrag_cbc return 0, or -1 when a
+ * functions cannot fail: no call on their path reports an error, so they
+ * return void.  sefrag_derive and sefrag_cbc return 0, or -1 when a
  * libcrypto call fails.
  */
 
@@ -203,8 +203,8 @@ static void keystreams(const unsigned char *picked, size_t n, const unsigned cha
 /* units: count * 32 bytes in; pub: count * 28 protected remainder bytes
  * out; picked: count * 4 selected sub-fragment bytes out.  Unit i has
  * index first + i.  Units go through in batches of up to 16. */
-int sefrag_protect(const unsigned char *units, size_t count, const unsigned char *key, uint64_t first,
-                   unsigned char *pub, unsigned char *picked)
+void sefrag_protect(const unsigned char *units, size_t count, const unsigned char *key, uint64_t first,
+                    unsigned char *pub, unsigned char *picked)
 {
     unsigned char digests[LANES * SHA256_DIGEST_LENGTH], block[SELECTORS_PER_BLOCK];
     int sels[LANES];
@@ -224,13 +224,12 @@ int sefrag_protect(const unsigned char *units, size_t count, const unsigned char
             memcpy(pub + REMAINDER_LEN * (i + l), r, REMAINDER_LEN);
         }
     }
-    return 0;
 }
 
 /* Inverse of sefrag_protect: pub (count * 28) and picked (count * 4) in,
  * units (count * 32) out. */
-int sefrag_recover(const unsigned char *pub, const unsigned char *picked, size_t count, const unsigned char *key,
-                   uint64_t first, unsigned char *units)
+void sefrag_recover(const unsigned char *pub, const unsigned char *picked, size_t count, const unsigned char *key,
+                    uint64_t first, unsigned char *units)
 {
     unsigned char digests[LANES * SHA256_DIGEST_LENGTH], block[SELECTORS_PER_BLOCK];
     for (size_t i = 0; i < count; i += LANES) {
@@ -247,7 +246,6 @@ int sefrag_recover(const unsigned char *pub, const unsigned char *picked, size_t
             memcpy(units + UNIT_LEN * (i + l), u, UNIT_LEN);
         }
     }
-    return 0;
 }
 
 /* x <- SHA-256(x || suffix), iterations times from an empty x; the

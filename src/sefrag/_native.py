@@ -1,5 +1,6 @@
-"""Build, cache and load the native kernel in ``_kernel.c``; ``load``
-alone decides whether it or its pure-Python counterpart runs.
+"""The kernel: the C library in ``_kernel.c``, its pure-Python
+counterpart, and the length checks both run before they touch a buffer;
+``load`` alone decides which one runs.
 
 The first process that needs the kernel compiles it with the system C
 compiler against libcrypto, in well under a second, into
@@ -16,7 +17,13 @@ gives the same bytes.  Both kernels have ``protect``, ``recover``,
 when the library hashes 16 units' keystreams at once on this CPU
 (AVX-512F), ``native (<library>, 1 lane)`` when it hashes one at a
 time, or ``python (<why>)``.
-Nothing here runs at import; ``load`` runs once per process.
+Importing this module builds and loads nothing; ``load`` runs once per process.
+
+``PythonKernel`` moves 4-byte words with strided memoryview copies and
+chooses between them with big-integer masks, so the keystream hash is
+its only per-unit Python work, and a chunk's buffers (about 1 MiB at
+4,096 units) do not grow with the content.  Its ``cbc`` runs over
+``cryptography``, imported inside the call: only this path loads it.
 """
 
 from __future__ import annotations
@@ -25,11 +32,11 @@ import ctypes
 import functools
 import hashlib
 import os
+import struct
 from pathlib import Path
 
-from .container import _cbc, _check_cbc, atomic_write
-from .core import (REMAINDER_LEN, SUB_LEN, UNIT_LEN, _check_protect, _check_recover, _derive, _protect_chunk,
-                   _recover_chunk)
+from .container import atomic_write
+from .core import KEY_LEN, REMAINDER_LEN, SUB_LEN, SUBS_PER_UNIT, UNIT_LEN, _selectors
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # The compile command, less its "-o <library> <source>" part.
@@ -37,13 +44,45 @@ COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-Wno-deprecated-declarations")
 LIBS = ("-lcrypto",)
 BUILD_TIMEOUT = 120  # seconds
 
-_BYTES = ctypes.c_char_p
+_BYTES, _SIZE, _U64, _INT = ctypes.c_char_p, ctypes.c_size_t, ctypes.c_uint64, ctypes.c_int
+# Each C function's result type and argument types.
 _SIGNATURES = {
-    "sefrag_protect": (_BYTES, ctypes.c_size_t, _BYTES, ctypes.c_uint64, _BYTES, _BYTES),
-    "sefrag_recover": (_BYTES, _BYTES, ctypes.c_size_t, _BYTES, ctypes.c_uint64, _BYTES),
-    "sefrag_derive": (_BYTES, ctypes.c_size_t, ctypes.c_uint64, _BYTES),
-    "sefrag_cbc": (_BYTES, _BYTES, _BYTES, ctypes.c_size_t, ctypes.c_int, _BYTES),
+    "sefrag_protect": (None, (_BYTES, _SIZE, _BYTES, _U64, _BYTES, _BYTES)),
+    "sefrag_recover": (None, (_BYTES, _BYTES, _SIZE, _BYTES, _U64, _BYTES)),
+    "sefrag_derive": (_INT, (_BYTES, _SIZE, _U64, _BYTES)),
+    "sefrag_cbc": (_INT, (_BYTES, _BYTES, _BYTES, _SIZE, _INT, _BYTES)),
+    "sefrag_lanes": (_INT, ()),
 }
+# The two that can fail, when libcrypto does: they return 0 or -1.
+_FALLIBLE = ("sefrag_derive", "sefrag_cbc")
+
+# _AFTER[k] maps a selector to 0xff when it picks a word after word k.
+_AFTER = [bytes(0xFF if s > k else 0 for s in range(256)) for k in range(SUBS_PER_UNIT - 1)]
+
+
+def _check_protect(units: bytes, count: int, key: bytes, first: int) -> None:
+    # Unit indices are u64 in C: both kernels refuse what would wrap there.
+    if len(units) != UNIT_LEN * count or len(key) != KEY_LEN or not 0 <= first <= 2**64 - count:
+        raise ValueError(f"need {UNIT_LEN} bytes for each of {count} units from index {first} below 2**64"
+                         f" and a {KEY_LEN}-byte key")
+
+
+def _check_recover(public: bytes, picked: bytes, count: int, key: bytes, first: int) -> None:
+    if len(picked) != SUB_LEN * count or len(public) != REMAINDER_LEN * count or len(key) != KEY_LEN \
+            or not 0 <= first <= 2**64 - count:
+        raise ValueError(f"need {SUB_LEN} picked and {REMAINDER_LEN} remainder bytes for each of {count} units"
+                         f" from index {first} below 2**64 and a {KEY_LEN}-byte key")
+
+
+def _check_derive(iterations: int) -> None:
+    if iterations < 1:
+        raise ValueError("iterations must be positive")
+
+
+def _check_cbc(key: bytes, iv: bytes, data: bytes) -> None:
+    # EVP takes the length as a C int: both kernels refuse what would not fit.
+    if len(key) != KEY_LEN or len(iv) != 16 or len(data) % 16 or len(data) >= 2**31:
+        raise ValueError(f"need a 16-byte key and IV and whole 16-byte blocks below 2**31 bytes, got {len(data)}")
 
 
 def _raise_on_failure(status, fn, args):
@@ -58,10 +97,11 @@ class Kernel:
     def __init__(self, path: Path):
         self.path = path
         self._lib = ctypes.CDLL(str(path))
-        for name, argtypes in _SIGNATURES.items():
+        for name, (restype, argtypes) in _SIGNATURES.items():
             fn = getattr(self._lib, name)
-            fn.argtypes, fn.restype, fn.errcheck = argtypes, ctypes.c_int, _raise_on_failure
-        self._lib.sefrag_lanes.argtypes, self._lib.sefrag_lanes.restype = (), ctypes.c_int
+            fn.restype, fn.argtypes = restype, argtypes
+            if name in _FALLIBLE:
+                fn.errcheck = _raise_on_failure
         lanes = self._lib.sefrag_lanes()
         self.name = f"native ({path}, {lanes} lane{'s' if lanes > 1 else ''})"
 
@@ -84,8 +124,7 @@ class Kernel:
 
     def derive(self, suffix: bytes, iterations: int) -> bytes:
         """x <- SHA-256(x || suffix) ``iterations`` times from an empty x."""
-        if iterations < 1:
-            raise ValueError("iterations must be positive")
+        _check_derive(iterations)
         out = ctypes.create_string_buffer(32)
         self._lib.sefrag_derive(suffix, len(suffix), iterations, out)
         return out.raw
@@ -98,17 +137,115 @@ class Kernel:
         return out.raw
 
 
+def _xor(a: bytes, b: bytes) -> bytes:
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
+
+
+def _words(buf) -> memoryview:
+    """``buf`` as a view of 4-byte words (sub-fragments); a C unsigned int
+    is 4 bytes on every platform CPython supports."""
+    return memoryview(buf).cast("I")
+
+
+def _columns(buf, width: int) -> list[memoryview]:
+    """Word k of every ``width``-word row of ``buf``, for each k."""
+    words = _words(buf)
+    return [words[k::width] for k in range(width)]
+
+
+def _rows(columns: list[memoryview]) -> bytes:
+    """Inverse of ``_columns``: rows made of one word from each column."""
+    out = bytearray(SUB_LEN * len(columns) * len(columns[0]))
+    words = _words(out)
+    for k, column in enumerate(columns):
+        words[k::len(columns)] = column
+    return bytes(out)
+
+
+def _int(buf) -> int:
+    return int.from_bytes(buf, "little")
+
+
+def _column(value: int, count: int) -> memoryview:
+    return _words(value.to_bytes(SUB_LEN * count, "little"))
+
+
+def _after_masks(selectors: bytes) -> list[int]:
+    """For k in 0..6, a word mask set in each unit whose selector is above k."""
+    wide = bytearray(SUB_LEN * len(selectors))
+    for b in range(SUB_LEN):
+        wide[b::SUB_LEN] = selectors
+    return [_int(wide.translate(table)) for table in _AFTER]
+
+
+def _keystream(picked: bytes, key: bytes, first: int) -> bytes:
+    """Joined 28-byte keystreams of units ``first``, ``first + 1``, ...
+    whose selected sub-fragments are ``picked``.
+
+    Unit i's keystream is SHA-256(selected || key || LE64(i)) truncated to
+    match its seven remaining sub-fragments.  The index term forces
+    distinct keystreams even for identical units.
+    """
+    count = len(picked) // SUB_LEN
+    indices = struct.pack(f"<{count}Q", *range(first, first + count))
+    messages = _rows([
+        _words(picked), *_columns(key * count, KEY_LEN // SUB_LEN), *_columns(indices, 2),
+    ])
+    message_len = SUB_LEN + KEY_LEN + 8
+    sha = hashlib.sha256
+    digests = b"".join([sha(m).digest() for m in struct.unpack(f"{message_len}s" * count, messages)])
+    return _rows(_columns(digests, SUBS_PER_UNIT)[:-1])
+
+
 class PythonKernel:
     """The pure-Python counterparts of the C functions, run where the
     library cannot be built: same arguments, same checks, same bytes."""
 
-    protect = staticmethod(_protect_chunk)
-    recover = staticmethod(_recover_chunk)
-    derive = staticmethod(_derive)
-    cbc = staticmethod(_cbc)
-
     def __init__(self, reason: str):
         self.name = f"python ({reason})"
+
+    def protect(self, units: bytes, count: int, key: bytes, first: int) -> tuple[bytes, bytes]:
+        _check_protect(units, count, key, first)
+        after = _after_masks(_selectors(key, first, first + count))
+        w = [_int(column) for column in _columns(units, SUBS_PER_UNIT)]
+        # Remainder word k is unit word k before the pick and word k + 1 from it on.
+        remainders = [w[k + 1] ^ ((w[k] ^ w[k + 1]) & after[k]) for k in range(SUBS_PER_UNIT - 1)]
+        p = w[-1]
+        for k in reversed(range(SUBS_PER_UNIT - 1)):
+            p = w[k] ^ ((p ^ w[k]) & after[k])
+        picked = p.to_bytes(SUB_LEN * count, "little")
+        return _xor(_rows([_column(r, count) for r in remainders]), _keystream(picked, key, first)), picked
+
+    def recover(self, public: bytes, picked: bytes, count: int, key: bytes, first: int) -> bytes:
+        _check_recover(public, picked, count, key, first)
+        after = _after_masks(_selectors(key, first, first + count))
+        p = _int(picked)
+        remainders = _xor(public, _keystream(picked, key, first))
+        r = [_int(column) for column in _columns(remainders, SUBS_PER_UNIT - 1)]
+        units = []
+        for k in range(SUBS_PER_UNIT):
+            # Unit word k is remainder word k before the pick, the pick itself,
+            # then remainder word k - 1.
+            word = p if k == 0 else r[k - 1] ^ ((p ^ r[k - 1]) & after[k - 1])
+            if k < SUBS_PER_UNIT - 1:
+                word ^= (r[k] ^ word) & after[k]
+            units.append(_column(word, count))
+        return _rows(units)
+
+    def derive(self, suffix: bytes, iterations: int) -> bytes:
+        _check_derive(iterations)
+        x = b""
+        for _ in range(iterations):
+            x = hashlib.sha256(x + suffix).digest()
+        return x
+
+    def cbc(self, key: bytes, iv: bytes, data: bytes, encrypt: bool) -> bytes:
+        _check_cbc(key, iv, data)
+        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+
+        cipher = Cipher(algorithms.AES(key), modes.CBC(iv))
+        ctx = cipher.encryptor() if encrypt else cipher.decryptor()
+        return ctx.update(data) + ctx.finalize()
 
 
 def cache_dir() -> Path:

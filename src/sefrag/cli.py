@@ -32,7 +32,7 @@ from pathlib import Path
 from . import container
 from .container import atomic_write
 from .core import ProtectionKey, _fromhex
-from .errors import NotFound, SefragError, UnknownRecord
+from .errors import BadPadding, NotFound, SefragError, UnknownRecord
 
 
 def _parse_hostport(text: str) -> tuple[str, int]:
@@ -57,6 +57,9 @@ def _key(args, kdf_salt: bytes) -> ProtectionKey:
     """Resolve the key flag; a passphrase is stretched with ``kdf_salt``."""
     if args.key_hex is not None:
         return ProtectionKey.from_hex(args.key_hex)
+    if kdf_salt == container.ZERO_SALT:
+        # A record sealed with a raw key: fail before the passphrase is read.
+        raise BadPadding("the record was sealed with a raw key: recover it with --key-hex")
     return container.derive_key(_read_passphrase(args), kdf_salt)
 
 

@@ -25,8 +25,9 @@ structure is checked.  The headers go out first: the ``.puf`` header
 needs only the head and the content length, which the input's size
 gives, and the ``.prf`` header's ``ct_len`` follows from the content
 length (``_private_sizes``): the private stream is 4 bytes per unit, the
-tail and a 32-byte digest, PKCS#7-padded.  AES-CBC, in the kernel, and
-the padding run incrementally over each chunk's picked bytes.
+tail and a 32-byte digest, PKCS#7-padded.  The padding, here, and
+AES-CBC, in the kernel (``sefrag._native``, chained across calls by
+``_chained_cbc``), run incrementally over each chunk's picked bytes.
 ``open_stream`` checks the pairing and ``ct_len`` before it asks for the
 key, then decrypts the last cipher block alone, so a wrong key fails on
 its padding before any work; it then decrypts the private stream in
@@ -230,24 +231,7 @@ def _private_sizes(content_len: int) -> tuple[int, int]:
     return plain_len + pad, pad
 
 
-def _check_cbc(key: bytes, iv: bytes, data: bytes) -> None:
-    # EVP takes the length as a C int: both kernels refuse what would not fit.
-    if len(key) != core.KEY_LEN or len(iv) != 16 or len(data) % 16 or len(data) >= 2**31:
-        raise ValueError(f"need a 16-byte key and IV and whole 16-byte blocks below 2**31 bytes, got {len(data)}")
-
-
-def _cbc(key: bytes, iv: bytes, data: bytes, encrypt: bool) -> bytes:
-    """Pure-Python counterpart of ``sefrag_cbc``, as ``Kernel.cbc``, over
-    ``cryptography``: only this path loads it."""
-    _check_cbc(key, iv, data)
-    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
-    cipher = Cipher(algorithms.AES(key), modes.CBC(iv))
-    ctx = cipher.encryptor() if encrypt else cipher.decryptor()
-    return ctx.update(data) + ctx.finalize()
-
-
-def _cbc_chain(key: ProtectionKey, iv: bytes, encrypt: bool):
+def _chained_cbc(key: ProtectionKey, iv: bytes, encrypt: bool):
     """``update(data)``: the kernel's AES-128-CBC over a stream in pieces. Each
     call ciphers the whole blocks completed so far, keeps the partial block
     for the next, and chains on from the last ciphertext block."""
@@ -286,7 +270,7 @@ def seal_stream(src, key_for, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
 
     def pieces():
         yield _puf_header(file_id, head, content_len), _prf_header(file_id, kdf_salt, iv, ct_len)
-        encrypt = _cbc_chain(key, iv, True)
+        encrypt = _chained_cbc(key, iv, True)
         for public, private in core.protect_chunks(lambda n: _read_exact(src, n), content_len, key):
             yield public, encrypt(private)
         yield b"", encrypt(bytes([pad]) * pad)
@@ -325,7 +309,7 @@ def open_stream(puf_src, prf_src, key_for):
     if core._kernel().cbc(key.bytes, prev, last, False)[-pad:] != bytes([pad]) * pad:
         raise BadPadding("private stream padding invalid (wrong key?)")
     prf_src.seek(body)
-    decrypt = _cbc_chain(key, iv, False)
+    decrypt = _chained_cbc(key, iv, False)
     pending = bytearray()
 
     def read_private(n: int) -> bytes:

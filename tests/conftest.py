@@ -11,7 +11,8 @@ import pytest
 import sefrag
 from sefrag import _native, core
 
-# What a SHA-256 call in ``sefrag.core`` hashes, told apart by message length.
+# What a SHA-256 call in ``sefrag.core`` or the pure-Python kernel hashes,
+# told apart by message length.
 _HASH_KINDS = {
     core.SUB_LEN + core.KEY_LEN + 8: "protection",  # selected || key || LE64(unit)
     core.KEY_LEN + len(core._SELECTOR_DOMAIN) + 8: "selector",  # key || "FRAG-SEL" || LE64(block)
@@ -21,11 +22,12 @@ _HASH_KINDS = {
 
 @pytest.fixture
 def sha256_calls(monkeypatch):
-    """A Counter of the SHA-256 calls ``sefrag.core`` makes, by kind.
+    """A Counter of the SHA-256 calls ``sefrag.core`` and the pure-Python
+    kernel in ``sefrag._native`` make, by kind.
 
-    ``core.hashlib`` is replaced by a namespace whose ``sha256`` tallies
-    every call before it hashes, so the counts are counted, not derived
-    from output sizes.  The pure-Python kernel is pinned, because the
+    ``core.hashlib`` and ``_native.hashlib`` are replaced by a namespace
+    whose ``sha256`` tallies every call before it hashes, so the counts
+    are counted, not derived from output sizes.  The pure-Python kernel is pinned, because the
     native one hashes in C, out of the counter's sight.
     """
     calls = collections.Counter()
@@ -34,7 +36,9 @@ def sha256_calls(monkeypatch):
         calls[_HASH_KINDS.get(len(data), len(data))] += 1
         return hashlib.sha256(data)
 
-    monkeypatch.setattr(core, "hashlib", types.SimpleNamespace(sha256=sha256))
+    counted = types.SimpleNamespace(sha256=sha256)
+    monkeypatch.setattr(core, "hashlib", counted)
+    monkeypatch.setattr(_native, "hashlib", counted)
     python = _native.PythonKernel("pinned by sha256_calls")
     monkeypatch.setattr(core, "_kernel", lambda: python)
     return calls

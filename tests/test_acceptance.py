@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import sefrag
-from sefrag import analysis, bench, container, core, dispersion
+from sefrag import _native, analysis, bench, container, core, dispersion
 from sefrag.core import ProtectionKey
 from sefrag.dispersion import BlobServer, DirectoryBackend, PlacementIndex, RemoteBackend
 from sefrag.errors import CorruptBlob, IntegrityFailure, SameBackend
@@ -123,7 +123,7 @@ def test_key_compromise_resilience():
                 hashlib.sha256(bytes(core.SUB_LEN) + key.bytes + i.to_bytes(8, "little")).digest()[:core.REMAINDER_LEN]
                 for i in range(unit_count)
             )
-            derived = core._xor(streams.puf_payload, zero_pick_pads)
+            derived = _native._xor(streams.puf_payload, zero_pick_pads)
             worst_derived = min(worst_derived, analysis.entropy(derived))
             assert worst_derived > 7.9, worst_derived
         assert silent == 0
@@ -153,12 +153,56 @@ def test_key_holder_recovers_a_unit_by_search():
         plausible = []
         for low in range(1 << 16):
             sub = true_sub[:2] + low.to_bytes(2, "little")
-            rest = core._xor(remainder, hashlib.sha256(sub + suffix).digest()[:core.REMAINDER_LEN])
+            rest = _native._xor(remainder, hashlib.sha256(sub + suffix).digest()[:core.REMAINDER_LEN])
             candidate = rest[:pick] + sub + rest[pick:]
             if all(0x20 <= b < 0x7F for b in candidate):
                 plausible.append(candidate)
         assert plausible == [content[core.UNIT_LEN * unit:core.UNIT_LEN * (unit + 1)]]
         info["note"] = "1 of 65536 candidates is printable, and it is the original unit"
+
+
+def test_one_raw_key_links_two_records_a_passphrase_does_not():
+    """What the cloud alone learns about two records under one raw key: a
+    unit's selector and keystream depend on the key, its picked bytes and
+    its index, never on the record.  So units equal at the same index have
+    equal public remainders, and where the picked sub-fragments match, the
+    public remainders XOR to the plaintext remainders' XOR.  A passphrase
+    key gets a fresh salt per record, and two such records share neither."""
+    with criterion("one raw key links two records; passphrase salts do not") as info:
+        rng = random.Random(0x11E5)
+        units = 4096
+        a = rng.randbytes(core.UNIT_LEN * units)
+        b = bytearray(rng.randbytes(core.UNIT_LEN * units))
+        key = ProtectionKey(rng.randbytes(16))
+        picks = core.selector_stream(key, units)
+        for i in range(units):
+            # Even units are equal; odd units share only their picked sub-fragment.
+            start, stop = core.UNIT_LEN * i, core.UNIT_LEN * (i + 1)
+            if i % 2:
+                start += core.SUB_LEN * picks[i]
+                stop = start + core.SUB_LEN
+            b[start:stop] = a[start:stop]
+
+        def links(key_a, key_b) -> tuple[int, int]:
+            """Equal units with equal public remainders, and picked-equal
+            units whose public remainders XOR to the plaintext's XOR."""
+            def cut(buf, size):
+                return [buf[size * i:size * (i + 1)] for i in range(units)]
+
+            public, plain = [], []
+            for content, key_ in ((a, key_a), (bytes(b), key_b)):
+                public.append(cut(core.protect(content, key_).puf_payload, core.REMAINDER_LEN))
+                plain.append([unit[:core.SUB_LEN * s] + unit[core.SUB_LEN * (s + 1):]
+                              for unit, s in zip(cut(content, core.UNIT_LEN), core.selector_stream(key_, units))])
+            equal = sum(public[0][i] == public[1][i] for i in range(0, units, 2))
+            xored = sum(_native._xor(public[0][i], public[1][i]) == _native._xor(plain[0][i], plain[1][i])
+                        for i in range(1, units, 2))
+            return equal, xored
+
+        assert links(key, key) == (units // 2, units // 2)
+        salted = [container.derive_key(b"correct horse", os.urandom(16)) for _ in range(2)]
+        assert links(*salted) == (0, 0)
+        info["note"] = f"one raw key: {units // 2} of {units // 2} units linked each way; two salts: 0 and 0"
 
 
 def test_workload_accounting(sha256_calls):

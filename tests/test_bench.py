@@ -76,7 +76,7 @@ def test_table_lists_every_run_time_per_path(report):
     assert "aes-128-cbc runs, ms 8.0 7.3 10.0" in table
 
 
-def test_each_path_runs_once_untimed_before_the_timed_iterations(monkeypatch):
+def test_each_path_runs_once_per_iteration(monkeypatch):
     seals = []
     seal_stream = container.seal_stream
 

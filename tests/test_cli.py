@@ -244,6 +244,34 @@ class TestProtectRecover:
         monkeypatch.setattr(container, "derive_key", lambda *args: pytest.fail("derived a key"))
         assert run_cli("recover", puf, prf, "--passphrase-file", tmp_path / "pw.txt", "--out", tmp_path / "x.bin") == 4
 
+    def test_raw_key_record_with_a_passphrase_exits_4_before_the_key(self, sample, tmp_path):
+        # The .prf's all-zero KDF salt marks a raw key: the passphrase file is never read.
+        assert run_cli("protect", sample, "--key-hex", KEY, "--out-dir", tmp_path / "w") == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "sefrag", "recover", tmp_path / "w" / "sample.puf", tmp_path / "w" / "sample.prf",
+             "--passphrase-file", "/nonexistent", "--out", tmp_path / "x.bin"],
+            env=_package_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stdout == "" and "--key-hex" in proc.stderr
+        assert not (tmp_path / "x.bin").exists()
+
+    def test_failed_puf_rename_leaves_only_the_prf(self, sample, tmp_path, monkeypatch, capsys):
+        # cmd_protect's .puf write encloses its .prf write, so the .prf is
+        # renamed first: a .puf never lands without its .prf beside it.
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).suffix == ".puf":
+                raise OSError(28, "No space left on device", str(dst))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        out = tmp_path / "w"
+        assert run_cli("protect", sample, "--key-hex", KEY, "--out-dir", out) == 2
+        assert capsys.readouterr().out == ""
+        assert os.listdir(out) == ["sample.prf"]
+
     def test_output_cut_short_leaves_nothing(self, sample, tmp_path):
         out = tmp_path / "w"
         proc = run_with_file_size_limit(32 << 10, "protect", sample, "--key-hex", KEY, "--out-dir", out)

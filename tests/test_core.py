@@ -162,7 +162,7 @@ class TestSplitUnit:
         units ``first`` on: its public output with the keystream taken
         off again."""
         public, picked = protect_chunk(units, len(units) // 32, key, first)
-        return picked, core._xor(public, reference_keystream(picked, key, first))
+        return picked, _native._xor(public, reference_keystream(picked, key, first))
 
     def test_selector_0(self, each_kernel_path):
         first = first_unit_with(0)
@@ -368,7 +368,7 @@ class TestProtectUnit:
         for path, protect_chunk, recover_chunk in each_kernel_path():
             public, picked = protect_chunk(unit, 1, key.bytes, 3)
             assert public != remainder, path
-            assert core._xor(public, reference_keystream(picked, key.bytes, 3)) == remainder, path
+            assert _native._xor(public, reference_keystream(picked, key.bytes, 3)) == remainder, path
             assert recover_chunk(public, picked, 1, key.bytes, 3) == unit, path
 
     def test_zero_unit_exposes_keystream(self, each_kernel_path):
@@ -536,7 +536,7 @@ class TestUnprotectRemainders:
         for path, _, recover_chunk in each_kernel_path():
             streams = protect(content, key)
             picked = streams.prf_plain[:32]
-            remainders = core._xor(streams.puf_payload, reference_keystream(picked, key.bytes))
+            remainders = _native._xor(streams.puf_payload, reference_keystream(picked, key.bytes))
             assert (picked, remainders) == reference_split(content, selectors), path
             assert recover_chunk(streams.puf_payload, picked, 8, key.bytes, 0) == content, path
 

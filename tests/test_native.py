@@ -5,6 +5,7 @@ per source version, a failed one is recorded and leaves no library, and
 import itertools
 import os
 import random
+import re
 import shutil
 import stat
 import subprocess
@@ -118,6 +119,34 @@ def test_readme_spells_the_compile_command():
     assert f"\n{command}\n" in readme
 
 
+def test_docs_name_counterparts_that_exist():
+    # The C header comment and README's native-kernel section name the
+    # Python side of the kernel; each name must still resolve.
+    root = Path(__file__).resolve().parent.parent
+    header = _native.SOURCE.read_text().split("*/")[0]
+    readme = (root / "README.md").read_text()
+    section = readme.split("### The native kernel, built on first use")[1].split("\n## ")[0]
+    modules = {"core": core, "container": container, "_native": _native}
+    pattern = re.compile(r"\b(core|container|_native)((?:\.[A-Za-z_]\w*)+)")
+    for text in (header, section):
+        names = pattern.findall(text)
+        assert len(names) >= 5
+        for module, path in names:
+            obj = modules[module]
+            for attr in path[1:].split("."):
+                assert hasattr(obj, attr), f"{module}{path} does not exist"
+                obj = getattr(obj, attr)
+
+
+def test_only_derive_and_cbc_return_a_status():
+    kernel = _native.load()
+    if not isinstance(kernel, _native.Kernel):
+        pytest.skip(f"native kernel unavailable: {kernel.name}")
+    checked = {name for name in _native._SIGNATURES if getattr(kernel._lib, name).errcheck is not None}
+    assert checked == {"sefrag_derive", "sefrag_cbc"}
+    assert kernel._lib.sefrag_protect.restype is None and kernel._lib.sefrag_recover.restype is None
+
+
 def test_kernel_compiles_without_warnings(tmp_path, monkeypatch):
     if not isinstance(_native.load(), _native.Kernel):
         pytest.skip(f"native kernel unavailable: {_native.load().name}")
@@ -214,7 +243,7 @@ NIST_CIPHER = bytes.fromhex("7649abac8119b246cee98e9b12e9197d" "5086cb9b507219ee
 
 
 class TestCbc:
-    """``cbc`` on each kernel path, and ``container._cbc_chain`` over it."""
+    """``cbc`` on each kernel path, and ``container._chained_cbc`` over it."""
 
     def test_nist_vectors(self, each_kernel_path):
         for path, _, _ in each_kernel_path():
@@ -233,12 +262,12 @@ class TestCbc:
         pieces = [data[start:end] for start, end in bounds]
         for path, _, _ in each_kernel_path():
             whole = core._kernel().cbc(key.bytes, iv, data, True)
-            encrypt = container._cbc_chain(key, iv, True)
+            encrypt = container._chained_cbc(key, iv, True)
             outputs = [encrypt(piece) for piece in pieces]
             assert b"".join(outputs) == whole, path
             # Each call returns exactly the whole blocks completed so far.
             assert [len(out) for out in outputs] == [0, 0, 16, 16, 16, 16 << 10, 16], path
-            decrypt = container._cbc_chain(key, iv, False)
+            decrypt = container._chained_cbc(key, iv, False)
             assert b"".join(decrypt(whole[start:end]) for start, end in bounds) == data, path
 
     def test_bad_lengths_raise_before_c_runs(self, each_kernel_path, monkeypatch):
