@@ -22,17 +22,15 @@ __version__ = "0.1.0"
 
 # Each submodule and the public names it defines.
 _HOMES = {
-    "analysis": "ByteHistogram entropy histogram pdf_csv",
+    "analysis": "entropy histogram pdf_csv",
     "bench": "BenchReport run_bench",
     "container": "PrfContainer PufContainer derive_key open seal",
     "core": "ProtectedStreams ProtectionKey protect recover",
     "dispersion": "BlobRef BlobServer DirectoryBackend Placement PlacementIndex RemoteBackend "
     "disperse",
-    "errors": "BackendUnavailable BadPadding BindError CorruptBlob EmptyInput EmptyPassphrase "
-    "FormatError IntegrityFailure LengthMismatch NotDicom NotFound NotOwner PairMismatch "
-    "SameBackend SefragError TooShort UnknownRecord",
-    "sharing": "Decision Party PolicyStore Role SharePolicy grant release "
-    "request_access revoke",
+    "errors": "BackendUnavailable BadPadding CorruptBlob EmptyInput FormatError IntegrityFailure "
+    "NotFound NotOwner PairMismatch SameBackend SefragError",
+    "sharing": "Decision Party PolicyStore SharePolicy grant release request_access revoke",
 }
 # Public name -> the submodule that defines it.
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names.split()}

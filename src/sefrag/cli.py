@@ -32,7 +32,7 @@ from pathlib import Path
 from . import container
 from .container import atomic_write
 from .core import ProtectionKey, _fromhex
-from .errors import BadPadding, NotFound, SefragError, UnknownRecord
+from .errors import BadPadding, NotFound, SefragError
 
 
 def _parse_hostport(text: str) -> tuple[str, int]:
@@ -215,7 +215,7 @@ def cmd_request(args) -> int:
     if args.out_dir is not None:
         placement = _placement_index(store_dir).lookup(record_id)
         if placement is None:
-            raise UnknownRecord(f"no placement for record {record_id.hex()}")
+            raise NotFound(f"no placement for record {record_id.hex()}")
         backends = _backends(args, store_dir)
         for name in (placement.puf_backend, placement.prf_backend):
             if name not in backends:

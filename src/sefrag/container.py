@@ -54,12 +54,9 @@ from . import core
 from .core import ProtectionKey
 from .errors import (
     BadPadding,
-    EmptyPassphrase,
     FormatError,
     IntegrityFailure,
-    NotDicom,
     PairMismatch,
-    TooShort,
 )
 
 PUF_MAGIC = b"PUF1"
@@ -103,7 +100,7 @@ def _read_head(src, size: int, mode: str) -> bytes:
     if mode == "dicom":
         head = src.read(DICOM_PREAMBLE_LEN)
         if len(head) < DICOM_PREAMBLE_LEN or head[128:132] != b"DICM":
-            raise NotDicom("no DICM marker at offset 128")
+            raise FormatError("no DICM marker at offset 128")
         return head
     if mode.startswith("fixed:"):
         digits = mode[len("fixed:"):]
@@ -112,7 +109,7 @@ def _read_head(src, size: int, mode: str) -> bytes:
             raise FormatError(f"bad fixed header length in mode {mode!r}")
         n = int(digits)
         if n > size:
-            raise TooShort(f"input is {size} bytes, fixed header wants {n}")
+            raise FormatError(f"input is {size} bytes, fixed header wants {n}")
         return _read_exact(src, n)
     raise FormatError(f"unknown header mode {mode!r}")
 
@@ -384,10 +381,11 @@ def derive_key(passphrase: bytes, salt: bytes) -> ProtectionKey:
     """Stretch a passphrase into a protection key.
 
     Iterates x <- SHA-256(x || passphrase || salt) 100000 times from an
-    empty x, in the kernel, and keeps the first 16 bytes.
+    empty x, in the kernel, and keeps the first 16 bytes.  Raises
+    ``ValueError`` for an empty passphrase or a salt of another length.
     """
     if not passphrase:
-        raise EmptyPassphrase("passphrase must not be empty")
+        raise ValueError("passphrase must not be empty")
     if len(salt) != 16:
         raise ValueError("salt must be 16 bytes")
     return ProtectionKey(core._kernel().derive(passphrase + salt, KDF_ITERATIONS)[:16])

@@ -36,7 +36,7 @@ import io
 import os
 from collections import namedtuple
 
-from .errors import IntegrityFailure, LengthMismatch
+from .errors import FormatError, IntegrityFailure
 
 KEY_LEN = 16
 UNIT_LEN = 32
@@ -200,7 +200,7 @@ def protect(content: bytes, key: ProtectionKey) -> ProtectedStreams:
 def recover(puf_payload: bytes, prf_plain: bytes, key: ProtectionKey) -> bytes:
     """Rebuild content from the two streams in memory and verify its digest.
 
-    Raises LengthMismatch when the stream lengths cannot belong to one
+    Raises FormatError when the stream lengths cannot belong to one
     protection pass, and IntegrityFailure when the digest check fails.
     No attempted output is kept; a caller that wants the unverified
     pieces iterates ``recover_chunks``, which yields them before it
@@ -209,6 +209,6 @@ def recover(puf_payload: bytes, prf_plain: bytes, key: ProtectionKey) -> bytes:
     unit_count, extra = divmod(len(puf_payload), REMAINDER_LEN)
     tail_len = len(prf_plain) - SUB_LEN * unit_count - DIGEST_LEN
     if extra or not 0 <= tail_len < UNIT_LEN:
-        raise LengthMismatch("stream lengths cannot come from one protection pass")
+        raise FormatError("stream lengths cannot come from one protection pass")
     content_len = UNIT_LEN * unit_count + tail_len
     return b"".join(recover_chunks(io.BytesIO(puf_payload).read, io.BytesIO(prf_plain).read, content_len, key))

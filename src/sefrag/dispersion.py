@@ -70,7 +70,6 @@ from .container import atomic_write, pair_id
 from .core import _fromhex
 from .errors import (
     BackendUnavailable,
-    BindError,
     CorruptBlob,
     FormatError,
     NotFound,
@@ -272,7 +271,7 @@ class BlobServer(socketserver.ThreadingTCPServer):
         try:
             super().__init__((host, port), _BlobRequestHandler)
         except OSError as exc:
-            raise BindError(f"cannot bind {host}:{port}: {exc}") from exc
+            raise BackendUnavailable(f"cannot bind {host}:{port}: {exc}") from exc
 
     def __enter__(self) -> "BlobServer":
         self._thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True)

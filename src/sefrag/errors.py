@@ -2,7 +2,10 @@
 
 Grouped here because most of them cross module boundaries: the container
 layer re-raises engine errors, the CLI exits with each class's stable
-``exit_code``, and tests assert on exact types.
+``exit_code``, and tests assert on exact types.  A case has its own
+class only when its exit code or some ``except`` tells it apart; the
+message says which case it is.  A bad value the caller passed, such as
+an empty passphrase, raises ``ValueError`` (exit 2).
 """
 
 
@@ -17,21 +20,10 @@ class SefragError(Exception):
 
 
 class FormatError(SefragError):
-    """Malformed container, wire frame, or stream structure."""
+    """Malformed container, wire frame, stream structure or stream lengths, or
+    an input without the DICM marker at offset 128 or shorter than its fixed header."""
 
     exit_code = 3
-
-
-class NotDicom(FormatError):
-    """Input lacks the DICM marker expected at offset 128."""
-
-
-class TooShort(FormatError):
-    """Input shorter than the requested fixed-length header."""
-
-
-class LengthMismatch(FormatError):
-    """Public/private stream lengths are mutually inconsistent."""
 
 
 class IntegrityFailure(SefragError):
@@ -58,12 +50,6 @@ class PairMismatch(SefragError):
     exit_code = 4
 
 
-class EmptyPassphrase(SefragError):
-    """Key derivation was given an empty passphrase."""
-
-    exit_code = 2
-
-
 class EmptyInput(SefragError):
     """Entropy is undefined for zero-length input."""
 
@@ -71,7 +57,8 @@ class EmptyInput(SefragError):
 
 
 class NotFound(SefragError):
-    """No blob stored under the requested id."""
+    """No blob stored under the requested id, or no placement exists for
+    the requested record id."""
 
     exit_code = 5
 
@@ -83,7 +70,8 @@ class CorruptBlob(SefragError):
 
 
 class BackendUnavailable(SefragError):
-    """Storage backend cannot be reached."""
+    """Storage backend cannot be reached, or the blob server could not
+    bind its address."""
 
     exit_code = 6
 
@@ -94,19 +82,7 @@ class SameBackend(SefragError):
     exit_code = 4
 
 
-class BindError(SefragError):
-    """Blob server could not bind its address."""
-
-    exit_code = 6
-
-
 class NotOwner(SefragError):
     """Policy mutation attempted by a party other than the owner."""
 
     exit_code = 4
-
-
-class UnknownRecord(SefragError):
-    """No placement exists for the requested record id."""
-
-    exit_code = 5

@@ -1,9 +1,10 @@
 """User-centric access control for private-fragment release.
 
-The owner's device holds a small JSON policy store.  Trusted roles
-(owner, doctor, authority) always see full records; everyone else gets
-the public fragment only, unless the owner has granted them access and
-not revoked it since.  Decisions gate ``release``, which fetches the
+The owner's device holds a small JSON policy store.  A role is a plain
+string: the trusted roles "owner", "doctor" and "authority" always see
+full records; a "requester" gets the public fragment only, unless the
+owner has granted them access and not revoked it since; any other role
+gets nothing.  Decisions gate ``release``, which fetches the
 corresponding container bytes from the placed backends and can strip
 the plaintext file header for anonymized hand-over.
 
@@ -27,13 +28,6 @@ from typing import Mapping
 from . import container
 from .dispersion import DirectoryBackend, Placement, RemoteBackend
 from .errors import FormatError, NotOwner
-
-
-class Role(str, enum.Enum):
-    OWNER = "owner"
-    DOCTOR = "doctor"
-    AUTHORITY = "authority"
-    REQUESTER = "requester"
 
 
 class Decision(str, enum.Enum):
@@ -116,7 +110,7 @@ class PolicyStore:
         return self._policies[record_id]
 
     def _check_owner(self, caller: Party):
-        if caller.role != Role.OWNER.value:
+        if caller.role != "owner":
             raise NotOwner(f"{caller.id!r} holds role {caller.role!r}, not owner")
         if self.owner_id is None:
             self.owner_id = caller.id
@@ -152,16 +146,14 @@ def request_access(store: PolicyStore, party: Party, record_id: bytes) -> Decisi
     go beyond the public fragment; unrecognized roles (and owner
     impostors) get nothing.
     """
-    try:
-        role = Role(party.role)
-    except ValueError:
-        return Decision.DENIED
-    if role == Role.OWNER:
+    if party.role == "owner":
         if store.owner_id is not None and party.id != store.owner_id:
             return Decision.DENIED
         return Decision.FULL
-    if role in (Role.DOCTOR, Role.AUTHORITY):
+    if party.role in ("doctor", "authority"):
         return Decision.FULL
+    if party.role != "requester":
+        return Decision.DENIED
     policy = store._policies.get(record_id)
     if policy and party.id in policy.grants:
         return Decision.FULL

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sefrag import _native, core
 from sefrag.core import CHUNK_UNITS, ProtectionKey, protect, recover, selector_stream
-from sefrag.errors import IntegrityFailure, LengthMismatch
+from sefrag.errors import FormatError, IntegrityFailure
 
 ZERO_KEY = ProtectionKey(bytes(16))
 
@@ -476,17 +476,17 @@ class TestRecover:
 
     def test_truncated_public_payload(self):
         streams = protect(bytes(64), ZERO_KEY)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(FormatError, match="^stream lengths cannot come from one protection pass$"):
             recover(streams.puf_payload[:-1], streams.prf_plain, ZERO_KEY)
 
     def test_short_private_stream(self):
         streams = protect(bytes(64), ZERO_KEY)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(FormatError, match="^stream lengths cannot come from one protection pass$"):
             recover(streams.puf_payload, streams.prf_plain[:-1], ZERO_KEY)
 
     def test_oversized_tail_rejected(self):
         streams = protect(bytes(64), ZERO_KEY)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(FormatError, match="^stream lengths cannot come from one protection pass$"):
             recover(streams.puf_payload, streams.prf_plain + bytes(32), ZERO_KEY)
 
     def test_mismatched_pair_fails_integrity(self):

@@ -34,7 +34,6 @@ from sefrag.dispersion import (
 )
 from sefrag.errors import (
     BackendUnavailable,
-    BindError,
     CorruptBlob,
     FormatError,
     IntegrityFailure,
@@ -424,7 +423,7 @@ class TestWireProtocol:
     def test_bind_error_on_taken_port(self, tmp_path):
         with BlobServer("127.0.0.1", 0, tmp_path / "a") as server:
             _, port = server.server_address
-            with pytest.raises(BindError):
+            with pytest.raises(BackendUnavailable, match=f"^cannot bind 127.0.0.1:{port}: "):
                 BlobServer("127.0.0.1", port, tmp_path / "b")
 
 

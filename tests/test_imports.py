@@ -27,14 +27,12 @@ HEAVY = {"dataclasses", "inspect", "cryptography"}
 
 # The package's public names; none may go missing.
 PUBLIC = """
-    BackendUnavailable BadPadding BenchReport BindError BlobRef BlobServer
-    ByteHistogram CorruptBlob Decision DirectoryBackend EmptyInput EmptyPassphrase
-    FormatError IntegrityFailure LengthMismatch NotDicom NotFound NotOwner
-    PairMismatch Party Placement PlacementIndex PolicyStore PrfContainer ProtectedStreams
-    ProtectionKey PufContainer RemoteBackend Role SameBackend SefragError
-    SharePolicy TooShort UnknownRecord derive_key disperse entropy grant
-    histogram open pdf_csv protect recover release request_access revoke run_bench seal
-    __version__
+    BackendUnavailable BadPadding BenchReport BlobRef BlobServer CorruptBlob Decision
+    DirectoryBackend EmptyInput FormatError IntegrityFailure NotFound NotOwner PairMismatch
+    Party Placement PlacementIndex PolicyStore PrfContainer ProtectedStreams ProtectionKey
+    PufContainer RemoteBackend SameBackend SefragError SharePolicy derive_key disperse
+    entropy grant histogram open pdf_csv protect recover release request_access revoke
+    run_bench seal __version__
 """.split()
 
 # Runs ``python -m sefrag ARGV`` the way the interpreter does, then reports
@@ -117,6 +115,16 @@ class TestStartPath:
             assert not NOT_AT_START & set(modules)
             assert not heavy & set(modules)
         assert (tmp_path / "back.bin").read_bytes() == src.read_bytes()
+
+    def test_analysis_commands_load_no_dataclasses(self, tmp_path):
+        src = tmp_path / "scan.bin"
+        src.write_bytes(os.urandom(5000))
+        for argv in (("entropy", src), ("pdf", src, "--out", tmp_path / "pdf.csv")):
+            code, modules = _fresh("-c", PROBE, *argv, cwd=tmp_path)
+            assert code == 0
+            assert "sefrag.analysis" in modules
+            assert not {"dataclasses", "inspect"} & set(modules)
+        assert len((tmp_path / "pdf.csv").read_text().splitlines()) == 256
 
     def test_store_command_loads_its_modules(self, tmp_path):
         code, modules = _fresh("-c", PROBE, "get", "00" * 32, "--store", tmp_path / "s",
