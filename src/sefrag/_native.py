@@ -14,9 +14,11 @@ under the same name, no later process retries (delete the cache
 directory to retry), and ``load`` returns a ``PythonKernel``, which
 gives the same bytes.  Both kernels have ``protect``, ``recover``,
 ``derive``, ``cbc`` and a ``name``: ``native (<library>, 16 lanes)``
-when the library hashes 16 units' keystreams at once on this CPU
-(AVX-512F), ``native (<library>, 1 lane)`` when it hashes one at a
-time, or ``python (<why>)``.
+when the library hashes 16 units' keystreams at once on this CPU (one
+with both AVX-512F and AVX-512VL), ``native (<library>, 1 lane)`` when
+it hashes one at a time, or ``python (<why>)``.  The native ``protect``,
+``recover`` and ``cbc`` return ``bytes`` objects that the C code filled
+in, each byte written once.
 Importing this module builds and loads nothing; ``load`` runs once per process.
 
 ``PythonKernel`` moves 4-byte words with strided memoryview copies and
@@ -55,6 +57,14 @@ _SIGNATURES = {
 }
 # The two that can fail, when libcrypto does: they return 0 or -1.
 _FALLIBLE = ("sefrag_derive", "sefrag_cbc")
+
+# PyBytes_FromStringAndSize(NULL, n): a new bytes object of n bytes left
+# unset, which a C function then fills in whole through its c_char_p
+# argument (ctypes passes a bytes object's own buffer).  Nothing else holds
+# it yet, nor its hash, and at n = 0 the C code writes nothing.  So each
+# output is written once, neither zeroed first nor copied out.
+_uninitialised_bytes = ctypes.pythonapi.PyBytes_FromStringAndSize
+_uninitialised_bytes.restype, _uninitialised_bytes.argtypes = ctypes.py_object, (_BYTES, ctypes.c_ssize_t)
 
 # _AFTER[k] maps a selector to 0xff when it picks a word after word k.
 _AFTER = [bytes(0xFF if s > k else 0 for s in range(256)) for k in range(SUBS_PER_UNIT - 1)]
@@ -109,18 +119,17 @@ class Kernel:
         """``count`` units from index ``first``: ``(protected remainders,
         picked sub-fragments)``."""
         _check_protect(units, count, key, first)
-        pub = ctypes.create_string_buffer(REMAINDER_LEN * count)
-        picked = ctypes.create_string_buffer(SUB_LEN * count)
+        pub, picked = _uninitialised_bytes(None, REMAINDER_LEN * count), _uninitialised_bytes(None, SUB_LEN * count)
         self._lib.sefrag_protect(units, count, key, first, pub, picked)
-        return pub.raw, picked.raw
+        return pub, picked
 
     def recover(self, public: bytes, picked: bytes, count: int, key: bytes, first: int) -> bytes:
         """``count`` units from index ``first`` whose protected remainders
         are ``public``."""
         _check_recover(public, picked, count, key, first)
-        units = ctypes.create_string_buffer(UNIT_LEN * count)
+        units = _uninitialised_bytes(None, UNIT_LEN * count)
         self._lib.sefrag_recover(public, picked, count, key, first, units)
-        return units.raw
+        return units
 
     def derive(self, suffix: bytes, iterations: int) -> bytes:
         """x <- SHA-256(x || suffix) ``iterations`` times from an empty x."""
@@ -132,9 +141,9 @@ class Kernel:
     def cbc(self, key: bytes, iv: bytes, data: bytes, encrypt: bool) -> bytes:
         """AES-128-CBC over ``data``, whole blocks, no padding."""
         _check_cbc(key, iv, data)
-        out = ctypes.create_string_buffer(len(data))
+        out = _uninitialised_bytes(None, len(data))
         self._lib.sefrag_cbc(key, iv, data, len(data), encrypt, out)
-        return out.raw
+        return out
 
 
 def _xor(a: bytes, b: bytes) -> bytes:

@@ -327,19 +327,25 @@ class TestUnitKeystream:
 
 
 class TestLaneBoundaries:
-    """The native kernel hashes the keystreams of 16 consecutive units at
-    once where the CPU has AVX-512F, and a chunk's last ``count % 16``
-    units one at a time.  Across those boundaries, and across 2**32,
-    where a unit index's high word changes inside a batch, both kernels
-    give the unit-by-unit bytes."""
+    """The native kernel runs whole batches of 16 consecutive units in lanes
+    where the CPU has AVX-512F and AVX-512VL, and a chunk's last
+    ``count % 16`` units one at a time.  It hashes selector blocks 16 at a
+    time into a window that moves when a batch reaches past it, and a
+    window of fewer than 16 blocks one block at a time: a first index of
+    24 puts a batch across a selector block's edge, 31 and 32 sit on
+    either side of one, and 513 units from index 0 end on a one-block
+    window.  Across those boundaries, and across 2**32, where a unit
+    index's high word changes inside a batch, both kernels give the
+    unit-by-unit bytes."""
 
-    COUNTS = [1, 15, 16, 17, 31, 32, 33, 4095, 4096]
+    COUNTS = [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 513, 4095, 4096]
+    FIRSTS = [0, 5, 24, 31, 32, 2 ** 32 - 7]
 
     def test_counts_and_first_indices(self, each_kernel_path):
         rng = random.Random(16)
         key = rng.randbytes(16)
         seen = set()
-        for count, first in [(c, f) for c in self.COUNTS for f in (0, 5, 2 ** 32 - 7, 2 ** 64 - c)]:
+        for count, first in [(c, f) for c in self.COUNTS for f in [*self.FIRSTS, 2 ** 64 - c]]:
             units = rng.randbytes(32 * count)
             selectors = reference_selectors(key, first, count)
             seen.update(selectors)

@@ -3,6 +3,7 @@ per source version, a failed one is recorded and leaves no library, and
 ``load`` then returns the pure-Python kernel, which gives the same bytes."""
 
 import itertools
+import json
 import os
 import random
 import re
@@ -41,13 +42,14 @@ def fresh_cache(tmp_path, monkeypatch):
 
 def native_names(library) -> set[str]:
     """The names the native kernel may give on this CPU: 16 lanes where
-    Linux lists AVX-512F for an x86-64 CPU, else 1 lane; either where
-    there is no /proc/cpuinfo to ask."""
+    Linux lists both AVX-512F and AVX-512VL for an x86-64 CPU, else 1
+    lane; either where there is no /proc/cpuinfo to ask."""
     lanes = {"16 lanes", "1 lane"}
     cpuinfo = Path("/proc/cpuinfo")
     if cpuinfo.exists():
-        avx512f = os.uname().machine == "x86_64" and "avx512f" in cpuinfo.read_text().split()
-        lanes = {"16 lanes" if avx512f else "1 lane"}
+        flags = set(cpuinfo.read_text().split())
+        vector = os.uname().machine == "x86_64" and {"avx512f", "avx512vl"} <= flags
+        lanes = {"16 lanes" if vector else "1 lane"}
     return {f"native ({library}, {count})" for count in lanes}
 
 
@@ -153,6 +155,25 @@ def test_kernel_compiles_without_warnings(tmp_path, monkeypatch):
     monkeypatch.setattr(_native, "COMPILE", (*_native.COMPILE, "-Wall", "-Wextra", "-Werror"))
     reason = _native._build(tmp_path / "kernel.so")
     assert reason is None, reason
+
+
+def test_kernel_pairs_tool_runs_one_source_against_itself():
+    # tools/kernel_pairs.py, one round over one chunk: it builds, times
+    # both directions on each side and finds the bytes equal.
+    if not isinstance(_native.load(), _native.Kernel):
+        pytest.skip(f"native kernel unavailable: {_native.load().name}")
+    tool = Path(__file__).resolve().parent.parent / "tools" / "kernel_pairs.py"
+    source = str(_native.SOURCE)
+    proc = subprocess.run([sys.executable, str(tool), source, source, "--rounds", "1", "--calls", "1"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    (line,) = proc.stdout.splitlines()
+    result = json.loads(line)
+    assert result["equal"] and result["first"] == ["old"]
+    assert result["lanes"]["old"] == result["lanes"]["new"] in (1, 16)
+    for direction in ("protect_ms", "recover_ms"):
+        assert [len(result[direction][side]) for side in ("old", "new")] == [1, 1]
+        assert all(ms > 0 for side in ("old", "new") for ms in result[direction][side])
 
 
 def test_kernel_checks_buffer_lengths_before_calling_c():
