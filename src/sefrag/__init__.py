@@ -28,9 +28,8 @@ _HOMES = {
     "core": "ProtectedStreams ProtectionKey protect recover",
     "dispersion": "BlobRef BlobServer DirectoryBackend Placement PlacementIndex RemoteBackend "
     "disperse",
-    "errors": "BackendUnavailable BadPadding CorruptBlob EmptyInput FormatError IntegrityFailure "
-    "NotFound NotOwner PairMismatch SameBackend SefragError",
-    "sharing": "Decision Party PolicyStore SharePolicy grant release request_access revoke",
+    "errors": "BackendUnavailable CorruptBlob FormatError IntegrityFailure NotFound SefragError",
+    "sharing": "Decision PolicyStore grant release request_access revoke",
 }
 # Public name -> the submodule that defines it.
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names.split()}

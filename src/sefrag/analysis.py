@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .errors import EmptyInput
+from .errors import NotFound
 
 
 def histogram(data: bytes) -> tuple[int, ...]:
@@ -27,7 +27,7 @@ def entropy(data: bytes) -> float:
     counts = histogram(data)
     total = sum(counts)
     if total == 0:
-        raise EmptyInput("entropy is undefined for empty input")
+        raise NotFound("entropy is undefined for empty input")
     # Ascending byte value keeps the float accumulation reproducible.
     acc = 0.0
     for count in counts:

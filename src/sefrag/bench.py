@@ -18,7 +18,7 @@ import io
 import os
 import statistics
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -29,16 +29,16 @@ from .core import ProtectionKey
 MIB = 1 << 20
 
 
-class BenchReport(NamedTuple):
-    """What one ``run_bench`` measured: the wall time of every iteration
-    of each path, in run order, and the AES bytes each path ciphered."""
+class BenchReport(
+    namedtuple("BenchReport", "input_size se_elapsed aes_baseline_elapsed aes_bytes_se aes_bytes_baseline kernel")
+):
+    """What one ``run_bench`` measured: the input size in bytes, the wall
+    time of every iteration of each path in run order (``se_elapsed``,
+    ``aes_baseline_elapsed``), the AES bytes each path ciphered, and the
+    kernel: "native (<library>, 16 lanes)", "native (<library>, 1 lane)"
+    or "python (<why>)"."""
 
-    input_size: int
-    se_elapsed: tuple[float, ...]
-    aes_baseline_elapsed: tuple[float, ...]
-    aes_bytes_se: int
-    aes_bytes_baseline: int
-    kernel: str  # "native (<library>, 16 lanes)", "native (<library>, 1 lane)" or "python (<why>)"
+    __slots__ = ()
 
 
 def run_bench(size_mb: int, iterations: int) -> BenchReport:

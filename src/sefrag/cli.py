@@ -32,7 +32,7 @@ from pathlib import Path
 from . import container
 from .container import atomic_write
 from .core import ProtectionKey, _fromhex
-from .errors import BadPadding, NotFound, SefragError
+from .errors import IntegrityFailure, NotFound, SefragError
 
 
 def _parse_hostport(text: str) -> tuple[str, int]:
@@ -59,7 +59,7 @@ def _key(args, kdf_salt: bytes) -> ProtectionKey:
         return ProtectionKey.from_hex(args.key_hex)
     if kdf_salt == container.ZERO_SALT:
         # A record sealed with a raw key: fail before the passphrase is read.
-        raise BadPadding("the record was sealed with a raw key: recover it with --key-hex")
+        raise IntegrityFailure("the record was sealed with a raw key: recover it with --key-hex")
     return container.derive_key(_read_passphrase(args), kdf_salt)
 
 
@@ -198,7 +198,7 @@ def cmd_grant_or_revoke(args) -> int:
     with (store_dir / "policy.json.lock").open("ab") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         change = getattr(sharing, args.command)  # sharing.grant or sharing.revoke
-        change(_policy_store(store_dir), sharing.Party(args.caller, "owner"), args.party, record_id)
+        change(_policy_store(store_dir), args.caller, args.party, record_id)
     return 0
 
 
@@ -209,7 +209,6 @@ def cmd_request(args) -> int:
 
     store_dir = Path(args.store)
     store = _policy_store(store_dir)
-    party = sharing.Party(args.caller, args.role)
     record_id = _fromhex(args.record, container.FILE_ID_LEN, "record id")
     placement = None
     if args.out_dir is not None:
@@ -220,7 +219,7 @@ def cmd_request(args) -> int:
         for name in (placement.puf_backend, placement.prf_backend):
             if name not in backends:
                 raise NotFound(f"record {record_id.hex()} is placed on unknown backend {name!r}")
-    decision = sharing.request_access(store, party, record_id)
+    decision = sharing.request_access(store, args.caller, args.role, record_id)
     print(decision.value)
     if placement is not None and decision != sharing.Decision.DENIED:
         released = sharing.release(decision, placement, backends, anonymize=args.anonymize)

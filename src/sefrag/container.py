@@ -52,12 +52,7 @@ from pathlib import Path
 
 from . import core
 from .core import ProtectionKey
-from .errors import (
-    BadPadding,
-    FormatError,
-    IntegrityFailure,
-    PairMismatch,
-)
+from .errors import FormatError, IntegrityFailure
 
 PUF_MAGIC = b"PUF1"
 PRF_MAGIC = b"PRF1"
@@ -163,11 +158,11 @@ def _read_prf_header(src, size: int) -> tuple[bytes, bytes, bytes, int]:
 
 def pair_id(puf: bytes, prf: bytes) -> bytes:
     """The file id that the sealed ``.puf`` and ``.prf`` bytes share, read
-    from their headers: FormatError for a malformed container, PairMismatch
-    for fragments of two records."""
+    from their headers: FormatError for a malformed container,
+    IntegrityFailure for fragments of two records."""
     puf_id = _read_puf_header(io.BytesIO(puf), len(puf))[1]
     if puf_id != _read_prf_header(io.BytesIO(prf), len(prf))[0]:
-        raise PairMismatch("public and private containers carry different file ids")
+        raise IntegrityFailure("public and private containers carry different file ids")
     return puf_id
 
 
@@ -282,15 +277,15 @@ def open_stream(puf_src, prf_src, key_for):
     Both headers, the pairing and the private stream's length are
     checked before ``key_for`` is called, and the padding after it; then
     this returns an iterator of the plaintext pieces: the head, then the
-    content chunk by chunk.  PairMismatch for foreign pairs,
-    IntegrityFailure for a wrong length, BadPadding for a wrong key caught
-    by the cipher layer; the iterator raises IntegrityFailure after its
-    last piece for anything that slips past them.
+    content chunk by chunk.  IntegrityFailure for foreign pairs, a wrong
+    length, or a wrong key caught by the padding check; the iterator
+    raises it again after its last piece for anything that slips past
+    them.
     """
     _, file_id, head, content_len = _read_puf_header(puf_src, _size(puf_src))
     prf_id, kdf_salt, iv, ct_len = _read_prf_header(prf_src, _size(prf_src))
     if file_id != prf_id:
-        raise PairMismatch(
+        raise IntegrityFailure(
             f"public fragment {file_id.hex()} does not pair with private fragment {prf_id.hex()}"
         )
     expected, pad = _private_sizes(content_len)
@@ -304,7 +299,7 @@ def open_stream(puf_src, prf_src, key_for):
     prf_src.seek(body + ct_len - 32)
     prev, last = _read_exact(prf_src, 16), _read_exact(prf_src, 16)
     if core._kernel().cbc(key.bytes, prev, last, False)[-pad:] != bytes([pad]) * pad:
-        raise BadPadding("private stream padding invalid (wrong key?)")
+        raise IntegrityFailure("private stream padding invalid (wrong key?)")
     prf_src.seek(body)
     decrypt = _chained_cbc(key, iv, False)
     pending = bytearray()

@@ -63,18 +63,12 @@ import socket
 import socketserver
 import struct
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .container import atomic_write, pair_id
 from .core import _fromhex
-from .errors import (
-    BackendUnavailable,
-    CorruptBlob,
-    FormatError,
-    NotFound,
-    SameBackend,
-)
+from .errors import BackendUnavailable, CorruptBlob, FormatError, IntegrityFailure, NotFound
 
 MAX_PAYLOAD = 1 << 30
 
@@ -92,15 +86,15 @@ _LEN = struct.Struct("<Q")
 REMOTE_TIMEOUT = 10.0
 
 
-@dataclass(frozen=True)
-class BlobRef:
+class BlobRef(namedtuple("BlobRef", "id")):
     """32-byte content address of a stored blob."""
 
-    id: bytes
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.id) != 32:
+    def __new__(cls, id: bytes):
+        if len(id) != 32:
             raise ValueError("blob id must be 32 bytes")
+        return super().__new__(cls, id)
 
     @classmethod
     def for_payload(cls, payload: bytes) -> "BlobRef":
@@ -284,15 +278,11 @@ class BlobServer(socketserver.ThreadingTCPServer):
         self._thread.join(timeout=5)
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Where one record's fragments live."""
+class Placement(namedtuple("Placement", "record_id puf_ref puf_backend prf_ref prf_backend")):
+    """Where one record's fragments live: the record id, and each
+    fragment's ``BlobRef`` and backend name."""
 
-    record_id: bytes
-    puf_ref: BlobRef
-    puf_backend: str
-    prf_ref: BlobRef
-    prf_backend: str
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -320,8 +310,12 @@ class PlacementIndex:
 
     def record(self, placement: Placement):
         line = json.dumps(placement.to_json()).encode() + b"\n"
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o600)
+        flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
+        try:
+            fd = os.open(self.path, flags, 0o600)
+        except FileNotFoundError:  # the store's first record
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, flags, 0o600)
         try:
             end = os.lseek(fd, 0, os.SEEK_END)
             if end and os.pread(fd, 1, end - 1) != b"\n":
@@ -398,7 +392,7 @@ def disperse(
     this record, and the device's error propagates.
     """
     if device_backend is cloud_backend or device_backend.name == cloud_backend.name:
-        raise SameBackend(
+        raise IntegrityFailure(
             f"public and private fragments must not share backend {cloud_backend.name!r}"
         )
     record_id = pair_id(puf, prf)

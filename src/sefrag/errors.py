@@ -27,7 +27,12 @@ class FormatError(SefragError):
 
 
 class IntegrityFailure(SefragError):
-    """Recovered content does not match its stored digest.
+    """An integrity or authorization check failed: recovered content does
+    not match its stored digest, private-stream decryption produced
+    invalid padding (wrong key or corrupted ciphertext), a passphrase met
+    a record sealed with a raw key, the public and private containers
+    carry different file ids or would share a backend, or a policy
+    change came from a party other than the store's owner.
 
     It carries no reconstructed output: ``core.recover_chunks`` yields
     every piece before it raises, so a caller that wants to inspect a
@@ -37,28 +42,9 @@ class IntegrityFailure(SefragError):
     exit_code = 4
 
 
-class BadPadding(SefragError):
-    """Private-stream decryption produced invalid padding (wrong key or
-    corrupted ciphertext)."""
-
-    exit_code = 4
-
-
-class PairMismatch(SefragError):
-    """Public and private containers carry different file ids."""
-
-    exit_code = 4
-
-
-class EmptyInput(SefragError):
-    """Entropy is undefined for zero-length input."""
-
-    exit_code = 5
-
-
 class NotFound(SefragError):
-    """No blob stored under the requested id, or no placement exists for
-    the requested record id."""
+    """No blob stored under the requested id, no placement exists for
+    the requested record id, or the input to ``entropy`` is empty."""
 
     exit_code = 5
 
@@ -74,15 +60,3 @@ class BackendUnavailable(SefragError):
     bind its address."""
 
     exit_code = 6
-
-
-class SameBackend(SefragError):
-    """Public and private fragments may not share a backend."""
-
-    exit_code = 4
-
-
-class NotOwner(SefragError):
-    """Policy mutation attempted by a party other than the owner."""
-
-    exit_code = 4

@@ -21,53 +21,18 @@ from __future__ import annotations
 import enum
 import json
 import time
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Mapping
 
 from . import container
 from .dispersion import DirectoryBackend, Placement, RemoteBackend
-from .errors import FormatError, NotOwner
+from .errors import FormatError, IntegrityFailure
 
 
 class Decision(str, enum.Enum):
     PUF_ONLY = "PufOnly"
     FULL = "Full"
     DENIED = "Denied"
-
-
-@dataclass(frozen=True)
-class Party:
-    """A participant as presented to the policy engine; ``role`` is kept
-    as the raw string so unrecognized claims can be denied."""
-
-    id: str
-    role: str
-
-
-@dataclass
-class SharePolicy:
-    """Per-record grant state; a party is either granted or revoked,
-    never both."""
-
-    record_id: bytes
-    grants: dict[str, float] = field(default_factory=dict)  # party id -> granted-at
-    revoked: set[str] = field(default_factory=set)
-
-    def to_json(self) -> dict:
-        return {
-            "record_id": self.record_id.hex(),
-            "grants": [{"party": p, "ts": ts} for p, ts in sorted(self.grants.items())],
-            "revoked": sorted(self.revoked),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SharePolicy":
-        return cls(
-            record_id=bytes.fromhex(obj["record_id"]),
-            grants={g["party"]: g["ts"] for g in obj.get("grants", [])},
-            revoked=set(obj.get("revoked", [])),
-        )
 
 
 class PolicyStore:
@@ -80,7 +45,9 @@ class PolicyStore:
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.owner_id: str | None = None
-        self._policies: dict[bytes, SharePolicy] = {}
+        # Record id -> (party id -> granted-at, revoked party ids); a party
+        # is in at most one of the two.
+        self._policies: dict[bytes, tuple[dict[str, float], set[str]]] = {}
 
     @classmethod
     def load(cls, path: str | Path) -> "PolicyStore":
@@ -90,74 +57,69 @@ class PolicyStore:
                 obj = json.loads(store.path.read_text(encoding="utf-8"))
                 store.owner_id = obj.get("owner")
                 for entry in obj.get("policies", []):
-                    policy = SharePolicy.from_json(entry)
-                    store._policies[policy.record_id] = policy
+                    store._policies[bytes.fromhex(entry["record_id"])] = (
+                        {g["party"]: g["ts"] for g in entry.get("grants", [])},
+                        set(entry.get("revoked", [])),
+                    )
             except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
                 raise FormatError(f"{store.path} is not a policy file ({type(exc).__name__}: {exc})") from None
         return store
 
     def save(self):
-        obj = {
-            "owner": self.owner_id,
-            "policies": [p.to_json() for p in self._policies.values()],
-        }
+        policies = [
+            {
+                "record_id": record_id.hex(),
+                "grants": [{"party": p, "ts": ts} for p, ts in sorted(grants.items())],
+                "revoked": sorted(revoked),
+            }
+            for record_id, (grants, revoked) in self._policies.items()
+        ]
         with container.atomic_write(self.path) as write:
-            write((json.dumps(obj, indent=2) + "\n").encode("utf-8"))
+            write((json.dumps({"owner": self.owner_id, "policies": policies}, indent=2) + "\n").encode("utf-8"))
 
-    def policy_for(self, record_id: bytes) -> SharePolicy:
-        if record_id not in self._policies:
-            self._policies[record_id] = SharePolicy(record_id)
-        return self._policies[record_id]
-
-    def _check_owner(self, caller: Party):
-        if caller.role != "owner":
-            raise NotOwner(f"{caller.id!r} holds role {caller.role!r}, not owner")
+    def _change(self, owner_id: str, record_id: bytes) -> tuple[dict[str, float], set[str]]:
+        """The record's grants and revocations, for the store's owner only."""
         if self.owner_id is None:
-            self.owner_id = caller.id
-        elif caller.id != self.owner_id:
-            raise NotOwner(f"store is owned by {self.owner_id!r}, not {caller.id!r}")
+            self.owner_id = owner_id
+        elif owner_id != self.owner_id:
+            raise IntegrityFailure(f"store is owned by {self.owner_id!r}, not {owner_id!r}")
+        return self._policies.setdefault(record_id, ({}, set()))
 
 
-def grant(store: PolicyStore, caller: Party, grantee_id: str, record_id: bytes) -> SharePolicy:
-    """Owner grants a party full access to one record; idempotent."""
-    store._check_owner(caller)
-    policy = store.policy_for(record_id)
-    policy.revoked.discard(grantee_id)
-    policy.grants.setdefault(grantee_id, time.time())
+def grant(store: PolicyStore, owner_id: str, grantee_id: str, record_id: bytes) -> None:
+    """The owner grants a party full access to one record; idempotent."""
+    grants, revoked = store._change(owner_id, record_id)
+    revoked.discard(grantee_id)
+    grants.setdefault(grantee_id, time.time())
     store.save()
-    return policy
 
 
-def revoke(store: PolicyStore, caller: Party, grantee_id: str, record_id: bytes) -> SharePolicy:
-    """Owner withdraws a party's access to one record; never-granted
+def revoke(store: PolicyStore, owner_id: str, grantee_id: str, record_id: bytes) -> None:
+    """The owner withdraws a party's access to one record; never-granted
     parties revoke to a no-op."""
-    store._check_owner(caller)
-    policy = store.policy_for(record_id)
-    policy.grants.pop(grantee_id, None)
-    policy.revoked.add(grantee_id)
+    grants, revoked = store._change(owner_id, record_id)
+    grants.pop(grantee_id, None)
+    revoked.add(grantee_id)
     store.save()
-    return policy
 
 
-def request_access(store: PolicyStore, party: Party, record_id: bytes) -> Decision:
-    """Decide what a party may see of one record.
+def request_access(store: PolicyStore, party_id: str, role: str, record_id: bytes) -> Decision:
+    """Decide what a party, presenting ``role``, may see of one record.
 
     Trusted roles get everything; a requester needs an active grant to
     go beyond the public fragment; unrecognized roles (and owner
     impostors) get nothing.
     """
-    if party.role == "owner":
-        if store.owner_id is not None and party.id != store.owner_id:
+    if role == "owner":
+        if store.owner_id is not None and party_id != store.owner_id:
             return Decision.DENIED
         return Decision.FULL
-    if party.role in ("doctor", "authority"):
+    if role in ("doctor", "authority"):
         return Decision.FULL
-    if party.role != "requester":
+    if role != "requester":
         return Decision.DENIED
-    policy = store._policies.get(record_id)
-    if policy and party.id in policy.grants:
-        return Decision.FULL
-    return Decision.PUF_ONLY
+    grants, _ = store._policies.get(record_id, ({}, None))
+    return Decision.FULL if party_id in grants else Decision.PUF_ONLY
 
 
 def release(

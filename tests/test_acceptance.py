@@ -23,7 +23,7 @@ import sefrag
 from sefrag import _native, analysis, bench, container, core, dispersion
 from sefrag.core import ProtectionKey
 from sefrag.dispersion import BlobServer, DirectoryBackend, PlacementIndex, RemoteBackend
-from sefrag.errors import CorruptBlob, IntegrityFailure, SameBackend
+from sefrag.errors import CorruptBlob, IntegrityFailure
 
 MIB = 1 << 20
 
@@ -239,9 +239,9 @@ def test_dispersion_rule(tmp_path):
 
         index = PlacementIndex(tmp_path / "placements.jsonl")
         device = DirectoryBackend(tmp_path / "device", name="device")
-        with pytest.raises(SameBackend):
+        with pytest.raises(IntegrityFailure, match="must not share backend"):
             dispersion.disperse(puf.to_bytes(), prf.to_bytes(), device, device, index)
-        with pytest.raises(SameBackend):
+        with pytest.raises(IntegrityFailure, match="must not share backend"):
             dispersion.disperse(
                 puf.to_bytes(), prf.to_bytes(), DirectoryBackend(tmp_path / "a", name="store"),
                 DirectoryBackend(tmp_path / "b", name="store"), index,

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sefrag.analysis import entropy, histogram, pdf_csv
 from sefrag.container import seal
 from sefrag.core import ProtectionKey
-from sefrag.errors import EmptyInput
+from sefrag.errors import NotFound
 
 
 def max_min_ratio(counts: tuple[int, ...]) -> float:
@@ -30,7 +30,7 @@ class TestEntropy:
         assert entropy(bytes(range(256))) == 8.0
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(NotFound, match="^entropy is undefined for empty input$"):
             entropy(b"")
 
     def test_two_symbol_half_half(self):

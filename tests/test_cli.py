@@ -297,12 +297,7 @@ class TestExitCodes:
         (FileNotFoundError, 2),
         (errors.FormatError, 3),
         (errors.IntegrityFailure, 4),
-        (errors.BadPadding, 4),
-        (errors.PairMismatch, 4),
-        (errors.NotOwner, 4),
-        (errors.SameBackend, 4),
         (errors.CorruptBlob, 4),
-        (errors.EmptyInput, 5),
         (errors.NotFound, 5),
         (errors.BackendUnavailable, 6),
     ]
@@ -323,13 +318,22 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: simulated failure\n"
 
-    @pytest.mark.parametrize("case", ["not-dicom", "too-short", "empty-passphrase", "unknown-record", "port-taken"])
+    @pytest.mark.parametrize("case", [
+        "not-dicom", "too-short", "empty-passphrase", "unknown-record", "port-taken",
+        "wrong-key", "raw-key-record", "mismatched-pair", "not-owner", "empty-entropy",
+    ])
     def test_case_without_its_own_class_keeps_code_and_message(self, case, tmp_path, capsys):
         # Cases that share an error class: the message tells them apart, and nothing is written.
         src, out = tmp_path / "scan.bin", tmp_path / "out"
         src.write_bytes(bytes(300))
         (tmp_path / "empty.txt").write_bytes(b"")
         record = "ab" * container.FILE_ID_LEN
+        # A pair sealed with --key-hex KEY, the .prf of another record, and a store alice owns.
+        puf, other_prf = mismatched_pair(tmp_path)
+        prf = puf.with_suffix(".prf")
+        puf_id, other_id = capsys.readouterr().out.split()
+        assert run_cli("grant", record, "carol", "--as", "alice", "--store", tmp_path / "s") == 0
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
         with socket.create_server(("127.0.0.1", 0)) as taken:
             port = taken.getsockname()[1]
             argv, code, message = {
@@ -344,13 +348,23 @@ class TestExitCodes:
                 # The OS's reason follows the address.
                 "port-taken": (["serve", "--bind", f"127.0.0.1:{port}", "--root", out], 6,
                                f"cannot bind 127.0.0.1:{port}: "),
+                "wrong-key": (["recover", puf, prf, "--key-hex", OTHER_KEY, "--out", out / "x.bin"],
+                              4, "private stream padding invalid (wrong key?)\n"),
+                "raw-key-record": (["recover", puf, prf, "--passphrase-file", tmp_path / "empty.txt",
+                                    "--out", out / "x.bin"],
+                                   4, "the record was sealed with a raw key: recover it with --key-hex\n"),
+                "mismatched-pair": (["recover", puf, other_prf, "--key-hex", KEY, "--out", out / "x.bin"],
+                                    4, f"public fragment {puf_id} does not pair with private fragment {other_id}\n"),
+                "not-owner": (["grant", record, "dave", "--as", "mallory", "--store", tmp_path / "s"],
+                              4, "store is owned by 'alice', not 'mallory'\n"),
+                "empty-entropy": (["entropy", tmp_path / "empty.txt"], 5, "entropy is undefined for empty input\n"),
             }[case]
             assert run_cli(*argv) == code
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: " + message)
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
-        assert not [path for path in out.rglob("*") if not path.is_dir()]
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
     def test_other_exceptions_propagate(self, tmp_path, monkeypatch):
         def failing(args):

@@ -23,13 +23,7 @@ from sefrag.container import (
     seal,
 )
 from sefrag.core import ProtectionKey
-from sefrag.errors import (
-    BadPadding,
-    FormatError,
-    IntegrityFailure,
-    PairMismatch,
-    SefragError,
-)
+from sefrag.errors import FormatError, IntegrityFailure, SefragError
 
 KEY = ProtectionKey.from_hex("000102030405060708090a0b0c0d0e0f")
 
@@ -203,7 +197,7 @@ class TestHeaderCodec:
     def test_pair_id_rejects_foreign_and_malformed_pairs(self):
         puf, prf = (c.to_bytes() for c in seal(b"one" * 40, KEY))
         other_prf = seal(b"two" * 40, KEY)[1].to_bytes()
-        with pytest.raises(PairMismatch, match="^public and private containers carry different file ids$"):
+        with pytest.raises(IntegrityFailure, match="^public and private containers carry different file ids$"):
             container.pair_id(puf, other_prf)
         with pytest.raises(FormatError, match="bad public container magic"):
             container.pair_id(prf, puf)
@@ -260,7 +254,7 @@ class TestSealOpen:
     def test_pair_mismatch(self):
         puf_a, _ = seal(b"a" * 64, KEY)
         _, prf_b = seal(b"b" * 64, KEY)
-        with pytest.raises(PairMismatch):
+        with pytest.raises(IntegrityFailure, match="does not pair with private fragment"):
             container.open(puf_a, prf_b, KEY)
 
     def test_wrong_key_never_silent_100_flips(self):
@@ -270,7 +264,7 @@ class TestSealOpen:
         for bit in rng.sample(range(128), 100):
             buf = bytearray(KEY.bytes)
             buf[bit // 8] ^= 1 << (bit % 8)
-            with pytest.raises((BadPadding, IntegrityFailure)):
+            with pytest.raises(IntegrityFailure):
                 container.open(puf, prf, ProtectionKey(bytes(buf)))
 
     def test_wrong_length_private_stream(self):
@@ -296,7 +290,7 @@ class TestSealOpen:
         enc = Cipher(algorithms.AES(KEY.bytes), modes.CBC(prf.ciphertext[-32:-16])).encryptor()
         forged = prf._replace(ciphertext=prf.ciphertext[:-16] + enc.update(last_block) + enc.finalize())
         for path, _, _ in each_kernel_path():
-            with pytest.raises(BadPadding, match=r"^private stream padding invalid \(wrong key\?\)$"):
+            with pytest.raises(IntegrityFailure, match=r"^private stream padding invalid \(wrong key\?\)$"):
                 container.open(puf, forged, KEY)
 
     def test_kdf_salt_persisted(self):
@@ -315,7 +309,7 @@ class TestKeyAskedLast:
     def test_open_foreign_pair(self):
         puf_a, _ = seal(b"a" * 64, KEY)
         _, prf_b = seal(b"b" * 64, KEY)
-        with pytest.raises(PairMismatch):
+        with pytest.raises(IntegrityFailure, match="does not pair with private fragment"):
             container.open_stream(io.BytesIO(puf_a.to_bytes()), io.BytesIO(prf_b.to_bytes()), _no_key)
 
     def test_open_private_stream_one_block_too_long(self):

@@ -38,8 +38,6 @@ from sefrag.errors import (
     FormatError,
     IntegrityFailure,
     NotFound,
-    PairMismatch,
-    SameBackend,
 )
 
 KEY = ProtectionKey.from_hex("0f0e0d0c0b0a09080706050403020100")
@@ -437,10 +435,10 @@ class TestDisperse:
         backend = DirectoryBackend(tmp_path / "a", name="only")
         index = PlacementIndex(tmp_path / "placements.jsonl")
         puf, prf = seal(b"data" * 50, KEY)
-        with pytest.raises(SameBackend):
+        with pytest.raises(IntegrityFailure, match="^public and private fragments must not share backend 'only'$"):
             disperse(puf.to_bytes(), prf.to_bytes(), backend, backend, index)
         same_name = DirectoryBackend(tmp_path / "b", name="only")
-        with pytest.raises(SameBackend):
+        with pytest.raises(IntegrityFailure, match="^public and private fragments must not share backend 'only'$"):
             disperse(puf.to_bytes(), prf.to_bytes(), backend, same_name, index)
         assert stored_files(tmp_path) == []
 
@@ -450,7 +448,7 @@ class TestDisperse:
         index = PlacementIndex(tmp_path / "placements.jsonl")
         puf, _ = seal(b"one record" * 30, KEY)
         _, prf = seal(b"another record" * 30, KEY)
-        with pytest.raises(PairMismatch, match="carry different file ids"):
+        with pytest.raises(IntegrityFailure, match="carry different file ids"):
             disperse(puf.to_bytes(), prf.to_bytes(), device, cloud, index)
         assert stored_files(tmp_path) == []
         assert index.records() == {}
@@ -563,6 +561,17 @@ class TestPlacementIndex:
     def test_json_round_trip(self, tmp_path):
         placement = Placement(bytes(16), BlobRef(bytes(32)), "a", BlobRef(b"\xff" * 32), "b")
         assert Placement.from_json(placement.to_json()) == placement
+        by_keyword = Placement(record_id=bytes(16), puf_ref=BlobRef(bytes(32)), puf_backend="a",
+                               prf_ref=BlobRef(b"\xff" * 32), prf_backend="b")
+        assert by_keyword == placement and by_keyword.prf_backend == "b"
+
+    def test_blob_ref_takes_exactly_32_bytes(self):
+        for size in (0, 31, 33):
+            with pytest.raises(ValueError, match="^blob id must be 32 bytes$"):
+                BlobRef(bytes(size))
+        ref = BlobRef.for_payload(b"x")
+        assert ref.id == hashlib.sha256(b"x").digest()
+        assert BlobRef.from_hex(ref.hex) == ref
 
     def test_record_writes_one_json_line(self, tmp_path):
         index = PlacementIndex(tmp_path / "p.jsonl")
@@ -581,6 +590,14 @@ class TestPlacementIndex:
         finally:
             os.umask(old_umask)
         assert index.path.stat().st_mode & 0o077 == 0
+
+    def test_record_creates_missing_directories(self, tmp_path):
+        index = PlacementIndex(tmp_path / "a" / "b" / "p.jsonl")
+        placement = Placement(bytes(16), BlobRef(bytes(32)), "a", BlobRef(b"\xff" * 32), "b")
+        index.record(placement)
+        index.record(placement)
+        assert index.path.read_text(encoding="ascii") == (json.dumps(placement.to_json()) + "\n") * 2
+        assert index.path.stat().st_mode & 0o777 == 0o600
 
     def test_lookup_matches_records(self, tmp_path):
         rng = random.Random(4)

@@ -1,8 +1,10 @@
 """What the package loads: the protect/recover start path stays narrow,
 and every public name still resolves from the package root."""
 
+import hashlib
 import importlib
 import os
+import socket
 import subprocess
 import sys
 
@@ -27,10 +29,9 @@ HEAVY = {"dataclasses", "inspect", "cryptography"}
 
 # The package's public names; none may go missing.
 PUBLIC = """
-    BackendUnavailable BadPadding BenchReport BlobRef BlobServer CorruptBlob Decision
-    DirectoryBackend EmptyInput FormatError IntegrityFailure NotFound NotOwner PairMismatch
-    Party Placement PlacementIndex PolicyStore PrfContainer ProtectedStreams ProtectionKey
-    PufContainer RemoteBackend SameBackend SefragError SharePolicy derive_key disperse
+    BackendUnavailable BenchReport BlobRef BlobServer CorruptBlob Decision DirectoryBackend
+    FormatError IntegrityFailure NotFound Placement PlacementIndex PolicyStore PrfContainer
+    ProtectedStreams ProtectionKey PufContainer RemoteBackend SefragError derive_key disperse
     entropy grant histogram open pdf_csv protect recover release request_access revoke
     run_bench seal __version__
 """.split()
@@ -126,11 +127,35 @@ class TestStartPath:
             assert not {"dataclasses", "inspect"} & set(modules)
         assert len((tmp_path / "pdf.csv").read_text().splitlines()) == 256
 
-    def test_store_command_loads_its_modules(self, tmp_path):
-        code, modules = _fresh("-c", PROBE, "get", "00" * 32, "--store", tmp_path / "s",
-                               "--out", tmp_path / "x", cwd=tmp_path)
-        assert code == 5
-        assert "sefrag.dispersion" in modules
+    def test_store_command_loads_its_modules(self, tmp_path, capsys):
+        # BlobRef and Placement are namedtuples and sharing keeps plain dicts
+        # and sets, so no storage or sharing command loads dataclasses.
+        from sefrag import cli
+
+        src, store = tmp_path / "scan.bin", tmp_path / "s"
+        src.write_bytes(os.urandom(5000))
+        assert cli.main(["protect", str(src), "--key-hex", KEY, "--out-dir", str(tmp_path / "w")]) == 0
+        record = capsys.readouterr().out.strip()
+        puf, prf = tmp_path / "w" / "scan.puf", tmp_path / "w" / "scan.prf"
+        blob = hashlib.sha256(puf.read_bytes()).hexdigest()
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            runs = [
+                (("get", "00" * 32, "--store", store, "--out", tmp_path / "x"), 5, "sefrag.dispersion"),
+                (("put", puf, prf, "--store", store), 0, "sefrag.dispersion"),
+                (("get", blob, "--store", store, "--out", tmp_path / "x"), 0, "sefrag.dispersion"),
+                (("request", record, "--as", "o", "--role", "owner", "--store", store, "--out-dir", tmp_path / "out"),
+                 0, "sefrag.sharing"),
+                (("grant", record, "carol", "--as", "o", "--store", store), 0, "sefrag.sharing"),
+                (("serve", "--bind", "127.0.0.1:%d" % taken.getsockname()[1], "--root", tmp_path / "srv"),
+                 6, "sefrag.dispersion"),
+            ]
+            for argv, expected, module in runs:
+                code, modules = _fresh("-c", PROBE, *argv, cwd=tmp_path)
+                assert code == expected, argv
+                assert module in modules
+                assert not {"dataclasses", "inspect"} & set(modules), argv
+        assert (tmp_path / "x").read_bytes() == puf.read_bytes()
+        assert sorted(os.listdir(tmp_path / "out")) == [record + ".prf", record + ".puf"]
 
 
 class TestPublicNames:

@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,10 +14,9 @@ from sefrag import container, core
 from sefrag.container import FLAG_HEADER_STRIPPED, PufContainer, seal
 from sefrag.core import ProtectionKey
 from sefrag.dispersion import DirectoryBackend, PlacementIndex, disperse
-from sefrag.errors import FormatError, IntegrityFailure, NotOwner, PairMismatch, SefragError
+from sefrag.errors import FormatError, IntegrityFailure, SefragError
 from sefrag.sharing import (
     Decision,
-    Party,
     PolicyStore,
     grant,
     release,
@@ -26,12 +26,20 @@ from sefrag.sharing import (
 
 KEY = ProtectionKey.from_hex("00000000000000000000000000000001")
 
-OWNER = Party("alice", "owner")
-DOCTOR = Party("dr-bob", "doctor")
-AUTHORITY = Party("cdc", "authority")
-REQUESTER = Party("carol", "requester")
+OWNER = "alice"
+REQUESTER = "carol"
 
 RID = bytes(range(16))
+
+# What grant "zed", grant "bob" on RID, then revoke "carol" on bytes(16),
+# by owner alice at time 1700000000.25, write to policy.json.
+FROZEN_POLICY = (
+    b'{\n  "owner": "alice",\n  "policies": [\n    {\n      "record_id": "000102030405060708090a0b0c0d0e0f",\n'
+    b'      "grants": [\n        {\n          "party": "bob",\n          "ts": 1700000000.25\n        },\n'
+    b'        {\n          "party": "zed",\n          "ts": 1700000000.25\n        }\n      ],\n'
+    b'      "revoked": []\n    },\n    {\n      "record_id": "00000000000000000000000000000000",\n'
+    b'      "grants": [],\n      "revoked": [\n        "carol"\n      ]\n    }\n  ]\n}\n'
+)
 
 # Arbitrary JSON, and objects shaped partly like one record's policy.
 JSON = st.recursive(
@@ -54,75 +62,79 @@ def store(tmp_path):
     return PolicyStore(tmp_path / "policy.json")
 
 
+def saved_policy(store, record_id):
+    """The record's saved grants (party -> ts) and revoked list."""
+    for entry in json.loads(store.path.read_text())["policies"]:
+        if entry["record_id"] == record_id.hex():
+            return {g["party"]: g["ts"] for g in entry["grants"]}, entry["revoked"]
+    return {}, []
+
+
 class TestRequestAccess:
     def test_deny_by_default_for_requester(self, store):
-        assert request_access(store, REQUESTER, RID) == Decision.PUF_ONLY
+        assert request_access(store, REQUESTER, "requester", RID) == Decision.PUF_ONLY
 
     def test_trusted_roles_get_full(self, store):
         grant(store, OWNER, "someone", RID)  # establishes alice as owner
-        for party in (OWNER, DOCTOR, AUTHORITY):
-            assert request_access(store, party, RID) == Decision.FULL
+        for party, role in ((OWNER, "owner"), ("dr-bob", "doctor"), ("cdc", "authority")):
+            assert request_access(store, party, role, RID) == Decision.FULL
 
     def test_unknown_role_denied(self, store):
-        assert request_access(store, Party("eve", "stranger"), RID) == Decision.DENIED
+        assert request_access(store, "eve", "stranger", RID) == Decision.DENIED
 
     def test_owner_impostor_denied(self, store):
         grant(store, OWNER, "x", RID)
-        assert request_access(store, Party("mallory", "owner"), RID) == Decision.DENIED
+        assert request_access(store, "mallory", "owner", RID) == Decision.DENIED
 
     def test_grant_then_full(self, store):
-        grant(store, OWNER, REQUESTER.id, RID)
-        assert request_access(store, REQUESTER, RID) == Decision.FULL
+        grant(store, OWNER, REQUESTER, RID)
+        assert request_access(store, REQUESTER, "requester", RID) == Decision.FULL
 
     def test_grant_scoped_per_record(self, store):
         other = bytes(16)
-        grant(store, OWNER, REQUESTER.id, RID)
-        assert request_access(store, REQUESTER, other) == Decision.PUF_ONLY
+        grant(store, OWNER, REQUESTER, RID)
+        assert request_access(store, REQUESTER, "requester", other) == Decision.PUF_ONLY
 
 
 class TestGrantRevoke:
-    def test_grant_requires_owner_role(self, store):
-        with pytest.raises(NotOwner):
-            grant(store, DOCTOR, "x", RID)
-
     def test_grant_requires_owner_identity(self, store):
         grant(store, OWNER, "x", RID)
-        with pytest.raises(NotOwner):
-            grant(store, Party("mallory", "owner"), "y", RID)
-        with pytest.raises(NotOwner):
-            revoke(store, Party("mallory", "owner"), "x", RID)
+        before = store.path.read_bytes()
+        with pytest.raises(IntegrityFailure, match="^store is owned by 'alice', not 'mallory'$"):
+            grant(store, "mallory", "y", RID)
+        with pytest.raises(IntegrityFailure, match="^store is owned by 'alice', not 'mallory'$"):
+            revoke(store, "mallory", "x", RID)
+        assert store.path.read_bytes() == before
 
     def test_grant_idempotent(self, store):
-        p1 = grant(store, OWNER, "x", RID)
-        ts = p1.grants["x"]
-        p2 = grant(store, OWNER, "x", RID)
-        assert list(p2.grants) == ["x"]
-        assert p2.grants["x"] == ts
+        grant(store, OWNER, "x", RID)
+        (ts,) = saved_policy(store, RID)[0].values()
+        grant(store, OWNER, "x", RID)
+        assert saved_policy(store, RID) == ({"x": ts}, [])
 
     def test_revoke_after_grant(self, store):
-        grant(store, OWNER, REQUESTER.id, RID)
-        revoke(store, OWNER, REQUESTER.id, RID)
-        assert request_access(store, REQUESTER, RID) == Decision.PUF_ONLY
+        grant(store, OWNER, REQUESTER, RID)
+        revoke(store, OWNER, REQUESTER, RID)
+        assert request_access(store, REQUESTER, "requester", RID) == Decision.PUF_ONLY
 
     def test_revoke_never_granted_is_noop_success(self, store):
-        policy = revoke(store, OWNER, "nobody", RID)
-        assert "nobody" not in policy.grants
+        assert revoke(store, OWNER, "nobody", RID) is None
+        assert saved_policy(store, RID) == ({}, ["nobody"])
 
     def test_revoke_does_not_cross_records(self, store):
         other = bytes(16)
-        grant(store, OWNER, REQUESTER.id, RID)
-        grant(store, OWNER, REQUESTER.id, other)
-        revoke(store, OWNER, REQUESTER.id, RID)
-        assert request_access(store, REQUESTER, other) == Decision.FULL
+        grant(store, OWNER, REQUESTER, RID)
+        grant(store, OWNER, REQUESTER, other)
+        revoke(store, OWNER, REQUESTER, RID)
+        assert request_access(store, REQUESTER, "requester", other) == Decision.FULL
 
     def test_grant_revoke_disjoint(self, store):
         grant(store, OWNER, "x", RID)
         revoke(store, OWNER, "x", RID)
-        policy = store.policy_for(RID)
-        assert "x" in policy.revoked and "x" not in policy.grants
+        assert saved_policy(store, RID) == ({}, ["x"])
         grant(store, OWNER, "x", RID)
-        policy = store.policy_for(RID)
-        assert "x" in policy.grants and "x" not in policy.revoked
+        grants, revoked = saved_policy(store, RID)
+        assert list(grants) == ["x"] and revoked == []
 
     def test_monotone_safety_random_sequences(self, store):
         # After any grant/revoke interleaving, Full for a requester implies
@@ -136,7 +148,7 @@ class TestGrantRevoke:
             else:
                 revoke(store, OWNER, "p", RID)
                 granted = False
-            decision = request_access(store, Party("p", "requester"), RID)
+            decision = request_access(store, "p", "requester", RID)
             assert decision == (Decision.FULL if granted else Decision.PUF_ONLY)
 
 
@@ -152,13 +164,22 @@ class TestPersistence:
         assert isinstance(entry["grants"][0]["ts"], float)
         assert entry["revoked"] == ["y"]
 
+    def test_policy_json_bytes_are_frozen(self, store, monkeypatch):
+        monkeypatch.setattr(time, "time", lambda: 1700000000.25)
+        grant(store, OWNER, "zed", RID)
+        grant(store, OWNER, "bob", RID)
+        revoke(store, OWNER, "carol", bytes(16))
+        assert store.path.read_bytes() == FROZEN_POLICY
+        PolicyStore.load(store.path).save()
+        assert store.path.read_bytes() == FROZEN_POLICY
+
     def test_reload_round_trip(self, store):
         grant(store, OWNER, "x", RID)
         revoke(store, OWNER, "z", RID)
         reloaded = PolicyStore.load(store.path)
         assert reloaded.owner_id == "alice"
-        assert request_access(reloaded, Party("x", "requester"), RID) == Decision.FULL
-        assert request_access(reloaded, Party("z", "requester"), RID) == Decision.PUF_ONLY
+        assert request_access(reloaded, "x", "requester", RID) == Decision.FULL
+        assert request_access(reloaded, "z", "requester", RID) == Decision.PUF_ONLY
 
     def test_failed_save_keeps_old_policy_loadable(self, store, monkeypatch):
         grant(store, OWNER, "x", RID)
@@ -175,8 +196,8 @@ class TestPersistence:
         monkeypatch.undo()
         assert store.path.read_bytes() == before
         reloaded = PolicyStore.load(store.path)
-        assert request_access(reloaded, Party("x", "requester"), RID) == Decision.FULL
-        assert request_access(reloaded, Party("y", "requester"), RID) == Decision.PUF_ONLY
+        assert request_access(reloaded, "x", "requester", RID) == Decision.FULL
+        assert request_access(reloaded, "y", "requester", RID) == Decision.PUF_ONLY
         assert sorted(os.listdir(store.path.parent)) == ["policy.json"]
 
     def test_load_missing_file_is_empty(self, tmp_path):
@@ -275,5 +296,5 @@ class TestRelease:
         _, prf_bytes = release(Decision.FULL, placement, backends)
         puf_b, _ = seal(b"other record" * 40, KEY)
         prf_a = container.PrfContainer.from_bytes(prf_bytes)
-        with pytest.raises(PairMismatch):
+        with pytest.raises(IntegrityFailure, match="does not pair with private fragment"):
             container.open(puf_b, prf_a, KEY)
