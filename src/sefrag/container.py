@@ -187,8 +187,7 @@ def _strip_head(puf: bytes) -> bytes:
 
 # The in-memory pair of ``seal`` and ``open``.  Only ``from_bytes`` builds
 # them here, after the header parser has checked every field.
-class PufContainer(namedtuple("PufContainer", "file_id original_content_len puf_payload head flags",
-                              defaults=(b"", 0))):
+class PufContainer(namedtuple("PufContainer", "file_id original_content_len puf_payload head flags")):
     __slots__ = ()
 
     def to_bytes(self) -> bytes:

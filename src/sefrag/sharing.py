@@ -21,11 +21,9 @@ from __future__ import annotations
 import enum
 import json
 import time
-from collections.abc import Mapping
 from pathlib import Path
 
 from . import container
-from .dispersion import DirectoryBackend, Placement, RemoteBackend
 from .errors import FormatError, IntegrityFailure
 
 
@@ -123,13 +121,14 @@ def request_access(store: PolicyStore, party_id: str, role: str, record_id: byte
 
 
 def release(
-    decision: Decision,
-    placement: Placement,
-    backends: Mapping[str, DirectoryBackend | RemoteBackend],
-    anonymize: bool = False,
+    decision: Decision, placement, backends, anonymize: bool = False
 ) -> tuple[bytes | None, bytes | None]:
     """Fetch the fragments a decision allows: the ``.puf`` and ``.prf``
     container bytes, each None when withheld.
+
+    ``placement`` is the record's ``dispersion.Placement``, and
+    ``backends`` maps each backend name it gives to a
+    ``dispersion.DirectoryBackend`` or ``dispersion.RemoteBackend``.
 
     ``anonymize`` strips the plaintext file header from the released
     public container (identity markers live there in most record

@@ -1,5 +1,6 @@
-"""What the package loads: the protect/recover start path stays narrow,
-and every public name still resolves from the package root."""
+"""What the package loads: ``import sefrag`` loads no submodule, the
+protect/recover start path stays narrow, and every public name has one
+home, the module that defines it."""
 
 import hashlib
 import importlib
@@ -27,14 +28,17 @@ NOT_AT_START = {"logging", "concurrent.futures"}
 # cryptography loads only on the pure-Python path and in sefrag bench.
 HEAVY = {"dataclasses", "inspect", "cryptography"}
 
-# The package's public names; none may go missing.
-PUBLIC = """
-    BackendUnavailable BenchReport BlobRef BlobServer CorruptBlob Decision DirectoryBackend
-    FormatError IntegrityFailure NotFound Placement PlacementIndex PolicyStore PrfContainer
-    ProtectedStreams ProtectionKey PufContainer RemoteBackend SefragError derive_key disperse
-    entropy grant histogram open pdf_csv protect recover release request_access revoke
-    run_bench seal __version__
-""".split()
+# Each module and the public names it defines; none may go missing.
+HOMES = {
+    "analysis": "entropy histogram pdf_csv",
+    "bench": "BenchReport run_bench",
+    "container": "PrfContainer PufContainer derive_key open seal",
+    "core": "ProtectedStreams ProtectionKey protect recover",
+    "dispersion": "BlobRef BlobServer DirectoryBackend Placement PlacementIndex RemoteBackend disperse",
+    "errors": "BackendUnavailable CorruptBlob FormatError IntegrityFailure NotFound SefragError",
+    "sharing": "Decision PolicyStore grant release request_access revoke",
+}
+HOME_OF = {name: module for module, names in HOMES.items() for name in names.split()}
 
 # Runs ``python -m sefrag ARGV`` the way the interpreter does, then reports
 # the exit status and the modules that were loaded.
@@ -60,6 +64,16 @@ def _fresh(*argv, cwd) -> tuple[int, list[str]]:
 
 
 class TestStartPath:
+    def test_import_sefrag_loads_no_submodule(self, tmp_path):
+        # The exit word is 1 if the package root answers for a public name.
+        code, modules = _fresh(
+            "-c", "import sys, sefrag; m = sorted(sys.modules); print('exit', int(hasattr(sefrag, 'seal')), *m)",
+            cwd=tmp_path,
+        )
+        assert "sefrag" in modules
+        assert not [m for m in modules if m.startswith("sefrag.")]
+        assert code == 0
+
     def test_import_cli(self, tmp_path):
         code, modules = _fresh(
             "-c", "import sys, sefrag.cli; print('exit 0', *sorted(sys.modules))", cwd=tmp_path
@@ -129,7 +143,8 @@ class TestStartPath:
 
     def test_store_command_loads_its_modules(self, tmp_path, capsys):
         # BlobRef and Placement are namedtuples and sharing keeps plain dicts
-        # and sets, so no storage or sharing command loads dataclasses.
+        # and sets, so no storage or sharing command loads dataclasses; a
+        # sharing command that fetches nothing loads no wire stack either.
         from sefrag import cli
 
         src, store = tmp_path / "scan.bin", tmp_path / "s"
@@ -138,53 +153,43 @@ class TestStartPath:
         record = capsys.readouterr().out.strip()
         puf, prf = tmp_path / "w" / "scan.puf", tmp_path / "w" / "scan.prf"
         blob = hashlib.sha256(puf.read_bytes()).hexdigest()
+        light = {"dataclasses", "inspect"}
+        policy_only = light | {"sefrag.dispersion", "socketserver", "mmap"}
         with socket.create_server(("127.0.0.1", 0)) as taken:
             runs = [
-                (("get", "00" * 32, "--store", store, "--out", tmp_path / "x"), 5, "sefrag.dispersion"),
-                (("put", puf, prf, "--store", store), 0, "sefrag.dispersion"),
-                (("get", blob, "--store", store, "--out", tmp_path / "x"), 0, "sefrag.dispersion"),
+                (("get", "00" * 32, "--store", store, "--out", tmp_path / "x"), 5, "sefrag.dispersion", light),
+                (("put", puf, prf, "--store", store), 0, "sefrag.dispersion", light),
+                (("get", blob, "--store", store, "--out", tmp_path / "x"), 0, "sefrag.dispersion", light),
                 (("request", record, "--as", "o", "--role", "owner", "--store", store, "--out-dir", tmp_path / "out"),
-                 0, "sefrag.sharing"),
-                (("grant", record, "carol", "--as", "o", "--store", store), 0, "sefrag.sharing"),
+                 0, "sefrag.sharing", light),
+                (("request", record, "--as", "carol", "--store", store), 0, "sefrag.sharing", policy_only),
+                (("grant", record, "carol", "--as", "o", "--store", store), 0, "sefrag.sharing", policy_only),
                 (("serve", "--bind", "127.0.0.1:%d" % taken.getsockname()[1], "--root", tmp_path / "srv"),
-                 6, "sefrag.dispersion"),
+                 6, "sefrag.dispersion", light),
             ]
-            for argv, expected, module in runs:
+            for argv, expected, module, absent in runs:
                 code, modules = _fresh("-c", PROBE, *argv, cwd=tmp_path)
                 assert code == expected, argv
                 assert module in modules
-                assert not {"dataclasses", "inspect"} & set(modules), argv
+                assert not absent & set(modules), argv
         assert (tmp_path / "x").read_bytes() == puf.read_bytes()
         assert sorted(os.listdir(tmp_path / "out")) == [record + ".prf", record + ".puf"]
 
 
 class TestPublicNames:
-    def test_all_lists_the_public_names(self):
-        assert sorted(sefrag.__all__) == sorted(PUBLIC)
-
-    @pytest.mark.parametrize("name", [n for n in PUBLIC if n != "__version__"])
+    @pytest.mark.parametrize("name", sorted(HOME_OF))
     def test_name_is_its_home_modules_object(self, name):
-        value = getattr(sefrag, name)
-        home = sys.modules[value.__module__]
-        assert home.__name__.startswith("sefrag.")
-        assert getattr(home, name) is value
-
-    def test_star_import_matches_getattr(self):
-        namespace = {}
-        exec("from sefrag import *", namespace)
-        assert set(PUBLIC) <= set(namespace)
-        for name in PUBLIC:
-            assert namespace[name] is getattr(sefrag, name)
+        home = importlib.import_module("sefrag." + HOME_OF[name])
+        assert getattr(home, name).__module__ == home.__name__
+        assert not hasattr(sefrag, name)
 
     def test_from_imports(self):
-        from sefrag import PlacementIndex, dispersion, seal
+        from sefrag import dispersion
+        from sefrag.dispersion import PlacementIndex
 
-        assert seal is importlib.import_module("sefrag.container").seal
         assert PlacementIndex is dispersion.PlacementIndex
-        assert sefrag.PlacementIndex is PlacementIndex
-
-    def test_dir_lists_public_names(self):
-        assert set(PUBLIC) <= set(dir(sefrag))
+        with pytest.raises(ImportError):
+            exec("from sefrag import PlacementIndex", {})
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):
