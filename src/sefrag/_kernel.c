@@ -1,4 +1,4 @@
-/* Native per-chunk kernel, KDF and AES-128-CBC for sefrag, over libcrypto.
+/* Native per-chunk kernel and KDF for sefrag, over libcrypto.
  *
  * Plain C with no Python headers; sefrag._native builds it on first use,
  * with the command in _native.COMPILE and _native.LIBS, and calls it
@@ -10,7 +10,6 @@
  *   keystreams16       _native._keystream: the keystream digests of 16 units at once
  *   selector_blocks16  core._selectors: 16 selector blocks at once
  *   sefrag_derive      _native.PythonKernel.derive: the whole derive_key loop
- *   sefrag_cbc         _native.PythonKernel.cbc: AES-128-CBC over whole blocks, no padding
  *
  * A chunk is a pure function of its bytes, the key and the index of its
  * first unit.  Unit u's selector is byte u % 32 of selector block u / 32,
@@ -43,18 +42,17 @@
  * same bytes.
  *
  * The caller checks every buffer length before the call and passes the
- * chunk functions' and sefrag_cbc's outputs unset: each writes every
- * byte of its output.  The chunk functions cannot fail: no call on their
- * path reports an error, so they return void.  sefrag_derive and
- * sefrag_cbc return 0, or -1 when a libcrypto call fails, and the caller
- * then drops the output.
+ * chunk functions' outputs unset: each writes every byte of its output.
+ * The chunk functions cannot fail: no call on their path reports an
+ * error, so they return void.  sefrag_derive returns 1, or 0 when a
+ * libcrypto call fails, as libcrypto's own calls do, and the caller then
+ * drops the output.
  */
 
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
-#include <openssl/evp.h>
 #include <openssl/sha.h>
 
 #define UNIT_LEN 32
@@ -427,24 +425,9 @@ int sefrag_derive(const unsigned char *suffix, size_t suffix_len, uint64_t itera
     for (uint64_t i = 0; i < iterations; i++) {
         if (!(SHA256_Init(&ctx) && SHA256_Update(&ctx, x, x_len) && SHA256_Update(&ctx, suffix, suffix_len)
               && SHA256_Final(x, &ctx)))
-            return -1;
+            return 0;
         x_len = sizeof x;
     }
     memcpy(out, x, x_len);
-    return 0;
-}
-
-/* AES-128-CBC over len bytes, a whole number of blocks that fits an int,
- * with padding off: encrypt when encrypt is 1, decrypt when it is 0.
- * key and iv: 16 bytes each; out: len bytes. */
-int sefrag_cbc(const unsigned char *key, const unsigned char *iv, const unsigned char *in, size_t len, int encrypt,
-               unsigned char *out)
-{
-    EVP_CIPHER_CTX *ctx = EVP_CIPHER_CTX_new();
-    int n = 0;
-    int ok = ctx && EVP_CipherInit_ex(ctx, EVP_aes_128_cbc(), NULL, key, iv, encrypt)
-             && EVP_CIPHER_CTX_set_padding(ctx, 0) && EVP_CipherUpdate(ctx, out, &n, in, (int)len)
-             && (size_t)n == len;
-    EVP_CIPHER_CTX_free(ctx);
-    return ok ? 0 : -1;
+    return 1;
 }

@@ -1,31 +1,30 @@
 """The kernel: the C library in ``_kernel.c``, its pure-Python
 counterpart, and the length checks both run before they touch a buffer;
-``load`` alone decides which one runs.
+``load`` alone decides which one runs.  Beside them, ``cbc`` is the one
+AES-128-CBC for either kernel, over libcrypto through ``ctypes``.
 
 The first process that needs the kernel compiles it with the system C
 compiler against libcrypto, in well under a second, into
 ``~/.cache/sefrag/`` (created mode 0700), under a name hashed from the
-C source, the compile command and the machine type: each source
-version is built once, then loaded by every later process.  The
-compiler writes to a temp name renamed into place, so concurrent first
-uses are safe.  A failed build (no compiler, no OpenSSL headers, an
-unwritable cache) leaves no library; its first error line is recorded
-under the same name, no later process retries (delete the cache
-directory to retry), and ``load`` returns a ``PythonKernel``, which
-gives the same bytes.  Both kernels have ``protect``, ``recover``,
-``derive``, ``cbc`` and a ``name``: ``native (<library>, 16 lanes)``
-when the library hashes 16 units' keystreams at once on this CPU (one
-with both AVX-512F and AVX-512VL), ``native (<library>, 1 lane)`` when
-it hashes one at a time, or ``python (<why>)``.  The native ``protect``,
-``recover`` and ``cbc`` return ``bytes`` objects that the C code filled
-in, each byte written once.
-Importing this module builds and loads nothing; ``load`` runs once per process.
+C source, the compile command and the machine type: each source version
+is built once, then loaded by every later process.  The compiler writes
+to a temp name renamed into place, so concurrent first uses are safe.
+A failed build (no compiler, no OpenSSL headers, an unwritable cache)
+leaves no library; its first error line is recorded under the same
+name, no later process retries (delete the cache directory to retry),
+and ``load`` returns a ``PythonKernel``, which gives the same bytes.
+Both kernels have ``protect``, ``recover``, ``derive`` and a ``name``:
+``native (<library>, 16 lanes)`` where the library hashes 16 units'
+keystreams at once (on a CPU with AVX-512F and AVX-512VL), ``native
+(<library>, 1 lane)`` where it hashes one at a time, or ``python
+(<why>)``.  The native ``protect`` and ``recover``, and ``cbc``, return
+``bytes`` that C code filled in, each byte written once.  Importing
+this module builds and loads nothing.
 
 ``PythonKernel`` moves 4-byte words with strided memoryview copies and
 chooses between them with big-integer masks, so the keystream hash is
 its only per-unit Python work, and a chunk's buffers (about 1 MiB at
-4,096 units) do not grow with the content.  Its ``cbc`` runs over
-``cryptography``, imported inside the call: only this path loads it.
+4,096 units) do not grow with the content.
 """
 
 from __future__ import annotations
@@ -46,17 +45,25 @@ COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-Wno-deprecated-declarations")
 LIBS = ("-lcrypto",)
 BUILD_TIMEOUT = 120  # seconds
 
-_BYTES, _SIZE, _U64, _INT = ctypes.c_char_p, ctypes.c_size_t, ctypes.c_uint64, ctypes.c_int
+_BYTES, _SIZE, _U64, _INT, _PTR = ctypes.c_char_p, ctypes.c_size_t, ctypes.c_uint64, ctypes.c_int, ctypes.c_void_p
 # Each C function's result type and argument types.
 _SIGNATURES = {
     "sefrag_protect": (None, (_BYTES, _SIZE, _BYTES, _U64, _BYTES, _BYTES)),
     "sefrag_recover": (None, (_BYTES, _BYTES, _SIZE, _BYTES, _U64, _BYTES)),
     "sefrag_derive": (_INT, (_BYTES, _SIZE, _U64, _BYTES)),
-    "sefrag_cbc": (_INT, (_BYTES, _BYTES, _BYTES, _SIZE, _INT, _BYTES)),
     "sefrag_lanes": (_INT, ()),
 }
-# The two that can fail, when libcrypto does: they return 0 or -1.
-_FALLIBLE = ("sefrag_derive", "sefrag_cbc")
+# The same for the libcrypto calls ``cbc`` makes.
+_EVP_SIGNATURES = {
+    "EVP_CIPHER_CTX_new": (_PTR, ()),
+    "EVP_CIPHER_CTX_free": (None, (_PTR,)),
+    "EVP_aes_128_cbc": (_PTR, ()),
+    "EVP_CipherInit_ex": (_INT, (_PTR, _PTR, _PTR, _BYTES, _BYTES, _INT)),
+    "EVP_CIPHER_CTX_set_padding": (_INT, (_PTR, _INT)),
+    "EVP_CipherUpdate": (_INT, (_PTR, _BYTES, ctypes.POINTER(_INT), _BYTES, _INT)),
+}
+# Calls that return 0 or NULL when libcrypto fails: sefrag_derive and each EVP call with a result.
+_FALLIBLE = {"sefrag_derive", *_EVP_SIGNATURES} - {"EVP_CIPHER_CTX_free"}
 
 # PyBytes_FromStringAndSize(NULL, n): a new bytes object of n bytes left
 # unset, which a C function then fills in whole through its c_char_p
@@ -90,14 +97,50 @@ def _check_derive(iterations: int) -> None:
 
 
 def _check_cbc(key: bytes, iv: bytes, data: bytes) -> None:
-    # EVP takes the length as a C int: both kernels refuse what would not fit.
+    # EVP takes the length as a C int: refuse what would not fit.
     if len(key) != KEY_LEN or len(iv) != 16 or len(data) % 16 or len(data) >= 2**31:
         raise ValueError(f"need a 16-byte key and IV and whole 16-byte blocks below 2**31 bytes, got {len(data)}")
 
 
 def _raise_on_failure(status, fn, args):
-    if status != 0:
+    if not status:
         raise RuntimeError(f"a libcrypto call failed in {fn.__name__}")
+    return status
+
+
+def _bind(path: str, signatures: dict) -> ctypes.CDLL:
+    """The library at ``path`` with the functions ``signatures`` names typed."""
+    lib = ctypes.CDLL(path)
+    for name, (restype, argtypes) in signatures.items():
+        fn = getattr(lib, name)
+        fn.restype, fn.argtypes = restype, argtypes
+        if name in _FALLIBLE:
+            fn.errcheck = _raise_on_failure
+    return lib
+
+
+@functools.cache
+def _libcrypto() -> ctypes.CDLL:
+    """The libcrypto ``hashlib`` maps: a handle on ``_hashlib`` resolves its EVP calls."""
+    try:
+        import _hashlib
+        return _bind(_hashlib.__file__, _EVP_SIGNATURES)
+    except (ImportError, AttributeError, OSError) as exc:
+        raise OSError(f"no libcrypto for AES-128-CBC through Python's _hashlib module: {exc}") from None
+
+
+def cbc(key: bytes, iv: bytes, data: bytes, encrypt: bool) -> bytes:
+    """AES-128-CBC over ``data``, whole blocks, no padding: the one AES of both kernels."""
+    _check_cbc(key, iv, data)
+    lib, out = _libcrypto(), _uninitialised_bytes(None, len(data))
+    ctx = lib.EVP_CIPHER_CTX_new()
+    try:
+        lib.EVP_CipherInit_ex(ctx, lib.EVP_aes_128_cbc(), None, key, iv, encrypt)
+        lib.EVP_CIPHER_CTX_set_padding(ctx, 0)
+        lib.EVP_CipherUpdate(ctx, out, ctypes.byref(_INT()), data, len(data))
+    finally:
+        lib.EVP_CIPHER_CTX_free(ctx)
+    return out
 
 
 class Kernel:
@@ -106,12 +149,7 @@ class Kernel:
 
     def __init__(self, path: Path):
         self.path = path
-        self._lib = ctypes.CDLL(str(path))
-        for name, (restype, argtypes) in _SIGNATURES.items():
-            fn = getattr(self._lib, name)
-            fn.restype, fn.argtypes = restype, argtypes
-            if name in _FALLIBLE:
-                fn.errcheck = _raise_on_failure
+        self._lib = _bind(str(path), _SIGNATURES)
         lanes = self._lib.sefrag_lanes()
         self.name = f"native ({path}, {lanes} lane{'s' if lanes > 1 else ''})"
 
@@ -137,13 +175,6 @@ class Kernel:
         out = ctypes.create_string_buffer(32)
         self._lib.sefrag_derive(suffix, len(suffix), iterations, out)
         return out.raw
-
-    def cbc(self, key: bytes, iv: bytes, data: bytes, encrypt: bool) -> bytes:
-        """AES-128-CBC over ``data``, whole blocks, no padding."""
-        _check_cbc(key, iv, data)
-        out = _uninitialised_bytes(None, len(data))
-        self._lib.sefrag_cbc(key, iv, data, len(data), encrypt, out)
-        return out
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -247,14 +278,6 @@ class PythonKernel:
         for _ in range(iterations):
             x = hashlib.sha256(x + suffix).digest()
         return x
-
-    def cbc(self, key: bytes, iv: bytes, data: bytes, encrypt: bool) -> bytes:
-        _check_cbc(key, iv, data)
-        from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
-
-        cipher = Cipher(algorithms.AES(key), modes.CBC(iv))
-        ctx = cipher.encryptor() if encrypt else cipher.decryptor()
-        return ctx.update(data) + ctx.finalize()
 
 
 def cache_dir() -> Path:

@@ -4,7 +4,7 @@ time the pipeline, move fragments between stores, and manage sharing.
 Exit codes are stable so scripts can branch on them:
 
     0  success
-    2  usage problem (rejected flag or value, unreadable input, empty passphrase)
+    2  usage problem (rejected flag or value, unreadable input, empty passphrase, no libcrypto)
     3  malformed container, policy file or --mode value, or wrong file type
     4  integrity or authorization failure
     5  missing or unusable content (empty input, unknown record or blob)
@@ -314,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SefragError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # Each error class carries its exit code; ValueError and OSError
-        # are usage problems (bad values, unreadable or unwritable paths).
+        # are usage problems (bad values, unreadable or unwritable paths, no libcrypto).
         return getattr(exc, "exit_code", 2)
 
 

@@ -26,7 +26,7 @@ needs only the head and the content length, which the input's size
 gives, and the ``.prf`` header's ``ct_len`` follows from the content
 length (``_private_sizes``): the private stream is 4 bytes per unit, the
 tail and a 32-byte digest, PKCS#7-padded.  The padding, here, and
-AES-CBC, in the kernel (``sefrag._native``, chained across calls by
+AES-CBC (``sefrag._native.cbc``, chained across calls by
 ``_chained_cbc``), run incrementally over each chunk's picked bytes.
 ``open_stream`` checks the pairing and ``ct_len`` before it asks for the
 key, then decrypts the last cipher block alone, so a wrong key fails on
@@ -223,10 +223,11 @@ def _private_sizes(content_len: int) -> tuple[int, int]:
 
 
 def _chained_cbc(key: ProtectionKey, iv: bytes, encrypt: bool):
-    """``update(data)``: the kernel's AES-128-CBC over a stream in pieces. Each
-    call ciphers the whole blocks completed so far, keeps the partial block
-    for the next, and chains on from the last ciphertext block."""
-    cbc = core._kernel().cbc
+    """``update(data)``: ``_native.cbc`` over a stream in pieces. Each call
+    ciphers the whole blocks completed so far, keeps the partial block for
+    the next, and chains on from the last ciphertext block."""
+    from ._native import cbc  # _native imports this module
+
     pending = b""
 
     def update(data: bytes) -> bytes:
@@ -297,7 +298,7 @@ def open_stream(puf_src, prf_src, key_for):
     body = prf_src.tell()
     prf_src.seek(body + ct_len - 32)
     prev, last = _read_exact(prf_src, 16), _read_exact(prf_src, 16)
-    if core._kernel().cbc(key.bytes, prev, last, False)[-pad:] != bytes([pad]) * pad:
+    if _chained_cbc(key, prev, False)(last)[-pad:] != bytes([pad]) * pad:
         raise IntegrityFailure("private stream padding invalid (wrong key?)")
     prf_src.seek(body)
     decrypt = _chained_cbc(key, iv, False)

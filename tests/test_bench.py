@@ -6,8 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives import padding
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from sefrag import bench, container, core
+from sefrag import _native, bench, container, core
 from sefrag.core import ProtectionKey
 
 MIB = 1 << 20
@@ -96,6 +98,32 @@ def test_rejects_bad_parameters():
         bench.run_bench(0, iterations=1)
     with pytest.raises(ValueError):
         bench.run_bench(1, iterations=0)
+
+
+def test_refuses_a_size_past_one_aes_call_before_allocating(monkeypatch):
+    # The baseline ciphers the buffer and its padding block in one cbc
+    # call, whose length is a C int: 2048 MiB + 16 bytes would not fit.
+    monkeypatch.setattr(os, "urandom", lambda n: pytest.fail(f"asked for {n} random bytes"))
+    with pytest.raises(ValueError, match="below 2048 MB"):
+        bench.run_bench(2048, iterations=1)
+
+
+def test_baseline_is_aes_128_cbc_with_pkcs7(monkeypatch):
+    calls = []
+    cbc = _native.cbc
+
+    def recorded(key, iv, data, encrypt):
+        out = cbc(key, iv, data, encrypt)
+        calls.append((key, iv, data, encrypt, out))
+        return out
+
+    monkeypatch.setattr(_native, "cbc", recorded)
+    report = bench.run_bench(1, iterations=1)
+    ((key, iv, data, encrypt, out),) = [call for call in calls if len(call[2]) == MIB + 16]
+    assert encrypt and len(out) == report.aes_bytes_baseline
+    padder = padding.PKCS7(128).padder()
+    encryptor = Cipher(algorithms.AES(key), modes.CBC(iv)).encryptor()
+    assert out == encryptor.update(padder.update(data[:MIB]) + padder.finalize()) + encryptor.finalize()
 
 
 def test_perfbench_selftest_resolves_every_wrapped_name():

@@ -509,6 +509,60 @@ class TestBenchCommand:
     def test_bench_size_zero_exits_2(self):
         assert run_cli("bench", "--size-mb", 0) == 2
 
+    def test_bench_size_past_one_aes_call_exits_2_before_allocating(self, capsys, monkeypatch):
+        # The baseline is one cbc call, whose length is a C int.
+        monkeypatch.setattr(os, "urandom", lambda n: pytest.fail(f"asked for {n} random bytes"))
+        assert run_cli("bench", "--size-mb", 2048) == 2
+        assert capsys.readouterr() == ("", "error: bench size must be below 2048 MB\n")
+
+
+# Runs ``sefrag ARGV`` in a child whose import of MODULE fails, as if it
+# were not installed.
+WITHOUT = """
+import sys
+sys.modules[sys.argv[1]] = None
+from sefrag.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_without(module: str, *argv, home=None) -> subprocess.CompletedProcess:
+    env = _package_env() if home is None else dict(_package_env(), HOME=str(home))
+    return subprocess.run([sys.executable, "-c", WITHOUT, module, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestMissingModules:
+    @pytest.mark.parametrize("kernel", ["native", "python"])
+    def test_every_aes_command_runs_without_cryptography(self, sample, tmp_path, kernel):
+        home = None
+        if kernel == "python":
+            # load() refuses a cache directory others can write to.
+            home = tmp_path / "home"
+            (home / ".cache" / "sefrag").mkdir(parents=True)
+            (home / ".cache" / "sefrag").chmod(0o777)
+        elif not isinstance(_native.load(), _native.Kernel):
+            pytest.skip(f"native kernel unavailable: {_native.load().name}")
+        protect = run_without("cryptography", "protect", sample, "--key-hex", KEY, "--out-dir", tmp_path / "w",
+                              home=home)
+        assert (protect.returncode, protect.stderr) == (0, "")
+        back = tmp_path / "back.bin"
+        recover = run_without("cryptography", "recover", tmp_path / "w" / "sample.puf", tmp_path / "w" / "sample.prf",
+                              "--key-hex", KEY, "--out", back, home=home)
+        assert (recover.returncode, recover.stderr) == (0, "")
+        assert back.read_bytes() == sample.read_bytes()
+        bench = run_without("cryptography", "bench", "--size-mb", 1, "--iterations", 1, home=home)
+        assert bench.returncode == 0, bench.stderr
+        assert bench.stderr.startswith(f"kernel {kernel} (")
+
+    def test_protect_without_libcrypto_exits_2_and_writes_nothing(self, sample, tmp_path):
+        proc = run_without("_hashlib", "protect", sample, "--key-hex", KEY, "--out-dir", tmp_path / "w")
+        assert proc.returncode == 2
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("error: no libcrypto for AES-128-CBC") and "_hashlib" in line
+        assert proc.stdout == ""
+        assert not (tmp_path / "w").exists() or list((tmp_path / "w").iterdir()) == []
+
 
 class TestStoreCommands:
     @pytest.fixture

@@ -23,9 +23,9 @@ OFF_PATH = ["sefrag.analysis", "sefrag.bench", "sefrag.dispersion", "sefrag.shar
 # several milliseconds per process, and concurrent.futures imports it.
 NOT_AT_START = {"logging", "concurrent.futures"}
 
-# Heavy modules that protect and recover leave unloaded on the native path:
-# dataclasses imports inspect, and the native kernel runs the AES, so
-# cryptography loads only on the pure-Python path and in sefrag bench.
+# Heavy modules that protect and recover leave unloaded: dataclasses
+# imports inspect, and no sefrag module imports cryptography, since
+# _native.cbc runs the AES on the libcrypto hashlib maps.
 HEAVY = {"dataclasses", "inspect", "cryptography"}
 
 # Each module and the public names it defines; none may go missing.
@@ -107,11 +107,8 @@ class TestStartPath:
 
     def test_protect_with_a_warm_kernel_cache_does_not_import_subprocess(self, tmp_path):
         # Only a build runs the compiler; loading the cached library (or
-        # reading a recorded failure) needs no subprocess.  Only the native
-        # kernel also keeps the heavy modules out.
-        from sefrag import _native
-
-        heavy = HEAVY if isinstance(_native.load(), _native.Kernel) else set()
+        # reading a recorded failure) needs no subprocess.  Either kernel
+        # keeps the heavy modules out.
         src = tmp_path / "scan.bin"
         src.write_bytes(os.urandom(5000))
         pw = tmp_path / "pw.txt"
@@ -128,8 +125,14 @@ class TestStartPath:
             assert "sefrag._native" in modules
             assert "subprocess" not in modules
             assert not NOT_AT_START & set(modules)
-            assert not heavy & set(modules)
+            assert not HEAVY & set(modules)
         assert (tmp_path / "back.bin").read_bytes() == src.read_bytes()
+
+    def test_bench_loads_no_cryptography(self, tmp_path):
+        code, modules = _fresh("-c", PROBE, "bench", "--size-mb", "1", "--iterations", "1", cwd=tmp_path)
+        assert code == 0
+        assert "sefrag.bench" in modules
+        assert "cryptography" not in modules
 
     def test_analysis_commands_load_no_dataclasses(self, tmp_path):
         src = tmp_path / "scan.bin"

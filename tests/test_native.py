@@ -11,11 +11,11 @@ import shutil
 import stat
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
 from conftest import _package_env
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from sefrag import _native, container, core
 from sefrag.core import ProtectionKey
@@ -141,11 +141,14 @@ def test_docs_name_counterparts_that_exist():
 
 
 def test_only_derive_and_cbc_return_a_status():
+    # cbc's libcrypto calls are checked too, all but the one with no result.
+    checked = {name for name in _native._EVP_SIGNATURES if getattr(_native._libcrypto(), name).errcheck is not None}
+    assert checked == set(_native._EVP_SIGNATURES) - {"EVP_CIPHER_CTX_free"}
     kernel = _native.load()
     if not isinstance(kernel, _native.Kernel):
         pytest.skip(f"native kernel unavailable: {kernel.name}")
     checked = {name for name in _native._SIGNATURES if getattr(kernel._lib, name).errcheck is not None}
-    assert checked == {"sefrag_derive", "sefrag_cbc"}
+    assert checked == {"sefrag_derive"}
     assert kernel._lib.sefrag_protect.restype is None and kernel._lib.sefrag_recover.restype is None
 
 
@@ -245,14 +248,12 @@ def test_both_kernels_have_one_interface(fresh_cache, monkeypatch):
     units, key = bytes(range(64)), bytes(range(16))
     outputs = []
     for kernel in (built, fallback):
-        assert all(callable(getattr(kernel, fn)) for fn in ("protect", "recover", "derive", "cbc"))
+        assert all(callable(getattr(kernel, fn)) for fn in ("protect", "recover", "derive"))
         public, picked = kernel.protect(units, 2, key, 5)
         assert kernel.recover(public, picked, 2, key, 5) == units
         with pytest.raises(ValueError):
             kernel.derive(b"pw", 0)
-        ciphertext = kernel.cbc(key, key, units, True)
-        assert kernel.cbc(key, key, ciphertext, False) == units
-        outputs.append((public, picked, kernel.derive(b"pw", 3), ciphertext))
+        outputs.append((public, picked, kernel.derive(b"pw", 3)))
     assert outputs[0] == outputs[1]
 
 
@@ -264,16 +265,24 @@ NIST_CIPHER = bytes.fromhex("7649abac8119b246cee98e9b12e9197d" "5086cb9b507219ee
 
 
 class TestCbc:
-    """``cbc`` on each kernel path, and ``container._chained_cbc`` over it."""
+    """``_native.cbc``, the one AES of both kernels, and
+    ``container._chained_cbc`` over it."""
 
-    def test_nist_vectors(self, each_kernel_path):
-        for path, _, _ in each_kernel_path():
-            cbc = core._kernel().cbc
-            assert cbc(NIST_KEY, NIST_IV, NIST_PLAIN, True) == NIST_CIPHER, path
-            assert cbc(NIST_KEY, NIST_IV, NIST_CIPHER, False) == NIST_PLAIN, path
-            assert cbc(NIST_KEY, NIST_IV, b"", True) == b"", path
+    def test_nist_vectors(self):
+        assert _native.cbc(NIST_KEY, NIST_IV, NIST_PLAIN, True) == NIST_CIPHER
+        assert _native.cbc(NIST_KEY, NIST_IV, NIST_CIPHER, False) == NIST_PLAIN
+        assert _native.cbc(NIST_KEY, NIST_IV, b"", True) == b""
 
-    def test_chaining_across_split_updates_matches_one_call(self, each_kernel_path):
+    def test_matches_cryptography_on_random_inputs(self):
+        rng = random.Random(31)
+        for size in (0, 16, 48, 16 << 10):
+            key, iv, data = rng.randbytes(16), rng.randbytes(16), rng.randbytes(size)
+            cipher = Cipher(algorithms.AES(key), modes.CBC(iv))
+            encryptor, decryptor = cipher.encryptor(), cipher.decryptor()
+            assert _native.cbc(key, iv, data, True) == encryptor.update(data) + encryptor.finalize(), size
+            assert _native.cbc(key, iv, data, False) == decryptor.update(data) + decryptor.finalize(), size
+
+    def test_chaining_across_split_updates_matches_one_call(self):
         rng = random.Random(38)
         key, iv = ProtectionKey(rng.randbytes(16)), rng.randbytes(16)
         sizes = [0, 1, 15, 16, 17, 16 << 10, 15]  # the last piece completes the final block
@@ -281,34 +290,48 @@ class TestCbc:
         ends = list(itertools.accumulate(sizes))
         bounds = list(zip([0] + ends, ends))
         pieces = [data[start:end] for start, end in bounds]
-        for path, _, _ in each_kernel_path():
-            whole = core._kernel().cbc(key.bytes, iv, data, True)
-            encrypt = container._chained_cbc(key, iv, True)
-            outputs = [encrypt(piece) for piece in pieces]
-            assert b"".join(outputs) == whole, path
-            # Each call returns exactly the whole blocks completed so far.
-            assert [len(out) for out in outputs] == [0, 0, 16, 16, 16, 16 << 10, 16], path
-            decrypt = container._chained_cbc(key, iv, False)
-            assert b"".join(decrypt(whole[start:end]) for start, end in bounds) == data, path
+        whole = _native.cbc(key.bytes, iv, data, True)
+        encrypt = container._chained_cbc(key, iv, True)
+        outputs = [encrypt(piece) for piece in pieces]
+        assert b"".join(outputs) == whole
+        # Each call returns exactly the whole blocks completed so far.
+        assert [len(out) for out in outputs] == [0, 0, 16, 16, 16, 16 << 10, 16]
+        decrypt = container._chained_cbc(key, iv, False)
+        assert b"".join(decrypt(whole[start:end]) for start, end in bounds) == data
 
-    def test_bad_lengths_raise_before_c_runs(self, each_kernel_path, monkeypatch):
+    def test_bad_lengths_raise_before_c_runs(self, monkeypatch):
         class Huge:
             """A stand-in whose length is a whole number of blocks past a C int."""
 
             def __len__(self):
                 return 2**31
 
+        class Recorder:
+            """A libcrypto stand-in that records each function looked up."""
+
+            def __getattr__(self, name):
+                looked_up.append(name)
+                return lambda *args: 1
+
+        looked_up = []
+        monkeypatch.setattr(_native, "_libcrypto", Recorder)
         key, iv = bytes(16), bytes(16)
-        for path, _, _ in each_kernel_path():
-            kernel = core._kernel()
-            if isinstance(kernel, _native.Kernel):
-                calls = []
-                monkeypatch.setattr(kernel, "_lib", types.SimpleNamespace(sefrag_cbc=lambda *a: calls.append(a)))
-            for bad in [(key, iv, bytes(15)), (key, iv, bytes(17)), (bytes(15), iv, bytes(16)),
-                        (bytes(17), iv, bytes(16)), (key, bytes(15), bytes(16)), (key, bytes(17), bytes(16)),
-                        (key, iv, Huge())]:
-                for encrypt in (True, False):
-                    with pytest.raises(ValueError):
-                        kernel.cbc(*bad, encrypt)
-            if isinstance(kernel, _native.Kernel):
-                assert calls == [], path
+        for bad in [(key, iv, bytes(15)), (key, iv, bytes(17)), (bytes(15), iv, bytes(16)),
+                    (bytes(17), iv, bytes(16)), (key, bytes(15), bytes(16)), (key, bytes(17), bytes(16)),
+                    (key, iv, Huge())]:
+            for encrypt in (True, False):
+                with pytest.raises(ValueError):
+                    _native.cbc(*bad, encrypt)
+        assert looked_up == []
+        # The recorder is live: a good call reaches it.
+        _native.cbc(key, iv, bytes(16), True)
+        assert "EVP_CipherUpdate" in looked_up
+
+    def test_a_libcrypto_without_the_evp_calls_is_an_os_error(self, monkeypatch):
+        monkeypatch.setitem(_native._EVP_SIGNATURES, "EVP_sefrag_no_such_call", (None, ()))
+        _native._libcrypto.cache_clear()
+        try:
+            with pytest.raises(OSError, match="_hashlib.*EVP_sefrag_no_such_call"):
+                _native.cbc(bytes(16), bytes(16), bytes(16), True)
+        finally:
+            _native._libcrypto.cache_clear()

@@ -46,12 +46,7 @@ def build(sources: dict[str, Path], out: Path) -> dict[str, ctypes.CDLL]:
              for path, library in libraries.items()]
     if any([proc.wait() for proc in procs]):
         sys.exit("a kernel source failed to build")
-    libs = {}
-    for side, path in paths.items():
-        lib = libs[side] = ctypes.CDLL(str(libraries[path]))
-        for name, (restype, argtypes) in _native._SIGNATURES.items():
-            getattr(lib, name).restype, getattr(lib, name).argtypes = restype, argtypes
-    return libs
+    return {side: _native._bind(str(libraries[path]), _native._SIGNATURES) for side, path in paths.items()}
 
 
 def passes(lib: ctypes.CDLL, units: bytes, key: bytes, calls: int):
