@@ -172,9 +172,9 @@ class Kernel:
     def derive(self, suffix: bytes, iterations: int) -> bytes:
         """x <- SHA-256(x || suffix) ``iterations`` times from an empty x."""
         _check_derive(iterations)
-        out = ctypes.create_string_buffer(32)
+        out = _uninitialised_bytes(None, 32)
         self._lib.sefrag_derive(suffix, len(suffix), iterations, out)
-        return out.raw
+        return out
 
 
 def _xor(a: bytes, b: bytes) -> bytes:

@@ -68,22 +68,16 @@ def _fromhex(text: str, length: int, what: str) -> bytes:
     return value
 
 
-class ProtectionKey:
+class ProtectionKey(namedtuple("ProtectionKey", "bytes")):
     """128-bit secret driving fragment selection, keystreams, and AES;
     immutable, equal by value, and its repr hides the key."""
 
-    __slots__ = ("bytes",)
+    __slots__ = ()
 
-    def __init__(self, bytes: bytes):
+    def __new__(cls, bytes: bytes):
         if len(bytes) != KEY_LEN:
             raise ValueError(f"protection key must be {KEY_LEN} bytes, got {len(bytes)}")
-        object.__setattr__(self, "bytes", bytes)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProtectionKey is immutable")
-
-    def __eq__(self, other):
-        return self.bytes == other.bytes if isinstance(other, ProtectionKey) else NotImplemented
+        return super().__new__(cls, bytes)
 
     def __repr__(self) -> str:
         return "ProtectionKey(<secret>)"

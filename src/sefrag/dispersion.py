@@ -1,11 +1,11 @@
 """Fragment placement across storage backends.
 
 Blobs are content addressed: the id of a blob is SHA-256 of its bytes,
-recomputed and checked on every read, so silent corruption on any
-backend surfaces as ``CorruptBlob``.  Two interchangeable backends: a
-local directory (two-level fan-out by the first two hex chars of the
-id, atomic write via temp file + rename), and a remote client speaking
-the wire protocol below.
+which ``BlobRef.check`` recomputes on every read, so silent corruption
+on any backend surfaces as ``IntegrityFailure``.  Two interchangeable
+backends: a local directory (two-level fan-out by the first two hex
+chars of the id, atomic write via temp file + rename), and a remote
+client speaking the wire protocol below.
 
 Wire protocol, one TCP connection carrying any number of requests::
 
@@ -15,13 +15,13 @@ Wire protocol, one TCP connection carrying any number of requests::
     opcodes: 0x01 PUT, 0x02 GET, 0x03 DELETE
     status:  0x00 OK, 0x01 NOT_FOUND, 0x02 ERROR
 
-The server re-verifies that a PUT id matches the payload hash and
-answers ERROR otherwise, as it does when its own store fails; the
-connection is then served on.  ERROR carries no reason, so the client
-cannot tell a corrupt blob from a failed store: a PUT answered ERROR
-raises ``BackendUnavailable`` (exit 6) and a GET answered ERROR raises
-``CorruptBlob`` (exit 4), whatever went wrong on the server.  Payloads
-are capped at 1 GiB.  An unknown opcode gets ERROR and a closed
+The server checks a PUT payload and a stored blob against their ids
+and answers ERROR on a mismatch, as it does when its own store fails;
+the connection is then served on.  ERROR carries no reason, so the
+client cannot tell a corrupt blob from a failed store: a PUT answered
+ERROR raises ``BackendUnavailable`` (exit 6) and a GET answered ERROR
+raises ``IntegrityFailure`` (exit 4), whatever went wrong on the
+server.  Payloads are capped at 1 GiB.  An unknown opcode gets ERROR and a closed
 connection: its frame length is unknown.
 A connection whose client sends nothing, or stops partway through a
 frame, for ``REMOTE_TIMEOUT`` seconds (10) is closed by the server.
@@ -68,7 +68,7 @@ from pathlib import Path
 
 from .container import atomic_write, pair_id
 from .core import _fromhex
-from .errors import BackendUnavailable, CorruptBlob, FormatError, IntegrityFailure, NotFound
+from .errors import BackendUnavailable, FormatError, IntegrityFailure, NotFound
 
 MAX_PAYLOAD = 1 << 30
 
@@ -108,6 +108,12 @@ class BlobRef(namedtuple("BlobRef", "id")):
     def hex(self) -> str:
         return self.id.hex()
 
+    def check(self, payload: bytes) -> bytes:
+        """``payload``, once it is known to hash to this id."""
+        if hashlib.sha256(payload).digest() != self.id:
+            raise IntegrityFailure(f"blob {self.hex} fails its hash check")
+        return payload
+
 
 class DirectoryBackend:
     def __init__(self, root: str | Path, name: str | None = None):
@@ -131,9 +137,7 @@ class DirectoryBackend:
             payload = path.read_bytes()
         except FileNotFoundError:
             raise NotFound(f"no blob {ref.hex}") from None
-        if BlobRef.for_payload(payload) != ref:
-            raise CorruptBlob(f"blob {ref.hex} fails its hash check")
-        return payload
+        return ref.check(payload)
 
     def delete(self, ref: BlobRef) -> bool:
         try:
@@ -191,10 +195,8 @@ class RemoteBackend:
         if status == ST_NOT_FOUND:
             raise NotFound(f"no blob {ref.hex}")
         if status != ST_OK:
-            raise CorruptBlob(f"server could not produce a valid blob {ref.hex}")
-        if BlobRef.for_payload(body) != ref:
-            raise CorruptBlob(f"blob {ref.hex} fails its hash check")
-        return body
+            raise IntegrityFailure(f"server could not produce a valid blob {ref.hex}")
+        return ref.check(body)
 
     def delete(self, ref: BlobRef) -> bool:
         status, _ = self._request(OP_DELETE, ref)
@@ -205,14 +207,12 @@ def _reply(backend: DirectoryBackend, opcode: int, ref: BlobRef, payload: bytes 
     """The response to one whole request frame.
 
     A storage failure (full disk, unwritable root, a blob path that is a
-    directory) gets ERROR like a corrupt blob: the frame was read whole,
-    so the connection stays in sync and is served on.
+    directory) gets ERROR like a blob that fails its hash check: the
+    frame was read whole, so the connection stays in sync and is served on.
     """
     try:
         if opcode == OP_PUT:
-            if BlobRef.for_payload(payload) != ref:
-                return bytes([ST_ERROR])
-            backend.put(payload)
+            backend.put(ref.check(payload))
             return bytes([ST_OK])
         if opcode == OP_GET:
             payload = backend.get(ref)
@@ -220,7 +220,7 @@ def _reply(backend: DirectoryBackend, opcode: int, ref: BlobRef, payload: bytes 
         return bytes([ST_OK if backend.delete(ref) else ST_NOT_FOUND])
     except NotFound:
         return bytes([ST_NOT_FOUND])
-    except (CorruptBlob, OSError):
+    except (IntegrityFailure, OSError):
         return bytes([ST_ERROR])
 
 

@@ -4,8 +4,9 @@ Grouped here because most of them cross module boundaries: the container
 layer re-raises engine errors, the CLI exits with each class's stable
 ``exit_code``, and tests assert on exact types.  A case has its own
 class only when its exit code or some ``except`` tells it apart; the
-message says which case it is.  A bad value the caller passed, such as
-an empty passphrase, raises ``ValueError`` (exit 2).
+message says which case it is.  Exits 3 to 6 have one class each.
+A bad value the caller passed, such as an empty passphrase, raises
+``ValueError`` (exit 2).
 """
 
 
@@ -29,7 +30,8 @@ class FormatError(SefragError):
 class IntegrityFailure(SefragError):
     """An integrity or authorization check failed: recovered content does
     not match its stored digest, private-stream decryption produced
-    invalid padding (wrong key or corrupted ciphertext), a passphrase met
+    invalid padding (wrong key or corrupted ciphertext), a blob fails its
+    hash check or a server answers its GET with ERROR, a passphrase met
     a record sealed with a raw key, the public and private containers
     carry different file ids or would share a backend, or a policy
     change came from a party other than the store's owner.
@@ -44,15 +46,10 @@ class IntegrityFailure(SefragError):
 
 class NotFound(SefragError):
     """No blob stored under the requested id, no placement exists for
-    the requested record id, or the input to ``entropy`` is empty."""
+    the requested record id, a record is placed on an unknown backend,
+    or the input to ``entropy`` is empty."""
 
     exit_code = 5
-
-
-class CorruptBlob(SefragError):
-    """Stored blob bytes no longer hash to their id."""
-
-    exit_code = 4
 
 
 class BackendUnavailable(SefragError):

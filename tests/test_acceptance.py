@@ -23,7 +23,7 @@ import sefrag
 from sefrag import _native, analysis, bench, container, core, dispersion
 from sefrag.core import ProtectionKey
 from sefrag.dispersion import BlobServer, DirectoryBackend, PlacementIndex, RemoteBackend
-from sefrag.errors import CorruptBlob, IntegrityFailure
+from sefrag.errors import IntegrityFailure
 
 MIB = 1 << 20
 
@@ -259,7 +259,7 @@ def test_dispersion_rule(tmp_path):
             raw = bytearray(blob_path.read_bytes())
             raw[len(raw) // 2] ^= 0x01
             blob_path.write_bytes(bytes(raw))
-            with pytest.raises(CorruptBlob):
+            with pytest.raises(IntegrityFailure):
                 cloud.get(placement.puf_ref)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0

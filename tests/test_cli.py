@@ -297,7 +297,6 @@ class TestExitCodes:
         (FileNotFoundError, 2),
         (errors.FormatError, 3),
         (errors.IntegrityFailure, 4),
-        (errors.CorruptBlob, 4),
         (errors.NotFound, 5),
         (errors.BackendUnavailable, 6),
     ]
@@ -614,6 +613,43 @@ class TestStoreCommands:
         # A read-only command creates nothing.
         assert not (tmp_path / "s").exists()
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("where", ["directory", "remote"])
+    def test_get_of_an_overwritten_blob_exits_4_and_writes_nothing(self, where, sealed, tmp_path, capsys):
+        _, puf, prf = sealed
+        store, out = tmp_path / "store", tmp_path / "out"
+        if where == "directory":
+            assert run_cli("put", puf, prf, "--store", store) == 0
+            puf_id = capsys.readouterr().out.splitlines()[1].split()[1]
+            self._overwrite(store / "cloud", puf_id)
+            assert run_cli("get", puf_id, "--store", store, "--out", out / "got.puf") == 4
+            message = f"blob {puf_id} fails its hash check"
+        else:
+            with subprocess.Popen(
+                [sys.executable, "-m", "sefrag", "serve", "--bind", "127.0.0.1:0", "--root", str(tmp_path / "srv")],
+                env=_package_env(), stdout=subprocess.PIPE, text=True,
+            ) as proc:
+                try:
+                    addr = proc.stdout.readline().strip()
+                    assert run_cli("put", puf, prf, "--store", store, "--remote", addr) == 0
+                    puf_id = capsys.readouterr().out.splitlines()[1].split()[1]
+                    self._overwrite(tmp_path / "srv", puf_id)
+                    # The device store lacks the blob, so the server answers: ERROR.
+                    assert run_cli("get", puf_id, "--store", store, "--remote", addr,
+                                   "--out", out / "got.puf") == 4
+                finally:
+                    proc.send_signal(signal.SIGTERM)
+                    assert proc.wait(timeout=10) == 0
+            message = f"server could not produce a valid blob {puf_id}"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not out.exists()
+
+    @staticmethod
+    def _overwrite(root: Path, blob_id: str):
+        path = root / blob_id[:2] / blob_id
+        path.write_bytes(b"rotten" + path.read_bytes()[6:])
 
     def test_put_swapped_fragments_exits_3(self, sealed, tmp_path):
         _, puf, prf = sealed

@@ -118,6 +118,20 @@ class TestProtectionKey:
         with pytest.raises(AttributeError):
             key.bytes = bytes(16)
 
+    def test_every_formatting_hides_the_key(self):
+        key = ProtectionKey.from_hex("00112233445566778899aabbccddeeff")
+        for text in (format(key), f"{key}", "%s" % (key,), repr([key])):
+            assert repr(key.bytes) not in text and str(key.bytes) not in text
+            assert key.bytes.hex() not in text and key.bytes.hex().upper() not in text
+
+    def test_equal_keys_hash_equal(self):
+        assert hash(ProtectionKey(bytes(range(16)))) == hash(ProtectionKey(bytes(range(16))))
+        assert len({ProtectionKey(bytes(range(16))), ProtectionKey(bytes(range(16))), ProtectionKey(bytes(16))}) == 2
+
+    def test_never_equals_its_raw_bytes(self):
+        key = ProtectionKey(bytes(range(16)))
+        assert key != key.bytes and key.bytes != key
+
 
 class TestSelectorStream:
     def test_empty_stream(self):

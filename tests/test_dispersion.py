@@ -34,7 +34,6 @@ from sefrag.dispersion import (
 )
 from sefrag.errors import (
     BackendUnavailable,
-    CorruptBlob,
     FormatError,
     IntegrityFailure,
     NotFound,
@@ -148,7 +147,7 @@ class TestLocalBackends:
         raw = bytearray(path.read_bytes())
         raw[0] ^= 0x01
         path.write_bytes(bytes(raw))
-        with pytest.raises(CorruptBlob):
+        with pytest.raises(IntegrityFailure):
             backend.get(ref)
 
     def test_put_heals_corrupted_blob(self, tmp_path):
@@ -157,7 +156,7 @@ class TestLocalBackends:
         ref = backend.put(payload)
         path = tmp_path / ref.hex[:2] / ref.hex
         path.write_bytes(b"rotten" + payload[6:])
-        with pytest.raises(CorruptBlob):
+        with pytest.raises(IntegrityFailure):
             backend.get(ref)
         assert backend.put(payload) == ref
         assert backend.get(ref) == payload
@@ -215,9 +214,13 @@ class TestWireProtocol:
         server, _ = served
         payload = b"payload"
         wrong_id = bytes(32)
-        with socket.create_connection(server.server_address, timeout=5) as sock:
+        with socket.create_connection(server.server_address, timeout=5) as sock, sock.makefile("rb") as replies:
             sock.sendall(b"\x01" + wrong_id + struct.pack("<Q", len(payload)) + payload)
-            assert sock.recv(1) == b"\x02"  # ERROR
+            assert replies.read(1) == b"\x02"  # ERROR
+            # The store is untouched and the connection is served on.
+            assert not any(server.backend.root.rglob("*"))
+            sock.sendall(bytes([OP_GET]) + wrong_id)
+            assert replies.read(1) == b"\x01"  # NOT_FOUND
         with pytest.raises(NotFound):
             RemoteBackend(*server.server_address).get(BlobRef(wrong_id))
 
@@ -373,7 +376,7 @@ class TestWireProtocol:
         forged = b"not the blob asked for"
         reply = bytes([ST_OK]) + struct.pack("<Q", len(forged)) + forged
         with stub_server(reply) as address:
-            with pytest.raises(CorruptBlob):
+            with pytest.raises(IntegrityFailure):
                 RemoteBackend(*address).get(BlobRef(bytes(32)))
         with stub_server(reply) as (host, port):
             argv = ["get", "00" * 32, "--store", str(tmp_path / "s"), "--remote", f"{host}:{port}",

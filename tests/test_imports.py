@@ -35,7 +35,7 @@ HOMES = {
     "container": "PrfContainer PufContainer derive_key open seal",
     "core": "ProtectedStreams ProtectionKey protect recover",
     "dispersion": "BlobRef BlobServer DirectoryBackend Placement PlacementIndex RemoteBackend disperse",
-    "errors": "BackendUnavailable CorruptBlob FormatError IntegrityFailure NotFound SefragError",
+    "errors": "BackendUnavailable FormatError IntegrityFailure NotFound SefragError",
     "sharing": "Decision PolicyStore grant release request_access revoke",
 }
 HOME_OF = {name: module for module, names in HOMES.items() for name in names.split()}
