@@ -1,7 +1,7 @@
 """The kernel: the C library in ``_kernel.c``, its pure-Python
 counterpart, and the length checks both run before they touch a buffer;
 ``load`` alone decides which one runs.  Beside them, ``cbc`` is the one
-AES-128-CBC for either kernel, over libcrypto through ``ctypes``.
+AES-128-CBC stream for either kernel, over libcrypto through ``ctypes``.
 
 The first process that needs the kernel compiles it with the system C
 compiler against libcrypto, in well under a second, into
@@ -17,9 +17,9 @@ Both kernels have ``protect``, ``recover``, ``derive`` and a ``name``:
 ``native (<library>, 16 lanes)`` where the library hashes 16 units'
 keystreams at once (on a CPU with AVX-512F and AVX-512VL), ``native
 (<library>, 1 lane)`` where it hashes one at a time, or ``python
-(<why>)``.  The native ``protect`` and ``recover``, and ``cbc``, return
-``bytes`` that C code filled in, each byte written once.  Importing
-this module builds and loads nothing.
+(<why>)``.  The native ``protect`` and ``recover``, and each ``cbc``
+update, return ``bytes`` that C code filled in, each byte written once.
+Importing this module builds and loads nothing.
 
 ``PythonKernel`` moves 4-byte words with strided memoryview copies and
 chooses between them with big-integer masks, so the keystream hash is
@@ -34,6 +34,7 @@ import functools
 import hashlib
 import os
 import struct
+import weakref
 from pathlib import Path
 
 from .container import atomic_write
@@ -96,10 +97,9 @@ def _check_derive(iterations: int) -> None:
         raise ValueError("iterations must be positive")
 
 
-def _check_cbc(key: bytes, iv: bytes, data: bytes) -> None:
-    # EVP takes the length as a C int: refuse what would not fit.
-    if len(key) != KEY_LEN or len(iv) != 16 or len(data) % 16 or len(data) >= 2**31:
-        raise ValueError(f"need a 16-byte key and IV and whole 16-byte blocks below 2**31 bytes, got {len(data)}")
+def _check_cbc(key: bytes, iv: bytes) -> None:
+    if len(key) != KEY_LEN or len(iv) != 16:
+        raise ValueError(f"need a 16-byte key and IV, got {len(key)} and {len(iv)} bytes")
 
 
 def _raise_on_failure(status, fn, args):
@@ -129,18 +129,30 @@ def _libcrypto() -> ctypes.CDLL:
         raise OSError(f"no libcrypto for AES-128-CBC through Python's _hashlib module: {exc}") from None
 
 
-def cbc(key: bytes, iv: bytes, data: bytes, encrypt: bool) -> bytes:
-    """AES-128-CBC over ``data``, whole blocks, no padding: the one AES of both kernels."""
-    _check_cbc(key, iv, data)
-    lib, out = _libcrypto(), _uninitialised_bytes(None, len(data))
+def cbc(key: bytes, iv: bytes, encrypt: bool):
+    """``update(data)``: one AES-128-CBC stream, no padding, whose libcrypto
+    context, freed with ``update``, carries the chain.  Each update ciphers
+    the whole blocks completed so far and keeps the partial block here, so
+    EVP buffers none and writes exactly the bytes reserved for it."""
+    _check_cbc(key, iv)
+    lib, pending, outl = _libcrypto(), b"", _INT()
+
+    def update(data: bytes) -> bytes:
+        nonlocal pending
+        # EVP takes the length as a C int: refuse what would not fit.
+        if len(pending) + len(data) >= 2**31:
+            raise ValueError(f"an AES update takes fewer than 2**31 bytes, got {len(pending) + len(data)}")
+        data = pending + data
+        n = len(data) - len(data) % 16
+        out, pending = _uninitialised_bytes(None, n), data[n:]
+        lib.EVP_CipherUpdate(ctx, out, outl, data, n)
+        return out
+
     ctx = lib.EVP_CIPHER_CTX_new()
-    try:
-        lib.EVP_CipherInit_ex(ctx, lib.EVP_aes_128_cbc(), None, key, iv, encrypt)
-        lib.EVP_CIPHER_CTX_set_padding(ctx, 0)
-        lib.EVP_CipherUpdate(ctx, out, ctypes.byref(_INT()), data, len(data))
-    finally:
-        lib.EVP_CIPHER_CTX_free(ctx)
-    return out
+    weakref.finalize(update, lib.EVP_CIPHER_CTX_free, ctx)
+    lib.EVP_CipherInit_ex(ctx, lib.EVP_aes_128_cbc(), None, key, iv, encrypt)
+    lib.EVP_CIPHER_CTX_set_padding(ctx, 0)
+    return update
 
 
 class Kernel:

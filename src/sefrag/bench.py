@@ -4,7 +4,7 @@ Both paths run over the same in-memory buffer so the numbers reflect
 algorithmic cost rather than disk speed. The selective path is the one
 ``sefrag protect`` runs: ``container.seal_stream`` over the buffer,
 headers and the incremental AES pass over the private stream included.
-The baseline is the same AES-128-CBC, ``_native.cbc``, in one call over
+The baseline is the same AES-128-CBC, ``_native.cbc``, in one update over
 the entire buffer and its PKCS#7 block, the conventional protect-everything
 approach.  The two paths take turns, one run each per iteration, and each
 path's MB/s and the ratio come from its fastest run: first-use costs such
@@ -42,7 +42,7 @@ def run_bench(size_mb: int, iterations: int) -> BenchReport:
     """Protect a random ``size_mb`` MiB buffer both ways, ``iterations`` times."""
     if size_mb < 1:
         raise ValueError("bench size must be at least 1 MB")
-    if size_mb >= 2048:  # the baseline's one cbc call takes a C int length
+    if size_mb >= 2048:  # the baseline's one AES update takes a C int length
         raise ValueError("bench size must be below 2048 MB")
     if iterations < 1:
         raise ValueError("iterations must be positive")
@@ -59,7 +59,7 @@ def run_bench(size_mb: int, iterations: int) -> BenchReport:
 
     def baseline() -> int:
         """Whole-buffer AES; returns its ciphertext bytes."""
-        return len(_native.cbc(key.bytes, iv, padded, True))
+        return len(_native.cbc(key.bytes, iv, True)(padded))
 
     # The paths take turns, so a drift in the machine's speed reaches both.
     elapsed = {seal: [], baseline: []}

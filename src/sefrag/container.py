@@ -26,8 +26,8 @@ needs only the head and the content length, which the input's size
 gives, and the ``.prf`` header's ``ct_len`` follows from the content
 length (``_private_sizes``): the private stream is 4 bytes per unit, the
 tail and a 32-byte digest, PKCS#7-padded.  The padding, here, and
-AES-CBC (``sefrag._native.cbc``, chained across calls by
-``_chained_cbc``), run incrementally over each chunk's picked bytes.
+AES-CBC, one ``sefrag._native.cbc`` stream per pass, run incrementally
+over each chunk's picked bytes.
 ``open_stream`` checks the pairing and ``ct_len`` before it asks for the
 key, then decrypts the last cipher block alone, so a wrong key fails on
 its padding before any work; it then decrypts the private stream in
@@ -222,26 +222,6 @@ def _private_sizes(content_len: int) -> tuple[int, int]:
     return plain_len + pad, pad
 
 
-def _chained_cbc(key: ProtectionKey, iv: bytes, encrypt: bool):
-    """``update(data)``: ``_native.cbc`` over a stream in pieces. Each call
-    ciphers the whole blocks completed so far, keeps the partial block for
-    the next, and chains on from the last ciphertext block."""
-    from ._native import cbc  # _native imports this module
-
-    pending = b""
-
-    def update(data: bytes) -> bytes:
-        nonlocal iv, pending
-        data = pending + data
-        n = len(data) - len(data) % 16
-        out, pending = cbc(key.bytes, iv, data[:n], encrypt), data[n:]
-        if n:
-            iv = (out if encrypt else data)[n - 16:n]
-        return out
-
-    return update
-
-
 def seal_stream(src, key_for, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
     """Seal the seekable binary file ``src`` in one streaming pass.
 
@@ -261,8 +241,9 @@ def seal_stream(src, key_for, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
     iv = os.urandom(16)
 
     def pieces():
+        from ._native import cbc  # _native imports this module
         yield _puf_header(file_id, head, content_len), _prf_header(file_id, kdf_salt, iv, ct_len)
-        encrypt = _chained_cbc(key, iv, True)
+        encrypt = cbc(key.bytes, iv, True)
         for public, private in core.protect_chunks(lambda n: _read_exact(src, n), content_len, key):
             yield public, encrypt(private)
         yield b"", encrypt(bytes([pad]) * pad)
@@ -292,16 +273,17 @@ def open_stream(puf_src, prf_src, key_for):
     if ct_len != expected:
         raise IntegrityFailure(f"private stream is {ct_len} cipher bytes, pair expects {expected}")
     key = key_for(kdf_salt)
+    from ._native import cbc  # _native imports this module
     # The last cipher block (ct_len >= 48: the digest alone fills two),
     # decrypted with the one before it as its IV, holds the padding: a
     # wrong key fails here, before any work.
     body = prf_src.tell()
     prf_src.seek(body + ct_len - 32)
     prev, last = _read_exact(prf_src, 16), _read_exact(prf_src, 16)
-    if _chained_cbc(key, prev, False)(last)[-pad:] != bytes([pad]) * pad:
+    if cbc(key.bytes, prev, False)(last)[-pad:] != bytes([pad]) * pad:
         raise IntegrityFailure("private stream padding invalid (wrong key?)")
     prf_src.seek(body)
-    decrypt = _chained_cbc(key, iv, False)
+    decrypt = cbc(key.bytes, iv, False)
     pending = bytearray()
 
     def read_private(n: int) -> bytes:

@@ -73,6 +73,7 @@ class ProtectionKey(namedtuple("ProtectionKey", "bytes")):
     immutable, equal by value, and its repr hides the key."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's, which _replace calls, skips __new__
 
     def __new__(cls, bytes: bytes):
         if len(bytes) != KEY_LEN:

@@ -90,6 +90,7 @@ class BlobRef(namedtuple("BlobRef", "id")):
     """32-byte content address of a stored blob."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # namedtuple's, which _replace calls, skips __new__
 
     def __new__(cls, id: bytes):
         if len(id) != 32:

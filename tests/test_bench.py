@@ -102,7 +102,7 @@ def test_rejects_bad_parameters():
 
 def test_refuses_a_size_past_one_aes_call_before_allocating(monkeypatch):
     # The baseline ciphers the buffer and its padding block in one cbc
-    # call, whose length is a C int: 2048 MiB + 16 bytes would not fit.
+    # update, whose length is a C int: 2048 MiB + 16 bytes would not fit.
     monkeypatch.setattr(os, "urandom", lambda n: pytest.fail(f"asked for {n} random bytes"))
     with pytest.raises(ValueError, match="below 2048 MB"):
         bench.run_bench(2048, iterations=1)
@@ -112,10 +112,15 @@ def test_baseline_is_aes_128_cbc_with_pkcs7(monkeypatch):
     calls = []
     cbc = _native.cbc
 
-    def recorded(key, iv, data, encrypt):
-        out = cbc(key, iv, data, encrypt)
-        calls.append((key, iv, data, encrypt, out))
-        return out
+    def recorded(key, iv, encrypt):
+        update = cbc(key, iv, encrypt)
+
+        def recorded_update(data):
+            out = update(data)
+            calls.append((key, iv, data, encrypt, out))
+            return out
+
+        return recorded_update
 
     monkeypatch.setattr(_native, "cbc", recorded)
     report = bench.run_bench(1, iterations=1)

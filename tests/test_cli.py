@@ -509,7 +509,7 @@ class TestBenchCommand:
         assert run_cli("bench", "--size-mb", 0) == 2
 
     def test_bench_size_past_one_aes_call_exits_2_before_allocating(self, capsys, monkeypatch):
-        # The baseline is one cbc call, whose length is a C int.
+        # The baseline is one cbc update, whose length is a C int.
         monkeypatch.setattr(os, "urandom", lambda n: pytest.fail(f"asked for {n} random bytes"))
         assert run_cli("bench", "--size-mb", 2048) == 2
         assert capsys.readouterr() == ("", "error: bench size must be below 2048 MB\n")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from sefrag import _native, core
 from sefrag.core import CHUNK_UNITS, ProtectionKey, protect, recover, selector_stream
+from sefrag.dispersion import BlobRef
 from sefrag.errors import FormatError, IntegrityFailure
 
 ZERO_KEY = ProtectionKey(bytes(16))
@@ -131,6 +132,19 @@ class TestProtectionKey:
     def test_never_equals_its_raw_bytes(self):
         key = ProtectionKey(bytes(range(16)))
         assert key != key.bytes and key.bytes != key
+
+
+@pytest.mark.parametrize("cls, size", [(ProtectionKey, 16), (BlobRef, 32)])
+def test_make_and_replace_keep_the_length_check(cls, size):
+    # namedtuple's own _make, which _replace calls, builds the tuple without __new__.
+    (field,) = cls._fields
+    for bad in (bytes(size - 1), bytes(size + 1)):
+        with pytest.raises(ValueError):
+            cls._make([bad])
+        with pytest.raises(ValueError):
+            cls(bytes(size))._replace(**{field: bad})
+    good = bytes(range(size))
+    assert cls._make([good]) == cls(good) == cls(bytes(size))._replace(**{field: good})
 
 
 class TestSelectorStream:

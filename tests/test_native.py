@@ -2,6 +2,9 @@
 per source version, a failed one is recorded and leaves no library, and
 ``load`` then returns the pure-Python kernel, which gives the same bytes."""
 
+import collections
+import gc
+import io
 import itertools
 import json
 import os
@@ -19,6 +22,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from sefrag import _native, container, core
 from sefrag.core import ProtectionKey
+from sefrag.errors import IntegrityFailure
 
 
 @pytest.fixture
@@ -265,13 +269,13 @@ NIST_CIPHER = bytes.fromhex("7649abac8119b246cee98e9b12e9197d" "5086cb9b507219ee
 
 
 class TestCbc:
-    """``_native.cbc``, the one AES of both kernels, and
-    ``container._chained_cbc`` over it."""
+    """``_native.cbc``, the one AES of both kernels: a stream whose
+    ``update`` carries the chain in one libcrypto context."""
 
     def test_nist_vectors(self):
-        assert _native.cbc(NIST_KEY, NIST_IV, NIST_PLAIN, True) == NIST_CIPHER
-        assert _native.cbc(NIST_KEY, NIST_IV, NIST_CIPHER, False) == NIST_PLAIN
-        assert _native.cbc(NIST_KEY, NIST_IV, b"", True) == b""
+        assert _native.cbc(NIST_KEY, NIST_IV, True)(NIST_PLAIN) == NIST_CIPHER
+        assert _native.cbc(NIST_KEY, NIST_IV, False)(NIST_CIPHER) == NIST_PLAIN
+        assert _native.cbc(NIST_KEY, NIST_IV, True)(b"") == b""
 
     def test_matches_cryptography_on_random_inputs(self):
         rng = random.Random(31)
@@ -279,24 +283,24 @@ class TestCbc:
             key, iv, data = rng.randbytes(16), rng.randbytes(16), rng.randbytes(size)
             cipher = Cipher(algorithms.AES(key), modes.CBC(iv))
             encryptor, decryptor = cipher.encryptor(), cipher.decryptor()
-            assert _native.cbc(key, iv, data, True) == encryptor.update(data) + encryptor.finalize(), size
-            assert _native.cbc(key, iv, data, False) == decryptor.update(data) + decryptor.finalize(), size
+            assert _native.cbc(key, iv, True)(data) == encryptor.update(data) + encryptor.finalize(), size
+            assert _native.cbc(key, iv, False)(data) == decryptor.update(data) + decryptor.finalize(), size
 
     def test_chaining_across_split_updates_matches_one_call(self):
         rng = random.Random(38)
-        key, iv = ProtectionKey(rng.randbytes(16)), rng.randbytes(16)
+        key, iv = rng.randbytes(16), rng.randbytes(16)
         sizes = [0, 1, 15, 16, 17, 16 << 10, 15]  # the last piece completes the final block
         data = rng.randbytes(sum(sizes))
         ends = list(itertools.accumulate(sizes))
         bounds = list(zip([0] + ends, ends))
         pieces = [data[start:end] for start, end in bounds]
-        whole = _native.cbc(key.bytes, iv, data, True)
-        encrypt = container._chained_cbc(key, iv, True)
+        whole = _native.cbc(key, iv, True)(data)
+        encrypt = _native.cbc(key, iv, True)
         outputs = [encrypt(piece) for piece in pieces]
         assert b"".join(outputs) == whole
-        # Each call returns exactly the whole blocks completed so far.
+        # Each update returns exactly the whole blocks completed so far.
         assert [len(out) for out in outputs] == [0, 0, 16, 16, 16, 16 << 10, 16]
-        decrypt = container._chained_cbc(key, iv, False)
+        decrypt = _native.cbc(key, iv, False)
         assert b"".join(decrypt(whole[start:end]) for start, end in bounds) == data
 
     def test_bad_lengths_raise_before_c_runs(self, monkeypatch):
@@ -316,22 +320,59 @@ class TestCbc:
         looked_up = []
         monkeypatch.setattr(_native, "_libcrypto", Recorder)
         key, iv = bytes(16), bytes(16)
-        for bad in [(key, iv, bytes(15)), (key, iv, bytes(17)), (bytes(15), iv, bytes(16)),
-                    (bytes(17), iv, bytes(16)), (key, bytes(15), bytes(16)), (key, bytes(17), bytes(16)),
-                    (key, iv, Huge())]:
+        for bad in [(bytes(15), iv), (bytes(17), iv), (key, bytes(15)), (key, bytes(17))]:
             for encrypt in (True, False):
                 with pytest.raises(ValueError):
                     _native.cbc(*bad, encrypt)
         assert looked_up == []
-        # The recorder is live: a good call reaches it.
-        _native.cbc(key, iv, bytes(16), True)
+        # A good stream reaches the recorder, but an update past a C int does not.
+        for encrypt in (True, False):
+            update = _native.cbc(key, iv, encrypt)
+            with pytest.raises(ValueError):
+                update(Huge())
+            assert "EVP_CipherUpdate" not in looked_up
+        update(bytes(16))
         assert "EVP_CipherUpdate" in looked_up
+
+    def test_every_stream_frees_its_one_context(self, monkeypatch):
+        lib, counts = _native._libcrypto(), collections.Counter()
+
+        class Counting:
+            """libcrypto, counting the contexts made and freed."""
+
+            def __getattr__(self, name):
+                fn = getattr(lib, name)
+                if name not in ("EVP_CIPHER_CTX_new", "EVP_CIPHER_CTX_free"):
+                    return fn
+
+                def counted(*args):
+                    counts[name] += 1
+                    return fn(*args)
+
+                return counted
+
+        monkeypatch.setattr(_native, "_libcrypto", Counting)
+        rng = random.Random(33)
+        key, data = ProtectionKey(rng.randbytes(16)), rng.randbytes(3 * core.CHUNK_UNITS * core.UNIT_LEN + 4096)
+        puf, prf = container.seal(data, key)  # one stream
+        assert container.open(puf, prf, key) == data  # two: the padding check and the pass
+        _, pieces = container.seal_stream(io.BytesIO(data), lambda _salt: key)
+        next(pieces), next(pieces)  # the headers and the first chunk, then dropped: one
+        del pieces
+        with pytest.raises(IntegrityFailure, match="padding"):  # one
+            container.open(puf, prf, ProtectionKey(rng.randbytes(16)))
+        flipped = prf._replace(ciphertext=bytes([prf.ciphertext[0] ^ 1]) + prf.ciphertext[1:])
+        with pytest.raises(IntegrityFailure, match="digest"):  # two
+            container.open(puf, flipped, key)
+        gc.collect()
+        # Once per stream, not per chunk: each pass above spans four chunks.
+        assert counts == {"EVP_CIPHER_CTX_new": 7, "EVP_CIPHER_CTX_free": 7}
 
     def test_a_libcrypto_without_the_evp_calls_is_an_os_error(self, monkeypatch):
         monkeypatch.setitem(_native._EVP_SIGNATURES, "EVP_sefrag_no_such_call", (None, ()))
         _native._libcrypto.cache_clear()
         try:
             with pytest.raises(OSError, match="_hashlib.*EVP_sefrag_no_such_call"):
-                _native.cbc(bytes(16), bytes(16), bytes(16), True)
+                _native.cbc(bytes(16), bytes(16), True)
         finally:
             _native._libcrypto.cache_clear()
