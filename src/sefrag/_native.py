@@ -1,7 +1,9 @@
 """The kernel: the C library in ``_kernel.c``, its pure-Python
 counterpart, and the length checks both run before they touch a buffer;
 ``load`` alone decides which one runs.  Beside them, ``cbc`` is the one
-AES-128-CBC stream for either kernel, over libcrypto through ``ctypes``.
+AES-128-CBC stream for either kernel, over libcrypto through ``ctypes``,
+and ``other_cpus`` names the CPUs a pass's digest helper thread may run
+on, through glibc's ``sched_getcpu``.
 
 The first process that needs the kernel compiles it with the system C
 compiler against libcrypto, in well under a second, into
@@ -153,6 +155,20 @@ def cbc(key: bytes, iv: bytes, encrypt: bool):
     lib.EVP_CipherInit_ex(ctx, lib.EVP_aes_128_cbc(), None, key, iv, encrypt)
     lib.EVP_CIPHER_CTX_set_padding(ctx, 0)
     return update
+
+
+@functools.cache
+def _sched_getcpu():
+    """glibc's ``sched_getcpu``, whose C int result is ctypes' default, or None."""
+    return getattr(ctypes.CDLL(None), "sched_getcpu", None)
+
+
+def other_cpus() -> set[int]:
+    """The CPUs this process may run on, less the one the calling thread
+    runs on now; empty where the platform cannot tell."""
+    if not hasattr(os, "sched_getaffinity") or _sched_getcpu() is None:
+        return set()
+    return os.sched_getaffinity(0) - {_sched_getcpu()()}
 
 
 class Kernel:

@@ -9,7 +9,9 @@ the entire buffer and its PKCS#7 block, the conventional protect-everything
 approach.  The two paths take turns, one run each per iteration, and each
 path's MB/s and the ratio come from its fastest run: first-use costs such
 as the kernel's load show in the first listed run, not in the min.  The
-report names the kernel the selective path ran: native, or pure Python and why.
+report names the kernel the selective path ran: native, or pure Python and why,
+and the threads it ran on: where the process may use a second CPU, the content
+digest runs on a helper thread there, so the ratio is then a two-core figure.
 """
 
 from __future__ import annotations
@@ -27,13 +29,15 @@ MIB = 1 << 20
 
 
 class BenchReport(
-    namedtuple("BenchReport", "input_size se_elapsed aes_baseline_elapsed aes_bytes_se aes_bytes_baseline kernel")
+    namedtuple("BenchReport",
+               "input_size se_elapsed aes_baseline_elapsed aes_bytes_se aes_bytes_baseline kernel threads")
 ):
     """What one ``run_bench`` measured: the input size in bytes, the wall
     time of every iteration of each path in run order (``se_elapsed``,
-    ``aes_baseline_elapsed``), the AES bytes each path ciphered, and the
+    ``aes_baseline_elapsed``), the AES bytes each path ciphered, the
     kernel: "native (<library>, 16 lanes)", "native (<library>, 1 lane)"
-    or "python (<why>)"."""
+    or "python (<why>)", and the threads the selective pass ran on: 2
+    where its digest helper ran, else 1."""
 
     __slots__ = ()
 
@@ -70,8 +74,9 @@ def run_bench(size_mb: int, iterations: int) -> BenchReport:
             aes_bytes[run] = run()
             times.append(time.perf_counter() - start)
 
+    threads = 1 + bool(core._helper_cpus(len(buf) // core.UNIT_LEN))
     return BenchReport(len(buf), tuple(elapsed[seal]), tuple(elapsed[baseline]),
-                       aes_bytes[seal], aes_bytes[baseline], core._kernel().name)
+                       aes_bytes[seal], aes_bytes[baseline], core._kernel().name, threads)
 
 
 def format_table(report: BenchReport) -> str:

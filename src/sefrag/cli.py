@@ -132,6 +132,7 @@ def cmd_bench(args) -> int:
 
     report = bench.run_bench(args.size_mb, iterations=args.iterations)
     print(f"kernel {report.kernel}", file=sys.stderr)
+    print(f"threads {report.threads}", file=sys.stderr)
     print(bench.format_table(report))
     return 0
 

@@ -24,13 +24,20 @@ holds the format the kernel computes: the key, the selector stream and
 the pass.  ``protect`` and ``recover`` run the same pass over bytes
 held in memory.
 
-Apart from the ``read`` callables the streaming pass consumes and the
-kernel's one-time build, all functions are pure; keys and streams are plain immutable bytes, so
-concurrent use is safe.
+A pass of three chunks or more, in a process allowed on a CPU other
+than the caller's, hashes its digest on one helper thread pinned to
+those other CPUs, beside the kernel on the caller's thread, with at most
+one chunk in flight; the helper ends with the pass, also when the pass
+is closed early or raises.  Shorter passes, and a process held to one
+CPU, start no thread.  The caller's and the process's affinity never
+change.  Apart from the ``read`` callables the streaming pass consumes,
+that helper and the kernel's one-time build, all functions are pure;
+keys and streams are plain immutable bytes, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import os
@@ -136,6 +143,81 @@ def _kernel():
     return _native.load()
 
 
+def _helper_cpus(unit_count: int) -> set[int]:
+    """The CPUs a digest helper for a pass of ``unit_count`` units runs on:
+    from three chunks on, those ``_native.other_cpus`` names; else none."""
+    if unit_count <= 2 * CHUNK_UNITS:
+        return set()
+    from . import _native
+
+    return _native.other_cpus()
+
+
+@contextlib.contextmanager
+def _hashing(digest, unit_count: int):
+    """``update(chunk)``, which feeds ``digest`` the chunks of a pass of
+    ``unit_count`` units in order.
+
+    Where ``_helper_cpus`` names CPUs, one helper thread pinned to them
+    hashes each chunk: ``update`` waits until the chunk before is hashed,
+    hands this one over and returns, so the caller's next work overlaps
+    the hash.  Leaving the block waits for the last chunk and ends the
+    helper, also on an exception or a closed pass; an exception in the
+    helper is raised again in the caller.  Two chunks do not repay the
+    thread.  Otherwise ``update`` is ``digest.update``, on the caller's
+    thread.
+    """
+    cpus = _helper_cpus(unit_count)
+    if not cpus:
+        yield digest.update
+        return
+    import threading  # only a helper needs it: a bare interpreter starts without it
+
+    # Both start held: nothing handed over, nothing hashed.
+    given, hashed = threading.Lock(), threading.Lock()
+    given.acquire()
+    hashed.acquire()
+    chunk, pending, error = None, False, None
+
+    def helper():
+        nonlocal error
+        try:
+            while given.acquire() and chunk is not None:
+                digest.update(chunk)
+                hashed.release()
+        except BaseException as exc:  # wait() raises it again in the caller
+            error = exc
+            hashed.release()
+
+    def wait():
+        nonlocal pending
+        if pending:
+            hashed.acquire()
+            pending = False
+        if error is not None:
+            raise error
+
+    def update(piece: bytes):
+        nonlocal chunk, pending
+        wait()
+        chunk, pending = piece, True
+        given.release()
+
+    # A daemon: a pass left unfinished at exit does not hold the interpreter.
+    thread = threading.Thread(target=helper, name="sefrag-digest", daemon=True)
+    thread.start()
+    try:
+        os.sched_setaffinity(thread.native_id, cpus)  # the helper's alone
+        yield update
+        wait()
+    finally:
+        if pending:
+            hashed.acquire()
+        chunk = None
+        given.release()
+        thread.join()
+
+
 def protect_chunks(read, content_len: int, key: ProtectionKey):
     """Protect ``content_len`` bytes of content that ``read(n)`` hands
     over in order, one chunk at a time.
@@ -149,10 +231,11 @@ def protect_chunks(read, content_len: int, key: ProtectionKey):
     unit_count, tail_len = divmod(content_len, UNIT_LEN)
     digest = hashlib.sha256()
     protect_chunk = _kernel().protect
-    for start, stop in _chunks(unit_count):
-        units = read(UNIT_LEN * (stop - start))
-        digest.update(units)
-        yield protect_chunk(units, stop - start, key.bytes, start)
+    with _hashing(digest, unit_count) as update:
+        for start, stop in _chunks(unit_count):
+            units = read(UNIT_LEN * (stop - start))
+            update(units)
+            yield protect_chunk(units, stop - start, key.bytes, start)
     tail = read(tail_len)
     digest.update(tail)
     yield b"", tail + digest.digest()
@@ -170,12 +253,13 @@ def recover_chunks(read_public, read_private, content_len: int, key: ProtectionK
     unit_count, tail_len = divmod(content_len, UNIT_LEN)
     digest = hashlib.sha256()
     recover_chunk = _kernel().recover
-    for start, stop in _chunks(unit_count):
-        picked = read_private(SUB_LEN * (stop - start))
-        public = read_public(REMAINDER_LEN * (stop - start))
-        units = recover_chunk(public, picked, stop - start, key.bytes, start)
-        digest.update(units)
-        yield units
+    with _hashing(digest, unit_count) as update:
+        for start, stop in _chunks(unit_count):
+            picked = read_private(SUB_LEN * (stop - start))
+            public = read_public(REMAINDER_LEN * (stop - start))
+            units = recover_chunk(public, picked, stop - start, key.bytes, start)
+            update(units)
+            yield units
     tail = read_private(tail_len)
     digest.update(tail)
     yield tail

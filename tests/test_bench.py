@@ -9,7 +9,7 @@ import pytest
 from cryptography.hazmat.primitives import padding
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
-from sefrag import _native, bench, container, core
+from sefrag import _native, bench, cli, container, core
 from sefrag.core import ProtectionKey
 
 MIB = 1 << 20
@@ -91,6 +91,19 @@ def test_each_path_runs_once_per_iteration(monkeypatch):
     # No untimed pass is left: one seal per timed iteration.
     assert len(seals) == 2
     assert len(report.se_elapsed) == len(report.aes_baseline_elapsed) == 2
+
+
+def test_threads_counts_the_digest_helper(report, monkeypatch, capsys):
+    # Where the process may use a second CPU, the selective pass hashes its
+    # digest on a helper thread there, and the ratio is a two-core figure.
+    assert report.threads == (2 if len(os.sched_getaffinity(0)) > 1 else 1)
+    monkeypatch.setattr(_native, "other_cpus", set)
+    assert bench.run_bench(1, iterations=1).threads == 1
+    assert cli.main(["bench", "--size-mb", "1", "--iterations", "1"]) == 0
+    out, err = capsys.readouterr()
+    kernel, threads = err.splitlines()
+    assert kernel.startswith("kernel ") and threads == "threads 1"
+    assert len(out.splitlines()) == 9
 
 
 def test_rejects_bad_parameters():

@@ -494,7 +494,8 @@ class TestBenchCommand:
         out, err = capsys.readouterr()
         kernel = core._kernel()
         native = isinstance(kernel, _native.Kernel)
-        assert err.splitlines() == [f"kernel {kernel.name}"]
+        threads = 2 if len(os.sched_getaffinity(0)) > 1 else 1
+        assert err.splitlines() == [f"kernel {kernel.name}", f"threads {threads}"]
         assert kernel.name.startswith(f"native ({kernel.path}, " if native else "python (")
         labels = [line[:20].rstrip() for line in out.splitlines()]
         assert labels == ["input size", "iterations", "selective", "selective runs, ms",
@@ -503,7 +504,7 @@ class TestBenchCommand:
         python = _native.PythonKernel("cc: not found")
         monkeypatch.setattr(core, "_kernel", lambda: python)
         assert run_cli("bench", "--size-mb", 1, "--iterations", 1) == 0
-        assert capsys.readouterr().err == "kernel python (cc: not found)\n"
+        assert capsys.readouterr().err == f"kernel python (cc: not found)\nthreads {threads}\n"
 
     def test_bench_size_zero_exits_2(self):
         assert run_cli("bench", "--size-mb", 0) == 2

@@ -14,6 +14,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -181,6 +182,31 @@ def test_kernel_pairs_tool_runs_one_source_against_itself():
     for direction in ("protect_ms", "recover_ms"):
         assert [len(result[direction][side]) for side in ("old", "new")] == [1, 1]
         assert all(ms > 0 for side in ("old", "new") for ms in result[direction][side])
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="/proc/thread-self is Linux only")
+def test_other_cpus_leaves_out_the_one_the_caller_runs_on():
+    # A thread held to one CPU runs there alone: glibc's sched_getcpu and
+    # the kernel's record in /proc agree on it, and that thread has no
+    # other CPU to offer a helper.
+    if _native._sched_getcpu() is None:
+        pytest.skip("the C library has no sched_getcpu")
+    allowed, found = os.sched_getaffinity(0), {}
+
+    def pinned(cpu):
+        os.sched_setaffinity(0, {cpu})  # this thread's alone
+        fields = Path("/proc/thread-self/stat").read_text().rsplit(")", 1)[1].split()
+        found[cpu] = _native._sched_getcpu()(), int(fields[36]), _native.other_cpus()  # field 39, processor
+
+    for cpu in sorted(allowed):
+        thread = threading.Thread(target=pinned, args=(cpu,))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert found == {cpu: (cpu, cpu, set()) for cpu in allowed}
+    others = _native.other_cpus()
+    assert others < allowed and len(others) == len(allowed) - 1
+    assert os.sched_getaffinity(0) == allowed
 
 
 def test_kernel_checks_buffer_lengths_before_calling_c():

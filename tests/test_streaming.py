@@ -4,29 +4,34 @@ leaves the output untouched."""
 
 import collections
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import threading
+import types
 from pathlib import Path
 
 import pytest
 from conftest import _package_env
 
-from sefrag import cli, container
+from sefrag import _native, cli, container, core
 from sefrag.container import atomic_write
 from sefrag.core import CHUNK_UNITS, UNIT_LEN, ProtectionKey
-from sefrag.errors import FormatError
+from sefrag.errors import FormatError, IntegrityFailure
 
 KEY = "000102030405060708090a0b0c0d0e0f"
 CHUNK = CHUNK_UNITS * UNIT_LEN
 
 HEADS = {"raw": b"", "dicom": bytes(128) + b"DICM", "fixed:10": b"0123456789"}
-LENGTHS = [0, 1, 31, 32, 33, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7]
+LENGTHS = [0, 1, 31, 32, 33, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7, 3 * CHUNK + 5]
 
 # SHA-256 prefixes of the .puf and .prf bytes of every (mode, content
 # length) case, sealed with ``fake_urandom``; recorded before seal and
-# open became one streaming pass, so any change to the format shows.
+# open became one streaming pass, so any change to the format shows.  The
+# three-chunk cases, which reach the digest helper thread, were recorded on
+# the serial pass that came before it.
 FROZEN = {
     ("raw", 0): ("8d78ecfaf88f8d0a", "49ac2cd4c67f611d"),
     ("raw", 1): ("51ec6fac30492285", "333af9121773b567"),
@@ -37,6 +42,7 @@ FROZEN = {
     ("raw", 131072): ("06cda9a4fd4ae1cb", "5f96e7eed44bd706"),
     ("raw", 131073): ("18d97ee5587ac5ed", "911fcefad30386dc"),
     ("raw", 262151): ("592ecf13696d0c40", "7d0cae040ea1b5cc"),
+    ("raw", 393221): ("6b4fd6644f28aa58", "a5b7079a29a11195"),
     ("dicom", 0): ("abbaf64eb0dad450", "49ac2cd4c67f611d"),
     ("dicom", 1): ("6cb5b813a309b001", "333af9121773b567"),
     ("dicom", 31): ("87356688508bedef", "a96ecec77741f8b9"),
@@ -46,6 +52,7 @@ FROZEN = {
     ("dicom", 131072): ("b4e76abc6cbe6168", "5f96e7eed44bd706"),
     ("dicom", 131073): ("1c79d61c8a9049a6", "911fcefad30386dc"),
     ("dicom", 262151): ("813420f7c3bf65fe", "7d0cae040ea1b5cc"),
+    ("dicom", 393221): ("46eee584b63eba43", "a5b7079a29a11195"),
     ("fixed:10", 0): ("5062d8e003d43fb7", "49ac2cd4c67f611d"),
     ("fixed:10", 1): ("97eb02fb6330fb22", "333af9121773b567"),
     ("fixed:10", 31): ("f065509769f62094", "a96ecec77741f8b9"),
@@ -55,6 +62,7 @@ FROZEN = {
     ("fixed:10", 131072): ("c9114fea90f48657", "5f96e7eed44bd706"),
     ("fixed:10", 131073): ("6b0e04652cabd855", "911fcefad30386dc"),
     ("fixed:10", 262151): ("5c0c23855053084a", "7d0cae040ea1b5cc"),
+    ("fixed:10", 393221): ("fddd7d61d9663fad", "a5b7079a29a11195"),
 }
 
 
@@ -256,3 +264,148 @@ class TestShrinkingInput:
                         puf(puf_piece)
                         prf(prf_piece)
         assert os.listdir(vault) == []
+
+
+# The shortest pass that hashes its digest on a helper thread: three chunks.
+THREADED = 3 * CHUNK + 5
+ONE_CPU = len(os.sched_getaffinity(0)) < 2
+
+# Holds itself to one CPU, then runs a three-chunk pass and prints how many
+# threads were started and how many run.
+ONE_CPU_CHILD = """
+import os, threading
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from sefrag import core
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: (started.append(self), start(self))[1]
+content = os.urandom(%d)
+key = core.ProtectionKey.random()
+streams = core.protect(content, key)
+assert core.recover(*streams, key) == content
+print(len(started), threading.active_count())
+""" % THREADED
+
+
+def _threads_and_affinity():
+    return threading.active_count(), os.sched_getaffinity(0)
+
+
+class Boom(Exception):
+    pass
+
+
+class TestDigestHelper:
+    @pytest.mark.skipif(ONE_CPU, reason="this process may run on one CPU only, so no helper starts")
+    def test_helper_runs_off_the_callers_cpu(self, monkeypatch):
+        # Record the CPU the pass found its caller on, then look at the
+        # helper's own affinity while the pass is under way.
+        seen = []
+        sched_getcpu = _native._sched_getcpu()
+        monkeypatch.setattr(_native, "_sched_getcpu", lambda: lambda: seen.append(sched_getcpu()) or seen[-1])
+        content, key = os.urandom(THREADED), ProtectionKey.random()
+        before = set(threading.enumerate())
+        pieces = core.protect_chunks(io.BytesIO(content).read, len(content), key)
+        next(pieces)
+        (helper,) = set(threading.enumerate()) - before
+        (caller,) = seen
+        allowed = os.sched_getaffinity(0)
+        assert caller in allowed
+        assert os.sched_getaffinity(helper.native_id) == allowed - {caller}
+        pieces.close()
+        assert not helper.is_alive()
+
+    @pytest.mark.parametrize("how", ["completed", "closed", "read_raises", "integrity_failure"])
+    def test_pass_leaves_threads_and_affinity_as_it_found_them(self, how):
+        start = _threads_and_affinity()
+        content, key = os.urandom(THREADED), ProtectionKey.random()
+        if how == "completed":
+            streams = core.protect(content, key)
+            assert core.recover(*streams, key) == content
+        elif how == "closed":
+            pieces = core.protect_chunks(io.BytesIO(content).read, len(content), key)
+            next(pieces)
+            pieces.close()
+            streams = core.protect(content, key)
+            pieces = core.recover_chunks(io.BytesIO(streams.puf_payload).read, io.BytesIO(streams.prf_plain).read,
+                                         len(content), key)
+            next(pieces)
+            pieces.close()
+        elif how == "read_raises":
+            src = io.BytesIO(content)
+
+            def read(n):
+                if src.tell() >= CHUNK:
+                    raise OSError("the disk went away")
+                return src.read(n)
+
+            with pytest.raises(OSError, match="the disk went away"):
+                for _ in core.protect_chunks(read, len(content), key):
+                    pass
+        else:
+            puf, prf = container.seal(content, key)
+            raw = bytearray(puf.to_bytes())
+            raw[-1] ^= 0x01  # a public byte of the last chunk
+            with pytest.raises(IntegrityFailure, match="content digest mismatch"):
+                container.open(container.PufContainer.from_bytes(bytes(raw)), prf, key)
+        assert _threads_and_affinity() == start
+
+    def test_helper_exception_is_raised_in_the_caller(self, monkeypatch):
+        # The content digest, the one SHA-256 made empty, fails its second
+        # update: on the helper where one runs.
+        raisers = []
+
+        class Digest:
+            def __init__(self):
+                self.updates = 0
+
+            def update(self, data):
+                self.updates += 1
+                if self.updates == 2:
+                    raisers.append(threading.current_thread())
+                    raise Boom("digest failed")
+
+        def sha256(data=b""):
+            return hashlib.sha256(data) if data else Digest()
+
+        monkeypatch.setattr(core, "hashlib", types.SimpleNamespace(sha256=sha256))
+        start = _threads_and_affinity()
+        content = os.urandom(THREADED)
+        with pytest.raises(Boom, match="digest failed"):
+            for _ in core.protect_chunks(io.BytesIO(content).read, len(content), ProtectionKey.random()):
+                pass
+        assert _threads_and_affinity() == start
+        assert (raisers[0] is threading.current_thread()) == ONE_CPU
+
+    def test_concurrent_passes_under_fast_thread_switching(self):
+        # More callers than CPUs, each pass with its own helper, and the
+        # interpreter switching threads every microsecond: a chunk lost or
+        # hashed twice in a hand-over would break a digest.
+        done, interval = [], sys.getswitchinterval()
+
+        def caller(seed):
+            for n in range(3):
+                content = hashlib.shake_256(b"%d %d" % (seed, n)).digest(THREADED)
+                key = ProtectionKey(hashlib.sha256(content).digest()[:16])
+                streams = core.protect(content, key)
+                assert streams.prf_plain[-32:] == hashlib.sha256(content).digest()
+                assert core.recover(*streams, key) == content
+                done.append(seed)
+
+        callers = [threading.Thread(target=caller, args=(seed,)) for seed in range(len(os.sched_getaffinity(0)) + 2)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert sorted(done) == sorted(3 * list(range(len(callers))))
+
+    def test_child_held_to_one_cpu_starts_no_thread(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD], cwd=tmp_path, env=_package_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "1"]
