@@ -99,11 +99,6 @@ def _check_derive(iterations: int) -> None:
         raise ValueError("iterations must be positive")
 
 
-def _check_cbc(key: bytes, iv: bytes) -> None:
-    if len(key) != KEY_LEN or len(iv) != 16:
-        raise ValueError(f"need a 16-byte key and IV, got {len(key)} and {len(iv)} bytes")
-
-
 def _raise_on_failure(status, fn, args):
     if not status:
         raise RuntimeError(f"a libcrypto call failed in {fn.__name__}")
@@ -136,7 +131,8 @@ def cbc(key: bytes, iv: bytes, encrypt: bool):
     context, freed with ``update``, carries the chain.  Each update ciphers
     the whole blocks completed so far and keeps the partial block here, so
     EVP buffers none and writes exactly the bytes reserved for it."""
-    _check_cbc(key, iv)
+    if len(key) != KEY_LEN or len(iv) != 16:
+        raise ValueError(f"need a 16-byte key and IV, got {len(key)} and {len(iv)} bytes")
     lib, pending, outl = _libcrypto(), b"", _INT()
 
     def update(data: bytes) -> bytes:

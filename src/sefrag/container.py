@@ -29,16 +29,16 @@ tail and a 32-byte digest, PKCS#7-padded.  The padding, here, and
 AES-CBC, one ``sefrag._native.cbc`` stream per pass, run incrementally
 over each chunk's picked bytes.
 ``open_stream`` checks the pairing and ``ct_len`` before it asks for the
-key, then decrypts the last cipher block alone, so a wrong key fails on
-its padding before any work; it then decrypts the private stream in
-lockstep with the public payload (the picks of chunk k start at
-plaintext offset 4 * CHUNK_UNITS * k) and checks the content digest
-after the last piece.  Its pieces written through ``atomic_write`` are
-therefore renamed into place only once verified.  ``seal`` and ``open``
-run the same pass over bytes in memory, on ``PufContainer`` and
-``PrfContainer``; ``put``, ``request``, ``entropy`` and ``pdf`` keep
-sealed containers as bytes and parse only their headers (``pair_id``,
-``_strip_head``, ``body``).
+key.  Its one stream decrypts the padding block first, so a wrong key
+fails before any work, then restarts its chain at the IV and decrypts
+the private stream in lockstep with the public payload (the picks of
+chunk k start at plaintext offset 4 * CHUNK_UNITS * k); the content
+digest is checked after the last piece.  Its pieces written through
+``atomic_write`` are therefore renamed into place only once verified.
+``seal`` and ``open`` run the same pass over bytes in memory, on
+``PufContainer`` and ``PrfContainer``; ``put``, ``request``, ``entropy``
+and ``pdf`` keep sealed containers as bytes and parse only their
+headers (``pair_id``, ``_strip_head``, ``body``).
 """
 
 from __future__ import annotations
@@ -256,8 +256,9 @@ def open_stream(puf_src, prf_src, key_for):
     streaming pass; ``key_for(kdf_salt)`` gives the key.
 
     Both headers, the pairing and the private stream's length are
-    checked before ``key_for`` is called, and the padding after it; then
-    this returns an iterator of the plaintext pieces: the head, then the
+    checked before ``key_for`` is called; one AES stream then checks the
+    padding block, restarts its chain at the IV and decrypts the pass.
+    Returns an iterator of the plaintext pieces: the head, then the
     content chunk by chunk.  IntegrityFailure for foreign pairs, a wrong
     length, or a wrong key caught by the padding check; the iterator
     raises it again after its last piece for anything that slips past
@@ -274,25 +275,27 @@ def open_stream(puf_src, prf_src, key_for):
         raise IntegrityFailure(f"private stream is {ct_len} cipher bytes, pair expects {expected}")
     key = key_for(kdf_salt)
     from ._native import cbc  # _native imports this module
-    # The last cipher block (ct_len >= 48: the digest alone fills two),
-    # decrypted with the one before it as its IV, holds the padding: a
-    # wrong key fails here, before any work.
+    # One stream, chained from the second-to-last cipher block (ct_len >= 48),
+    # decrypts the last, which holds the padding: a wrong key fails here,
+    # before any work.  CBC chains each block to the cipher block before
+    # it, so decrypting iv next, its output dropped, restarts the chain at iv.
     body = prf_src.tell()
     prf_src.seek(body + ct_len - 32)
     prev, last = _read_exact(prf_src, 16), _read_exact(prf_src, 16)
-    if cbc(key.bytes, prev, False)(last)[-pad:] != bytes([pad]) * pad:
+    decrypt = cbc(key.bytes, prev, False)
+    if decrypt(last)[-pad:] != bytes([pad]) * pad:
         raise IntegrityFailure("private stream padding invalid (wrong key?)")
+    decrypt(iv)
     prf_src.seek(body)
-    decrypt = cbc(key.bytes, iv, False)
-    pending = bytearray()
+    held = b""
 
     def read_private(n: int) -> bytes:
         # Decrypt whole blocks, as many as the next n plaintext bytes need.
-        need = n - len(pending)
+        nonlocal held
+        need = n - len(held)
         if need > 0:
-            pending.extend(decrypt(_read_exact(prf_src, -(-need // 16) * 16)))
-        piece = bytes(pending[:n])
-        del pending[:n]
+            held += decrypt(_read_exact(prf_src, -(-need // 16) * 16))
+        piece, held = held[:n], held[n:]
         return piece
 
     def pieces():

@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -93,16 +94,34 @@ def test_each_path_runs_once_per_iteration(monkeypatch):
     assert len(report.se_elapsed) == len(report.aes_baseline_elapsed) == 2
 
 
-def test_threads_counts_the_digest_helper(report, monkeypatch, capsys):
+def test_threads_counts_the_digest_helper(monkeypatch, capsys):
     # Where the process may use a second CPU, the selective pass hashes its
     # digest on a helper thread there, and the ratio is a two-core figure.
-    assert report.threads == (2 if len(os.sched_getaffinity(0)) > 1 else 1)
+    # The helper is seen, not derived: the threads alive at each chunk call.
+    kernel, seen = core._kernel(), set()
+
+    class Watching:
+        """The loaded kernel, noting the threads alive at each protect call."""
+
+        name = kernel.name
+
+        def protect(self, *args):
+            seen.update(thread.name for thread in threading.enumerate())
+            return kernel.protect(*args)
+
+    monkeypatch.setattr(core, "_kernel", Watching)
+    threads = bench.run_bench(1, iterations=1).threads
+    assert threads == (2 if "sefrag-digest" in seen else 1)
+    if len(os.sched_getaffinity(0)) > 1:
+        assert "sefrag-digest" in seen
+    seen.clear()
     monkeypatch.setattr(_native, "other_cpus", set)
     assert bench.run_bench(1, iterations=1).threads == 1
+    assert "sefrag-digest" not in seen
     assert cli.main(["bench", "--size-mb", "1", "--iterations", "1"]) == 0
     out, err = capsys.readouterr()
-    kernel, threads = err.splitlines()
-    assert kernel.startswith("kernel ") and threads == "threads 1"
+    kernel_line, threads = err.splitlines()
+    assert kernel_line.startswith("kernel ") and threads == "threads 1"
     assert len(out.splitlines()) == 9
 
 

@@ -360,39 +360,63 @@ class TestCbc:
         update(bytes(16))
         assert "EVP_CipherUpdate" in looked_up
 
-    def test_every_stream_frees_its_one_context(self, monkeypatch):
-        lib, counts = _native._libcrypto(), collections.Counter()
+    @pytest.fixture
+    def libcrypto_calls(self, monkeypatch):
+        """A Counter of the contexts ``cbc`` makes and frees, and the byte
+        counts it gives ``EVP_CipherUpdate`` (under ``"update bytes"``),
+        counted by a proxy in front of libcrypto."""
+        lib, calls = _native._libcrypto(), collections.Counter()
 
         class Counting:
-            """libcrypto, counting the contexts made and freed."""
+            """libcrypto, counting the contexts and the bytes ciphered."""
 
             def __getattr__(self, name):
                 fn = getattr(lib, name)
-                if name not in ("EVP_CIPHER_CTX_new", "EVP_CIPHER_CTX_free"):
+                if name not in ("EVP_CIPHER_CTX_new", "EVP_CIPHER_CTX_free", "EVP_CipherUpdate"):
                     return fn
 
                 def counted(*args):
-                    counts[name] += 1
+                    calls[name] += 1
+                    if name == "EVP_CipherUpdate":
+                        calls["update bytes"] += args[4]
                     return fn(*args)
 
                 return counted
 
         monkeypatch.setattr(_native, "_libcrypto", Counting)
+        return calls
+
+    def test_every_stream_frees_its_one_context(self, libcrypto_calls):
         rng = random.Random(33)
         key, data = ProtectionKey(rng.randbytes(16)), rng.randbytes(3 * core.CHUNK_UNITS * core.UNIT_LEN + 4096)
-        puf, prf = container.seal(data, key)  # one stream
-        assert container.open(puf, prf, key) == data  # two: the padding check and the pass
+        puf, prf = container.seal(data, key)  # one
+        assert container.open(puf, prf, key) == data  # one: the padding check and the pass
         _, pieces = container.seal_stream(io.BytesIO(data), lambda _salt: key)
         next(pieces), next(pieces)  # the headers and the first chunk, then dropped: one
         del pieces
         with pytest.raises(IntegrityFailure, match="padding"):  # one
             container.open(puf, prf, ProtectionKey(rng.randbytes(16)))
         flipped = prf._replace(ciphertext=bytes([prf.ciphertext[0] ^ 1]) + prf.ciphertext[1:])
-        with pytest.raises(IntegrityFailure, match="digest"):  # two
+        with pytest.raises(IntegrityFailure, match="digest"):  # one
             container.open(puf, flipped, key)
         gc.collect()
-        # Once per stream, not per chunk: each pass above spans four chunks.
-        assert counts == {"EVP_CIPHER_CTX_new": 7, "EVP_CIPHER_CTX_free": 7}
+        # Once per pass, not per chunk: each pass above spans four chunks.
+        assert (libcrypto_calls["EVP_CIPHER_CTX_new"], libcrypto_calls["EVP_CIPHER_CTX_free"]) == (5, 5)
+
+    def test_a_wrong_key_fails_on_one_block_before_any_public_byte(self, libcrypto_calls):
+        rng = random.Random(35)
+        key, data = ProtectionKey(rng.randbytes(16)), rng.randbytes(3 * core.CHUNK_UNITS * core.UNIT_LEN + 4096)
+        puf, prf = container.seal(data, key)
+        gc.collect()
+        libcrypto_calls.clear()
+        puf_src, prf_src = io.BytesIO(puf.to_bytes()), io.BytesIO(prf.to_bytes())
+        with pytest.raises(IntegrityFailure, match="padding"):
+            container.open_stream(puf_src, prf_src, lambda _salt: ProtectionKey(rng.randbytes(16)))
+        gc.collect()
+        # One context, one block deciphered, and the .puf still at its payload.
+        assert libcrypto_calls == {"EVP_CIPHER_CTX_new": 1, "EVP_CIPHER_CTX_free": 1,
+                                   "EVP_CipherUpdate": 1, "update bytes": 16}
+        assert puf_src.tell() == len(puf.to_bytes()) - len(puf.puf_payload)
 
     def test_a_libcrypto_without_the_evp_calls_is_an_os_error(self, monkeypatch):
         monkeypatch.setitem(_native._EVP_SIGNATURES, "EVP_sefrag_no_such_call", (None, ()))
