@@ -93,21 +93,18 @@ def cmd_protect(args) -> int:
     stem = Path(args.input).stem or Path(args.input).name
     with Path(args.input).open("rb") as src:
         salt = container.ZERO_SALT if args.key_hex else os.urandom(16)
-        file_id, pieces = container.seal_stream(src, lambda kdf_salt: _key(args, kdf_salt), args.mode, salt)
+        file_id, seal = container.seal_stream(src, lambda kdf_salt: _key(args, kdf_salt), args.mode, salt)
         with atomic_write(out_dir / (stem + ".puf")) as puf, atomic_write(out_dir / (stem + ".prf")) as prf:
-            for puf_piece, prf_piece in pieces:
-                puf(puf_piece)
-                prf(prf_piece)
+            seal(puf, prf)
     print(file_id.hex())
     return 0
 
 
 def cmd_recover(args) -> int:
     with Path(args.puf).open("rb") as puf, Path(args.prf).open("rb") as prf:
-        pieces = container.open_stream(puf, prf, lambda kdf_salt: _key(args, kdf_salt))
+        recover = container.open_stream(puf, prf, lambda kdf_salt: _key(args, kdf_salt))
         with atomic_write(args.out) as write:
-            for piece in pieces:
-                write(piece)
+            recover(write)
     return 0
 
 

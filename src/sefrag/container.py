@@ -21,20 +21,23 @@ public container; flag bit 0 marks it stripped for anonymized release.
 ``seal_stream`` and ``open_stream`` are one pass over binary files,
 ``core.CHUNK_UNITS`` units at a time, so their memory does not grow with
 the file.  Both call ``key_for(kdf_salt)`` only once the input's
-structure is checked.  The headers go out first: the ``.puf`` header
-needs only the head and the content length, which the input's size
-gives, and the ``.prf`` header's ``ct_len`` follows from the content
-length (``_private_sizes``): the private stream is 4 bytes per unit, the
-tail and a 32-byte digest, PKCS#7-padded.  The padding, here, and
-AES-CBC, one ``sefrag._native.cbc`` stream per pass, run incrementally
-over each chunk's picked bytes.
+structure is checked, and then return a callable that runs the pass into
+the writers it is given; the digest helper of a long pass writes the
+large stream (the ``.puf`` payload, or the content) and is joined before
+that callable returns or raises.  The headers go out first: the ``.puf``
+header needs only the head and the content length, which the input's
+size gives, and the ``.prf`` header's ``ct_len`` follows from the
+content length (``_private_sizes``): the private stream is 4 bytes per
+unit, the tail and a 32-byte digest, PKCS#7-padded.  The padding, here,
+and AES-CBC, one ``sefrag._native.cbc`` stream per pass, run
+incrementally over each chunk's picked bytes.
 ``open_stream`` checks the pairing and ``ct_len`` before it asks for the
 key.  Its one stream decrypts the padding block first, so a wrong key
 fails before any work, then restarts its chain at the IV and decrypts
 the private stream in lockstep with the public payload (the picks of
 chunk k start at plaintext offset 4 * CHUNK_UNITS * k); the content
-digest is checked after the last piece.  Its pieces written through
-``atomic_write`` are therefore renamed into place only once verified.
+digest is checked after the last piece.  Its output written through
+``atomic_write`` is therefore renamed into place only once verified.
 ``seal`` and ``open`` run the same pass over bytes in memory, on
 ``PufContainer`` and ``PrfContainer``; ``put``, ``request``, ``entropy``
 and ``pdf`` keep sealed containers as bytes and parse only their
@@ -225,12 +228,14 @@ def _private_sizes(content_len: int) -> tuple[int, int]:
 def seal_stream(src, key_for, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
     """Seal the seekable binary file ``src`` in one streaming pass.
 
-    Returns the new pair's file id and an iterator of ``(puf, prf)``
-    byte pieces: the two headers, then one piece each per chunk, which
-    written in order make the two containers.  The head is checked
-    before ``key_for(kdf_salt)`` gives the key, both before this returns.
-    ``kdf_salt`` records how the key was derived so the recovering side
-    can repeat the derivation; all zeros means a raw key was supplied.
+    Returns the new pair's file id and ``seal(write_puf, write_prf)``,
+    which runs the pass: each writer gets its container's header, then
+    its pieces in order, and ``seal`` returns once all are written
+    (``write_puf`` runs on the digest helper where ``core`` starts one).
+    The head is checked before ``key_for(kdf_salt)`` gives the key, both
+    before this returns.  ``kdf_salt`` records how the key was derived
+    so the recovering side can repeat the derivation; all zeros means a
+    raw key was supplied.
     """
     size = _size(src)
     head = _read_head(src, size, mode)
@@ -240,15 +245,16 @@ def seal_stream(src, key_for, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
     file_id = os.urandom(FILE_ID_LEN)
     iv = os.urandom(16)
 
-    def pieces():
+    def seal(write_puf, write_prf):
         from ._native import cbc  # _native imports this module
-        yield _puf_header(file_id, head, content_len), _prf_header(file_id, kdf_salt, iv, ct_len)
+        write_puf(_puf_header(file_id, head, content_len))
+        write_prf(_prf_header(file_id, kdf_salt, iv, ct_len))
         encrypt = cbc(key.bytes, iv, True)
-        for public, private in core.protect_chunks(lambda n: _read_exact(src, n), content_len, key):
-            yield public, encrypt(private)
-        yield b"", encrypt(bytes([pad]) * pad)
+        core.protect_chunks(lambda n: _read_exact(src, n), content_len, key, write_puf,
+                            lambda private: write_prf(encrypt(private)))
+        write_prf(encrypt(bytes([pad]) * pad))
 
-    return file_id, pieces()
+    return file_id, seal
 
 
 def open_stream(puf_src, prf_src, key_for):
@@ -258,11 +264,12 @@ def open_stream(puf_src, prf_src, key_for):
     Both headers, the pairing and the private stream's length are
     checked before ``key_for`` is called; one AES stream then checks the
     padding block, restarts its chain at the IV and decrypts the pass.
-    Returns an iterator of the plaintext pieces: the head, then the
-    content chunk by chunk.  IntegrityFailure for foreign pairs, a wrong
-    length, or a wrong key caught by the padding check; the iterator
-    raises it again after its last piece for anything that slips past
-    them.
+    Returns ``recover(write)``, which runs the pass: ``write`` gets the
+    head, then the content chunk by chunk (on the digest helper where
+    ``core`` starts one), then the tail.  IntegrityFailure for foreign
+    pairs, a wrong length, or a wrong key caught by the padding check;
+    ``recover`` raises it after its last piece for anything that slips
+    past them.
     """
     _, file_id, head, content_len = _read_puf_header(puf_src, _size(puf_src))
     prf_id, kdf_salt, iv, ct_len = _read_prf_header(prf_src, _size(prf_src))
@@ -298,11 +305,11 @@ def open_stream(puf_src, prf_src, key_for):
         piece, held = held[:n], held[n:]
         return piece
 
-    def pieces():
-        yield head
-        yield from core.recover_chunks(lambda n: _read_exact(puf_src, n), read_private, content_len, key)
+    def recover(write):
+        write(head)
+        core.recover_chunks(lambda n: _read_exact(puf_src, n), read_private, content_len, key, write)
 
-    return pieces()
+    return recover
 
 
 def seal(
@@ -312,15 +319,18 @@ def seal(
     kdf_salt: bytes = ZERO_SALT,
 ) -> tuple[PufContainer, PrfContainer]:
     """``seal_stream`` over bytes in memory: a public/private container pair."""
-    _, pieces = seal_stream(io.BytesIO(data), lambda _salt: key, mode, kdf_salt)
-    puf, prf = zip(*pieces)
+    _, run = seal_stream(io.BytesIO(data), lambda _salt: key, mode, kdf_salt)
+    puf, prf = [], []
+    run(puf.append, prf.append)
     return PufContainer.from_bytes(b"".join(puf)), PrfContainer.from_bytes(b"".join(prf))
 
 
 def open(puf: PufContainer, prf: PrfContainer, key: ProtectionKey) -> bytes:
     """Inverse of ``seal``: ``open_stream`` over the pair in memory;
     returns head + content, or raises as ``open_stream`` does."""
-    return b"".join(open_stream(io.BytesIO(puf.to_bytes()), io.BytesIO(prf.to_bytes()), lambda _salt: key))
+    pieces = []
+    open_stream(io.BytesIO(puf.to_bytes()), io.BytesIO(prf.to_bytes()), lambda _salt: key)(pieces.append)
+    return b"".join(pieces)
 
 
 @contextlib.contextmanager

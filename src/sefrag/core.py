@@ -12,27 +12,29 @@ attacker can recover each unit by trying the 2^32 values of its
 selected sub-fragment and keeping the one whose unit looks plausible.
 
 ``protect_chunks`` and ``recover_chunks`` are the one streaming pass:
-they read the content (or the two streams) through ``read(n)``
-callables and yield their output chunk by chunk, at most
-``CHUNK_UNITS`` units at a time, while the SHA-256 content digest
-advances with them in ``hashlib``.  Each chunk is one call to the
-kernel ``_kernel()`` returns (``sefrag._native``: the C library or its
+they read the content (or the two streams) through ``read(n)`` callables
+and hand their output to ``write(piece)`` callables chunk by chunk, at
+most ``CHUNK_UNITS`` units at a time, while the SHA-256 content digest
+advances with them in ``hashlib``.  Each chunk is one call to the kernel
+``_kernel()`` returns (``sefrag._native``: the C library or its
 pure-Python counterpart, same bytes), which derives the chunk's
-selectors from the key and the index of its first unit, so each chunk
-is a pure function of its bytes, the key and that index.  This module
-holds the format the kernel computes: the key, the selector stream and
-the pass.  ``protect`` and ``recover`` run the same pass over bytes
-held in memory.
+selectors from the key and the index of its first unit, so each chunk is
+a pure function of its bytes, the key and that index.  This module holds
+the format the kernel computes: the key, the selector stream and the
+pass.  ``protect`` and ``recover`` run the same pass over bytes held in
+memory.
 
 A pass of three chunks or more, in a process allowed on a CPU other
-than the caller's, hashes its digest on one helper thread pinned to
-those other CPUs, beside the kernel on the caller's thread, with at most
-one chunk in flight; the helper ends with the pass, also when the pass
-is closed early or raises.  Shorter passes, and a process held to one
-CPU, start no thread.  The caller's and the process's affinity never
-change.  Apart from the ``read`` callables the streaming pass consumes,
-that helper and the kernel's one-time build, all functions are pure;
-keys and streams are plain immutable bytes, so concurrent use is safe.
+than the caller's, hashes its digest and writes its large stream (the
+public payload, or the recovered content) on one helper thread pinned
+to those other CPUs, beside the kernel on the caller's thread, with at
+most one chunk in flight; the helper is joined before the pass returns
+or raises, so no write outlives the call.  Shorter passes, and a
+process held to one CPU, start no thread and write on the caller's.
+The caller's and the process's affinity never change.  Apart from the
+``read`` and ``write`` callables the streaming pass is given, that
+helper and the kernel's one-time build, all functions are pure; keys
+and streams are plain immutable bytes, so concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -154,53 +156,60 @@ def _helper_cpus(unit_count: int) -> set[int]:
 
 
 @contextlib.contextmanager
-def _hashing(digest, unit_count: int):
-    """``update(chunk)``, which feeds ``digest`` the chunks of a pass of
-    ``unit_count`` units in order.
+def _hashing(digest, unit_count: int, write):
+    """``update(chunk, piece)``, which feeds ``digest`` the chunks of a
+    pass of ``unit_count`` units in order and then hands each chunk's
+    ``piece`` of the large stream to ``write``.
 
     Where ``_helper_cpus`` names CPUs, one helper thread pinned to them
-    hashes each chunk: ``update`` waits until the chunk before is hashed,
-    hands this one over and returns, so the caller's next work overlaps
-    the hash.  Leaving the block waits for the last chunk and ends the
-    helper, also on an exception or a closed pass; an exception in the
-    helper is raised again in the caller.  Two chunks do not repay the
-    thread.  Otherwise ``update`` is ``digest.update``, on the caller's
-    thread.
+    hashes each chunk and writes its piece: ``update`` waits until the
+    chunk before is done, hands this one over and returns, so the
+    caller's next work overlaps the hash and the write.  Leaving the
+    block waits for the last chunk and ends the helper, also on an
+    exception, so no write outlives the block; an exception in the
+    helper ends its work and is raised again in the caller.  Two chunks
+    do not repay the thread.  Otherwise ``update`` hashes and writes on
+    the caller's thread.
     """
     cpus = _helper_cpus(unit_count)
     if not cpus:
-        yield digest.update
+        def update(chunk: bytes, piece: bytes):
+            digest.update(chunk)
+            write(piece)
+
+        yield update
         return
     import threading  # only a helper needs it: a bare interpreter starts without it
 
-    # Both start held: nothing handed over, nothing hashed.
-    given, hashed = threading.Lock(), threading.Lock()
+    # Both start held: nothing handed over, nothing done.
+    given, done = threading.Lock(), threading.Lock()
     given.acquire()
-    hashed.acquire()
-    chunk, pending, error = None, False, None
+    done.acquire()
+    work, pending, error = None, False, None
 
     def helper():
         nonlocal error
         try:
-            while given.acquire() and chunk is not None:
-                digest.update(chunk)
-                hashed.release()
+            while given.acquire() and work is not None:
+                digest.update(work[0])
+                write(work[1])
+                done.release()
         except BaseException as exc:  # wait() raises it again in the caller
             error = exc
-            hashed.release()
+            done.release()
 
     def wait():
         nonlocal pending
         if pending:
-            hashed.acquire()
+            done.acquire()
             pending = False
         if error is not None:
             raise error
 
-    def update(piece: bytes):
-        nonlocal chunk, pending
+    def update(chunk: bytes, piece: bytes):
+        nonlocal work, pending
         wait()
-        chunk, pending = piece, True
+        work, pending = (chunk, piece), True
         given.release()
 
     # A daemon: a pass left unfinished at exit does not hold the interpreter.
@@ -212,40 +221,46 @@ def _hashing(digest, unit_count: int):
         wait()
     finally:
         if pending:
-            hashed.acquire()
-        chunk = None
+            done.acquire()
+        work = None
         given.release()
         thread.join()
 
 
-def protect_chunks(read, content_len: int, key: ProtectionKey):
+def protect_chunks(read, content_len: int, key: ProtectionKey, write_public, write_private):
     """Protect ``content_len`` bytes of content that ``read(n)`` hands
-    over in order, one chunk at a time.
+    over in order, one chunk at a time, and return once every piece is
+    written.
 
-    Yields ``(public, private)`` per chunk of units: the chunk's
-    protected remainders and its selected sub-fragments.  Then one last
-    pair ``(b"", tail + SHA-256(content))``: the tail (content length
-    mod 32) goes verbatim into the private stream, never keystream
-    protected, so sub-unit files end up fully cipher-protected.
+    Per chunk of units, ``write_public`` gets the chunk's protected
+    remainders and ``write_private`` its selected sub-fragments; then
+    ``write_private`` gets ``tail + SHA-256(content)``: the tail (content
+    length mod 32) goes verbatim into the private stream, never
+    keystream protected, so sub-unit files end up fully
+    cipher-protected.  ``write_public`` runs on the digest helper where
+    ``_hashing`` starts one, and ``write_private`` on the caller's thread.
     """
     unit_count, tail_len = divmod(content_len, UNIT_LEN)
     digest = hashlib.sha256()
     protect_chunk = _kernel().protect
-    with _hashing(digest, unit_count) as update:
+    with _hashing(digest, unit_count, write_public) as update:
         for start, stop in _chunks(unit_count):
             units = read(UNIT_LEN * (stop - start))
-            update(units)
-            yield protect_chunk(units, stop - start, key.bytes, start)
+            public, private = protect_chunk(units, stop - start, key.bytes, start)
+            update(units, public)
+            write_private(private)
     tail = read(tail_len)
     digest.update(tail)
-    yield b"", tail + digest.digest()
+    write_private(tail + digest.digest())
 
 
-def recover_chunks(read_public, read_private, content_len: int, key: ProtectionKey):
-    """Inverse of ``protect_chunks``: yield the content chunk by chunk,
-    reading each chunk's public remainders and selected sub-fragments
-    in lockstep, then the tail.
+def recover_chunks(read_public, read_private, content_len: int, key: ProtectionKey, write):
+    """Inverse of ``protect_chunks``: ``write`` the content chunk by
+    chunk, reading each chunk's public remainders and selected
+    sub-fragments in lockstep, then the tail.
 
+    ``write`` runs on the digest helper where ``_hashing`` starts one;
+    the tail follows on the caller's thread once the helper has ended.
     Raises IntegrityFailure after the last piece when the content does
     not match the digest that ends the private stream: wrong key,
     corrupted fragment, or a mismatched pair.
@@ -253,26 +268,26 @@ def recover_chunks(read_public, read_private, content_len: int, key: ProtectionK
     unit_count, tail_len = divmod(content_len, UNIT_LEN)
     digest = hashlib.sha256()
     recover_chunk = _kernel().recover
-    with _hashing(digest, unit_count) as update:
+    with _hashing(digest, unit_count, write) as update:
         for start, stop in _chunks(unit_count):
             picked = read_private(SUB_LEN * (stop - start))
             public = read_public(REMAINDER_LEN * (stop - start))
             units = recover_chunk(public, picked, stop - start, key.bytes, start)
-            update(units)
-            yield units
+            update(units, units)
     tail = read_private(tail_len)
     digest.update(tail)
-    yield tail
+    write(tail)
     if digest.digest() != read_private(DIGEST_LEN):
         raise IntegrityFailure("content digest mismatch")
 
 
 def protect(content: bytes, key: ProtectionKey) -> ProtectedStreams:
     """Split content into protected public and private streams: the
-    chunks of ``protect_chunks`` joined in memory.  The CLI and
+    pieces of ``protect_chunks`` joined in memory.  The CLI and
     ``sefrag bench`` run the streaming pass through
     ``container.seal_stream`` instead."""
-    publics, privates = zip(*protect_chunks(io.BytesIO(content).read, len(content), key))
+    publics, privates = [], []
+    protect_chunks(io.BytesIO(content).read, len(content), key, publics.append, privates.append)
     return ProtectedStreams(b"".join(publics), b"".join(privates))
 
 
@@ -282,7 +297,7 @@ def recover(puf_payload: bytes, prf_plain: bytes, key: ProtectionKey) -> bytes:
     Raises FormatError when the stream lengths cannot belong to one
     protection pass, and IntegrityFailure when the digest check fails.
     No attempted output is kept; a caller that wants the unverified
-    pieces iterates ``recover_chunks``, which yields them before it
+    pieces calls ``recover_chunks``, which writes them before it
     raises.
     """
     unit_count, extra = divmod(len(puf_payload), REMAINDER_LEN)
@@ -290,4 +305,6 @@ def recover(puf_payload: bytes, prf_plain: bytes, key: ProtectionKey) -> bytes:
     if extra or not 0 <= tail_len < UNIT_LEN:
         raise FormatError("stream lengths cannot come from one protection pass")
     content_len = UNIT_LEN * unit_count + tail_len
-    return b"".join(recover_chunks(io.BytesIO(puf_payload).read, io.BytesIO(prf_plain).read, content_len, key))
+    pieces = []
+    recover_chunks(io.BytesIO(puf_payload).read, io.BytesIO(prf_plain).read, content_len, key, pieces.append)
+    return b"".join(pieces)

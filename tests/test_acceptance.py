@@ -108,10 +108,9 @@ def test_key_compromise_resilience():
             forged_prf = bytes(core.SUB_LEN * unit_count + core.DIGEST_LEN)
             pieces = []
             try:
-                for piece in core.recover_chunks(
-                    io.BytesIO(streams.puf_payload).read, io.BytesIO(forged_prf).read, len(content), key
-                ):
-                    pieces.append(piece)
+                core.recover_chunks(
+                    io.BytesIO(streams.puf_payload).read, io.BytesIO(forged_prf).read, len(content), key, pieces.append
+                )
                 silent += 1
             except IntegrityFailure:
                 attempted = b"".join(pieces)

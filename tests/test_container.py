@@ -67,11 +67,15 @@ CONTAINER_BYTES = (
 # The file readers behind open_stream, given raw bytes as one half of a
 # real pair and run to the end of the pass.
 def _open_as_puf(raw: bytes) -> list[bytes]:
-    return list(container.open_stream(io.BytesIO(raw), io.BytesIO(_SEALED[1]), lambda _salt: KEY))
+    pieces = []
+    container.open_stream(io.BytesIO(raw), io.BytesIO(_SEALED[1]), lambda _salt: KEY)(pieces.append)
+    return pieces
 
 
 def _open_as_prf(raw: bytes) -> list[bytes]:
-    return list(container.open_stream(io.BytesIO(_SEALED[0]), io.BytesIO(raw), lambda _salt: KEY))
+    pieces = []
+    container.open_stream(io.BytesIO(_SEALED[0]), io.BytesIO(raw), lambda _salt: KEY)(pieces.append)
+    return pieces
 
 
 def split_by_seal(data: bytes, mode: str) -> tuple[bytes, bytes]:

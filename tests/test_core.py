@@ -538,10 +538,9 @@ class TestRecover:
         # The streaming pass hands over every piece before it raises.
         attempted = []
         with pytest.raises(IntegrityFailure):
-            for piece in core.recover_chunks(
-                io.BytesIO(bytes(tampered)).read, io.BytesIO(streams.prf_plain).read, 128, ZERO_KEY
-            ):
-                attempted.append(piece)
+            core.recover_chunks(
+                io.BytesIO(bytes(tampered)).read, io.BytesIO(streams.prf_plain).read, 128, ZERO_KEY, attempted.append
+            )
         assert attempted
         assert len(b"".join(attempted)) == 128
 
@@ -601,10 +600,11 @@ class TestKernelPaths:
     def test_chunks_match_reference(self, each_kernel_path, length):
         key, content, (public, private) = _reference_case(length)
         for path, *_ in each_kernel_path():
-            pieces = list(core.protect_chunks(io.BytesIO(content).read, length, key))
-            assert b"".join(p for p, _ in pieces) == public, path
-            assert b"".join(q for _, q in pieces) == private, path
-            recovered = core.recover_chunks(io.BytesIO(public).read, io.BytesIO(private).read, length, key)
+            publics, privates, recovered = [], [], []
+            core.protect_chunks(io.BytesIO(content).read, length, key, publics.append, privates.append)
+            assert b"".join(publics) == public, path
+            assert b"".join(privates) == private, path
+            core.recover_chunks(io.BytesIO(public).read, io.BytesIO(private).read, length, key, recovered.append)
             assert b"".join(recovered) == content, path
 
     @per_kernel_family
@@ -622,10 +622,10 @@ class TestKernelPaths:
         short = content[:self.C + 64]
         for path, *_ in each_kernel_path():
             with pytest.raises(ValueError):
-                list(core.protect_chunks(io.BytesIO(short).read, len(content), key))
+                core.protect_chunks(io.BytesIO(short).read, len(content), key, len, len)
             for pub, priv in ((public[:self.C], private), (public, private[:100]), (public, private[:99])):
                 with pytest.raises(ValueError):
-                    list(core.recover_chunks(io.BytesIO(pub).read, io.BytesIO(priv).read, len(content), key))
+                    core.recover_chunks(io.BytesIO(pub).read, io.BytesIO(priv).read, len(content), key, len)
 
     def test_unit_indices_past_u64_raise_on_both_kernels(self, each_kernel_path):
         # C takes the first unit index as a u64; neither kernel may wrap it.

@@ -66,3 +66,34 @@ def test_protect_killed_anywhere_leaves_each_fragment_whole_or_absent(tmp_path):
         with protect(out_dir) as rerun:
             assert rerun.wait(timeout=60) == 0, f"{where}; rerun: {rerun.stderr.read()}"
         assert {path.suffix: path.stat().st_size for path in (puf, prf)} == sizes, where
+
+
+def test_recover_killed_anywhere_leaves_the_output_whole_or_absent(tmp_path):
+    data = random.Random(38).randbytes(8 << 20)
+    src, vault = tmp_path / "in.bin", tmp_path / "vault"
+    src.write_bytes(data)
+    assert main(["protect", str(src), "--mode", "raw", "--key-hex", KEY, "--out-dir", str(vault)]) == 0
+
+    def recover(out) -> subprocess.Popen:
+        return sefrag("recover", vault / "in.puf", vault / "in.prf", "--key-hex", KEY, "--out", out)
+
+    # The second of two full runs is timed: the first also warms the caches.
+    for _ in range(2):
+        start = time.perf_counter()
+        with recover(tmp_path / "full.bin") as child:
+            assert child.wait(timeout=60) == 0, child.stderr.read()
+        runtime = time.perf_counter() - start
+
+    for k, delay in enumerate(kill_points(runtime, seed=39)):
+        out_dir = tmp_path / f"kill-{k}"
+        out = out_dir / "back.bin"
+        with recover(out) as child:
+            time.sleep(delay)
+            child.send_signal(signal.SIGKILL)  # a no-op if it has already exited
+            child.wait(timeout=60)
+        temps = sorted(p.name for p in out_dir.glob(".*.tmp")) if out_dir.exists() else []
+        where = f"killed at {delay * 1e3:.0f} of {runtime * 1e3:.0f} ms, {len(temps)} temp files left: {temps}"
+        assert not out.exists() or out.read_bytes() == data, where
+        with recover(out) as rerun:
+            assert rerun.wait(timeout=60) == 0, f"{where}; rerun: {rerun.stderr.read()}"
+        assert out.read_bytes() == data, where

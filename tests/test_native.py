@@ -391,9 +391,17 @@ class TestCbc:
         key, data = ProtectionKey(rng.randbytes(16)), rng.randbytes(3 * core.CHUNK_UNITS * core.UNIT_LEN + 4096)
         puf, prf = container.seal(data, key)  # one
         assert container.open(puf, prf, key) == data  # one: the padding check and the pass
-        _, pieces = container.seal_stream(io.BytesIO(data), lambda _salt: key)
-        next(pieces), next(pieces)  # the headers and the first chunk, then dropped: one
-        del pieces
+        _, run = container.seal_stream(io.BytesIO(data), lambda _salt: key)
+        written = []
+
+        def write_prf(piece):
+            if len(written) == 2:
+                raise OSError("disk full")
+            written.append(piece)
+
+        with pytest.raises(OSError, match="disk full"):  # the header and the first chunk, then a failed write: one
+            run(len, write_prf)
+        del run
         with pytest.raises(IntegrityFailure, match="padding"):  # one
             container.open(puf, prf, ProtectionKey(rng.randbytes(16)))
         flipped = prf._replace(ciphertext=bytes([prf.ciphertext[0] ^ 1]) + prf.ciphertext[1:])

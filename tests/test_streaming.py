@@ -1,6 +1,7 @@
 """The streaming seal/open pass: on-disk bytes frozen across the rewrite,
-peak memory that does not grow with the file, and a failed recover that
-leaves the output untouched."""
+peak memory that does not grow with the file, a failed recover that
+leaves the output untouched, and the digest helper thread with the
+writes it takes over."""
 
 import collections
 import hashlib
@@ -22,6 +23,7 @@ from sefrag.core import CHUNK_UNITS, UNIT_LEN, ProtectionKey
 from sefrag.errors import FormatError, IntegrityFailure
 
 KEY = "000102030405060708090a0b0c0d0e0f"
+PROTECTION_KEY = ProtectionKey.from_hex(KEY)
 CHUNK = CHUNK_UNITS * UNIT_LEN
 
 HEADS = {"raw": b"", "dicom": bytes(128) + b"DICM", "fixed:10": b"0123456789"}
@@ -255,14 +257,12 @@ class TestShrinkingInput:
         key = ProtectionKey(bytes.fromhex(KEY))
         with src.open("rb") as f:
             # The size is read before sealing starts; the content after.
-            _, pieces = container.seal_stream(f, lambda _salt: key)
+            _, seal = container.seal_stream(f, lambda _salt: key)
             os.truncate(src, CHUNK + 5)
             with pytest.raises(FormatError, match=f"^input ended {CHUNK - 5} bytes early$"):
                 # As ``sefrag protect`` writes the pair.
                 with atomic_write(vault / "scan.puf") as puf, atomic_write(vault / "scan.prf") as prf:
-                    for puf_piece, prf_piece in pieces:
-                        puf(puf_piece)
-                        prf(prf_piece)
+                    seal(puf, prf)
         assert os.listdir(vault) == []
 
 
@@ -304,33 +304,41 @@ class TestDigestHelper:
         sched_getcpu = _native._sched_getcpu()
         monkeypatch.setattr(_native, "_sched_getcpu", lambda: lambda: seen.append(sched_getcpu()) or seen[-1])
         content, key = os.urandom(THREADED), ProtectionKey.random()
-        before = set(threading.enumerate())
-        pieces = core.protect_chunks(io.BytesIO(content).read, len(content), key)
-        next(pieces)
-        (helper,) = set(threading.enumerate()) - before
+        before, helpers = set(threading.enumerate()), []
+
+        def write_private(_piece):  # on the caller, while the helper runs
+            if not helpers:
+                (helper,) = set(threading.enumerate()) - before
+                helpers.append((helper, os.sched_getaffinity(helper.native_id)))
+
+        core.protect_chunks(io.BytesIO(content).read, len(content), key, len, write_private)
+        ((helper, affinity),) = helpers
         (caller,) = seen
         allowed = os.sched_getaffinity(0)
         assert caller in allowed
-        assert os.sched_getaffinity(helper.native_id) == allowed - {caller}
-        pieces.close()
+        assert affinity == allowed - {caller}
         assert not helper.is_alive()
 
-    @pytest.mark.parametrize("how", ["completed", "closed", "read_raises", "integrity_failure"])
+    @pytest.mark.parametrize("how", ["completed", "interrupted", "read_raises", "integrity_failure"])
     def test_pass_leaves_threads_and_affinity_as_it_found_them(self, how):
         start = _threads_and_affinity()
         content, key = os.urandom(THREADED), ProtectionKey.random()
         if how == "completed":
             streams = core.protect(content, key)
             assert core.recover(*streams, key) == content
-        elif how == "closed":
-            pieces = core.protect_chunks(io.BytesIO(content).read, len(content), key)
-            next(pieces)
-            pieces.close()
+        elif how == "interrupted":
+            # A Ctrl-C in the first write: protect's private stream is
+            # written on the caller, recover's content on the helper
+            # where one runs.
+            def interrupt(_piece):
+                raise KeyboardInterrupt
+
+            with pytest.raises(KeyboardInterrupt):
+                core.protect_chunks(io.BytesIO(content).read, len(content), key, len, interrupt)
             streams = core.protect(content, key)
-            pieces = core.recover_chunks(io.BytesIO(streams.puf_payload).read, io.BytesIO(streams.prf_plain).read,
-                                         len(content), key)
-            next(pieces)
-            pieces.close()
+            with pytest.raises(KeyboardInterrupt):
+                core.recover_chunks(io.BytesIO(streams.puf_payload).read, io.BytesIO(streams.prf_plain).read,
+                                    len(content), key, interrupt)
         elif how == "read_raises":
             src = io.BytesIO(content)
 
@@ -340,8 +348,7 @@ class TestDigestHelper:
                 return src.read(n)
 
             with pytest.raises(OSError, match="the disk went away"):
-                for _ in core.protect_chunks(read, len(content), key):
-                    pass
+                core.protect_chunks(read, len(content), key, len, len)
         else:
             puf, prf = container.seal(content, key)
             raw = bytearray(puf.to_bytes())
@@ -372,8 +379,7 @@ class TestDigestHelper:
         start = _threads_and_affinity()
         content = os.urandom(THREADED)
         with pytest.raises(Boom, match="digest failed"):
-            for _ in core.protect_chunks(io.BytesIO(content).read, len(content), ProtectionKey.random()):
-                pass
+            core.protect_chunks(io.BytesIO(content).read, len(content), ProtectionKey.random(), len, len)
         assert _threads_and_affinity() == start
         assert (raisers[0] is threading.current_thread()) == ONE_CPU
 
@@ -409,3 +415,159 @@ class TestDigestHelper:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "1"]
+
+
+class Recorder:
+    """Writers that log each piece with its stream and the name of the
+    thread that wrote it, in the order written; the write of piece
+    ``fail_at`` (from 0) of stream ``fail_on`` is logged, then raises
+    ``error``."""
+
+    def __init__(self, fail_on: str | None = None, fail_at: int = 0):
+        self.log, self.fail_on, self.fail_at = [], fail_on, fail_at
+        self.error = OSError(28, "No space left on device")
+
+    def writer(self, stream: str):
+        def write(piece):
+            index = sum(entry[0] == stream for entry in self.log)  # one thread writes each stream
+            self.log.append((stream, threading.current_thread().name, bytes(piece)))
+            if (stream, index) == (self.fail_on, self.fail_at):
+                raise self.error
+
+        return write
+
+    def stream(self, name: str) -> list[tuple[str, bytes]]:
+        return [(thread, piece) for stream, thread, piece in self.log if stream == name]
+
+
+def _seal(data: bytes, recorder: Recorder, mode: str = "raw") -> None:
+    _, seal = container.seal_stream(io.BytesIO(data), lambda _salt: PROTECTION_KEY, mode)
+    seal(recorder.writer("puf"), recorder.writer("prf"))
+
+
+def _open(puf: bytes, prf: bytes, recorder: Recorder) -> None:
+    container.open_stream(io.BytesIO(puf), io.BytesIO(prf), lambda _salt: PROTECTION_KEY)(recorder.writer("out"))
+
+
+def _sealed_pair(data: bytes, mode: str = "raw") -> tuple[bytes, bytes]:
+    puf, prf = container.seal(data, PROTECTION_KEY, mode=mode)
+    return puf.to_bytes(), prf.to_bytes()
+
+
+def _helpers_alive() -> list[threading.Thread]:
+    return [thread for thread in threading.enumerate() if thread.name == "sefrag-digest"]
+
+
+class TestWritesOnTheHelper:
+    """Where a pass starts its digest helper, the helper also writes the
+    large stream, chunk by chunk after hashing it: the ``.puf`` payload on
+    seal, the content on open.  The caller writes everything else."""
+
+    @pytest.mark.skipif(ONE_CPU, reason="this process may run on one CPU only, so no helper starts")
+    def test_seal_writes_the_payload_on_the_helper_after_both_headers(self, monkeypatch):
+        monkeypatch.setattr(container.os, "urandom", fake_urandom())
+        recorder, caller = Recorder(), threading.current_thread().name
+        _seal(case_input("dicom", THREADED), recorder, "dicom")
+        puf, prf = recorder.stream("puf"), recorder.stream("prf")
+        assert [thread for thread, _ in puf] == [caller] + 3 * ["sefrag-digest"]
+        assert {thread for thread, _ in prf} == {caller}
+        assert len(puf[0][1]) == container._PUF_HEADER.size + len(HEADS["dicom"])
+        # Both headers, the .puf's with its head, are written before any chunk.
+        assert [(stream, thread) for stream, thread, _ in recorder.log[:2]] == [("puf", caller), ("prf", caller)]
+        got = digests(b"".join(piece for _, piece in puf), b"".join(piece for _, piece in prf))
+        assert got == FROZEN["dicom", THREADED]
+
+    @pytest.mark.skipif(ONE_CPU, reason="this process may run on one CPU only, so no helper starts")
+    def test_open_writes_the_content_on_the_helper_between_head_and_tail(self):
+        data = case_input("dicom", THREADED)
+        puf, prf = _sealed_pair(data, "dicom")
+        recorder, caller = Recorder(), threading.current_thread().name
+        _open(puf, prf, recorder)
+        out = recorder.stream("out")
+        assert [thread for thread, _ in out] == [caller] + 3 * ["sefrag-digest"] + [caller]
+        assert [len(piece) for _, piece in out] == [len(HEADS["dicom"]), CHUNK, CHUNK, CHUNK, THREADED % UNIT_LEN]
+        assert b"".join(piece for _, piece in out) == data
+
+    @pytest.mark.parametrize("how", ["two_chunks", "one_cpu"])
+    def test_short_or_one_cpu_pass_writes_everything_on_the_caller(self, how, monkeypatch):
+        length = 2 * CHUNK + 7 if how == "two_chunks" else THREADED
+        if how == "one_cpu":
+            monkeypatch.setattr(_native, "other_cpus", set)  # what a process held to one CPU sees
+        data = case_input("raw", length)
+        recorder, caller = Recorder(), threading.current_thread().name
+        _seal(data, recorder)
+        puf = b"".join(piece for _, piece in recorder.stream("puf"))
+        prf = b"".join(piece for _, piece in recorder.stream("prf"))
+        _open(puf, prf, recorder)
+        assert {thread for _, thread, _ in recorder.log} == {caller}
+        assert len(recorder.stream("puf")) == 1 + length // CHUNK  # the header, then one piece per chunk
+        assert b"".join(piece for _, piece in recorder.stream("out")) == data
+
+    @pytest.mark.parametrize("on", ["helper", "caller"])
+    @pytest.mark.parametrize("chunk", [0, 1, 2])
+    @pytest.mark.parametrize("command", ["seal", "open"])
+    def test_a_failed_write_is_raised_in_the_caller_and_ends_the_pass(self, command, chunk, on, monkeypatch):
+        if on == "caller":
+            monkeypatch.setattr(_native, "other_cpus", set)
+        elif ONE_CPU:
+            pytest.skip("this process may run on one CPU only, so no helper starts")
+        data = case_input("raw", THREADED)
+        large = "puf" if command == "seal" else "out"
+        # The large stream's first piece is the .puf header, or the (empty) head.
+        recorder = Recorder(fail_on=large, fail_at=1 + chunk)
+        with pytest.raises(OSError) as raised:
+            if command == "seal":
+                _seal(data, recorder)
+            else:
+                _open(*_sealed_pair(data), recorder)
+        assert raised.value is recorder.error
+        assert not _helpers_alive()
+        written = recorder.stream(large)
+        assert len(written) == 2 + chunk  # nothing after the failed piece
+        assert written[-1][0] == ("sefrag-digest" if on == "helper" else threading.current_thread().name)
+        if command == "open" or on == "caller":
+            # One thread wrote everything, so the failed piece was the last write of all.
+            assert recorder.log[-1][0] == large
+        else:
+            # The caller may finish the private piece of the chunk it had
+            # under way, never one past it, nor the digest and padding.
+            assert len(recorder.stream("prf")) <= 1 + chunk + 1
+
+    @pytest.mark.parametrize("command,thread,nth", [
+        ("protect", "sefrag-digest", 2), ("protect", "caller", 3),
+        ("recover", "sefrag-digest", 2), ("recover", "caller", 2),
+    ], ids=["protect-helper", "protect-caller", "recover-helper", "recover-caller"])
+    def test_cli_failed_write_leaves_no_file_and_exits_2(self, command, thread, nth, tmp_path, monkeypatch, capsys):
+        if thread == "sefrag-digest" and ONE_CPU:
+            pytest.skip("this process may run on one CPU only, so no helper starts")
+        thread = threading.current_thread().name if thread == "caller" else thread
+        src = tmp_path / "scan.bin"
+        src.write_bytes(case_input("dicom", THREADED))
+        vault, out_dir = tmp_path / "vault", tmp_path / "out"
+        assert cli.main(["protect", str(src), "--mode", "dicom", "--key-hex", KEY, "--out-dir", str(vault)]) == 0
+        out_dir.mkdir()
+        capsys.readouterr()
+        # The nth os.write on the named thread fails, as on a full disk:
+        # protect's caller writes both headers first, recover's its head.
+        write, counts, failed = os.write, collections.Counter(), []
+
+        def failing_write(fd, data):
+            name = threading.current_thread().name
+            counts[name] += 1
+            if (name, counts[name]) == (thread, nth):
+                failed.append(name)
+                raise OSError(28, "No space left on device")
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", failing_write)
+        if command == "protect":
+            code = cli.main(["protect", str(src), "--mode", "dicom", "--key-hex", KEY, "--out-dir", str(out_dir)])
+        else:
+            code = cli.main(["recover", str(vault / "scan.puf"), str(vault / "scan.prf"), "--key-hex", KEY,
+                             "--out", str(out_dir / "back.bin")])
+        monkeypatch.undo()
+        assert failed == [thread]
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
+        assert os.listdir(out_dir) == []
+        assert not _helpers_alive()
