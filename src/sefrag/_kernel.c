@@ -1,4 +1,4 @@
-/* Native per-chunk kernel and KDF for sefrag, over libcrypto.
+/* Native kernel, file pass and KDF for sefrag, over libcrypto.
  *
  * Plain C with no Python headers; sefrag._native builds it on first use,
  * with the command in _native.COMPILE and _native.LIBS, and calls it
@@ -9,6 +9,8 @@
  *   sefrag_recover     _native.PythonKernel.recover: one chunk, keystream -> XOR -> scatter
  *   keystreams16       _native._keystream: the keystream digests of 16 units at once
  *   selector_blocks16  core._selectors: 16 selector blocks at once
+ *   sefrag_seal_pass   core.protect_chunks: every chunk of a file, with the digest and CBC
+ *   sefrag_open_pass   core.recover_chunks: the same backwards, with the digest check's inputs
  *   sefrag_derive      _native.PythonKernel.derive: the whole derive_key loop
  *
  * A chunk is a pure function of its bytes, the key and the index of its
@@ -41,17 +43,36 @@
  * each selector block of a window of fewer than 16.  Both paths give the
  * same bytes.
  *
+ * The passes run a whole file's chunks in one call, on the caller's
+ * thread and at most one thread more, pinned to the CPUs the caller
+ * names; each worker reads, transforms and writes the chunks it claims at
+ * their own offsets (pread, pwrite), and only the content digest and the
+ * seal's CBC chain take turns in chunk order.  CBC decryption needs no
+ * turn: the open deciphers each chunk on its worker's own context from
+ * the cipher block before it (NIST SP 800-38A, 6.2).  The AES runs
+ * through the EVP_CipherUpdate and contexts the caller passes, so this
+ * file needs no cipher header.
+ *
  * The caller checks every buffer length before the call and passes the
- * chunk functions' outputs unset: each writes every byte of its output.
- * The chunk functions cannot fail: no call on their path reports an
- * error, so they return void.  sefrag_derive returns 1, or 0 when a
- * libcrypto call fails, as libcrypto's own calls do, and the caller then
- * drops the output.
+ * functions' outputs unset: each writes every byte of its output.  The
+ * chunk functions cannot fail: no call on their path reports an error,
+ * so they return void.  sefrag_derive returns 1, or 0 when a libcrypto
+ * call fails, as libcrypto's own calls do, and the caller then drops the
+ * output.  The passes return 0, an errno, PASS_SHORT or PASS_CRYPTO (see
+ * there), and join their thread before they return.
  */
 
+#define _GNU_SOURCE
+
+#include <errno.h>
+#include <pthread.h>
+#include <sched.h>
+#include <signal.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
+#include <unistd.h>
 
 #include <openssl/sha.h>
 
@@ -430,4 +451,348 @@ int sefrag_derive(const unsigned char *suffix, size_t suffix_len, uint64_t itera
     }
     memcpy(out, x, x_len);
     return 1;
+}
+
+/* The passes.  A file's whole units go through in chunks of chunk_units
+ * units (a multiple of 4, so each chunk's picks fill whole cipher blocks).
+ * The three files of a pass sit in fixed slots: the content, read by the
+ * seal and written by the open, and the public and private streams, written
+ * by the seal and read by the open, each from its own offset.  The private
+ * stream is ciphertext: chunk k's picks are its bytes from 4 *
+ * chunk_units * k on. */
+
+#define BLOCK 16
+#define PASS_SHORT (-1)  /* a read came short: the input ended *missing bytes early */
+#define PASS_CRYPTO (-2) /* a libcrypto call failed */
+#define STOPPED (-3)     /* a worker left its chunk after an earlier one failed; never returned */
+
+enum { CONTENT, PUBLIC, PRIVATE };
+
+/* libcrypto's EVP_CipherUpdate. */
+typedef int (*cipher_update)(void *ctx, unsigned char *out, int *outl, const unsigned char *in, int inl);
+
+struct worker;
+
+struct pass {
+    int fd[3];
+    off_t at[3];
+    uint64_t units;
+    size_t chunk_units, chunks;
+    const unsigned char *key, *iv;
+    cipher_update update;
+    unsigned char *end; /* the seal's output: the picks past the last whole block, the tail, the digest */
+    int (*chunk)(struct worker *w, size_t k);
+    SHA256_CTX sha;
+    /* Under lock: the next chunk to claim, the chunk whose turn it is,
+     * and the first chunk that failed (SIZE_MAX while none has) with its
+     * status and missing byte count. */
+    pthread_mutex_t lock;
+    pthread_cond_t turned;
+    size_t next, turn, failed_at;
+    int status;
+    uint64_t missing;
+};
+
+/* A worker's context (the seal's one chain, or the open's own) and
+ * chunk buffers; picked and cipher hold a cipher block more than a
+ * chunk's picks, for the open's chained block. */
+struct worker {
+    struct pass *p;
+    void *ctx;
+    uint64_t missing;
+    unsigned char *units, *pub, *picked, *cipher;
+};
+
+/* n bytes at offset at of fd into buf: 0, an errno, or PASS_SHORT with
+ * the bytes the file lacked in *missing. */
+static int read_at(int fd, unsigned char *buf, size_t n, off_t at, uint64_t *missing)
+{
+    while (n) {
+        ssize_t got = pread(fd, buf, n, at);
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got < 0)
+            return errno;
+        if (got == 0) {
+            *missing = n;
+            return PASS_SHORT;
+        }
+        buf += got, n -= (size_t)got, at += got;
+    }
+    return 0;
+}
+
+/* n bytes of buf to offset at of fd: 0 or an errno. */
+static int write_at(int fd, const unsigned char *buf, size_t n, off_t at)
+{
+    while (n) {
+        ssize_t put = pwrite(fd, buf, n, at);
+        if (put < 0 && errno == EINTR)
+            continue;
+        if (put <= 0)
+            return put < 0 ? errno : EIO;
+        buf += put, n -= (size_t)put, at += put;
+    }
+    return 0;
+}
+
+/* AES-CBC over n bytes, whole blocks, on ctx: 1, or 0 when libcrypto fails. */
+static int cipher(const struct pass *p, void *ctx, unsigned char *out, const unsigned char *in, size_t n)
+{
+    int outl = 0;
+    return n == 0 || (p->update(ctx, out, &outl, in, (int)n) && (size_t)outl == n);
+}
+
+/* The n cipher bytes from private-stream offset start (a multiple of 16)
+ * into buf after the cipher block before them, the IV at offset 0, so
+ * that deciphering buf restarts the chain there and the plaintext starts
+ * at buf + BLOCK. */
+static int read_chained(const struct pass *p, unsigned char *buf, size_t n, uint64_t start, uint64_t *missing)
+{
+    if (start == 0) {
+        memcpy(buf, p->iv, BLOCK);
+        return read_at(p->fd[PRIVATE], buf + BLOCK, n, p->at[PRIVATE], missing);
+    }
+    return read_at(p->fd[PRIVATE], buf, BLOCK + n, p->at[PRIVATE] + (off_t)(start - BLOCK), missing);
+}
+
+/* Claims the next chunk into *k, unless none is left or one has failed. */
+static int claim(struct pass *p, size_t *k)
+{
+    pthread_mutex_lock(&p->lock);
+    int claimed = p->next < p->chunks && p->failed_at == SIZE_MAX;
+    if (claimed)
+        *k = p->next++;
+    pthread_mutex_unlock(&p->lock);
+    return claimed;
+}
+
+/* Waits, without spinning, until it is chunk k's turn: 1, or 0 once an
+ * earlier chunk has failed, so that the turn may never come. */
+static int take_turn(struct pass *p, size_t k)
+{
+    pthread_mutex_lock(&p->lock);
+    while (p->turn != k && p->failed_at > k)
+        pthread_cond_wait(&p->turned, &p->lock);
+    int mine = p->failed_at > k;
+    pthread_mutex_unlock(&p->lock);
+    return mine;
+}
+
+static void pass_turn(struct pass *p)
+{
+    pthread_mutex_lock(&p->lock);
+    p->turn++;
+    pthread_cond_broadcast(&p->turned);
+    pthread_mutex_unlock(&p->lock);
+}
+
+/* Records chunk k's failure, if no earlier chunk has failed: the pass
+ * reports the first failure in chunk order, as a serial pass would, and
+ * every chunk before it runs to its end. */
+static void fail(struct pass *p, size_t k, int status, uint64_t missing)
+{
+    pthread_mutex_lock(&p->lock);
+    if (k < p->failed_at)
+        p->failed_at = k, p->status = status, p->missing = missing;
+    pthread_cond_broadcast(&p->turned);
+    pthread_mutex_unlock(&p->lock);
+}
+
+static void *work(void *arg)
+{
+    struct worker *w = arg;
+    size_t k, n = w->p->chunk_units;
+    w->pub = w->units + UNIT_LEN * n;
+    w->picked = w->pub + REMAINDER_LEN * n;
+    w->cipher = w->picked + SUB_LEN * n + BLOCK;
+    while (claim(w->p, &k)) {
+        int status = w->p->chunk(w, k);
+        if (status) {
+            if (status != STOPPED)
+                fail(w->p, k, status, w->missing);
+            break;
+        }
+    }
+    return NULL;
+}
+
+/* Starts worker w on a thread named sefrag-pass and pinned to the ncpus
+ * CPUs cpus names, with every signal blocked, so that they reach the
+ * caller's threads: 1, or 0 where it cannot start.  Only Linux names
+ * CPUs (sefrag._native.other_cpus), so elsewhere no thread starts. */
+#if defined(__linux__)
+static void *pass_thread(void *arg)
+{
+    pthread_setname_np(pthread_self(), "sefrag-pass");
+    return work(arg);
+}
+
+static int start(pthread_t *thread, struct worker *w, const int *cpus, size_t ncpus)
+{
+    pthread_attr_t attr;
+    cpu_set_t set;
+    sigset_t all, old;
+    int started = 0;
+    CPU_ZERO(&set);
+    for (size_t c = 0; c < ncpus; c++)
+        if (cpus[c] >= 0 && cpus[c] < CPU_SETSIZE)
+            CPU_SET(cpus[c], &set);
+    sigfillset(&all);
+    if (pthread_attr_init(&attr))
+        return 0;
+    if (!pthread_attr_setaffinity_np(&attr, sizeof set, &set)) {
+        pthread_sigmask(SIG_BLOCK, &all, &old);
+        started = !pthread_create(thread, &attr, pass_thread, w);
+        pthread_sigmask(SIG_SETMASK, &old, NULL);
+    }
+    pthread_attr_destroy(&attr);
+    return started;
+}
+#else
+static int start(pthread_t *thread, struct worker *w, const int *cpus, size_t ncpus)
+{
+    (void)thread, (void)w, (void)cpus, (void)ncpus;
+    return 0;
+}
+#endif
+
+/* Chunk k's first unit and unit count. */
+static size_t chunk_size(const struct pass *p, size_t k, uint64_t *first)
+{
+    *first = (uint64_t)k * p->chunk_units;
+    return p->units - *first < p->chunk_units ? (size_t)(p->units - *first) : p->chunk_units;
+}
+
+/* Read, protect, then in turn hash the units and encipher the picks'
+ * whole blocks on the one chain; then write both. */
+static int seal_chunk(struct worker *w, size_t k)
+{
+    struct pass *p = w->p;
+    uint64_t first;
+    size_t n = chunk_size(p, k, &first), whole = SUB_LEN * n / BLOCK * BLOCK;
+    int status = read_at(p->fd[CONTENT], w->units, UNIT_LEN * n, p->at[CONTENT] + (off_t)(UNIT_LEN * first),
+                         &w->missing);
+    if (status)
+        return status;
+    sefrag_protect(w->units, n, p->key, first, w->pub, w->picked);
+    if (!take_turn(p, k))
+        return STOPPED;
+    int ok = SHA256_Update(&p->sha, w->units, UNIT_LEN * n) && cipher(p, w->ctx, w->cipher, w->picked, whole);
+    if (k == p->chunks - 1)
+        memcpy(p->end, w->picked + whole, SUB_LEN * n - whole);
+    pass_turn(p);
+    if (!ok)
+        return PASS_CRYPTO;
+    status = write_at(p->fd[PUBLIC], w->pub, REMAINDER_LEN * n, p->at[PUBLIC] + (off_t)(REMAINDER_LEN * first));
+    return status ? status : write_at(p->fd[PRIVATE], w->cipher, whole, p->at[PRIVATE] + (off_t)(SUB_LEN * first));
+}
+
+/* Read and decipher the picks on this worker's context, read the public
+ * remainders, recover, then in turn hash the units; then write them. */
+static int open_chunk(struct worker *w, size_t k)
+{
+    struct pass *p = w->p;
+    uint64_t first;
+    size_t n = chunk_size(p, k, &first), whole = (SUB_LEN * n + BLOCK - 1) / BLOCK * BLOCK;
+    int status = read_chained(p, w->cipher, whole, SUB_LEN * first, &w->missing);
+    if (!status)
+        status = read_at(p->fd[PUBLIC], w->pub, REMAINDER_LEN * n, p->at[PUBLIC] + (off_t)(REMAINDER_LEN * first),
+                         &w->missing);
+    if (status)
+        return status;
+    if (!cipher(p, w->ctx, w->picked, w->cipher, BLOCK + whole))
+        return PASS_CRYPTO;
+    sefrag_recover(w->pub, w->picked + BLOCK, n, p->key, first, w->units);
+    if (!take_turn(p, k))
+        return STOPPED;
+    int ok = SHA256_Update(&p->sha, w->units, UNIT_LEN * n);
+    pass_turn(p);
+    if (!ok)
+        return PASS_CRYPTO;
+    return write_at(p->fd[CONTENT], w->units, UNIT_LEN * n, p->at[CONTENT] + (off_t)(UNIT_LEN * first));
+}
+
+/* Runs every chunk on the caller and, where cpus names any, on one
+ * thread more, and joins it: worker i uses ctx[i]. */
+static int run(struct pass *p, void *const ctx[2], const int *cpus, size_t ncpus, uint64_t *missing)
+{
+    size_t size = (UNIT_LEN + REMAINDER_LEN + 2 * SUB_LEN) * p->chunk_units + 2 * BLOCK;
+    struct worker w[2] = {{.p = p, .ctx = ctx[0]}, {.p = p, .ctx = ctx[1]}};
+    pthread_t thread;
+    int started = 0;
+    p->chunks = (p->units + p->chunk_units - 1) / p->chunk_units;
+    if (!SHA256_Init(&p->sha))
+        return PASS_CRYPTO;
+    if (!p->chunks)
+        return 0;
+    if (!(w[0].units = malloc(size)))
+        return ENOMEM;
+    pthread_mutex_init(&p->lock, NULL);
+    pthread_cond_init(&p->turned, NULL);
+    p->failed_at = SIZE_MAX;
+    if (ncpus && (w[1].units = malloc(size)))
+        started = start(&thread, &w[1], cpus, ncpus);
+    work(&w[0]);
+    if (started)
+        pthread_join(thread, NULL);
+    free(w[0].units);
+    free(w[1].units);
+    pthread_cond_destroy(&p->turned);
+    pthread_mutex_destroy(&p->lock);
+    if (p->failed_at == SIZE_MAX)
+        return 0;
+    *missing = p->missing;
+    return p->status;
+}
+
+/* Seal a file of content_len bytes: every chunk through run, then the
+ * tail.  ctx is the private stream's encrypting context, its chain at the
+ * IV.  end, 4 * units % 16 + content_len % 32 + 32 bytes, gets the private
+ * stream's plaintext that is not yet ciphered: the last picks short of a
+ * block, the tail and SHA-256(content). */
+int sefrag_seal_pass(const int fd[3], const int64_t at[3], uint64_t content_len, size_t chunk_units,
+                     const unsigned char *key, cipher_update update, void *ctx, const int *cpus, size_t ncpus,
+                     unsigned char *end, uint64_t *missing)
+{
+    struct pass p = {.fd = {fd[0], fd[1], fd[2]}, .at = {at[0], at[1], at[2]}, .units = content_len / UNIT_LEN,
+                     .chunk_units = chunk_units, .key = key, .update = update, .end = end, .chunk = seal_chunk};
+    void *const chain[2] = {ctx, ctx}; /* both workers cipher on the one chain, in turn */
+    int status = run(&p, chain, cpus, ncpus, missing);
+    if (status)
+        return status;
+    size_t rest = SUB_LEN * p.units % BLOCK, tail = content_len % UNIT_LEN;
+    status = read_at(fd[CONTENT], end + rest, tail, at[CONTENT] + (off_t)(UNIT_LEN * p.units), missing);
+    if (status)
+        return status;
+    return SHA256_Update(&p.sha, end + rest, tail) && SHA256_Final(end + rest + tail, &p.sha) ? 0 : PASS_CRYPTO;
+}
+
+/* Open a pair of content_len bytes of content: every chunk through run,
+ * then the tail, written last.  ctx[0] and, where cpus names any, ctx[1]
+ * are decrypting contexts.  digests, 64 bytes, gets SHA-256 of the
+ * content written, then the digest the private stream holds. */
+int sefrag_open_pass(const int fd[3], const int64_t at[3], uint64_t content_len, size_t chunk_units,
+                     const unsigned char *key, const unsigned char *iv, cipher_update update, void *const ctx[2],
+                     const int *cpus, size_t ncpus, unsigned char *digests, uint64_t *missing)
+{
+    struct pass p = {.fd = {fd[0], fd[1], fd[2]}, .at = {at[0], at[1], at[2]}, .units = content_len / UNIT_LEN,
+                     .chunk_units = chunk_units, .key = key, .iv = iv, .update = update, .chunk = open_chunk};
+    int status = run(&p, ctx, cpus, ncpus, missing);
+    if (status)
+        return status;
+    /* The blocks from the one that holds the last picks to the digest's end. */
+    uint64_t start = SUB_LEN * p.units / BLOCK * BLOCK;
+    size_t skip = SUB_LEN * p.units % BLOCK, tail = content_len % UNIT_LEN;
+    size_t n = (skip + tail + SHA256_DIGEST_LENGTH + BLOCK - 1) / BLOCK * BLOCK;
+    unsigned char in[BLOCK + 5 * BLOCK], out[BLOCK + 5 * BLOCK];
+    status = read_chained(&p, in, n, start, missing);
+    if (status)
+        return status;
+    const unsigned char *plain = out + BLOCK + skip;
+    if (!(cipher(&p, ctx[0], out, in, BLOCK + n) && SHA256_Update(&p.sha, plain, tail)
+          && SHA256_Final(digests, &p.sha)))
+        return PASS_CRYPTO;
+    memcpy(digests + SHA256_DIGEST_LENGTH, plain + tail, SHA256_DIGEST_LENGTH);
+    return write_at(fd[CONTENT], plain, tail, at[CONTENT] + (off_t)(UNIT_LEN * p.units));
 }

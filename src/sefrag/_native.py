@@ -2,7 +2,7 @@
 counterpart, and the length checks both run before they touch a buffer;
 ``load`` alone decides which one runs.  Beside them, ``cbc`` is the one
 AES-128-CBC stream for either kernel, over libcrypto through ``ctypes``,
-and ``other_cpus`` names the CPUs a pass's digest helper thread may run
+and ``other_cpus`` names the CPUs a file pass's second worker may run
 on, through glibc's ``sched_getcpu``.
 
 The first process that needs the kernel compiles it with the system C
@@ -21,7 +21,9 @@ keystreams at once (on a CPU with AVX-512F and AVX-512VL), ``native
 (<library>, 1 lane)`` where it hashes one at a time, or ``python
 (<why>)``.  The native ``protect`` and ``recover``, and each ``cbc``
 update, return ``bytes`` that C code filled in, each byte written once.
-Importing this module builds and loads nothing.
+The native kernel alone also has ``seal_pass`` and ``open_pass``, which
+run a file's chunks from descriptor to descriptor in one call, on up to
+two workers.  Importing this module builds and loads nothing.
 
 ``PythonKernel`` moves 4-byte words with strided memoryview copies and
 chooses between them with big-integer masks, so the keystream hash is
@@ -40,22 +42,30 @@ import weakref
 from pathlib import Path
 
 from .container import atomic_write
-from .core import KEY_LEN, REMAINDER_LEN, SUB_LEN, SUBS_PER_UNIT, UNIT_LEN, _selectors
+from .core import CHUNK_UNITS, DIGEST_LEN, KEY_LEN, REMAINDER_LEN, SUB_LEN, SUBS_PER_UNIT, UNIT_LEN, _selectors
+from .errors import FormatError
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 # The compile command, less its "-o <library> <source>" part.
-COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-Wno-deprecated-declarations")
+COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-pthread", "-Wno-deprecated-declarations")
 LIBS = ("-lcrypto",)
 BUILD_TIMEOUT = 120  # seconds
 
 _BYTES, _SIZE, _U64, _INT, _PTR = ctypes.c_char_p, ctypes.c_size_t, ctypes.c_uint64, ctypes.c_int, ctypes.c_void_p
+_INTS, _I64S, _PTRS, _U64P = (ctypes.POINTER(t) for t in (_INT, ctypes.c_int64, _PTR, _U64))
 # Each C function's result type and argument types.
 _SIGNATURES = {
     "sefrag_protect": (None, (_BYTES, _SIZE, _BYTES, _U64, _BYTES, _BYTES)),
     "sefrag_recover": (None, (_BYTES, _BYTES, _SIZE, _BYTES, _U64, _BYTES)),
+    "sefrag_seal_pass": (_INT, (_INTS, _I64S, _U64, _SIZE, _BYTES, _PTR, _PTR, _INTS, _SIZE, _BYTES, _U64P)),
+    "sefrag_open_pass": (_INT, (_INTS, _I64S, _U64, _SIZE, _BYTES, _BYTES, _PTR, _PTRS, _INTS, _SIZE, _BYTES,
+                                _U64P)),
     "sefrag_derive": (_INT, (_BYTES, _SIZE, _U64, _BYTES)),
     "sefrag_lanes": (_INT, ()),
 }
+# What a pass returns, besides 0 and an errno: a read came short, or a libcrypto call failed.
+_PASS_SHORT, _PASS_CRYPTO = -1, -2
+_PASSES = {"sefrag_seal_pass", "sefrag_open_pass"}
 # The same for the libcrypto calls ``cbc`` makes.
 _EVP_SIGNATURES = {
     "EVP_CIPHER_CTX_new": (_PTR, ()),
@@ -99,9 +109,26 @@ def _check_derive(iterations: int) -> None:
         raise ValueError("iterations must be positive")
 
 
+def _check_pass(key: bytes, iv: bytes = bytes(16)) -> None:
+    if len(key) != KEY_LEN or len(iv) != 16:
+        raise ValueError(f"need a {KEY_LEN}-byte key and a 16-byte IV")
+
+
 def _raise_on_failure(status, fn, args):
     if not status:
         raise RuntimeError(f"a libcrypto call failed in {fn.__name__}")
+    return status
+
+
+def _raise_for_pass(status, fn, args):
+    """A pass's status as the exception the Python loop raises; its last
+    argument points at the bytes a short read missed."""
+    if status == _PASS_SHORT:
+        raise FormatError(f"input ended {args[-1]._obj.value} bytes early")
+    if status == _PASS_CRYPTO:
+        raise RuntimeError(f"a libcrypto call failed in {fn.__name__}")
+    if status:
+        raise OSError(status, os.strerror(status))
     return status
 
 
@@ -111,7 +138,9 @@ def _bind(path: str, signatures: dict) -> ctypes.CDLL:
     for name, (restype, argtypes) in signatures.items():
         fn = getattr(lib, name)
         fn.restype, fn.argtypes = restype, argtypes
-        if name in _FALLIBLE:
+        if name in _PASSES:
+            fn.errcheck = _raise_for_pass
+        elif name in _FALLIBLE:
             fn.errcheck = _raise_on_failure
     return lib
 
@@ -130,7 +159,9 @@ def cbc(key: bytes, iv: bytes, encrypt: bool):
     """``update(data)``: one AES-128-CBC stream, no padding, whose libcrypto
     context, freed with ``update``, carries the chain.  Each update ciphers
     the whole blocks completed so far and keeps the partial block here, so
-    EVP buffers none and writes exactly the bytes reserved for it."""
+    EVP buffers none and writes exactly the bytes reserved for it.  The
+    context's address is ``update.ctx``, for a pass to cipher whole blocks
+    on from C while nothing is pending here."""
     if len(key) != KEY_LEN or len(iv) != 16:
         raise ValueError(f"need a 16-byte key and IV, got {len(key)} and {len(iv)} bytes")
     lib, pending, outl = _libcrypto(), b"", _INT()
@@ -146,7 +177,7 @@ def cbc(key: bytes, iv: bytes, encrypt: bool):
         lib.EVP_CipherUpdate(ctx, out, outl, data, n)
         return out
 
-    ctx = lib.EVP_CIPHER_CTX_new()
+    ctx = update.ctx = lib.EVP_CIPHER_CTX_new()
     weakref.finalize(update, lib.EVP_CIPHER_CTX_free, ctx)
     lib.EVP_CipherInit_ex(ctx, lib.EVP_aes_128_cbc(), None, key, iv, encrypt)
     lib.EVP_CIPHER_CTX_set_padding(ctx, 0)
@@ -165,6 +196,14 @@ def other_cpus() -> set[int]:
     if not hasattr(os, "sched_getaffinity") or _sched_getcpu() is None:
         return set()
     return os.sched_getaffinity(0) - {_sched_getcpu()()}
+
+
+def _pass_cpus(unit_count: int):
+    """The CPUs a pass of ``unit_count`` units pins its second worker to, as
+    a C array: from three chunks on, those ``other_cpus`` names; else none,
+    and the caller runs the pass alone.  Two chunks do not repay a thread."""
+    cpus = sorted(other_cpus()) if unit_count > 2 * CHUNK_UNITS else []
+    return (_INT * len(cpus))(*cpus)
 
 
 class Kernel:
@@ -192,6 +231,44 @@ class Kernel:
         units = _uninitialised_bytes(None, UNIT_LEN * count)
         self._lib.sefrag_recover(public, picked, count, key, first, units)
         return units
+
+    def seal_pass(self, content: tuple[int, int], public: int, private: int, content_len: int, key: bytes,
+                  encrypt) -> bytes:
+        """Protect ``content_len`` bytes at ``content``, a descriptor and an
+        offset, into descriptors ``public`` and ``private`` from their
+        offsets on, which it leaves past what it wrote; ``encrypt`` is the
+        private stream's ``cbc``.  Returns the private plaintext it left
+        unciphered: the last picks short of a block, the tail, the digest."""
+        _check_pass(key)
+        units = content_len // UNIT_LEN
+        at = (content[1], os.lseek(public, 0, os.SEEK_CUR), os.lseek(private, 0, os.SEEK_CUR))
+        rest, cpus = SUB_LEN * units % 16, _pass_cpus(units)
+        end = _uninitialised_bytes(None, rest + content_len % UNIT_LEN + DIGEST_LEN)
+        self._lib.sefrag_seal_pass((_INT * 3)(content[0], public, private), (ctypes.c_int64 * 3)(*at), content_len,
+                                   CHUNK_UNITS, key, _libcrypto().EVP_CipherUpdate, encrypt.ctx, cpus, len(cpus),
+                                   end, ctypes.byref(ctypes.c_uint64()))
+        os.lseek(public, at[1] + REMAINDER_LEN * units, os.SEEK_SET)
+        os.lseek(private, at[2] + SUB_LEN * units - rest, os.SEEK_SET)
+        return end
+
+    def open_pass(self, public: tuple[int, int], private: tuple[int, int], content: int, content_len: int,
+                  key: bytes, iv: bytes, decrypt) -> tuple[bytes, bytes]:
+        """Inverse of ``seal_pass``, from the payload and ciphertext at
+        ``public`` and ``private`` (a descriptor and an offset each), on
+        ``decrypt``, a deciphering ``cbc``.  Returns the content's digest
+        and the one its private stream holds."""
+        _check_pass(key, iv)
+        units = content_len // UNIT_LEN
+        at = (os.lseek(content, 0, os.SEEK_CUR), public[1], private[1])
+        cpus = _pass_cpus(units)
+        second = cbc(key, iv, False) if cpus else None  # the second worker's context
+        digests = _uninitialised_bytes(None, 2 * DIGEST_LEN)
+        self._lib.sefrag_open_pass((_INT * 3)(content, public[0], private[0]), (ctypes.c_int64 * 3)(*at), content_len,
+                                   CHUNK_UNITS, key, iv, _libcrypto().EVP_CipherUpdate,
+                                   (_PTR * 2)(decrypt.ctx, second and second.ctx), cpus, len(cpus), digests,
+                                   ctypes.byref(ctypes.c_uint64()))
+        os.lseek(content, at[0] + content_len, os.SEEK_SET)
+        return digests[:DIGEST_LEN], digests[DIGEST_LEN:]
 
     def derive(self, suffix: bytes, iterations: int) -> bytes:
         """x <- SHA-256(x || suffix) ``iterations`` times from an empty x."""

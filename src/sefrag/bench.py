@@ -1,28 +1,34 @@
 """Timing harness comparing selective protection with whole-file AES.
 
-Both paths run over the same in-memory buffer so the numbers reflect
-algorithmic cost rather than disk speed. The selective path is the one
-``sefrag protect`` runs: ``container.seal_stream`` over the buffer,
-headers and the incremental AES pass over the private stream included.
-The baseline is the same AES-128-CBC, ``_native.cbc``, in one update over
-the entire buffer and its PKCS#7 block, the conventional protect-everything
-approach.  The two paths take turns, one run each per iteration, and each
-path's MB/s and the ratio come from its fastest run: first-use costs such
-as the kernel's load show in the first listed run, not in the min.  The
-report names the kernel the selective path ran: native, or pure Python and why,
-and the threads it ran on: where the process may use a second CPU, the content
-digest runs on a helper thread there, so the ratio is then a two-core figure.
+The selective path is what ``sefrag protect`` runs: ``container.seal_stream``
+of a random file in a temp directory into a fresh ``.puf``/``.prf`` pair
+through ``atomic_write``, headers, the incremental AES over the private
+stream, the writes and the renames included.  The baseline is the same
+AES-128-CBC, ``_native.cbc``, in one update over the same bytes in memory
+and their PKCS#7 block, the conventional protect-everything approach.
+The two paths take turns, one run each per iteration, and each path's
+MB/s and the ratio come from its fastest run: first-use costs such as
+the kernel's load show in the first listed run, not in the min.  The
+report names the kernel the selective path ran: native, or pure Python
+and why, and the threads its pass ran on, counted by name in
+``/proc/self/task`` during the first run: where the process may use a
+second CPU, the native pass runs a second worker there, so the ratio is
+then a two-core figure.
 """
 
 from __future__ import annotations
 
-import io
+import contextlib
+import glob
 import os
 import statistics
+import tempfile
 import time
 from collections import namedtuple
+from pathlib import Path
 
 from . import _native, container, core
+from .container import atomic_write
 from .core import ProtectionKey
 
 MIB = 1 << 20
@@ -36,14 +42,45 @@ class BenchReport(
     time of every iteration of each path in run order (``se_elapsed``,
     ``aes_baseline_elapsed``), the AES bytes each path ciphered, the
     kernel: "native (<library>, 16 lanes)", "native (<library>, 1 lane)"
-    or "python (<why>)", and the threads the selective pass ran on: 2
-    where its digest helper ran, else 1."""
+    or "python (<why>)", and the threads the selective pass ran on: the
+    caller and the most ``sefrag-pass`` threads seen at once in its first
+    run."""
 
     __slots__ = ()
 
 
+def _pass_threads() -> int:
+    """How many threads of this process are named ``sefrag-pass`` now."""
+    names = []
+    for comm in glob.glob("/proc/self/task/*/comm"):
+        with contextlib.suppress(OSError):  # a thread that has just ended
+            names.append(Path(comm).read_bytes())
+    return names.count(b"sefrag-pass\n")
+
+
+def _peak_pass_threads(run) -> int:
+    """Calls ``run()`` while a thread of its own polls ``_pass_threads``
+    every few tens of microseconds; returns the most it saw at once."""
+    import threading
+
+    peak, done = [0], threading.Event()
+
+    def watch():
+        while not done.wait(2e-5):
+            peak[0] = max(peak[0], _pass_threads())
+
+    watcher = threading.Thread(target=watch)
+    watcher.start()
+    try:
+        run()
+    finally:
+        done.set()
+        watcher.join()
+    return peak[0]
+
+
 def run_bench(size_mb: int, iterations: int) -> BenchReport:
-    """Protect a random ``size_mb`` MiB buffer both ways, ``iterations`` times."""
+    """Protect a random ``size_mb`` MiB file both ways, ``iterations`` times."""
     if size_mb < 1:
         raise ValueError("bench size must be at least 1 MB")
     if size_mb >= 2048:  # the baseline's one AES update takes a C int length
@@ -54,28 +91,38 @@ def run_bench(size_mb: int, iterations: int) -> BenchReport:
     buf = os.urandom(size_mb * MIB)
     padded = buf + bytes([16]) * 16  # and its PKCS#7 block: the baseline's input, built untimed
     iv = os.urandom(16)
+    with tempfile.TemporaryDirectory(prefix="sefrag-bench-") as tmp:
+        src, puf, prf = (Path(tmp) / name for name in ("input.bin", "out.puf", "out.prf"))
+        src.write_bytes(buf)
 
-    def seal() -> int:
-        """The selective pass; returns its AES bytes."""
-        _, run = container.seal_stream(io.BytesIO(buf), lambda _salt: key)
-        sizes = []
-        run(len, lambda prf: sizes.append(len(prf)))  # both writers drop their pieces
-        return sum(sizes[1:])  # after the header
+        def seal() -> int:
+            """The selective pass; returns its AES bytes."""
+            with src.open("rb") as f:
+                _, run = container.seal_stream(f, lambda _salt: key)
+                with atomic_write(puf) as write_puf, atomic_write(prf) as write_prf:
+                    run(write_puf, write_prf)
+            return prf.stat().st_size - container._PRF_HEADER.size
 
-    def baseline() -> int:
-        """Whole-buffer AES; returns its ciphertext bytes."""
-        return len(_native.cbc(key.bytes, iv, True)(padded))
+        def baseline() -> int:
+            """Whole-buffer AES; returns its ciphertext bytes."""
+            return len(_native.cbc(key.bytes, iv, True)(padded))
 
-    # The paths take turns, so a drift in the machine's speed reaches both.
-    elapsed = {seal: [], baseline: []}
-    aes_bytes = {}
-    for _ in range(iterations):
-        for run, times in elapsed.items():
-            start = time.perf_counter()
-            aes_bytes[run] = run()
-            times.append(time.perf_counter() - start)
+        elapsed, aes_bytes = {seal: [], baseline: []}, {}
 
-    threads = 1 + bool(core._helper_cpus(len(buf) // core.UNIT_LEN))
+        def iteration():
+            for run, times in elapsed.items():
+                start = time.perf_counter()
+                aes_bytes[run] = run()
+                times.append(time.perf_counter() - start)
+            # So the next seal renames onto fresh names: over an existing
+            # file, a rename would also time its writeback.
+            puf.unlink()
+            prf.unlink()
+
+        # The paths take turns, so a drift in the machine's speed reaches both.
+        threads = 1 + _peak_pass_threads(iteration)
+        for _ in range(iterations - 1):
+            iteration()
     return BenchReport(len(buf), tuple(elapsed[seal]), tuple(elapsed[baseline]),
                        aes_bytes[seal], aes_bytes[baseline], core._kernel().name, threads)
 

@@ -22,21 +22,21 @@ public container; flag bit 0 marks it stripped for anonymized release.
 ``core.CHUNK_UNITS`` units at a time, so their memory does not grow with
 the file.  Both call ``key_for(kdf_salt)`` only once the input's
 structure is checked, and then return a callable that runs the pass into
-the writers it is given; the digest helper of a long pass writes the
-large stream (the ``.puf`` payload, or the content) and is joined before
-that callable returns or raises.  The headers go out first: the ``.puf``
+the writers it is given: the kernel's ``seal_pass`` or ``open_pass``
+where it is native and the input and writers are files (``atomic_write``
+gives its descriptor), else ``core.protect_chunks`` or
+``recover_chunks``; same bytes.  The headers go out first: the ``.puf``
 header needs only the head and the content length, which the input's
 size gives, and the ``.prf`` header's ``ct_len`` follows from the
 content length (``_private_sizes``): the private stream is 4 bytes per
 unit, the tail and a 32-byte digest, PKCS#7-padded.  The padding, here,
 and AES-CBC, one ``sefrag._native.cbc`` stream per pass, run
-incrementally over each chunk's picked bytes.
+incrementally over each chunk's picked bytes (the picks of chunk k
+start at plaintext offset 4 * CHUNK_UNITS * k).
 ``open_stream`` checks the pairing and ``ct_len`` before it asks for the
 key.  Its one stream decrypts the padding block first, so a wrong key
-fails before any work, then restarts its chain at the IV and decrypts
-the private stream in lockstep with the public payload (the picks of
-chunk k start at plaintext offset 4 * CHUNK_UNITS * k); the content
-digest is checked after the last piece.  Its output written through
+fails before any work, then the private stream; the content digest is
+checked after the last piece.  Its output written through
 ``atomic_write`` is therefore renamed into place only once verified.
 ``seal`` and ``open`` run the same pass over bytes in memory, on
 ``PufContainer`` and ``PrfContainer``; ``put``, ``request``, ``entropy``
@@ -216,6 +216,14 @@ class PrfContainer(namedtuple("PrfContainer", "file_id kdf_salt iv ciphertext"))
         return cls(file_id=file_id, kdf_salt=kdf_salt, iv=iv, ciphertext=src.read())
 
 
+def _filenos(*streams) -> list[int] | None:
+    """The descriptors of ``streams`` (files, ``atomic_write`` writers), or None."""
+    try:
+        return [stream.fileno() for stream in streams]
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return None
+
+
 def _private_sizes(content_len: int) -> tuple[int, int]:
     """Ciphertext length and PKCS#7 pad count (1-16) of the private stream:
     4 picked bytes per unit, the tail, the digest, padded to whole blocks."""
@@ -230,8 +238,7 @@ def seal_stream(src, key_for, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
 
     Returns the new pair's file id and ``seal(write_puf, write_prf)``,
     which runs the pass: each writer gets its container's header, then
-    its pieces in order, and ``seal`` returns once all are written
-    (``write_puf`` runs on the digest helper where ``core`` starts one).
+    its pieces in order, and ``seal`` returns once all are written.
     The head is checked before ``key_for(kdf_salt)`` gives the key, both
     before this returns.  ``kdf_salt`` records how the key was derived
     so the recovering side can repeat the derivation; all zeros means a
@@ -250,8 +257,12 @@ def seal_stream(src, key_for, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
         write_puf(_puf_header(file_id, head, content_len))
         write_prf(_prf_header(file_id, kdf_salt, iv, ct_len))
         encrypt = cbc(key.bytes, iv, True)
-        core.protect_chunks(lambda n: _read_exact(src, n), content_len, key, write_puf,
-                            lambda private: write_prf(encrypt(private)))
+        seal_pass, fds = getattr(core._kernel(), "seal_pass", None), _filenos(src, write_puf, write_prf)
+        if seal_pass and fds:  # the private stream's unciphered end: last picks, tail, digest
+            write_prf(encrypt(seal_pass((fds[0], src.tell()), *fds[1:], content_len, key.bytes, encrypt)))
+        else:
+            core.protect_chunks(lambda n: _read_exact(src, n), content_len, key, write_puf,
+                                lambda private: write_prf(encrypt(private)))
         write_prf(encrypt(bytes([pad]) * pad))
 
     return file_id, seal
@@ -263,10 +274,9 @@ def open_stream(puf_src, prf_src, key_for):
 
     Both headers, the pairing and the private stream's length are
     checked before ``key_for`` is called; one AES stream then checks the
-    padding block, restarts its chain at the IV and decrypts the pass.
-    Returns ``recover(write)``, which runs the pass: ``write`` gets the
-    head, then the content chunk by chunk (on the digest helper where
-    ``core`` starts one), then the tail.  IntegrityFailure for foreign
+    padding block and decrypts the pass.  Returns ``recover(write)``,
+    which runs the pass: ``write`` gets the head, then the content chunk
+    by chunk, then the tail.  IntegrityFailure for foreign
     pairs, a wrong length, or a wrong key caught by the padding check;
     ``recover`` raises it after its last piece for anything that slips
     past them.
@@ -307,7 +317,12 @@ def open_stream(puf_src, prf_src, key_for):
 
     def recover(write):
         write(head)
-        core.recover_chunks(lambda n: _read_exact(puf_src, n), read_private, content_len, key, write)
+        open_pass, fds = getattr(core._kernel(), "open_pass", None), _filenos(puf_src, prf_src, write)
+        if open_pass and fds:
+            core._check_digest(*open_pass((fds[0], puf_src.tell()), (fds[1], body), fds[2], content_len, key.bytes,
+                                          iv, decrypt))
+        else:
+            core.recover_chunks(lambda n: _read_exact(puf_src, n), read_private, content_len, key, write)
 
     return recover
 
@@ -340,8 +355,9 @@ def atomic_write(path: str | Path):
     a failed or interrupted write leaves ``path`` absent or as it was.
 
     The temp file is created mode 0600 and removed on failure; every
-    write is complete or raises. No fsync: this guards against process
-    crashes and full disks, not power loss.
+    write is complete or raises. ``write.fileno()`` is the temp file's
+    descriptor, for a pass that writes at offsets of its own. No fsync:
+    this guards against process crashes and full disks, not power loss.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -353,6 +369,7 @@ def atomic_write(path: str | Path):
         while view:
             view = view[os.write(fd, view):]
 
+    write.fileno = lambda: fd
     try:
         try:
             yield write

@@ -11,35 +11,29 @@ directly.  The public payload plus the key is still not safe: an
 attacker can recover each unit by trying the 2^32 values of its
 selected sub-fragment and keeping the one whose unit looks plausible.
 
-``protect_chunks`` and ``recover_chunks`` are the one streaming pass:
-they read the content (or the two streams) through ``read(n)`` callables
-and hand their output to ``write(piece)`` callables chunk by chunk, at
-most ``CHUNK_UNITS`` units at a time, while the SHA-256 content digest
-advances with them in ``hashlib``.  Each chunk is one call to the kernel
-``_kernel()`` returns (``sefrag._native``: the C library or its
-pure-Python counterpart, same bytes), which derives the chunk's
-selectors from the key and the index of its first unit, so each chunk is
-a pure function of its bytes, the key and that index.  This module holds
-the format the kernel computes: the key, the selector stream and the
-pass.  ``protect`` and ``recover`` run the same pass over bytes held in
-memory.
+``protect_chunks`` and ``recover_chunks`` are the streaming pass in
+Python: they read the content (or the two streams) through ``read(n)``
+callables and hand their output to ``write(piece)`` callables chunk by
+chunk, in order on the caller's thread, at most ``CHUNK_UNITS`` units at
+a time, while the SHA-256 content digest advances with them in
+``hashlib``.  Each chunk is one call to the kernel ``_kernel()`` returns
+(``sefrag._native``: the C library or its pure-Python counterpart, same
+bytes), which derives the chunk's selectors from the key and the index
+of its first unit, so each chunk is a pure function of its bytes, the
+key and that index.  This module holds the format the kernel computes:
+the key, the selector stream and the pass.  ``protect`` and ``recover``
+run the same pass over bytes held in memory.
 
-A pass of three chunks or more, in a process allowed on a CPU other
-than the caller's, hashes its digest and writes its large stream (the
-public payload, or the recovered content) on one helper thread pinned
-to those other CPUs, beside the kernel on the caller's thread, with at
-most one chunk in flight; the helper is joined before the pass returns
-or raises, so no write outlives the call.  Shorter passes, and a
-process held to one CPU, start no thread and write on the caller's.
-The caller's and the process's affinity never change.  Apart from the
-``read`` and ``write`` callables the streaming pass is given, that
-helper and the kernel's one-time build, all functions are pure; keys
-and streams are plain immutable bytes, so concurrent use is safe.
+Passes from file to file run in the native kernel's ``seal_pass`` and
+``open_pass`` instead (see ``container``), whose byte-for-byte reference
+these two are.  Apart from the ``read`` and ``write`` callables the
+streaming pass is given and the kernel's one-time build, all functions
+are pure; keys and streams are plain immutable bytes, so concurrent use
+is safe.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import os
@@ -145,86 +139,10 @@ def _kernel():
     return _native.load()
 
 
-def _helper_cpus(unit_count: int) -> set[int]:
-    """The CPUs a digest helper for a pass of ``unit_count`` units runs on:
-    from three chunks on, those ``_native.other_cpus`` names; else none."""
-    if unit_count <= 2 * CHUNK_UNITS:
-        return set()
-    from . import _native
-
-    return _native.other_cpus()
-
-
-@contextlib.contextmanager
-def _hashing(digest, unit_count: int, write):
-    """``update(chunk, piece)``, which feeds ``digest`` the chunks of a
-    pass of ``unit_count`` units in order and then hands each chunk's
-    ``piece`` of the large stream to ``write``.
-
-    Where ``_helper_cpus`` names CPUs, one helper thread pinned to them
-    hashes each chunk and writes its piece: ``update`` waits until the
-    chunk before is done, hands this one over and returns, so the
-    caller's next work overlaps the hash and the write.  Leaving the
-    block waits for the last chunk and ends the helper, also on an
-    exception, so no write outlives the block; an exception in the
-    helper ends its work and is raised again in the caller.  Two chunks
-    do not repay the thread.  Otherwise ``update`` hashes and writes on
-    the caller's thread.
-    """
-    cpus = _helper_cpus(unit_count)
-    if not cpus:
-        def update(chunk: bytes, piece: bytes):
-            digest.update(chunk)
-            write(piece)
-
-        yield update
-        return
-    import threading  # only a helper needs it: a bare interpreter starts without it
-
-    # Both start held: nothing handed over, nothing done.
-    given, done = threading.Lock(), threading.Lock()
-    given.acquire()
-    done.acquire()
-    work, pending, error = None, False, None
-
-    def helper():
-        nonlocal error
-        try:
-            while given.acquire() and work is not None:
-                digest.update(work[0])
-                write(work[1])
-                done.release()
-        except BaseException as exc:  # wait() raises it again in the caller
-            error = exc
-            done.release()
-
-    def wait():
-        nonlocal pending
-        if pending:
-            done.acquire()
-            pending = False
-        if error is not None:
-            raise error
-
-    def update(chunk: bytes, piece: bytes):
-        nonlocal work, pending
-        wait()
-        work, pending = (chunk, piece), True
-        given.release()
-
-    # A daemon: a pass left unfinished at exit does not hold the interpreter.
-    thread = threading.Thread(target=helper, name="sefrag-digest", daemon=True)
-    thread.start()
-    try:
-        os.sched_setaffinity(thread.native_id, cpus)  # the helper's alone
-        yield update
-        wait()
-    finally:
-        if pending:
-            done.acquire()
-        work = None
-        given.release()
-        thread.join()
+def _check_digest(digest: bytes, stored: bytes) -> None:
+    """IntegrityFailure unless the content's digest is the one its private stream holds."""
+    if digest != stored:
+        raise IntegrityFailure("content digest mismatch")
 
 
 def protect_chunks(read, content_len: int, key: ProtectionKey, write_public, write_private):
@@ -237,18 +155,17 @@ def protect_chunks(read, content_len: int, key: ProtectionKey, write_public, wri
     ``write_private`` gets ``tail + SHA-256(content)``: the tail (content
     length mod 32) goes verbatim into the private stream, never
     keystream protected, so sub-unit files end up fully
-    cipher-protected.  ``write_public`` runs on the digest helper where
-    ``_hashing`` starts one, and ``write_private`` on the caller's thread.
+    cipher-protected.
     """
     unit_count, tail_len = divmod(content_len, UNIT_LEN)
     digest = hashlib.sha256()
     protect_chunk = _kernel().protect
-    with _hashing(digest, unit_count, write_public) as update:
-        for start, stop in _chunks(unit_count):
-            units = read(UNIT_LEN * (stop - start))
-            public, private = protect_chunk(units, stop - start, key.bytes, start)
-            update(units, public)
-            write_private(private)
+    for start, stop in _chunks(unit_count):
+        units = read(UNIT_LEN * (stop - start))
+        public, private = protect_chunk(units, stop - start, key.bytes, start)
+        digest.update(units)
+        write_public(public)
+        write_private(private)
     tail = read(tail_len)
     digest.update(tail)
     write_private(tail + digest.digest())
@@ -259,8 +176,6 @@ def recover_chunks(read_public, read_private, content_len: int, key: ProtectionK
     chunk, reading each chunk's public remainders and selected
     sub-fragments in lockstep, then the tail.
 
-    ``write`` runs on the digest helper where ``_hashing`` starts one;
-    the tail follows on the caller's thread once the helper has ended.
     Raises IntegrityFailure after the last piece when the content does
     not match the digest that ends the private stream: wrong key,
     corrupted fragment, or a mismatched pair.
@@ -268,17 +183,16 @@ def recover_chunks(read_public, read_private, content_len: int, key: ProtectionK
     unit_count, tail_len = divmod(content_len, UNIT_LEN)
     digest = hashlib.sha256()
     recover_chunk = _kernel().recover
-    with _hashing(digest, unit_count, write) as update:
-        for start, stop in _chunks(unit_count):
-            picked = read_private(SUB_LEN * (stop - start))
-            public = read_public(REMAINDER_LEN * (stop - start))
-            units = recover_chunk(public, picked, stop - start, key.bytes, start)
-            update(units, units)
+    for start, stop in _chunks(unit_count):
+        picked = read_private(SUB_LEN * (stop - start))
+        public = read_public(REMAINDER_LEN * (stop - start))
+        units = recover_chunk(public, picked, stop - start, key.bytes, start)
+        digest.update(units)
+        write(units)
     tail = read_private(tail_len)
     digest.update(tail)
     write(tail)
-    if digest.digest() != read_private(DIGEST_LEN):
-        raise IntegrityFailure("content digest mismatch")
+    _check_digest(digest.digest(), read_private(DIGEST_LEN))
 
 
 def protect(content: bytes, key: ProtectionKey) -> ProtectedStreams:

@@ -36,9 +36,9 @@ class IntegrityFailure(SefragError):
     carry different file ids or would share a backend, or a policy
     change came from a party other than the store's owner.
 
-    It carries no reconstructed output: ``core.recover_chunks`` yields
-    every piece before it raises, so a caller that wants to inspect a
-    failed recovery keeps the pieces itself.
+    It carries no reconstructed output: ``container.open_stream`` writes
+    every piece before its digest check raises, so a caller that wants
+    to inspect a failed recovery keeps what its writer got.
     """
 
     exit_code = 4

@@ -3,7 +3,6 @@ import io
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -93,35 +92,56 @@ def test_each_path_runs_once_per_iteration(monkeypatch):
     assert len(report.se_elapsed) == len(report.aes_baseline_elapsed) == 2
 
 
-def test_threads_counts_the_digest_helper(monkeypatch, capsys):
-    # Where the process may use a second CPU, the selective pass hashes its
-    # digest on a helper thread there, and the ratio is a two-core figure.
-    # The helper is seen, not derived: the threads alive at each chunk call.
-    kernel, seen = core._kernel(), set()
+def test_threads_counts_the_pass_workers(monkeypatch, capsys):
+    # Where the process may use a second CPU, the native pass runs a second
+    # worker there, and the ratio is a two-core figure.  The worker is seen,
+    # not derived: bench counts the threads named sefrag-pass in
+    # /proc/self/task while its first run is under way.
+    kernel = core._kernel()
+    native = isinstance(kernel, _native.Kernel)
+    counted = []
+    pass_threads = bench._pass_threads
 
-    class Watching:
-        """The loaded kernel, noting the threads alive at each protect call."""
+    def counting():
+        counted.append(pass_threads())
+        return counted[-1]
 
-        name = kernel.name
-
-        def protect(self, *args):
-            seen.update(thread.name for thread in threading.enumerate())
-            return kernel.protect(*args)
-
-    monkeypatch.setattr(core, "_kernel", Watching)
-    threads = bench.run_bench(1, iterations=1).threads
-    assert threads == (2 if "sefrag-digest" in seen else 1)
-    if len(os.sched_getaffinity(0)) > 1:
-        assert "sefrag-digest" in seen
-    seen.clear()
+    monkeypatch.setattr(bench, "_pass_threads", counting)
+    threads = bench.run_bench(8, iterations=2).threads
+    assert threads == 1 + max(counted)
+    assert threads == (2 if native and len(os.sched_getaffinity(0)) > 1 else 1)
+    assert bench._pass_threads is counting and pass_threads() == 0  # none outlives its pass
+    counted.clear()
     monkeypatch.setattr(_native, "other_cpus", set)
+    assert bench.run_bench(8, iterations=1).threads == 1
+    assert counted and max(counted) == 0
+    counted.clear()
+    monkeypatch.setattr(core, "_kernel", lambda: _native.PythonKernel("pinned by the test"))
     assert bench.run_bench(1, iterations=1).threads == 1
-    assert "sefrag-digest" not in seen
     assert cli.main(["bench", "--size-mb", "1", "--iterations", "1"]) == 0
     out, err = capsys.readouterr()
     kernel_line, threads = err.splitlines()
-    assert kernel_line.startswith("kernel ") and threads == "threads 1"
+    assert kernel_line == "kernel python (pinned by the test)" and threads == "threads 1"
     assert len(out.splitlines()) == 9
+
+
+def test_seals_real_files_and_leaves_none(monkeypatch, tmp_path):
+    # The selective path writes a .puf/.prf pair through atomic_write on
+    # each run, as sefrag protect does, onto names that do not exist yet,
+    # and the temp directory goes.
+    monkeypatch.setattr(bench.tempfile, "tempdir", str(tmp_path))
+    written = []
+    atomic_write = container.atomic_write
+
+    def recorded(path):
+        written.append((Path(path).name, Path(path).exists()))
+        return atomic_write(path)
+
+    monkeypatch.setattr(bench, "atomic_write", recorded)
+    report = bench.run_bench(1, iterations=3)
+    assert written == 3 * [("out.puf", False), ("out.prf", False)]
+    assert report.aes_bytes_se == 131072 + 32 + 16
+    assert os.listdir(tmp_path) == []
 
 
 def test_rejects_bad_parameters():
@@ -151,6 +171,7 @@ def test_baseline_is_aes_128_cbc_with_pkcs7(monkeypatch):
             calls.append((key, iv, data, encrypt, out))
             return out
 
+        recorded_update.ctx = update.ctx  # for a file pass, which ciphers from C
         return recorded_update
 
     monkeypatch.setattr(_native, "cbc", recorded)

@@ -21,8 +21,8 @@ KEY = "000102030405060708090a0b0c0d0e0f"
 OFF_PATH = ["sefrag.analysis", "sefrag.bench", "sefrag.dispersion", "sefrag.sharing"]
 
 # Standard modules the one-shot start path must not import: logging costs
-# several milliseconds per process, and concurrent.futures imports it; the
-# digest helper thread hands its chunks over with two locks, not a queue.
+# several milliseconds per process, and concurrent.futures imports it; a
+# long pass runs its second worker in C, so it needs no queue either.
 NOT_AT_START = {"logging", "concurrent.futures", "queue"}
 
 # Heavy modules that protect and recover leave unloaded: dataclasses
@@ -53,15 +53,6 @@ except SystemExit as exc:
     code = exc.code
 print("exit", code, *sorted(sys.modules))
 """
-
-
-# PROBE, with a "pin" line printed for each os.sched_setaffinity call: a
-# pass long enough for a digest helper thread makes one, to pin it.
-PIN_PROBE = """
-import os
-setaffinity = os.sched_setaffinity
-os.sched_setaffinity = lambda pid, cpus: (print("pin"), setaffinity(pid, cpus))[1]
-""" + PROBE
 
 
 def _fresh(*argv, cwd) -> tuple[int, list[str]]:
@@ -139,13 +130,10 @@ class TestStartPath:
             assert not HEAVY & set(modules)
         assert (tmp_path / "back.bin").read_bytes() == src.read_bytes()
 
-    def test_three_chunk_pass_pins_its_helper_and_loads_nothing_more(self, tmp_path):
-        # A pass of three chunks or more hashes its digest on a helper
-        # thread: it loads no module that a short pass, which starts none,
-        # leaves out, but threading, which site loads at start here and a
-        # bare interpreter does not.  One pin each way where another CPU is
-        # allowed, none where not.
-        helpers = int(len(os.sched_getaffinity(0)) > 1)
+    def test_three_chunk_pass_loads_nothing_more(self, tmp_path):
+        # A pass of three chunks or more runs a second worker where another
+        # CPU is allowed, a thread the kernel starts: it loads no module that
+        # a short pass, which starts none, leaves out, threading included.
         found = {}
         for name, size in (("short", 5000), ("long", 3 * 32 * core.CHUNK_UNITS + 5)):
             src = tmp_path / f"{name}.bin"
@@ -153,18 +141,13 @@ class TestStartPath:
             vault, back = tmp_path / f"{name}-vault", tmp_path / f"{name}-back.bin"
             for argv in (("protect", src, "--key-hex", KEY, "--out-dir", vault),
                          ("recover", vault / f"{name}.puf", vault / f"{name}.prf", "--key-hex", KEY, "--out", back)):
-                proc = subprocess.run([sys.executable, "-c", PIN_PROBE, *argv], cwd=tmp_path, env=_package_env(),
-                                      capture_output=True, text=True, timeout=120)
-                assert proc.returncode == 0, proc.stderr
-                *lines, last = proc.stdout.splitlines()
-                word, code, *modules = last.split()
-                assert (word, code) == ("exit", "0")
-                found[name, argv[0]] = lines.count("pin"), set(modules)
+                code, modules = _fresh("-c", PROBE, *argv, cwd=tmp_path)
+                assert code == 0
+                found[name, argv[0]] = set(modules)
             assert back.read_bytes() == src.read_bytes()
         for command in ("protect", "recover"):
-            (short_pins, short), (long_pins, long) = found["short", command], found["long", command]
-            assert (short_pins, long_pins) == (0, helpers), command
-            assert long - short <= {"threading"}, command
+            short, long = found["short", command], found["long", command]
+            assert long == short, command
             assert not (NOT_AT_START | HEAVY | {"subprocess"}) & long, command
 
     def test_bench_loads_no_cryptography(self, tmp_path):

@@ -3,6 +3,7 @@ per source version, a failed one is recorded and leaves no library, and
 ``load`` then returns the pure-Python kernel, which gives the same bytes."""
 
 import collections
+import ctypes
 import gc
 import io
 import itertools
@@ -23,7 +24,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from sefrag import _native, container, core
 from sefrag.core import ProtectionKey
-from sefrag.errors import IntegrityFailure
+from sefrag.errors import FormatError, IntegrityFailure
 
 
 @pytest.fixture
@@ -153,8 +154,22 @@ def test_only_derive_and_cbc_return_a_status():
     if not isinstance(kernel, _native.Kernel):
         pytest.skip(f"native kernel unavailable: {kernel.name}")
     checked = {name for name in _native._SIGNATURES if getattr(kernel._lib, name).errcheck is not None}
-    assert checked == {"sefrag_derive"}
+    assert checked == {"sefrag_derive", "sefrag_seal_pass", "sefrag_open_pass"}
     assert kernel._lib.sefrag_protect.restype is None and kernel._lib.sefrag_recover.restype is None
+    # The passes return 0, an errno, or a short read's or libcrypto's own
+    # code, which their check raises as the Python loop does.
+    seal_pass = kernel._lib.sefrag_seal_pass
+    assert seal_pass.restype is kernel._lib.sefrag_open_pass.restype is ctypes.c_int
+    assert kernel._lib.sefrag_open_pass.errcheck is seal_pass.errcheck is _native._raise_for_pass
+    args = (None, ctypes.byref(ctypes.c_uint64(7)))
+    assert _native._raise_for_pass(0, seal_pass, args) == 0
+    with pytest.raises(OSError) as raised:
+        _native._raise_for_pass(27, seal_pass, args)
+    assert (raised.value.errno, raised.value.strerror) == (27, os.strerror(27))
+    with pytest.raises(FormatError, match="^input ended 7 bytes early$"):
+        _native._raise_for_pass(_native._PASS_SHORT, seal_pass, args)
+    with pytest.raises(RuntimeError, match="libcrypto call failed in sefrag_seal_pass"):
+        _native._raise_for_pass(_native._PASS_CRYPTO, seal_pass, args)
 
 
 def test_kernel_compiles_without_warnings(tmp_path, monkeypatch):
@@ -179,7 +194,7 @@ def test_kernel_pairs_tool_runs_one_source_against_itself():
     result = json.loads(line)
     assert result["equal"] and result["first"] == ["old"]
     assert result["lanes"]["old"] == result["lanes"]["new"] in (1, 16)
-    for direction in ("protect_ms", "recover_ms"):
+    for direction in ("protect_ms", "recover_ms", "seal_ms", "open_ms"):
         assert [len(result[direction][side]) for side in ("old", "new")] == [1, 1]
         assert all(ms > 0 for side in ("old", "new") for ms in result[direction][side])
 
@@ -360,19 +375,19 @@ class TestCbc:
         update(bytes(16))
         assert "EVP_CipherUpdate" in looked_up
 
-    @pytest.fixture
-    def libcrypto_calls(self, monkeypatch):
-        """A Counter of the contexts ``cbc`` makes and frees, and the byte
-        counts it gives ``EVP_CipherUpdate`` (under ``"update bytes"``),
-        counted by a proxy in front of libcrypto."""
+    @staticmethod
+    def _counting(monkeypatch, counted_names):
+        """A Counter of the calls to ``counted_names`` that ``_native`` makes,
+        and the byte counts it gives ``EVP_CipherUpdate`` (under ``"update
+        bytes"``), counted by a proxy in front of libcrypto."""
         lib, calls = _native._libcrypto(), collections.Counter()
 
         class Counting:
-            """libcrypto, counting the contexts and the bytes ciphered."""
+            """libcrypto, counting the calls named."""
 
             def __getattr__(self, name):
                 fn = getattr(lib, name)
-                if name not in ("EVP_CIPHER_CTX_new", "EVP_CIPHER_CTX_free", "EVP_CipherUpdate"):
+                if name not in counted_names:
                     return fn
 
                 def counted(*args):
@@ -386,7 +401,18 @@ class TestCbc:
         monkeypatch.setattr(_native, "_libcrypto", Counting)
         return calls
 
-    def test_every_stream_frees_its_one_context(self, libcrypto_calls):
+    @pytest.fixture
+    def libcrypto_calls(self, monkeypatch):
+        """The contexts ``cbc`` makes and frees, and its ``EVP_CipherUpdate`` calls and bytes."""
+        return self._counting(monkeypatch, ("EVP_CIPHER_CTX_new", "EVP_CIPHER_CTX_free", "EVP_CipherUpdate"))
+
+    @pytest.fixture
+    def context_calls(self, monkeypatch):
+        """The contexts ``cbc`` makes and frees; ``EVP_CipherUpdate`` goes
+        uncounted, so that a file pass can call it from C."""
+        return self._counting(monkeypatch, ("EVP_CIPHER_CTX_new", "EVP_CIPHER_CTX_free"))
+
+    def test_every_stream_frees_its_one_context(self, context_calls, tmp_path):
         rng = random.Random(33)
         key, data = ProtectionKey(rng.randbytes(16)), rng.randbytes(3 * core.CHUNK_UNITS * core.UNIT_LEN + 4096)
         puf, prf = container.seal(data, key)  # one
@@ -409,7 +435,34 @@ class TestCbc:
             container.open(puf, flipped, key)
         gc.collect()
         # Once per pass, not per chunk: each pass above spans four chunks.
-        assert (libcrypto_calls["EVP_CIPHER_CTX_new"], libcrypto_calls["EVP_CIPHER_CTX_free"]) == (5, 5)
+        assert (context_calls["EVP_CIPHER_CTX_new"], context_calls["EVP_CIPHER_CTX_free"]) == (5, 5)
+        if not isinstance(_native.load(), _native.Kernel):
+            return
+        # File passes, on the native kernel: the seal's one context, and the
+        # open's one and one for its second worker, where one runs.
+        from test_streaming import ReadOnlyWriter, open_file, seal_file
+        context_calls.clear()
+        src = tmp_path / "in.bin"
+        src.write_bytes(data)
+        seal_file(src, tmp_path, key)  # one
+        open_file(tmp_path / "in.puf", tmp_path / "in.prf", tmp_path / "back.bin", key)  # one, and a second
+        assert (tmp_path / "back.bin").read_bytes() == data
+        with src.open("rb") as f:
+            _, run = container.seal_stream(f, lambda _salt: key)
+            writers = ReadOnlyWriter(tmp_path / "p"), ReadOnlyWriter(tmp_path / "q")
+            with pytest.raises(OSError):  # each write of the pass fails: one
+                run(*writers)
+            for writer in writers:
+                os.close(writer.fd)
+        del run
+        raw = bytearray((tmp_path / "in.prf").read_bytes())
+        raw[-48] ^= 1  # a digest byte: the padding fills the last block
+        (tmp_path / "in.prf").write_bytes(raw)
+        with pytest.raises(IntegrityFailure, match="digest"):  # one, and a second
+            open_file(tmp_path / "in.puf", tmp_path / "in.prf", tmp_path / "back.bin", key)
+        gc.collect()
+        made = 4 + 2 * (len(os.sched_getaffinity(0)) > 1)
+        assert (context_calls["EVP_CIPHER_CTX_new"], context_calls["EVP_CIPHER_CTX_free"]) == (made, made)
 
     def test_a_wrong_key_fails_on_one_block_before_any_public_byte(self, libcrypto_calls):
         rng = random.Random(35)

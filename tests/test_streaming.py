@@ -1,9 +1,10 @@
 """The streaming seal/open pass: on-disk bytes frozen across the rewrite,
 peak memory that does not grow with the file, a failed recover that
-leaves the output untouched, and the digest helper thread with the
-writes it takes over."""
+leaves the output untouched, the native file pass against the Python
+chunk loop byte for byte, its second worker, and how either fails."""
 
 import collections
+import contextlib
 import hashlib
 import io
 import json
@@ -11,11 +12,11 @@ import os
 import subprocess
 import sys
 import threading
-import types
 from pathlib import Path
 
 import pytest
 from conftest import _package_env
+from test_cli import run_with_file_size_limit
 
 from sefrag import _native, cli, container, core
 from sefrag.container import atomic_write
@@ -32,8 +33,8 @@ LENGTHS = [0, 1, 31, 32, 33, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7, 3 * CHU
 # SHA-256 prefixes of the .puf and .prf bytes of every (mode, content
 # length) case, sealed with ``fake_urandom``; recorded before seal and
 # open became one streaming pass, so any change to the format shows.  The
-# three-chunk cases, which reach the digest helper thread, were recorded on
-# the serial pass that came before it.
+# three-chunk cases, which start a file pass's second worker, were recorded
+# on a serial pass, before passes ran on two threads.
 FROZEN = {
     ("raw", 0): ("8d78ecfaf88f8d0a", "49ac2cd4c67f611d"),
     ("raw", 1): ("51ec6fac30492285", "333af9121773b567"),
@@ -266,136 +267,257 @@ class TestShrinkingInput:
         assert os.listdir(vault) == []
 
 
-# The shortest pass that hashes its digest on a helper thread: three chunks.
+# The shortest pass that runs a second worker: three chunks.
 THREADED = 3 * CHUNK + 5
+# A pass long enough, about 10 ms, for a poller to see its second worker.
+LONG = 8 * (1 << 20) + 7
 ONE_CPU = len(os.sched_getaffinity(0)) < 2
+# Byte-identity lengths: around a unit, a chunk and three chunks, and LONG.
+IDENTITY_LENGTHS = [0, 31, 32, 33, CHUNK - 1, CHUNK + 1, 3 * CHUNK - 7, 3 * CHUNK - 1, 3 * CHUNK + 1,
+                    3 * CHUNK + 7, LONG]
 
-# Holds itself to one CPU, then runs a three-chunk pass and prints how many
-# threads were started and how many run.
-ONE_CPU_CHILD = """
-import os, threading
-os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-from sefrag import core
-started = []
-start = threading.Thread.start
-threading.Thread.start = lambda self: (started.append(self), start(self))[1]
-content = os.urandom(%d)
-key = core.ProtectionKey.random()
-streams = core.protect(content, key)
-assert core.recover(*streams, key) == content
-print(len(started), threading.active_count())
-""" % THREADED
+
+@pytest.fixture
+def native():
+    """The loaded kernel, where it is the native one, which alone runs file passes."""
+    kernel = _native.load()
+    if not isinstance(kernel, _native.Kernel):
+        pytest.skip(f"native kernel unavailable: {kernel.name}")
+    return kernel
+
+
+def seal_file(src: Path, vault: Path, key: ProtectionKey = PROTECTION_KEY, mode: str = "raw") -> None:
+    """Seal ``src`` into ``vault`` as ``sefrag protect`` does: from a file,
+    through ``atomic_write``, so a native kernel runs its file pass."""
+    with src.open("rb") as f:
+        _, seal = container.seal_stream(f, lambda _salt: key, mode)
+        with atomic_write(vault / f"{src.stem}.puf") as puf, atomic_write(vault / f"{src.stem}.prf") as prf:
+            seal(puf, prf)
+
+
+def open_file(puf: Path, prf: Path, out: Path, key: ProtectionKey = PROTECTION_KEY) -> None:
+    """Open a pair into ``out`` as ``sefrag recover`` does."""
+    with puf.open("rb") as p, prf.open("rb") as q:
+        recover = container.open_stream(p, q, lambda _salt: key)
+        with atomic_write(out) as write:
+            recover(write)
+
+
+def pass_threads() -> dict[int, set[int]]:
+    """The id and affinity of each thread of this process named ``sefrag-pass`` now."""
+    found = {}
+    for tid in os.listdir("/proc/self/task"):
+        with contextlib.suppress(OSError):  # a thread that has just ended
+            if Path(f"/proc/self/task/{tid}/comm").read_text() == "sefrag-pass\n":
+                found[int(tid)] = os.sched_getaffinity(int(tid))
+    return found
+
+
+@contextlib.contextmanager
+def watching_pass_threads():
+    """Yields a dict that gathers ``pass_threads()`` from a thread polling
+    while the block runs."""
+    seen, done = {}, threading.Event()
+
+    def watch():
+        while not done.wait(2e-5):
+            seen.update(pass_threads())
+
+    watcher = threading.Thread(target=watch)
+    watcher.start()
+    try:
+        yield seen
+    finally:
+        done.set()
+        watcher.join()
 
 
 def _threads_and_affinity():
-    return threading.active_count(), os.sched_getaffinity(0)
+    return len(os.listdir("/proc/self/task")), os.sched_getaffinity(0)
 
 
-class Boom(Exception):
-    pass
+@contextlib.contextmanager
+def held_to_one_cpu():
+    """This thread held to one CPU, as in a process that may use one only,
+    so a pass it runs names no CPU for a second worker."""
+    allowed = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(allowed)})  # this thread's alone
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, allowed)
 
 
-class TestDigestHelper:
-    @pytest.mark.skipif(ONE_CPU, reason="this process may run on one CPU only, so no helper starts")
-    def test_helper_runs_off_the_callers_cpu(self, monkeypatch):
+class TestFilePass:
+    """The native kernel's ``seal_pass`` and ``open_pass``, which run where
+    the input and the writers have descriptors, against the Python chunk
+    loop of ``core``, which runs on bytes in memory."""
+
+    @pytest.mark.parametrize("mode,length", CASES)
+    def test_file_seal_bytes_are_frozen(self, mode, length, tmp_path, monkeypatch, each_kernel_path):
+        src = tmp_path / "case.bin"
+        src.write_bytes(case_input(mode, length))
+        for path, *_ in each_kernel_path():
+            monkeypatch.setattr(container.os, "urandom", fake_urandom())
+            seal_file(src, tmp_path / path, mode=mode)
+            got = digests((tmp_path / path / "case.puf").read_bytes(), (tmp_path / path / "case.prf").read_bytes())
+            assert got == FROZEN[mode, length], path
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_file_pass_matches_the_python_loop_byte_for_byte(self, workers, native, tmp_path, monkeypatch):
+        if workers == 2 and ONE_CPU:
+            pytest.skip("this process may run on one CPU only, so no second worker starts")
+        salt = bytes(range(16))
+        for length in IDENTITY_LENGTHS:
+            data = hashlib.shake_256(b"identity %d" % length).digest(length)
+            src, vault = tmp_path / f"{length}.bin", tmp_path / f"vault-{length}"
+            src.write_bytes(data)
+            # The reference: the Python loop, over the same bytes in memory.
+            monkeypatch.setattr(container.os, "urandom", fake_urandom())
+            _, seal = container.seal_stream(io.BytesIO(data), lambda _salt: PROTECTION_KEY, kdf_salt=salt)
+            puf, prf = [], []
+            seal(puf.append, prf.append)
+            monkeypatch.setattr(container.os, "urandom", fake_urandom())
+            with held_to_one_cpu() if workers == 1 else contextlib.nullcontext(), watching_pass_threads() as seen:
+                with src.open("rb") as f:
+                    _, seal = container.seal_stream(f, lambda _salt: PROTECTION_KEY, kdf_salt=salt)
+                    with atomic_write(vault / "out.puf") as write_puf, atomic_write(vault / "out.prf") as write_prf:
+                        seal(write_puf, write_prf)
+                open_file(vault / "out.puf", vault / "out.prf", vault / "back.bin")
+            assert (vault / "out.puf").read_bytes() == b"".join(puf), length
+            assert (vault / "out.prf").read_bytes() == b"".join(prf), length
+            assert (vault / "back.bin").read_bytes() == data, length
+            if workers == 1 or length == LONG:
+                assert len(seen) == 2 * (workers - 1), length  # one in the seal, one in the open
+
+    def test_a_short_read_fails_on_the_first_chunk_it_reaches(self, native, tmp_path):
+        # Both workers read past the cut; the pass reports the first chunk
+        # that came short, as a serial pass would, whichever worker had it.
+        src = tmp_path / "scan.bin"
+        src.write_bytes(hashlib.shake_256(b"scan").digest(LONG))
+        for chunk in (0, 1, 2, 33, 63):
+            vault = tmp_path / f"vault-{chunk}"
+            with src.open("rb") as f:
+                _, seal = container.seal_stream(f, lambda _salt: PROTECTION_KEY)
+                os.truncate(src, chunk * CHUNK + 5)
+                with pytest.raises(FormatError, match=f"^input ended {CHUNK - 5} bytes early$"):
+                    with atomic_write(vault / "scan.puf") as puf, atomic_write(vault / "scan.prf") as prf:
+                        seal(puf, prf)
+            assert os.listdir(vault) == []
+            src.write_bytes(hashlib.shake_256(b"scan").digest(LONG))
+
+    def test_a_public_fragment_cut_mid_open_leaves_no_output(self, native, tmp_path):
+        src, vault = tmp_path / "scan.bin", tmp_path / "vault"
+        src.write_bytes(hashlib.shake_256(b"scan").digest(LONG))
+        seal_file(src, vault)
+        puf = vault / "scan.puf"
+        payload = puf.stat().st_size - container._PUF_HEADER.size
+        with puf.open("rb") as p, (vault / "scan.prf").open("rb") as q:
+            recover = container.open_stream(p, q, lambda _salt: PROTECTION_KEY)
+            os.truncate(puf, container._PUF_HEADER.size + 40 * core.REMAINDER_LEN * CHUNK_UNITS + 3)
+            with pytest.raises(FormatError, match=f"^input ended {core.REMAINDER_LEN * CHUNK_UNITS - 3} bytes early$"):
+                with atomic_write(tmp_path / "out" / "back.bin") as write:
+                    recover(write)
+        assert payload > 40 * core.REMAINDER_LEN * CHUNK_UNITS
+        assert os.listdir(tmp_path / "out") == []
+
+
+class ReadOnlyWriter:
+    """A writer that drops what Python writes through it and names a
+    descriptor open for reading only, so each write of a file pass fails."""
+
+    def __init__(self, path: Path):
+        path.write_bytes(b"")
+        self.fd = os.open(path, os.O_RDONLY)
+
+    def __call__(self, data: bytes) -> None:
+        pass
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+class TestPassWorkers:
+    """The second worker of a file pass of three chunks or more: a thread
+    named ``sefrag-pass``, pinned off the caller's CPU, and gone when the
+    pass returns or raises."""
+
+    @pytest.mark.skipif(ONE_CPU, reason="this process may run on one CPU only, so no second worker starts")
+    def test_second_worker_runs_off_the_callers_cpu(self, native, tmp_path, monkeypatch):
         # Record the CPU the pass found its caller on, then look at the
-        # helper's own affinity while the pass is under way.
-        seen = []
+        # worker's own affinity while the pass is under way.
+        seen_cpu = []
         sched_getcpu = _native._sched_getcpu()
-        monkeypatch.setattr(_native, "_sched_getcpu", lambda: lambda: seen.append(sched_getcpu()) or seen[-1])
-        content, key = os.urandom(THREADED), ProtectionKey.random()
-        before, helpers = set(threading.enumerate()), []
-
-        def write_private(_piece):  # on the caller, while the helper runs
-            if not helpers:
-                (helper,) = set(threading.enumerate()) - before
-                helpers.append((helper, os.sched_getaffinity(helper.native_id)))
-
-        core.protect_chunks(io.BytesIO(content).read, len(content), key, len, write_private)
-        ((helper, affinity),) = helpers
-        (caller,) = seen
+        monkeypatch.setattr(_native, "_sched_getcpu", lambda: lambda: seen_cpu.append(sched_getcpu()) or seen_cpu[-1])
+        src = tmp_path / "scan.bin"
+        src.write_bytes(os.urandom(LONG))
+        with watching_pass_threads() as seen:
+            seal_file(src, tmp_path / "vault")
+        ((worker, affinity),) = seen.items()
+        (caller,) = seen_cpu
         allowed = os.sched_getaffinity(0)
         assert caller in allowed
         assert affinity == allowed - {caller}
-        assert not helper.is_alive()
+        assert worker != threading.get_native_id() and not pass_threads()
 
-    @pytest.mark.parametrize("how", ["completed", "interrupted", "read_raises", "integrity_failure"])
-    def test_pass_leaves_threads_and_affinity_as_it_found_them(self, how):
+    @pytest.mark.parametrize("how", ["completed", "short_read", "failed_write", "integrity_failure", "wrong_key"])
+    def test_pass_leaves_threads_and_affinity_as_it_found_them(self, how, native, tmp_path):
+        src, vault = tmp_path / "scan.bin", tmp_path / "vault"
+        src.write_bytes(os.urandom(LONG))
+        seal_file(src, vault)
+        puf, prf = vault / "scan.puf", vault / "scan.prf"
         start = _threads_and_affinity()
-        content, key = os.urandom(THREADED), ProtectionKey.random()
         if how == "completed":
-            streams = core.protect(content, key)
-            assert core.recover(*streams, key) == content
-        elif how == "interrupted":
-            # A Ctrl-C in the first write: protect's private stream is
-            # written on the caller, recover's content on the helper
-            # where one runs.
-            def interrupt(_piece):
-                raise KeyboardInterrupt
-
-            with pytest.raises(KeyboardInterrupt):
-                core.protect_chunks(io.BytesIO(content).read, len(content), key, len, interrupt)
-            streams = core.protect(content, key)
-            with pytest.raises(KeyboardInterrupt):
-                core.recover_chunks(io.BytesIO(streams.puf_payload).read, io.BytesIO(streams.prf_plain).read,
-                                    len(content), key, interrupt)
-        elif how == "read_raises":
-            src = io.BytesIO(content)
-
-            def read(n):
-                if src.tell() >= CHUNK:
-                    raise OSError("the disk went away")
-                return src.read(n)
-
-            with pytest.raises(OSError, match="the disk went away"):
-                core.protect_chunks(read, len(content), key, len, len)
-        else:
-            puf, prf = container.seal(content, key)
-            raw = bytearray(puf.to_bytes())
+            seal_file(src, tmp_path / "again")
+            open_file(puf, prf, tmp_path / "back.bin")
+            assert (tmp_path / "back.bin").read_bytes() == src.read_bytes()
+        elif how == "short_read":
+            with src.open("rb") as f:
+                _, seal = container.seal_stream(f, lambda _salt: PROTECTION_KEY)
+                os.truncate(src, CHUNK)
+                with pytest.raises(FormatError, match=f"^input ended {CHUNK} bytes early$"):
+                    with atomic_write(tmp_path / "p") as write_puf, atomic_write(tmp_path / "q") as write_prf:
+                        seal(write_puf, write_prf)
+        elif how == "failed_write":
+            writers = ReadOnlyWriter(tmp_path / "p"), ReadOnlyWriter(tmp_path / "q"), ReadOnlyWriter(tmp_path / "r")
+            with src.open("rb") as f:
+                _, seal = container.seal_stream(f, lambda _salt: PROTECTION_KEY)
+                with pytest.raises(OSError) as raised:
+                    seal(*writers[:2])
+            assert raised.value.errno == 9  # EBADF
+            with puf.open("rb") as p, prf.open("rb") as q:
+                with pytest.raises(OSError) as raised:
+                    container.open_stream(p, q, lambda _salt: PROTECTION_KEY)(writers[2])
+            assert raised.value.errno == 9
+            for writer in writers:
+                os.close(writer.fd)
+        elif how == "integrity_failure":
+            raw = bytearray(puf.read_bytes())
             raw[-1] ^= 0x01  # a public byte of the last chunk
+            puf.write_bytes(raw)
             with pytest.raises(IntegrityFailure, match="content digest mismatch"):
-                container.open(container.PufContainer.from_bytes(bytes(raw)), prf, key)
+                open_file(puf, prf, tmp_path / "back.bin")
+        else:
+            with pytest.raises(IntegrityFailure, match="padding"):
+                open_file(puf, prf, tmp_path / "back.bin", ProtectionKey.random())
         assert _threads_and_affinity() == start
 
-    def test_helper_exception_is_raised_in_the_caller(self, monkeypatch):
-        # The content digest, the one SHA-256 made empty, fails its second
-        # update: on the helper where one runs.
-        raisers = []
-
-        class Digest:
-            def __init__(self):
-                self.updates = 0
-
-            def update(self, data):
-                self.updates += 1
-                if self.updates == 2:
-                    raisers.append(threading.current_thread())
-                    raise Boom("digest failed")
-
-        def sha256(data=b""):
-            return hashlib.sha256(data) if data else Digest()
-
-        monkeypatch.setattr(core, "hashlib", types.SimpleNamespace(sha256=sha256))
-        start = _threads_and_affinity()
-        content = os.urandom(THREADED)
-        with pytest.raises(Boom, match="digest failed"):
-            core.protect_chunks(io.BytesIO(content).read, len(content), ProtectionKey.random(), len, len)
-        assert _threads_and_affinity() == start
-        assert (raisers[0] is threading.current_thread()) == ONE_CPU
-
-    def test_concurrent_passes_under_fast_thread_switching(self):
-        # More callers than CPUs, each pass with its own helper, and the
-        # interpreter switching threads every microsecond: a chunk lost or
-        # hashed twice in a hand-over would break a digest.
+    def test_concurrent_passes_under_fast_thread_switching(self, native, tmp_path):
+        # More callers than CPUs, each pass with its own second worker, and
+        # the interpreter switching threads every microsecond: a chunk lost
+        # or hashed twice between workers would break a digest.
         done, interval = [], sys.getswitchinterval()
 
         def caller(seed):
             for n in range(3):
-                content = hashlib.shake_256(b"%d %d" % (seed, n)).digest(THREADED)
-                key = ProtectionKey(hashlib.sha256(content).digest()[:16])
-                streams = core.protect(content, key)
-                assert streams.prf_plain[-32:] == hashlib.sha256(content).digest()
-                assert core.recover(*streams, key) == content
+                data = hashlib.shake_256(b"%d %d" % (seed, n)).digest(8 * CHUNK + 7)
+                key = ProtectionKey(hashlib.sha256(data).digest()[:16])
+                work = tmp_path / f"{seed}-{n}"
+                work.mkdir()
+                (work / "in.bin").write_bytes(data)
+                seal_file(work / "in.bin", work, key)
+                open_file(work / "in.puf", work / "in.prf", work / "back.bin", key)
+                assert (work / "back.bin").read_bytes() == data
                 done.append(seed)
 
         callers = [threading.Thread(target=caller, args=(seed,)) for seed in range(len(os.sched_getaffinity(0)) + 2)]
@@ -409,9 +531,26 @@ class TestDigestHelper:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in callers)
         assert sorted(done) == sorted(3 * list(range(len(callers))))
+        assert not pass_threads()
 
-    def test_child_held_to_one_cpu_starts_no_thread(self, tmp_path):
-        proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD], cwd=tmp_path, env=_package_env(),
+    def test_child_held_to_one_cpu_starts_no_thread(self, native, tmp_path):
+        # Holds itself to one CPU, then seals and opens LONG bytes through
+        # the file pass while a poller looks for its second worker.
+        child = f"""
+import os, sys
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+from pathlib import Path
+from test_streaming import open_file, seal_file, watching_pass_threads
+work = Path.cwd()
+(work / "in.bin").write_bytes(os.urandom({LONG}))
+with watching_pass_threads() as seen:
+    seal_file(work / "in.bin", work)
+    open_file(work / "in.puf", work / "in.prf", work / "back.bin")
+assert (work / "back.bin").read_bytes() == (work / "in.bin").read_bytes()
+print(len(seen), len(os.listdir("/proc/self/task")))
+"""
+        proc = subprocess.run([sys.executable, "-c", child], cwd=tmp_path, env=_package_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "1"]
@@ -429,7 +568,7 @@ class Recorder:
 
     def writer(self, stream: str):
         def write(piece):
-            index = sum(entry[0] == stream for entry in self.log)  # one thread writes each stream
+            index = sum(entry[0] == stream for entry in self.log)
             self.log.append((stream, threading.current_thread().name, bytes(piece)))
             if (stream, index) == (self.fail_on, self.fail_at):
                 raise self.error
@@ -454,63 +593,32 @@ def _sealed_pair(data: bytes, mode: str = "raw") -> tuple[bytes, bytes]:
     return puf.to_bytes(), prf.to_bytes()
 
 
-def _helpers_alive() -> list[threading.Thread]:
-    return [thread for thread in threading.enumerate() if thread.name == "sefrag-digest"]
+class TestPythonLoop:
+    """Writers without a descriptor get the Python chunk loop: every piece
+    in order, on the caller's thread."""
 
-
-class TestWritesOnTheHelper:
-    """Where a pass starts its digest helper, the helper also writes the
-    large stream, chunk by chunk after hashing it: the ``.puf`` payload on
-    seal, the content on open.  The caller writes everything else."""
-
-    @pytest.mark.skipif(ONE_CPU, reason="this process may run on one CPU only, so no helper starts")
-    def test_seal_writes_the_payload_on_the_helper_after_both_headers(self, monkeypatch):
+    def test_every_piece_is_written_on_the_caller_in_order(self, monkeypatch):
         monkeypatch.setattr(container.os, "urandom", fake_urandom())
-        recorder, caller = Recorder(), threading.current_thread().name
-        _seal(case_input("dicom", THREADED), recorder, "dicom")
-        puf, prf = recorder.stream("puf"), recorder.stream("prf")
-        assert [thread for thread, _ in puf] == [caller] + 3 * ["sefrag-digest"]
-        assert {thread for thread, _ in prf} == {caller}
-        assert len(puf[0][1]) == container._PUF_HEADER.size + len(HEADS["dicom"])
-        # Both headers, the .puf's with its head, are written before any chunk.
-        assert [(stream, thread) for stream, thread, _ in recorder.log[:2]] == [("puf", caller), ("prf", caller)]
-        got = digests(b"".join(piece for _, piece in puf), b"".join(piece for _, piece in prf))
-        assert got == FROZEN["dicom", THREADED]
-
-    @pytest.mark.skipif(ONE_CPU, reason="this process may run on one CPU only, so no helper starts")
-    def test_open_writes_the_content_on_the_helper_between_head_and_tail(self):
         data = case_input("dicom", THREADED)
-        puf, prf = _sealed_pair(data, "dicom")
         recorder, caller = Recorder(), threading.current_thread().name
-        _open(puf, prf, recorder)
+        _seal(data, recorder, "dicom")
+        puf, prf = recorder.stream("puf"), recorder.stream("prf")
+        # Both headers, the .puf's with its head, before any chunk; a piece
+        # per chunk in each stream; then the tail and digest, and the padding.
+        assert [(stream, len(piece)) for stream, _, piece in recorder.log[:2]] == [
+            ("puf", container._PUF_HEADER.size + len(HEADS["dicom"])), ("prf", container._PRF_HEADER.size)]
+        assert len(puf) == 1 + 3 and len(prf) == 1 + 3 + 1 + 1
+        assert digests(b"".join(piece for _, piece in puf), b"".join(piece for _, piece in prf)) == \
+            FROZEN["dicom", THREADED]
+        _open(b"".join(piece for _, piece in puf), b"".join(piece for _, piece in prf), recorder)
         out = recorder.stream("out")
-        assert [thread for thread, _ in out] == [caller] + 3 * ["sefrag-digest"] + [caller]
         assert [len(piece) for _, piece in out] == [len(HEADS["dicom"]), CHUNK, CHUNK, CHUNK, THREADED % UNIT_LEN]
         assert b"".join(piece for _, piece in out) == data
-
-    @pytest.mark.parametrize("how", ["two_chunks", "one_cpu"])
-    def test_short_or_one_cpu_pass_writes_everything_on_the_caller(self, how, monkeypatch):
-        length = 2 * CHUNK + 7 if how == "two_chunks" else THREADED
-        if how == "one_cpu":
-            monkeypatch.setattr(_native, "other_cpus", set)  # what a process held to one CPU sees
-        data = case_input("raw", length)
-        recorder, caller = Recorder(), threading.current_thread().name
-        _seal(data, recorder)
-        puf = b"".join(piece for _, piece in recorder.stream("puf"))
-        prf = b"".join(piece for _, piece in recorder.stream("prf"))
-        _open(puf, prf, recorder)
         assert {thread for _, thread, _ in recorder.log} == {caller}
-        assert len(recorder.stream("puf")) == 1 + length // CHUNK  # the header, then one piece per chunk
-        assert b"".join(piece for _, piece in recorder.stream("out")) == data
 
-    @pytest.mark.parametrize("on", ["helper", "caller"])
     @pytest.mark.parametrize("chunk", [0, 1, 2])
     @pytest.mark.parametrize("command", ["seal", "open"])
-    def test_a_failed_write_is_raised_in_the_caller_and_ends_the_pass(self, command, chunk, on, monkeypatch):
-        if on == "caller":
-            monkeypatch.setattr(_native, "other_cpus", set)
-        elif ONE_CPU:
-            pytest.skip("this process may run on one CPU only, so no helper starts")
+    def test_a_failed_write_ends_the_pass(self, command, chunk):
         data = case_input("raw", THREADED)
         large = "puf" if command == "seal" else "out"
         # The large stream's first piece is the .puf header, or the (empty) head.
@@ -521,41 +629,24 @@ class TestWritesOnTheHelper:
             else:
                 _open(*_sealed_pair(data), recorder)
         assert raised.value is recorder.error
-        assert not _helpers_alive()
-        written = recorder.stream(large)
-        assert len(written) == 2 + chunk  # nothing after the failed piece
-        assert written[-1][0] == ("sefrag-digest" if on == "helper" else threading.current_thread().name)
-        if command == "open" or on == "caller":
-            # One thread wrote everything, so the failed piece was the last write of all.
-            assert recorder.log[-1][0] == large
-        else:
-            # The caller may finish the private piece of the chunk it had
-            # under way, never one past it, nor the digest and padding.
-            assert len(recorder.stream("prf")) <= 1 + chunk + 1
+        assert len(recorder.stream(large)) == 2 + chunk  # nothing after the failed piece
+        assert recorder.log[-1][0] == large
 
-    @pytest.mark.parametrize("command,thread,nth", [
-        ("protect", "sefrag-digest", 2), ("protect", "caller", 3),
-        ("recover", "sefrag-digest", 2), ("recover", "caller", 2),
-    ], ids=["protect-helper", "protect-caller", "recover-helper", "recover-caller"])
-    def test_cli_failed_write_leaves_no_file_and_exits_2(self, command, thread, nth, tmp_path, monkeypatch, capsys):
-        if thread == "sefrag-digest" and ONE_CPU:
-            pytest.skip("this process may run on one CPU only, so no helper starts")
-        thread = threading.current_thread().name if thread == "caller" else thread
+    @pytest.mark.parametrize("command,nth", [("protect", 1), ("protect", 3), ("recover", 1)])
+    def test_cli_failed_write_leaves_no_file_and_exits_2(self, command, nth, tmp_path, monkeypatch, capsys):
         src = tmp_path / "scan.bin"
         src.write_bytes(case_input("dicom", THREADED))
         vault, out_dir = tmp_path / "vault", tmp_path / "out"
         assert cli.main(["protect", str(src), "--mode", "dicom", "--key-hex", KEY, "--out-dir", str(vault)]) == 0
         out_dir.mkdir()
         capsys.readouterr()
-        # The nth os.write on the named thread fails, as on a full disk:
-        # protect's caller writes both headers first, recover's its head.
-        write, counts, failed = os.write, collections.Counter(), []
+        # The nth os.write fails, as on a full disk: protect writes both
+        # headers first, recover its head.
+        write, count = os.write, [0]
 
         def failing_write(fd, data):
-            name = threading.current_thread().name
-            counts[name] += 1
-            if (name, counts[name]) == (thread, nth):
-                failed.append(name)
+            count[0] += 1
+            if count[0] == nth:
                 raise OSError(28, "No space left on device")
             return write(fd, data)
 
@@ -566,8 +657,56 @@ class TestWritesOnTheHelper:
             code = cli.main(["recover", str(vault / "scan.puf"), str(vault / "scan.prf"), "--key-hex", KEY,
                              "--out", str(out_dir / "back.bin")])
         monkeypatch.undo()
-        assert failed == [thread]
+        assert count[0] == nth
         assert code == 2
         assert capsys.readouterr() == ("", "error: [Errno 28] No space left on device\n")
         assert os.listdir(out_dir) == []
-        assert not _helpers_alive()
+
+
+class TestFilePassFailures:
+    """``sefrag protect`` and ``recover`` of LONG bytes, whose file passes
+    run two workers where two CPUs are allowed."""
+
+    @pytest.fixture
+    def pair(self, native, tmp_path):
+        src, vault = tmp_path / "scan.bin", tmp_path / "vault"
+        src.write_bytes(hashlib.shake_256(b"long scan").digest(LONG))
+        assert cli.main(["protect", str(src), "--key-hex", KEY, "--out-dir", str(vault)]) == 0
+        return src, vault / "scan.puf", vault / "scan.prf"
+
+    @pytest.mark.parametrize("command", ["protect", "recover"])
+    def test_a_full_disk_mid_pass_exits_2_and_leaves_nothing(self, command, pair, tmp_path):
+        src, puf, prf = pair
+        out = tmp_path / "out"
+        out.mkdir()
+        # A worker's pwrite past the limit fails with EFBIG, as on a disk
+        # that fills up mid-pass.
+        if command == "protect":
+            proc = run_with_file_size_limit(4 << 20, "protect", src, "--key-hex", KEY, "--out-dir", out)
+        else:
+            proc = run_with_file_size_limit(4 << 20, "recover", puf, prf, "--key-hex", KEY, "--out", out / "back.bin")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "error: [Errno 27] File too large\n"
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("how", ["wrong_key", "flipped_digest"])
+    def test_a_bad_pair_exits_4_with_no_output(self, how, pair, tmp_path, capsys):
+        _, puf, prf = pair
+        key = KEY
+        if how == "wrong_key":
+            key = "ff" * 16
+        else:
+            # Flipping a byte of the cipher block before the last flips the
+            # same byte of the last: a digest byte, beside valid padding.
+            raw = bytearray(prf.read_bytes())
+            raw[-32] ^= 0x01
+            prf.write_bytes(raw)
+        out = tmp_path / "out"
+        out.mkdir()
+        capsys.readouterr()
+        assert cli.main(["recover", str(puf), str(prf), "--key-hex", key, "--out", str(out / "back.bin")]) == 4
+        message = "padding invalid" if how == "wrong_key" else "content digest mismatch"
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert os.listdir(out) == []

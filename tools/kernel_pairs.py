@@ -8,12 +8,18 @@ temp directory, once when both sides name one file.  Each round times
 ``sefrag_recover``, over 4,096 units each (8 MiB at the default 64 calls,
 the chunks of one file), into buffers allocated before the timed passes,
 on each library in turn; which one runs first alternates from round to
-round.  A round's time for one library and direction is the fastest of
-``REPEATS`` passes.  Both libraries must give the same bytes, or the tool
-exits 1.
+round.  Each round also times one whole file pass each way on each
+library that has the file passes (``sefrag_seal_pass``,
+``sefrag_open_pass``): ``container.seal_stream`` of the same bytes from a
+file in a temp directory into a fresh pair there, and ``open_stream``
+back, with the process's other CPUs available to the second worker as
+in ``sefrag protect``.  A round's time for one library and direction is
+the fastest of ``REPEATS`` passes.  Both libraries must give the same
+bytes, and each file pass the input back, or the tool exits 1.
 
-Prints one JSON line: each side's per-round times in ms, the order the
-sides ran in, and the lane count each library reports on this CPU.
+Prints one JSON line: each side's per-round times in ms (``seal_ms`` and
+``open_ms`` stay empty for a library without the file passes), the order
+the sides ran in, and the lane count each library reports on this CPU.
 """
 
 from __future__ import annotations
@@ -30,23 +36,25 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from sefrag import _native  # noqa: E402
-from sefrag.core import CHUNK_UNITS, REMAINDER_LEN, SUB_LEN, UNIT_LEN  # noqa: E402
+from sefrag import _native, container, core  # noqa: E402
+from sefrag.core import CHUNK_UNITS, REMAINDER_LEN, SUB_LEN, UNIT_LEN, ProtectionKey  # noqa: E402
 
 REPEATS = 5
 SIDES = ("old", "new")
+# The chunk functions, which every version of the source has.
+CHUNK_SIGNATURES = {name: _native._SIGNATURES[name] for name in ("sefrag_protect", "sefrag_recover", "sefrag_lanes")}
 
 
-def build(sources: dict[str, Path], out: Path) -> dict[str, ctypes.CDLL]:
-    """Compile each source file once, all at once, and load the libraries;
-    a source given on both sides is one library."""
+def build(sources: dict[str, Path], out: Path) -> dict[str, Path]:
+    """Compile each source file once, all at once; a source given on both
+    sides is one library.  Returns each side's library."""
     paths = {side: source.resolve() for side, source in sources.items()}
     libraries = {path: out / f"kernel{n}.so" for n, path in enumerate(dict.fromkeys(paths.values()))}
     procs = [subprocess.Popen([*_native.COMPILE, "-o", str(library), str(path), *_native.LIBS])
              for path, library in libraries.items()]
     if any([proc.wait() for proc in procs]):
         sys.exit("a kernel source failed to build")
-    return {side: _native._bind(str(libraries[path]), _native._SIGNATURES) for side, path in paths.items()}
+    return {side: libraries[path] for side, path in paths.items()}
 
 
 def passes(lib: ctypes.CDLL, units: bytes, key: bytes, calls: int):
@@ -83,6 +91,32 @@ def passes(lib: ctypes.CDLL, units: bytes, key: bytes, calls: int):
     return times, (pub.raw, picked.raw, back.raw)
 
 
+def file_passes(kernel: _native.Kernel, src: Path, key: ProtectionKey) -> tuple[list[float], bool]:
+    """Seal and open ``src`` on ``kernel``'s file passes: the fastest of
+    ``REPEATS`` runs each way, in ms, and whether every open gave ``src``
+    back."""
+    core._kernel = lambda: kernel
+    work, best, equal = src.parent, [float("inf")] * 2, True
+    for _ in range(REPEATS):
+        puf, prf, back = work / "pass.puf", work / "pass.prf", work / "pass.out"
+        start = time.perf_counter()
+        with src.open("rb") as f:
+            _, seal = container.seal_stream(f, lambda _salt: key)
+            with container.atomic_write(puf) as write_puf, container.atomic_write(prf) as write_prf:
+                seal(write_puf, write_prf)
+        best[0] = min(best[0], time.perf_counter() - start)
+        start = time.perf_counter()
+        with puf.open("rb") as p, prf.open("rb") as q:
+            recover = container.open_stream(p, q, lambda _salt: key)
+            with container.atomic_write(back) as write:
+                recover(write)
+        best[1] = min(best[1], time.perf_counter() - start)
+        equal = equal and back.read_bytes() == src.read_bytes()
+        for path in (puf, prf, back):  # fresh names each time, as a rename over a file also times its writeback
+            path.unlink()
+    return [1e3 * t for t in best], equal
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
@@ -94,19 +128,30 @@ def main(argv=None) -> int:
     units, key = rng.randbytes(UNIT_LEN * CHUNK_UNITS * args.calls), rng.randbytes(16)
     result = {"old": str(args.old), "new": str(args.new), "calls": args.calls, "units_per_call": CHUNK_UNITS,
               "repeats": REPEATS, "first": [], "protect_ms": {"old": [], "new": []},
-              "recover_ms": {"old": [], "new": []}}
+              "recover_ms": {"old": [], "new": []}, "seal_ms": {"old": [], "new": []},
+              "open_ms": {"old": [], "new": []}}
     with tempfile.TemporaryDirectory() as tmp:
-        libs = build({"old": args.old, "new": args.new}, Path(tmp))
+        paths = build({"old": args.old, "new": args.new}, Path(tmp))
+        libs = {side: _native._bind(str(path), CHUNK_SIGNATURES) for side, path in paths.items()}
+        # The file passes run on the sides whose library has them.
+        kernels = {side: _native.Kernel(path) for side, path in paths.items() if hasattr(libs[side], "sefrag_seal_pass")}
+        src = Path(tmp) / "input.bin"
+        src.write_bytes(units)
         result["lanes"] = {side: lib.sefrag_lanes() for side, lib in libs.items()}
         for r in range(args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
             result["first"].append(order[0])
-            outputs = {}
+            outputs, returned = {}, True
             for side in order:
                 (protect_ms, recover_ms), outputs[side] = passes(libs[side], units, key, args.calls)
                 result["protect_ms"][side].append(round(protect_ms, 3))
                 result["recover_ms"][side].append(round(recover_ms, 3))
-            if outputs["old"] != outputs["new"] or outputs["old"][2] != units:
+                if side in kernels:
+                    (seal_ms, open_ms), back = file_passes(kernels[side], src, ProtectionKey(key))
+                    result["seal_ms"][side].append(round(seal_ms, 3))
+                    result["open_ms"][side].append(round(open_ms, 3))
+                    returned = returned and back
+            if outputs["old"] != outputs["new"] or outputs["old"][2] != units or not returned:
                 print(json.dumps(dict(result, equal=False)))
                 return 1
     print(json.dumps(dict(result, equal=True)))
