@@ -21,10 +21,12 @@ the connection is then served on.  ERROR carries no reason, so the
 client cannot tell a corrupt blob from a failed store: a PUT answered
 ERROR raises ``BackendUnavailable`` (exit 6) and a GET answered ERROR
 raises ``IntegrityFailure`` (exit 4), whatever went wrong on the
-server.  Payloads are capped at 1 GiB.  An unknown opcode gets ERROR and a closed
-connection: its frame length is unknown.
-A connection whose client sends nothing, or stops partway through a
-frame, for ``REMOTE_TIMEOUT`` seconds (10) is closed by the server.
+server.  Payloads are capped at 1 GiB.  An unknown opcode gets ERROR
+and a closed connection: its frame length is unknown.  The server runs
+``HANDLERS`` (8) threads that each accept a connection and serve it to
+its end, so a client beyond them waits in the listen queue; one that
+sends nothing, or stops partway through a frame, for ``REMOTE_TIMEOUT``
+seconds (10) is dropped, which frees its thread.
 
 Both ends read frames through buffered socket files, so the server
 holds a PUT payload once and the client a GET body once; reading an
@@ -55,12 +57,12 @@ truncating the index while a reader runs is unsupported.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import mmap
 import os
 import socket
-import socketserver
 import struct
 import threading
 from collections import namedtuple
@@ -84,6 +86,8 @@ _LEN = struct.Struct("<Q")
 
 # Seconds each socket operation may block, on either end of a connection.
 REMOTE_TIMEOUT = 10.0
+
+HANDLERS = 8  # threads a BlobServer accepts and serves connections on
 
 
 class BlobRef(namedtuple("BlobRef", "id")):
@@ -125,7 +129,10 @@ class DirectoryBackend:
         return self.root / ref.hex[:2] / ref.hex
 
     def put(self, payload: bytes) -> BlobRef:
-        ref = BlobRef.for_payload(payload)
+        return self._store(BlobRef.for_payload(payload), payload)
+
+    def _store(self, ref: BlobRef, payload: bytes) -> BlobRef:
+        """Store ``payload``, which the caller knows hashes to ``ref``."""
         # Written whole even when present, which also heals a corrupted
         # copy; readers never observe a partial blob.
         with atomic_write(self._path(ref)) as write:
@@ -213,7 +220,7 @@ def _reply(backend: DirectoryBackend, opcode: int, ref: BlobRef, payload: bytes 
     """
     try:
         if opcode == OP_PUT:
-            backend.put(ref.check(payload))
+            backend._store(ref, ref.check(payload))
             return bytes([ST_OK])
         if opcode == OP_GET:
             payload = backend.get(ref)
@@ -225,58 +232,75 @@ def _reply(backend: DirectoryBackend, opcode: int, ref: BlobRef, payload: bytes 
         return bytes([ST_ERROR])
 
 
-class _BlobRequestHandler(socketserver.StreamRequestHandler):
-    server: BlobServer
-    timeout = REMOTE_TIMEOUT  # a client that sends nothing, or stops mid-frame, is dropped
-
-    def handle(self):
-        # Every OSError here is the client's socket: storage errors are
-        # answered inside ``_reply``.
-        try:
-            while op_raw := self.rfile.read(1):
+def _serve(conn: socket.socket, backend: DirectoryBackend):
+    """Answer the requests on one connection until its client hangs up."""
+    # Every OSError here is the client's socket, and a MemoryError a length
+    # it announced: storage errors are answered inside ``_reply``.
+    try:
+        with conn.makefile("rb") as rfile:
+            while op_raw := rfile.read(1):
                 opcode = op_raw[0]
                 if opcode not in (OP_PUT, OP_GET, OP_DELETE):
                     # Frame sync is lost: hang up.
-                    self.wfile.write(bytes([ST_ERROR]))
+                    conn.sendall(bytes([ST_ERROR]))
                     return
-                ref = BlobRef(_read_exact(self.rfile, 32))
+                ref = BlobRef(_read_exact(rfile, 32))
                 payload = None
                 if opcode == OP_PUT:
-                    (length,) = _LEN.unpack(_read_exact(self.rfile, 8))
+                    (length,) = _LEN.unpack(_read_exact(rfile, 8))
                     if length > MAX_PAYLOAD:
                         # Framing can't be trusted past an oversize claim.
-                        self.wfile.write(bytes([ST_ERROR]))
+                        conn.sendall(bytes([ST_ERROR]))
                         return
-                    payload = _read_exact(self.rfile, length)
-                self.wfile.write(_reply(self.server.backend, opcode, ref, payload))
-        except OSError:
-            return
+                    payload = _read_exact(rfile, length)
+                conn.sendall(_reply(backend, opcode, ref, payload))
+    except (OSError, MemoryError):
+        return
 
 
-class BlobServer(socketserver.ThreadingTCPServer):
-    """Wire-protocol server over a directory store; ``with`` serves it
-    from a background thread and shuts it down on exit."""
-
-    allow_reuse_address = True
-    daemon_threads = True
+class BlobServer:
+    """Wire-protocol server over a directory store.  ``with`` starts its
+    ``HANDLERS`` threads, which accept and serve connections one at a
+    time each; leaving the block hangs up on every client and joins them."""
 
     def __init__(self, host: str, port: int, root: str | Path):
         Path(root).mkdir(parents=True, exist_ok=True)  # an unusable root fails here, not on a PUT
         self.backend = DirectoryBackend(root)
         try:
-            super().__init__((host, port), _BlobRequestHandler)
+            self._listener = socket.create_server((host, port))
         except OSError as exc:
             raise BackendUnavailable(f"cannot bind {host}:{port}: {exc}") from exc
+        self.server_address = self._listener.getsockname()
+        self._clients, self._closing = set(), False
+        self._threads = [threading.Thread(target=self._accept, name="sefrag-serve", daemon=True)
+                         for _ in range(HANDLERS)]
+
+    def _accept(self):
+        while not self._closing:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:  # the shutdown, or one client's failure, such as a reset before the accept
+                continue
+            self._clients.add(conn)  # then checked, so that __exit__ sees it or has set _closing
+            with conn:
+                if not self._closing:
+                    conn.settimeout(REMOTE_TIMEOUT)
+                    _serve(conn, self.backend)
+            self._clients.discard(conn)
 
     def __enter__(self) -> "BlobServer":
-        self._thread = threading.Thread(target=self.serve_forever, kwargs={"poll_interval": 0.1}, daemon=True)
-        self._thread.start()
+        for thread in self._threads:
+            thread.start()
         return self
 
     def __exit__(self, *exc_info):
-        self.shutdown()
-        self.server_close()
-        self._thread.join(timeout=5)
+        self._closing = True
+        for sock in [self._listener, *self._clients]:
+            with contextlib.suppress(OSError):  # a client's thread closed it first
+                sock.shutdown(socket.SHUT_RDWR)  # wakes the accept or the read blocked on it
+        for thread in self._threads:
+            thread.join()
+        self._listener.close()
 
 
 class Placement(namedtuple("Placement", "record_id puf_ref puf_backend prf_ref prf_backend")):

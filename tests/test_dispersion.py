@@ -9,6 +9,7 @@ import socket
 import struct
 import threading
 import time
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -348,7 +349,6 @@ class TestWireProtocol:
 
     def test_idle_and_half_frame_clients_are_dropped(self, tmp_path, monkeypatch):
         monkeypatch.setattr(dispersion, "REMOTE_TIMEOUT", 0.5)
-        monkeypatch.setattr(dispersion._BlobRequestHandler, "timeout", 0.5)
         with BlobServer("127.0.0.1", 0, tmp_path / "blobs") as server:
             remote = RemoteBackend(*server.server_address)
             ref = remote.put(b"still served")
@@ -361,6 +361,92 @@ class TestWireProtocol:
                 assert half.recv(1) == b""
                 assert time.monotonic() - start < 5
             assert remote.get(ref) == b"still served"
+
+    def test_handlers_are_fixed_and_a_client_beyond_them_waits(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dispersion, "HANDLERS", 2)
+        monkeypatch.setattr(dispersion, "REMOTE_TIMEOUT", 0.5)
+        before = threading.active_count()
+        with BlobServer("127.0.0.1", 0, tmp_path / "blobs") as server:
+            ref = server.backend.put(b"served third")
+            start = time.monotonic()
+            idle = [socket.create_connection(server.server_address, timeout=5) for _ in range(2)]
+            third = socket.create_connection(server.server_address, timeout=5)
+            with idle[0], idle[1], third, third.makefile("rb") as replies:
+                assert threading.active_count() == before + 2
+                third.sendall(bytes([OP_GET]) + ref.id)
+                # Answered only once a handler has dropped its idle client.
+                assert replies.read(1 + 8 + 12) == b"\x00" + struct.pack("<Q", 12) + b"served third"
+                assert time.monotonic() - start >= 0.45
+                assert idle[0].recv(1) == idle[1].recv(1) == b""
+                assert threading.active_count() == before + 2
+        assert threading.active_count() == before
+
+    def test_leaving_the_block_hangs_up_on_connected_clients(self, tmp_path):
+        before = threading.active_count()
+        with BlobServer("127.0.0.1", 0, tmp_path / "blobs") as server:
+            clients = [socket.create_connection(server.server_address, timeout=5) for _ in range(2)]
+            for sock in clients:  # answered, so a handler is serving it
+                sock.sendall(bytes([OP_GET]) + bytes(32))
+                assert sock.recv(1) == b"\x01"  # NOT_FOUND
+            # One client idle, the other partway through a PUT frame.
+            clients[1].sendall(bytes([OP_PUT]) + bytes(32) + struct.pack("<Q", 100) + bytes(10))
+            start = time.monotonic()
+        with clients[0], clients[1]:
+            assert time.monotonic() - start < 5  # well inside the 10-second idle timeout
+            assert threading.active_count() == before
+            for sock in clients:
+                with contextlib.suppress(ConnectionResetError):  # a hang-up with bytes of ours unread
+                    assert sock.recv(1) == b""
+        assert not any((tmp_path / "blobs").iterdir())
+
+    def test_a_failed_accept_leaves_its_handler_accepting(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dispersion, "HANDLERS", 1)
+        accept, failed = socket.socket.accept, []
+
+        def accept_failing_once(sock):
+            if not failed:
+                failed.append(sock)
+                raise ConnectionAbortedError("the client reset before the accept")
+            return accept(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", accept_failing_once)
+        with BlobServer("127.0.0.1", 0, tmp_path / "blobs") as server:
+            remote = RemoteBackend(*server.server_address)
+            ref = remote.put(b"served by the one handler")
+            assert remote.get(ref) == b"served by the one handler"
+        assert len(failed) == 1
+
+    def test_a_payload_the_server_cannot_hold_costs_only_its_connection(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dispersion, "HANDLERS", 1)
+        read_exact = dispersion._read_exact
+
+        def read_at_most_a_kib(f, n):
+            if n > 1024:
+                raise MemoryError
+            return read_exact(f, n)
+
+        with BlobServer("127.0.0.1", 0, tmp_path / "blobs") as server:
+            monkeypatch.setattr(dispersion, "_read_exact", read_at_most_a_kib)
+            with socket.create_connection(server.server_address, timeout=5) as sock:
+                sock.sendall(bytes([OP_PUT]) + bytes(32) + struct.pack("<Q", 1 << 20))
+                assert sock.recv(1) == b""  # hung up, with no reply
+            monkeypatch.setattr(dispersion, "_read_exact", read_exact)
+            remote = RemoteBackend(*server.server_address)
+            ref = remote.put(b"served by the one handler")
+            assert remote.get(ref) == b"served by the one handler"
+
+    def test_put_hashes_the_payload_once_on_each_end(self, served, monkeypatch):
+        _, remote = served
+        payload = b"hashed by the client, then by the server" * 50
+        hashed = []
+
+        def sha256(data=b""):
+            hashed.append(bytes(data))
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(dispersion, "hashlib", types.SimpleNamespace(sha256=sha256))
+        remote.put(payload)
+        assert hashed == [payload, payload]
 
     def test_peer_hanging_up_mid_reply_is_unavailable(self, tmp_path):
         with stub_server(SHORT_REPLY) as address:

@@ -178,8 +178,8 @@ class TestStartPath:
         record = capsys.readouterr().out.strip()
         puf, prf = tmp_path / "w" / "scan.puf", tmp_path / "w" / "scan.prf"
         blob = hashlib.sha256(puf.read_bytes()).hexdigest()
-        light = {"dataclasses", "inspect"}
-        policy_only = light | {"sefrag.dispersion", "socketserver", "mmap"}
+        light = {"dataclasses", "inspect", "socketserver"}
+        policy_only = light | {"sefrag.dispersion", "mmap"}
         with socket.create_server(("127.0.0.1", 0)) as taken:
             runs = [
                 (("get", "00" * 32, "--store", store, "--out", tmp_path / "x"), 5, "sefrag.dispersion", light),

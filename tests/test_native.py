@@ -180,6 +180,52 @@ def test_kernel_compiles_without_warnings(tmp_path, monkeypatch):
     assert reason is None, reason
 
 
+# Seals and opens files through the native file pass of the library named
+# in argv[1]: unit counts that are not a multiple of 4 (1, 5 and 13 units,
+# one short chunk each), a chunk and a unit, and three chunks and a tail.
+ASAN_ROUND_TRIPS = """
+import os, sys, tempfile
+from pathlib import Path
+from sefrag import _native, container, core
+from sefrag.core import ProtectionKey
+kernel = _native.Kernel(Path(sys.argv[1]))
+core._kernel = lambda: kernel
+key = ProtectionKey(bytes(range(16)))
+with tempfile.TemporaryDirectory() as tmp:
+    tmp = Path(tmp)
+    for size in (32, 5 * 32 + 7, 13 * 32, 32 * core.CHUNK_UNITS + 32, 3 * 32 * core.CHUNK_UNITS + 99):
+        (tmp / "in").write_bytes(os.urandom(size))
+        with (tmp / "in").open("rb") as src:
+            _, seal = container.seal_stream(src, lambda salt: key)
+            with container.atomic_write(tmp / "a.puf") as puf, container.atomic_write(tmp / "a.prf") as prf:
+                seal(puf, prf)
+        with (tmp / "a.puf").open("rb") as puf, (tmp / "a.prf").open("rb") as prf:
+            recover = container.open_stream(puf, prf, lambda salt: key)
+            with container.atomic_write(tmp / "out") as write:
+                recover(write)
+        assert (tmp / "out").read_bytes() == (tmp / "in").read_bytes(), size
+"""
+
+
+def test_file_passes_stay_inside_their_buffers_under_asan(tmp_path, monkeypatch):
+    # AddressSanitizer sees the heap overruns UBSan does not; its runtime
+    # must be the first library a process loads, so the passes run in a
+    # child started with it preloaded.
+    if not isinstance(_native.load(), _native.Kernel):
+        pytest.skip(f"native kernel unavailable: {_native.load().name}")
+    runtime = subprocess.run([_native.COMPILE[0], "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(runtime):
+        pytest.skip("the compiler has no AddressSanitizer runtime")
+    monkeypatch.setattr(_native, "COMPILE", (*_native.COMPILE, "-O1", "-g", "-fsanitize=address"))
+    reason = _native._build(tmp_path / "kernel.so")
+    assert reason is None, reason
+    env = dict(_package_env(), LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
+    proc = subprocess.run([sys.executable, "-c", ASAN_ROUND_TRIPS, str(tmp_path / "kernel.so")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and "AddressSanitizer" not in proc.stderr, proc.stderr
+
+
 def test_kernel_pairs_tool_runs_one_source_against_itself():
     # tools/kernel_pairs.py, one round over one chunk: it builds, times
     # both directions on each side and finds the bytes equal.
