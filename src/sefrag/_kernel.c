@@ -599,26 +599,10 @@ static void fail(struct pass *p, size_t k, int status, uint64_t missing)
     pthread_mutex_unlock(&p->lock);
 }
 
-/* Chunk k's first unit and unit count. */
-static size_t chunk_size(const struct pass *p, size_t k, uint64_t *first)
-{
-    *first = (uint64_t)k * p->chunk_units;
-    return p->units - *first < p->chunk_units ? (size_t)(p->units - *first) : p->chunk_units;
-}
-
-/* Units a worker's buffers hold: chunk 0's, the largest, rounded up to a
- * multiple of 4 as chunk_units is, so that the open's whole cipher blocks
- * fit; a pass of one short chunk takes no more than it needs. */
-static size_t buffer_units(const struct pass *p)
-{
-    uint64_t first;
-    return (chunk_size(p, 0, &first) + 3) / 4 * 4;
-}
-
 static void *work(void *arg)
 {
     struct worker *w = arg;
-    size_t k, n = buffer_units(w->p);
+    size_t k, n = w->p->chunk_units;
     w->pub = w->units + UNIT_LEN * n;
     w->picked = w->pub + REMAINDER_LEN * n;
     w->cipher = w->picked + SUB_LEN * n + BLOCK;
@@ -673,6 +657,13 @@ static int start(pthread_t *thread, struct worker *w, const int *cpus, size_t nc
 }
 #endif
 
+/* Chunk k's first unit and unit count. */
+static size_t chunk_size(const struct pass *p, size_t k, uint64_t *first)
+{
+    *first = (uint64_t)k * p->chunk_units;
+    return p->units - *first < p->chunk_units ? (size_t)(p->units - *first) : p->chunk_units;
+}
+
 /* Read, protect, then in turn hash the units and encipher the picks'
  * whole blocks on the one chain; then write both. */
 static int seal_chunk(struct worker *w, size_t k)
@@ -726,7 +717,7 @@ static int open_chunk(struct worker *w, size_t k)
  * thread more, and joins it: worker i uses ctx[i]. */
 static int run(struct pass *p, void *const ctx[2], const int *cpus, size_t ncpus, uint64_t *missing)
 {
-    size_t size = (UNIT_LEN + REMAINDER_LEN + 2 * SUB_LEN) * buffer_units(p) + 2 * BLOCK;
+    size_t size = (UNIT_LEN + REMAINDER_LEN + 2 * SUB_LEN) * p->chunk_units + 2 * BLOCK;
     struct worker w[2] = {{.p = p, .ctx = ctx[0]}, {.p = p, .ctx = ctx[1]}};
     pthread_t thread;
     int started = 0;

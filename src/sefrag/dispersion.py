@@ -24,9 +24,9 @@ raises ``IntegrityFailure`` (exit 4), whatever went wrong on the
 server.  Payloads are capped at 1 GiB.  An unknown opcode gets ERROR
 and a closed connection: its frame length is unknown.  The server runs
 ``HANDLERS`` (8) threads that each accept a connection and serve it to
-its end, so a client beyond them waits in the listen queue; one that
-sends nothing, or stops partway through a frame, for ``REMOTE_TIMEOUT``
-seconds (10) is dropped, which frees its thread.
+its end, so a client beyond them waits in the listen queue; one whose
+next frame has not arrived whole ``REMOTE_TIMEOUT`` seconds (10) after
+the server began to wait for it, idle or trickling, is dropped.
 
 Both ends read frames through buffered socket files, so the server
 holds a PUT payload once and the client a GET body once; reading an
@@ -59,12 +59,14 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import io
 import json
 import mmap
 import os
 import socket
 import struct
 import threading
+import time
 from collections import namedtuple
 from pathlib import Path
 
@@ -84,7 +86,8 @@ ST_ERROR = 0x02
 
 _LEN = struct.Struct("<Q")
 
-# Seconds each socket operation may block, on either end of a connection.
+# Seconds each client socket operation may block, and the server's bound on
+# each request frame and each reply.
 REMOTE_TIMEOUT = 10.0
 
 HANDLERS = 8  # threads a BlobServer accepts and serves connections on
@@ -232,13 +235,27 @@ def _reply(backend: DirectoryBackend, opcode: int, ref: BlobRef, payload: bytes 
         return bytes([ST_ERROR])
 
 
+class _FrameReader(socket.SocketIO):
+    """A connection's raw reads, each bounded by the time left until ``deadline``."""
+
+    deadline = 0.0
+
+    def readinto(self, b):
+        self._sock.settimeout(max(self.deadline - time.monotonic(), 1e-6))
+        return super().readinto(b)
+
+
 def _serve(conn: socket.socket, backend: DirectoryBackend):
     """Answer the requests on one connection until its client hangs up."""
     # Every OSError here is the client's socket, and a MemoryError a length
     # it announced: storage errors are answered inside ``_reply``.
+    raw = _FrameReader(conn, "rb")
     try:
-        with conn.makefile("rb") as rfile:
-            while op_raw := rfile.read(1):
+        with io.BufferedReader(raw) as rfile:
+            while True:
+                raw.deadline = time.monotonic() + REMOTE_TIMEOUT  # for the whole next frame
+                if not (op_raw := rfile.read(1)):
+                    return
                 opcode = op_raw[0]
                 if opcode not in (OP_PUT, OP_GET, OP_DELETE):
                     # Frame sync is lost: hang up.
@@ -253,6 +270,7 @@ def _serve(conn: socket.socket, backend: DirectoryBackend):
                         conn.sendall(bytes([ST_ERROR]))
                         return
                     payload = _read_exact(rfile, length)
+                conn.settimeout(REMOTE_TIMEOUT)  # sendall must send the whole reply within it
                 conn.sendall(_reply(backend, opcode, ref, payload))
     except (OSError, MemoryError):
         return
@@ -279,12 +297,11 @@ class BlobServer:
         while not self._closing:
             try:
                 conn, _ = self._listener.accept()
-            except OSError:  # the shutdown, or one client's failure, such as a reset before the accept
+            except OSError:  # one client's failure, such as a reset before the accept
                 continue
             self._clients.add(conn)  # then checked, so that __exit__ sees it or has set _closing
             with conn:
                 if not self._closing:
-                    conn.settimeout(REMOTE_TIMEOUT)
                     _serve(conn, self.backend)
             self._clients.discard(conn)
 
@@ -295,9 +312,12 @@ class BlobServer:
 
     def __exit__(self, *exc_info):
         self._closing = True
-        for sock in [self._listener, *self._clients]:
-            with contextlib.suppress(OSError):  # a client's thread closed it first
-                sock.shutdown(socket.SHUT_RDWR)  # wakes the accept or the read blocked on it
+        for conn in [*self._clients]:
+            with contextlib.suppress(OSError):  # its thread closed it first
+                conn.shutdown(socket.SHUT_RDWR)  # wakes the read blocked on it
+        for _ in self._threads:  # a connection of its own wakes each accept, on any platform
+            with contextlib.suppress(OSError), socket.create_connection(self.server_address[:2], REMOTE_TIMEOUT):
+                pass
         for thread in self._threads:
             thread.join()
         self._listener.close()

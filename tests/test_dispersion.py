@@ -381,6 +381,43 @@ class TestWireProtocol:
                 assert threading.active_count() == before + 2
         assert threading.active_count() == before
 
+    def test_trickling_clients_are_dropped_at_the_frame_deadline(self, tmp_path, monkeypatch):
+        # Each trickler sends a byte of its PUT every 0.1 s, well inside the
+        # 0.5 s bound on one socket operation; only a deadline on the whole
+        # frame frees their two handlers for the third client.
+        monkeypatch.setattr(dispersion, "HANDLERS", 2)
+        monkeypatch.setattr(dispersion, "REMOTE_TIMEOUT", 0.5)
+        stop = threading.Event()
+
+        def trickle(sock):
+            with contextlib.suppress(OSError):  # the server hangs up
+                while not stop.wait(0.1):
+                    sock.sendall(b"x")
+
+        with BlobServer("127.0.0.1", 0, tmp_path / "blobs") as server:
+            ref = server.backend.put(b"served third")
+            tricklers = [socket.create_connection(server.server_address, timeout=5) for _ in range(2)]
+            threads = [threading.Thread(target=trickle, args=(sock,)) for sock in tricklers]
+            for sock, thread in zip(tricklers, threads):
+                sock.sendall(bytes([OP_PUT]) + bytes(32) + struct.pack("<Q", 1 << 20))
+                thread.start()
+            start = time.monotonic()
+            try:
+                with socket.create_connection(server.server_address, timeout=5) as third, \
+                        third.makefile("rb") as replies:
+                    third.sendall(bytes([OP_GET]) + ref.id)
+                    assert replies.read(1 + 8 + 12) == b"\x00" + struct.pack("<Q", 12) + b"served third"
+                    assert time.monotonic() - start < 2
+                for sock in tricklers:
+                    with contextlib.suppress(ConnectionResetError):  # a hang-up with bytes of ours unread
+                        assert sock.recv(1) == b""
+            finally:
+                stop.set()
+                for sock, thread in zip(tricklers, threads):
+                    thread.join()
+                    sock.close()
+        assert not (tmp_path / "blobs" / "00").exists()  # neither trickled PUT was stored
+
     def test_leaving_the_block_hangs_up_on_connected_clients(self, tmp_path):
         before = threading.active_count()
         with BlobServer("127.0.0.1", 0, tmp_path / "blobs") as server:
