@@ -44,14 +44,15 @@
  * same bytes.
  *
  * The passes run a whole file's chunks in one call, on the caller's
- * thread and at most one thread more, pinned to the CPUs the caller
- * names; each worker reads, transforms and writes the chunks it claims at
- * their own offsets (pread, pwrite), and only the content digest and the
- * seal's CBC chain take turns in chunk order.  CBC decryption needs no
- * turn: the open deciphers each chunk on its worker's own context from
- * the cipher block before it (NIST SP 800-38A, 6.2).  The AES runs
- * through the EVP_CipherUpdate and contexts the caller passes, so this
- * file needs no cipher header.
+ * thread and, from three chunks on, at most one thread more, pinned to
+ * the caller's allowed CPUs less the one it runs on; each worker reads,
+ * transforms and writes the chunks it claims at their own offsets
+ * (pread, pwrite), and only the content digest and the seal's CBC chain
+ * take turns in chunk order.  CBC decryption needs no turn: the open
+ * deciphers each chunk on its worker's own context from the cipher block
+ * before it (NIST SP 800-38A, 6.2).  The AES runs through the
+ * EVP_CipherUpdate and contexts the caller passes, so this file needs no
+ * cipher header.
  *
  * The caller checks every buffer length before the call and passes the
  * functions' outputs unset: each writes every byte of its output.  The
@@ -59,7 +60,8 @@
  * so they return void.  sefrag_derive returns 1, or 0 when a libcrypto
  * call fails, as libcrypto's own calls do, and the caller then drops the
  * output.  The passes return 0, an errno, PASS_SHORT or PASS_CRYPTO (see
- * there), and join their thread before they return.
+ * there), and join their thread before they return; the seal reports how
+ * many workers it ran on.
  */
 
 #define _GNU_SOURCE
@@ -482,6 +484,7 @@ struct pass {
     cipher_update update;
     unsigned char *end; /* the seal's output: the picks past the last whole block, the tail, the digest */
     int (*chunk)(struct worker *w, size_t k);
+    int threaded; /* set by run where its thread ran */
     SHA256_CTX sha;
     /* Under lock: the next chunk to claim, the chunk whose turn it is,
      * and the first chunk that failed (SIZE_MAX while none has) with its
@@ -617,10 +620,12 @@ static void *work(void *arg)
     return NULL;
 }
 
-/* Starts worker w on a thread named sefrag-pass and pinned to the ncpus
- * CPUs cpus names, with every signal blocked, so that they reach the
- * caller's threads: 1, or 0 where it cannot start.  Only Linux names
- * CPUs (sefrag._native.other_cpus), so elsewhere no thread starts. */
+/* Starts worker w on a thread named sefrag-pass, pinned to the CPUs the
+ * calling thread may run on less the one it runs on now, with every
+ * signal blocked, so that they reach the caller's threads: 1, or 0 where
+ * no CPU is left or it cannot start.  A mask too large for a cpu_set_t
+ * (over 1,024 possible CPUs) fails sched_getaffinity, and off Linux no
+ * thread starts: the caller runs alone. */
 #if defined(__linux__)
 static void *pass_thread(void *arg)
 {
@@ -628,18 +633,17 @@ static void *pass_thread(void *arg)
     return work(arg);
 }
 
-static int start(pthread_t *thread, struct worker *w, const int *cpus, size_t ncpus)
+static int start(pthread_t *thread, struct worker *w)
 {
     pthread_attr_t attr;
     cpu_set_t set;
     sigset_t all, old;
-    int started = 0;
-    CPU_ZERO(&set);
-    for (size_t c = 0; c < ncpus; c++)
-        if (cpus[c] >= 0 && cpus[c] < CPU_SETSIZE)
-            CPU_SET(cpus[c], &set);
+    int started = 0, cpu = sched_getcpu();
+    if (cpu < 0 || cpu >= CPU_SETSIZE || sched_getaffinity(0, sizeof set, &set))
+        return 0;
+    CPU_CLR(cpu, &set);
     sigfillset(&all);
-    if (pthread_attr_init(&attr))
+    if (!CPU_COUNT(&set) || pthread_attr_init(&attr))
         return 0;
     if (!pthread_attr_setaffinity_np(&attr, sizeof set, &set)) {
         pthread_sigmask(SIG_BLOCK, &all, &old);
@@ -650,9 +654,9 @@ static int start(pthread_t *thread, struct worker *w, const int *cpus, size_t nc
     return started;
 }
 #else
-static int start(pthread_t *thread, struct worker *w, const int *cpus, size_t ncpus)
+static int start(pthread_t *thread, struct worker *w)
 {
-    (void)thread, (void)w, (void)cpus, (void)ncpus;
+    (void)thread, (void)w;
     return 0;
 }
 #endif
@@ -713,9 +717,10 @@ static int open_chunk(struct worker *w, size_t k)
     return write_at(p->fd[CONTENT], w->units, UNIT_LEN * n, p->at[CONTENT] + (off_t)(UNIT_LEN * first));
 }
 
-/* Runs every chunk on the caller and, where cpus names any, on one
- * thread more, and joins it: worker i uses ctx[i]. */
-static int run(struct pass *p, void *const ctx[2], const int *cpus, size_t ncpus, uint64_t *missing)
+/* Runs every chunk on the caller and, from three chunks on (two do not
+ * repay a thread), on one thread more where start gives one, and joins
+ * it: worker i uses ctx[i]. */
+static int run(struct pass *p, void *const ctx[2], uint64_t *missing)
 {
     size_t size = (UNIT_LEN + REMAINDER_LEN + 2 * SUB_LEN) * p->chunk_units + 2 * BLOCK;
     struct worker w[2] = {{.p = p, .ctx = ctx[0]}, {.p = p, .ctx = ctx[1]}};
@@ -731,8 +736,9 @@ static int run(struct pass *p, void *const ctx[2], const int *cpus, size_t ncpus
     pthread_mutex_init(&p->lock, NULL);
     pthread_cond_init(&p->turned, NULL);
     p->failed_at = SIZE_MAX;
-    if (ncpus && (w[1].units = malloc(size)))
-        started = start(&thread, &w[1], cpus, ncpus);
+    if (p->chunks > 2 && (w[1].units = malloc(size)))
+        started = start(&thread, &w[1]);
+    p->threaded = started;
     work(&w[0]);
     if (started)
         pthread_join(thread, NULL);
@@ -750,15 +756,17 @@ static int run(struct pass *p, void *const ctx[2], const int *cpus, size_t ncpus
  * tail.  ctx is the private stream's encrypting context, its chain at the
  * IV.  end, 4 * units % 16 + content_len % 32 + 32 bytes, gets the private
  * stream's plaintext that is not yet ciphered: the last picks short of a
- * block, the tail and SHA-256(content). */
+ * block, the tail and SHA-256(content).  *workers gets the workers the
+ * pass ran on, 1 or 2. */
 int sefrag_seal_pass(const int fd[3], const int64_t at[3], uint64_t content_len, size_t chunk_units,
-                     const unsigned char *key, cipher_update update, void *ctx, const int *cpus, size_t ncpus,
-                     unsigned char *end, uint64_t *missing)
+                     const unsigned char *key, cipher_update update, void *ctx, unsigned char *end, int *workers,
+                     uint64_t *missing)
 {
     struct pass p = {.fd = {fd[0], fd[1], fd[2]}, .at = {at[0], at[1], at[2]}, .units = content_len / UNIT_LEN,
                      .chunk_units = chunk_units, .key = key, .update = update, .end = end, .chunk = seal_chunk};
     void *const chain[2] = {ctx, ctx}; /* both workers cipher on the one chain, in turn */
-    int status = run(&p, chain, cpus, ncpus, missing);
+    int status = run(&p, chain, missing);
+    *workers = 1 + p.threaded;
     if (status)
         return status;
     size_t rest = SUB_LEN * p.units % BLOCK, tail = content_len % UNIT_LEN;
@@ -769,16 +777,17 @@ int sefrag_seal_pass(const int fd[3], const int64_t at[3], uint64_t content_len,
 }
 
 /* Open a pair of content_len bytes of content: every chunk through run,
- * then the tail, written last.  ctx[0] and, where cpus names any, ctx[1]
- * are decrypting contexts.  digests, 64 bytes, gets SHA-256 of the
- * content written, then the digest the private stream holds. */
+ * then the tail, written last.  ctx[0] and ctx[1] are decrypting
+ * contexts, the second for a second worker, which the pass may not run.
+ * digests, 64 bytes, gets SHA-256 of the content written, then the
+ * digest the private stream holds. */
 int sefrag_open_pass(const int fd[3], const int64_t at[3], uint64_t content_len, size_t chunk_units,
                      const unsigned char *key, const unsigned char *iv, cipher_update update, void *const ctx[2],
-                     const int *cpus, size_t ncpus, unsigned char *digests, uint64_t *missing)
+                     unsigned char *digests, uint64_t *missing)
 {
     struct pass p = {.fd = {fd[0], fd[1], fd[2]}, .at = {at[0], at[1], at[2]}, .units = content_len / UNIT_LEN,
                      .chunk_units = chunk_units, .key = key, .iv = iv, .update = update, .chunk = open_chunk};
-    int status = run(&p, ctx, cpus, ncpus, missing);
+    int status = run(&p, ctx, missing);
     if (status)
         return status;
     /* The blocks from the one that holds the last picks to the digest's end. */

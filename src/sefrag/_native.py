@@ -1,9 +1,7 @@
 """The kernel: the C library in ``_kernel.c``, its pure-Python
 counterpart, and the length checks both run before they touch a buffer;
 ``load`` alone decides which one runs.  Beside them, ``cbc`` is the one
-AES-128-CBC stream for either kernel, over libcrypto through ``ctypes``,
-and ``other_cpus`` names the CPUs a file pass's second worker may run
-on, through glibc's ``sched_getcpu``.
+AES-128-CBC stream for either kernel, over libcrypto through ``ctypes``.
 
 The first process that needs the kernel compiles it with the system C
 compiler against libcrypto, in well under a second, into
@@ -23,7 +21,9 @@ keystreams at once (on a CPU with AVX-512F and AVX-512VL), ``native
 update, return ``bytes`` that C code filled in, each byte written once.
 The native kernel alone also has ``seal_pass`` and ``open_pass``, which
 run a file's chunks from descriptor to descriptor in one call, on up to
-two workers.  Importing this module builds and loads nothing.
+two workers; the C pass decides whether a second one runs, and on which
+CPUs, and the seal reports how many ran.  Importing this module builds
+and loads nothing.
 
 ``PythonKernel`` moves 4-byte words with strided memoryview copies and
 chooses between them with big-integer masks, so the keystream hash is
@@ -57,9 +57,8 @@ _INTS, _I64S, _PTRS, _U64P = (ctypes.POINTER(t) for t in (_INT, ctypes.c_int64, 
 _SIGNATURES = {
     "sefrag_protect": (None, (_BYTES, _SIZE, _BYTES, _U64, _BYTES, _BYTES)),
     "sefrag_recover": (None, (_BYTES, _BYTES, _SIZE, _BYTES, _U64, _BYTES)),
-    "sefrag_seal_pass": (_INT, (_INTS, _I64S, _U64, _SIZE, _BYTES, _PTR, _PTR, _INTS, _SIZE, _BYTES, _U64P)),
-    "sefrag_open_pass": (_INT, (_INTS, _I64S, _U64, _SIZE, _BYTES, _BYTES, _PTR, _PTRS, _INTS, _SIZE, _BYTES,
-                                _U64P)),
+    "sefrag_seal_pass": (_INT, (_INTS, _I64S, _U64, _SIZE, _BYTES, _PTR, _PTR, _BYTES, _INTS, _U64P)),
+    "sefrag_open_pass": (_INT, (_INTS, _I64S, _U64, _SIZE, _BYTES, _BYTES, _PTR, _PTRS, _BYTES, _U64P)),
     "sefrag_derive": (_INT, (_BYTES, _SIZE, _U64, _BYTES)),
     "sefrag_lanes": (_INT, ()),
 }
@@ -184,28 +183,6 @@ def cbc(key: bytes, iv: bytes, encrypt: bool):
     return update
 
 
-@functools.cache
-def _sched_getcpu():
-    """glibc's ``sched_getcpu``, whose C int result is ctypes' default, or None."""
-    return getattr(ctypes.CDLL(None), "sched_getcpu", None)
-
-
-def other_cpus() -> set[int]:
-    """The CPUs this process may run on, less the one the calling thread
-    runs on now; empty where the platform cannot tell."""
-    if not hasattr(os, "sched_getaffinity") or _sched_getcpu() is None:
-        return set()
-    return os.sched_getaffinity(0) - {_sched_getcpu()()}
-
-
-def _pass_cpus(unit_count: int):
-    """The CPUs a pass of ``unit_count`` units pins its second worker to, as
-    a C array: from three chunks on, those ``other_cpus`` names; else none,
-    and the caller runs the pass alone.  Two chunks do not repay a thread."""
-    cpus = sorted(other_cpus()) if unit_count > 2 * CHUNK_UNITS else []
-    return (_INT * len(cpus))(*cpus)
-
-
 class Kernel:
     """The loaded library, its calls wrapped with the length checks that
     keep the C code inside its buffers."""
@@ -233,40 +210,39 @@ class Kernel:
         return units
 
     def seal_pass(self, content: tuple[int, int], public: int, private: int, content_len: int, key: bytes,
-                  encrypt) -> bytes:
+                  encrypt) -> tuple[bytes, int]:
         """Protect ``content_len`` bytes at ``content``, a descriptor and an
         offset, into descriptors ``public`` and ``private`` from their
         offsets on, which it leaves past what it wrote; ``encrypt`` is the
         private stream's ``cbc``.  Returns the private plaintext it left
-        unciphered: the last picks short of a block, the tail, the digest."""
+        unciphered (the last picks short of a block, the tail, the digest)
+        and the workers the pass ran on, 1 or 2."""
         _check_pass(key)
         units = content_len // UNIT_LEN
         at = (content[1], os.lseek(public, 0, os.SEEK_CUR), os.lseek(private, 0, os.SEEK_CUR))
-        rest, cpus = SUB_LEN * units % 16, _pass_cpus(units)
+        rest, workers = SUB_LEN * units % 16, _INT()
         end = _uninitialised_bytes(None, rest + content_len % UNIT_LEN + DIGEST_LEN)
         self._lib.sefrag_seal_pass((_INT * 3)(content[0], public, private), (ctypes.c_int64 * 3)(*at), content_len,
-                                   CHUNK_UNITS, key, _libcrypto().EVP_CipherUpdate, encrypt.ctx, cpus, len(cpus),
-                                   end, ctypes.byref(ctypes.c_uint64()))
+                                   CHUNK_UNITS, key, _libcrypto().EVP_CipherUpdate, encrypt.ctx, end,
+                                   ctypes.byref(workers), ctypes.byref(ctypes.c_uint64()))
         os.lseek(public, at[1] + REMAINDER_LEN * units, os.SEEK_SET)
         os.lseek(private, at[2] + SUB_LEN * units - rest, os.SEEK_SET)
-        return end
+        return end, workers.value
 
     def open_pass(self, public: tuple[int, int], private: tuple[int, int], content: int, content_len: int,
                   key: bytes, iv: bytes, decrypt) -> tuple[bytes, bytes]:
         """Inverse of ``seal_pass``, from the payload and ciphertext at
         ``public`` and ``private`` (a descriptor and an offset each), on
-        ``decrypt``, a deciphering ``cbc``.  Returns the content's digest
-        and the one its private stream holds."""
+        ``decrypt``, a deciphering ``cbc``, and a context of its own for
+        the second worker, which the pass may or may not run.  Returns the
+        content's digest and the one its private stream holds."""
         _check_pass(key, iv)
-        units = content_len // UNIT_LEN
         at = (os.lseek(content, 0, os.SEEK_CUR), public[1], private[1])
-        cpus = _pass_cpus(units)
-        second = cbc(key, iv, False) if cpus else None  # the second worker's context
+        second = cbc(key, iv, False)
         digests = _uninitialised_bytes(None, 2 * DIGEST_LEN)
         self._lib.sefrag_open_pass((_INT * 3)(content, public[0], private[0]), (ctypes.c_int64 * 3)(*at), content_len,
                                    CHUNK_UNITS, key, iv, _libcrypto().EVP_CipherUpdate,
-                                   (_PTR * 2)(decrypt.ctx, second and second.ctx), cpus, len(cpus), digests,
-                                   ctypes.byref(ctypes.c_uint64()))
+                                   (_PTR * 2)(decrypt.ctx, second.ctx), digests, ctypes.byref(ctypes.c_uint64()))
         os.lseek(content, at[0] + content_len, os.SEEK_SET)
         return digests[:DIGEST_LEN], digests[DIGEST_LEN:]
 

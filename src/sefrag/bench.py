@@ -10,16 +10,13 @@ The two paths take turns, one run each per iteration, and each path's
 MB/s and the ratio come from its fastest run: first-use costs such as
 the kernel's load show in the first listed run, not in the min.  The
 report names the kernel the selective path ran: native, or pure Python
-and why, and the threads its pass ran on, counted by name in
-``/proc/self/task`` during the first run: where the process may use a
-second CPU, the native pass runs a second worker there, so the ratio is
-then a two-core figure.
+and why, and the most workers any selective run reported: where the
+calling thread may use a second CPU, the native pass runs a second
+worker there, so the ratio is then a two-core figure.
 """
 
 from __future__ import annotations
 
-import contextlib
-import glob
 import os
 import statistics
 import tempfile
@@ -42,41 +39,10 @@ class BenchReport(
     time of every iteration of each path in run order (``se_elapsed``,
     ``aes_baseline_elapsed``), the AES bytes each path ciphered, the
     kernel: "native (<library>, 16 lanes)", "native (<library>, 1 lane)"
-    or "python (<why>)", and the threads the selective pass ran on: the
-    caller and the most ``sefrag-pass`` threads seen at once in its first
-    run."""
+    or "python (<why>)", and the most workers any selective run's pass
+    reported it ran on."""
 
     __slots__ = ()
-
-
-def _pass_threads() -> int:
-    """How many threads of this process are named ``sefrag-pass`` now."""
-    names = []
-    for comm in glob.glob("/proc/self/task/*/comm"):
-        with contextlib.suppress(OSError):  # a thread that has just ended
-            names.append(Path(comm).read_bytes())
-    return names.count(b"sefrag-pass\n")
-
-
-def _peak_pass_threads(run) -> int:
-    """Calls ``run()`` while a thread of its own polls ``_pass_threads``
-    every few tens of microseconds; returns the most it saw at once."""
-    import threading
-
-    peak, done = [0], threading.Event()
-
-    def watch():
-        while not done.wait(2e-5):
-            peak[0] = max(peak[0], _pass_threads())
-
-    watcher = threading.Thread(target=watch)
-    watcher.start()
-    try:
-        run()
-    finally:
-        done.set()
-        watcher.join()
-    return peak[0]
 
 
 def run_bench(size_mb: int, iterations: int) -> BenchReport:
@@ -94,13 +60,14 @@ def run_bench(size_mb: int, iterations: int) -> BenchReport:
     with tempfile.TemporaryDirectory(prefix="sefrag-bench-") as tmp:
         src, puf, prf = (Path(tmp) / name for name in ("input.bin", "out.puf", "out.prf"))
         src.write_bytes(buf)
+        workers = []
 
         def seal() -> int:
             """The selective pass; returns its AES bytes."""
             with src.open("rb") as f:
                 _, run = container.seal_stream(f, lambda _salt: key)
                 with atomic_write(puf) as write_puf, atomic_write(prf) as write_prf:
-                    run(write_puf, write_prf)
+                    workers.append(run(write_puf, write_prf))
             return prf.stat().st_size - container._PRF_HEADER.size
 
         def baseline() -> int:
@@ -120,11 +87,10 @@ def run_bench(size_mb: int, iterations: int) -> BenchReport:
             prf.unlink()
 
         # The paths take turns, so a drift in the machine's speed reaches both.
-        threads = 1 + _peak_pass_threads(iteration)
-        for _ in range(iterations - 1):
+        for _ in range(iterations):
             iteration()
     return BenchReport(len(buf), tuple(elapsed[seal]), tuple(elapsed[baseline]),
-                       aes_bytes[seal], aes_bytes[baseline], core._kernel().name, threads)
+                       aes_bytes[seal], aes_bytes[baseline], core._kernel().name, max(workers))
 
 
 def format_table(report: BenchReport) -> str:

@@ -238,7 +238,9 @@ def seal_stream(src, key_for, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
 
     Returns the new pair's file id and ``seal(write_puf, write_prf)``,
     which runs the pass: each writer gets its container's header, then
-    its pieces in order, and ``seal`` returns once all are written.
+    its pieces in order, and ``seal`` returns once all are written, with
+    the number of workers the pass ran on (2 where the native pass ran
+    its second worker, else 1).
     The head is checked before ``key_for(kdf_salt)`` gives the key, both
     before this returns.  ``kdf_salt`` records how the key was derived
     so the recovering side can repeat the derivation; all zeros means a
@@ -258,12 +260,15 @@ def seal_stream(src, key_for, mode: str = "raw", kdf_salt: bytes = ZERO_SALT):
         write_prf(_prf_header(file_id, kdf_salt, iv, ct_len))
         encrypt = cbc(key.bytes, iv, True)
         seal_pass, fds = getattr(core._kernel(), "seal_pass", None), _filenos(src, write_puf, write_prf)
+        workers = 1
         if seal_pass and fds:  # the private stream's unciphered end: last picks, tail, digest
-            write_prf(encrypt(seal_pass((fds[0], src.tell()), *fds[1:], content_len, key.bytes, encrypt)))
+            end, workers = seal_pass((fds[0], src.tell()), *fds[1:], content_len, key.bytes, encrypt)
+            write_prf(encrypt(end))
         else:
             core.protect_chunks(lambda n: _read_exact(src, n), content_len, key, write_puf,
                                 lambda private: write_prf(encrypt(private)))
         write_prf(encrypt(bytes([pad]) * pad))
+        return workers
 
     return file_id, seal
 

@@ -93,29 +93,21 @@ def test_each_path_runs_once_per_iteration(monkeypatch):
 
 
 def test_threads_counts_the_pass_workers(monkeypatch, capsys):
-    # Where the process may use a second CPU, the native pass runs a second
-    # worker there, and the ratio is a two-core figure.  The worker is seen,
-    # not derived: bench counts the threads named sefrag-pass in
-    # /proc/self/task while its first run is under way.
-    kernel = core._kernel()
-    native = isinstance(kernel, _native.Kernel)
-    counted = []
-    pass_threads = bench._pass_threads
+    # Where the calling thread may use a second CPU, the native pass runs a
+    # second worker there, and the ratio is a two-core figure.  bench
+    # reports what the passes reported; a poller of /proc/self/task, apart
+    # from them, must see the workers they counted, and none once they end.
+    from test_streaming import held_to_one_cpu, pass_threads, watching_pass_threads
 
-    def counting():
-        counted.append(pass_threads())
-        return counted[-1]
-
-    monkeypatch.setattr(bench, "_pass_threads", counting)
-    threads = bench.run_bench(8, iterations=2).threads
-    assert threads == 1 + max(counted)
+    native = isinstance(core._kernel(), _native.Kernel)
+    with watching_pass_threads() as seen:
+        threads = bench.run_bench(8, iterations=2).threads
+    assert threads == (2 if seen else 1)
     assert threads == (2 if native and len(os.sched_getaffinity(0)) > 1 else 1)
-    assert bench._pass_threads is counting and pass_threads() == 0  # none outlives its pass
-    counted.clear()
-    monkeypatch.setattr(_native, "other_cpus", set)
-    assert bench.run_bench(8, iterations=1).threads == 1
-    assert counted and max(counted) == 0
-    counted.clear()
+    assert not pass_threads()  # none outlives its pass
+    with held_to_one_cpu(), watching_pass_threads() as seen:
+        assert bench.run_bench(8, iterations=1).threads == 1
+    assert not seen
     monkeypatch.setattr(core, "_kernel", lambda: _native.PythonKernel("pinned by the test"))
     assert bench.run_bench(1, iterations=1).threads == 1
     assert cli.main(["bench", "--size-mb", "1", "--iterations", "1"]) == 0

@@ -15,7 +15,6 @@ import shutil
 import stat
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -226,48 +225,30 @@ def test_file_passes_stay_inside_their_buffers_under_asan(tmp_path, monkeypatch)
     assert proc.returncode == 0 and "AddressSanitizer" not in proc.stderr, proc.stderr
 
 
-def test_kernel_pairs_tool_runs_one_source_against_itself():
+def test_kernel_pairs_tool_runs_one_source_against_itself(tmp_path):
     # tools/kernel_pairs.py, one round over one chunk: it builds, times
-    # both directions on each side and finds the bytes equal.
+    # both directions on each side and finds the bytes equal.  Against an
+    # old source whose seal pass takes one argument more, it times that
+    # side's chunk functions only: calling its passes as the current ones
+    # would crash the tool.
     if not isinstance(_native.load(), _native.Kernel):
         pytest.skip(f"native kernel unavailable: {_native.load().name}")
     tool = Path(__file__).resolve().parent.parent / "tools" / "kernel_pairs.py"
-    source = str(_native.SOURCE)
-    proc = subprocess.run([sys.executable, str(tool), source, source, "--rounds", "1", "--calls", "1"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    (line,) = proc.stdout.splitlines()
-    result = json.loads(line)
-    assert result["equal"] and result["first"] == ["old"]
-    assert result["lanes"]["old"] == result["lanes"]["new"] in (1, 16)
-    for direction in ("protect_ms", "recover_ms", "seal_ms", "open_ms"):
-        assert [len(result[direction][side]) for side in ("old", "new")] == [1, 1]
-        assert all(ms > 0 for side in ("old", "new") for ms in result[direction][side])
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="/proc/thread-self is Linux only")
-def test_other_cpus_leaves_out_the_one_the_caller_runs_on():
-    # A thread held to one CPU runs there alone: glibc's sched_getcpu and
-    # the kernel's record in /proc agree on it, and that thread has no
-    # other CPU to offer a helper.
-    if _native._sched_getcpu() is None:
-        pytest.skip("the C library has no sched_getcpu")
-    allowed, found = os.sched_getaffinity(0), {}
-
-    def pinned(cpu):
-        os.sched_setaffinity(0, {cpu})  # this thread's alone
-        fields = Path("/proc/thread-self/stat").read_text().rsplit(")", 1)[1].split()
-        found[cpu] = _native._sched_getcpu()(), int(fields[36]), _native.other_cpus()  # field 39, processor
-
-    for cpu in sorted(allowed):
-        thread = threading.Thread(target=pinned, args=(cpu,))
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-    assert found == {cpu: (cpu, cpu, set()) for cpu in allowed}
-    others = _native.other_cpus()
-    assert others < allowed and len(others) == len(allowed) - 1
-    assert os.sched_getaffinity(0) == allowed
+    source, old = _native.SOURCE.read_text(), tmp_path / "old.c"
+    old.write_text(source.replace("int sefrag_seal_pass(", "int sefrag_seal_pass(int extra, ", 1))
+    assert old.read_text() != source
+    for old_source, timed_passes in ((_native.SOURCE, 1), (old, 0)):
+        proc = subprocess.run([sys.executable, str(tool), str(old_source), str(_native.SOURCE), "--rounds", "1",
+                               "--calls", "1"], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        (line,) = proc.stdout.splitlines()
+        result = json.loads(line)
+        assert result["equal"] and result["first"] == ["old"]
+        assert result["lanes"]["old"] == result["lanes"]["new"] in (1, 16)
+        for direction in ("protect_ms", "recover_ms", "seal_ms", "open_ms"):
+            runs = 1 if direction in ("protect_ms", "recover_ms") else timed_passes
+            assert [len(result[direction][side]) for side in ("old", "new")] == [runs, 1], old_source
+            assert all(ms > 0 for side in ("old", "new") for ms in result[direction][side])
 
 
 def test_kernel_checks_buffer_lengths_before_calling_c():
@@ -485,13 +466,13 @@ class TestCbc:
         if not isinstance(_native.load(), _native.Kernel):
             return
         # File passes, on the native kernel: the seal's one context, and the
-        # open's one and one for its second worker, where one runs.
+        # open's one and one for its second worker, whether or not one runs.
         from test_streaming import ReadOnlyWriter, open_file, seal_file
         context_calls.clear()
         src = tmp_path / "in.bin"
         src.write_bytes(data)
         seal_file(src, tmp_path, key)  # one
-        open_file(tmp_path / "in.puf", tmp_path / "in.prf", tmp_path / "back.bin", key)  # one, and a second
+        open_file(tmp_path / "in.puf", tmp_path / "in.prf", tmp_path / "back.bin", key)  # two
         assert (tmp_path / "back.bin").read_bytes() == data
         with src.open("rb") as f:
             _, run = container.seal_stream(f, lambda _salt: key)
@@ -504,11 +485,28 @@ class TestCbc:
         raw = bytearray((tmp_path / "in.prf").read_bytes())
         raw[-48] ^= 1  # a digest byte: the padding fills the last block
         (tmp_path / "in.prf").write_bytes(raw)
-        with pytest.raises(IntegrityFailure, match="digest"):  # one, and a second
+        with pytest.raises(IntegrityFailure, match="digest"):  # two
             open_file(tmp_path / "in.puf", tmp_path / "in.prf", tmp_path / "back.bin", key)
         gc.collect()
-        made = 4 + 2 * (len(os.sched_getaffinity(0)) > 1)
-        assert (context_calls["EVP_CIPHER_CTX_new"], context_calls["EVP_CIPHER_CTX_free"]) == (made, made)
+        assert (context_calls["EVP_CIPHER_CTX_new"], context_calls["EVP_CIPHER_CTX_free"]) == (6, 6)
+
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_a_file_open_makes_and_frees_two_contexts(self, chunks, context_calls, tmp_path):
+        # The padding check's stream, on which the caller's worker goes on,
+        # and one for a second worker: made on every file open, short or
+        # long, so that the C pass alone decides whether that worker runs.
+        if not isinstance(_native.load(), _native.Kernel):
+            pytest.skip(f"native kernel unavailable: {_native.load().name}")
+        from test_streaming import open_file, seal_file
+        key, data = ProtectionKey.random(), os.urandom(chunks * core.CHUNK_UNITS * core.UNIT_LEN - 5)
+        (tmp_path / "in.bin").write_bytes(data)
+        seal_file(tmp_path / "in.bin", tmp_path, key)
+        gc.collect()
+        context_calls.clear()
+        open_file(tmp_path / "in.puf", tmp_path / "in.prf", tmp_path / "back.bin", key)
+        gc.collect()
+        assert (context_calls["EVP_CIPHER_CTX_new"], context_calls["EVP_CIPHER_CTX_free"]) == (2, 2)
+        assert (tmp_path / "back.bin").read_bytes() == data
 
     def test_a_wrong_key_fails_on_one_block_before_any_public_byte(self, libcrypto_calls):
         rng = random.Random(35)

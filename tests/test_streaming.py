@@ -313,23 +313,38 @@ def pass_threads() -> dict[int, set[int]]:
     return found
 
 
+def last_cpu(tid: int) -> int:
+    """The CPU thread ``tid`` of this process runs on, or last ran on:
+    field 39 (processor) of its ``stat``."""
+    return int(Path(f"/proc/self/task/{tid}/stat").read_text().rsplit(")", 1)[1].split()[36])
+
+
 @contextlib.contextmanager
-def watching_pass_threads():
-    """Yields a dict that gathers ``pass_threads()`` from a thread polling
-    while the block runs."""
-    seen, done = {}, threading.Event()
+def polling(sample):
+    """Calls ``sample()`` from a thread of its own every few tens of
+    microseconds while the block runs."""
+    done = threading.Event()
 
     def watch():
         while not done.wait(2e-5):
-            seen.update(pass_threads())
+            sample()
 
     watcher = threading.Thread(target=watch)
     watcher.start()
     try:
-        yield seen
+        yield
     finally:
         done.set()
         watcher.join()
+
+
+@contextlib.contextmanager
+def watching_pass_threads():
+    """Yields a dict that gathers ``pass_threads()`` from a thread polling
+    while the block runs."""
+    seen = {}
+    with polling(lambda: seen.update(pass_threads())):
+        yield seen
 
 
 def _threads_and_affinity():
@@ -339,7 +354,7 @@ def _threads_and_affinity():
 @contextlib.contextmanager
 def held_to_one_cpu():
     """This thread held to one CPU, as in a process that may use one only,
-    so a pass it runs names no CPU for a second worker."""
+    so a pass it runs finds no CPU for a second worker."""
     allowed = os.sched_getaffinity(0)
     os.sched_setaffinity(0, {min(allowed)})  # this thread's alone
     try:
@@ -439,26 +454,67 @@ class ReadOnlyWriter:
 
 class TestPassWorkers:
     """The second worker of a file pass of three chunks or more: a thread
-    named ``sefrag-pass``, pinned off the caller's CPU, and gone when the
-    pass returns or raises."""
+    named ``sefrag-pass``, pinned off the caller's CPU, counted in what
+    ``seal`` returns, and gone when the pass returns or raises."""
 
     @pytest.mark.skipif(ONE_CPU, reason="this process may run on one CPU only, so no second worker starts")
-    def test_second_worker_runs_off_the_callers_cpu(self, native, tmp_path, monkeypatch):
-        # Record the CPU the pass found its caller on, then look at the
-        # worker's own affinity while the pass is under way.
-        seen_cpu = []
-        sched_getcpu = _native._sched_getcpu()
-        monkeypatch.setattr(_native, "_sched_getcpu", lambda: lambda: seen_cpu.append(sched_getcpu()) or seen_cpu[-1])
+    def test_second_worker_runs_off_the_callers_cpu(self, native, tmp_path):
+        # While the worker runs, sample its affinity and the CPU the caller
+        # is on, as /proc records them.  The scheduler may move the caller
+        # during a pass; such a pass shows the caller on two CPUs and tells
+        # nothing of the one the worker was pinned off, so it is run again,
+        # up to five times, for a pass whose caller stayed on one CPU.
+        caller, allowed = threading.get_native_id(), os.sched_getaffinity(0)
         src = tmp_path / "scan.bin"
         src.write_bytes(os.urandom(LONG))
-        with watching_pass_threads() as seen:
-            seal_file(src, tmp_path / "vault")
+        for attempt in range(5):
+            seen, caller_cpus = {}, set()
+
+            def sample():
+                workers = pass_threads()
+                if workers:
+                    caller_cpus.add(last_cpu(caller))
+                    seen.update(workers)
+
+            with polling(sample):
+                seal_file(src, tmp_path / f"vault-{attempt}")
+            if len(caller_cpus) == 1:
+                break
+        else:
+            pytest.fail(f"no pass of five showed its caller on one CPU while its worker ran: {caller_cpus}")
         ((worker, affinity),) = seen.items()
-        (caller,) = seen_cpu
-        allowed = os.sched_getaffinity(0)
-        assert caller in allowed
-        assert affinity == allowed - {caller}
-        assert worker != threading.get_native_id() and not pass_threads()
+        (cpu,) = caller_cpus
+        assert cpu in allowed
+        assert affinity == allowed - {cpu}
+        assert worker != caller and not pass_threads()
+
+    @pytest.mark.parametrize("case", ["two_chunks", "two_chunks_and_a_unit", "in_memory", "one_cpu"])
+    def test_seal_returns_the_workers_its_pass_ran_on(self, case, tmp_path):
+        # Two chunks do not repay a thread; one unit more does, where the
+        # caller may use a second CPU and the kernel is native.  What seal
+        # returns must agree with what a poller of /proc sees: a worker
+        # that lives for one chunk may slip between its samples, so a pass
+        # reported on two workers runs again, up to five times, until one
+        # is seen.
+        length = 2 * CHUNK if case == "two_chunks" else 2 * CHUNK + UNIT_LEN
+        data = os.urandom(length)
+        (tmp_path / "in.bin").write_bytes(data)
+        two = case == "two_chunks_and_a_unit" and isinstance(core._kernel(), _native.Kernel) and not ONE_CPU
+        for attempt in range(5):
+            vault = tmp_path / f"vault-{attempt}"
+            with held_to_one_cpu() if case == "one_cpu" else contextlib.nullcontext(), watching_pass_threads() as seen:
+                with io.BytesIO(data) if case == "in_memory" else (tmp_path / "in.bin").open("rb") as f:
+                    _, seal = container.seal_stream(f, lambda _salt: PROTECTION_KEY)
+                    with atomic_write(vault / "in.puf") as write_puf, atomic_write(vault / "in.prf") as write_prf:
+                        workers = seal(write_puf, write_prf)
+            assert workers == (2 if two else 1), attempt
+            if len(seen) == workers - 1:
+                break
+            assert workers == 2 and not seen, (attempt, seen)
+        else:
+            pytest.fail("seal reported a second worker that no poll of five passes saw")
+        open_file(vault / "in.puf", vault / "in.prf", vault / "back.bin")
+        assert (vault / "back.bin").read_bytes() == data
 
     @pytest.mark.parametrize("how", ["completed", "short_read", "failed_write", "integrity_failure", "wrong_key"])
     def test_pass_leaves_threads_and_affinity_as_it_found_them(self, how, native, tmp_path):

@@ -9,17 +9,20 @@ temp directory, once when both sides name one file.  Each round times
 the chunks of one file), into buffers allocated before the timed passes,
 on each library in turn; which one runs first alternates from round to
 round.  Each round also times one whole file pass each way on each
-library that has the file passes (``sefrag_seal_pass``,
-``sefrag_open_pass``): ``container.seal_stream`` of the same bytes from a
-file in a temp directory into a fresh pair there, and ``open_stream``
-back, with the process's other CPUs available to the second worker as
-in ``sefrag protect``.  A round's time for one library and direction is
-the fastest of ``REPEATS`` passes.  Both libraries must give the same
-bytes, and each file pass the input back, or the tool exits 1.
+library whose file passes (``sefrag_seal_pass``, ``sefrag_open_pass``)
+are defined as in the current ``_kernel.c``, compared as text, since
+``sefrag._native.Kernel`` calls them with the current arguments:
+``container.seal_stream`` of the same bytes from a file in a temp
+directory into a fresh pair there, and ``open_stream`` back, with the
+pass choosing its second worker as in ``sefrag protect``.  A round's
+time for one library and direction is the fastest of ``REPEATS``
+passes.  Both libraries must give the same bytes, and each file pass the
+input back, or the tool exits 1.
 
 Prints one JSON line: each side's per-round times in ms (``seal_ms`` and
-``open_ms`` stay empty for a library without the file passes), the order
-the sides ran in, and the lane count each library reports on this CPU.
+``open_ms`` stay empty for a library without those file passes), the
+order the sides ran in, and the lane count each library reports on this
+CPU.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import argparse
 import ctypes
 import json
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -43,6 +47,14 @@ REPEATS = 5
 SIDES = ("old", "new")
 # The chunk functions, which every version of the source has.
 CHUNK_SIGNATURES = {name: _native._SIGNATURES[name] for name in ("sefrag_protect", "sefrag_recover", "sefrag_lanes")}
+
+
+def pass_definitions(source: Path) -> list[str | None]:
+    """The text of each file pass's definition in ``source``, from the start
+    of its line to the end of its parameter list, or None where it has none."""
+    text = source.read_text()
+    return [match and match.group() for match in
+            (re.search(rf"^.*\b{name}\([^)]*\)", text, re.M) for name in ("sefrag_seal_pass", "sefrag_open_pass"))]
 
 
 def build(sources: dict[str, Path], out: Path) -> dict[str, Path]:
@@ -133,8 +145,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         paths = build({"old": args.old, "new": args.new}, Path(tmp))
         libs = {side: _native._bind(str(path), CHUNK_SIGNATURES) for side, path in paths.items()}
-        # The file passes run on the sides whose library has them.
-        kernels = {side: _native.Kernel(path) for side, path in paths.items() if hasattr(libs[side], "sefrag_seal_pass")}
+        # The file passes run on the sides whose passes take the arguments _native passes.
+        current = pass_definitions(_native.SOURCE)
+        kernels = {side: _native.Kernel(paths[side]) for side, source in (("old", args.old), ("new", args.new))
+                   if None not in current and pass_definitions(source) == current}
         src = Path(tmp) / "input.bin"
         src.write_bytes(units)
         result["lanes"] = {side: lib.sefrag_lanes() for side, lib in libs.items()}
